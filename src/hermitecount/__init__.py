@@ -18,8 +18,6 @@ from .linalg import (
     InertiaResult,
     characteristic_polynomial,
     congruence_diagonalize,
-    determinant,
-    gaussian_rank,
     inertia,
     inertia_via_charpoly,
 )
@@ -65,8 +63,6 @@ __all__ = [
     "InertiaResult",
     "characteristic_polynomial",
     "congruence_diagonalize",
-    "determinant",
-    "gaussian_rank",
     "inertia",
     "inertia_via_charpoly",
     "ParseError",

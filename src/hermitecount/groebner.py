@@ -1,12 +1,11 @@
 """Reduced Groebner bases via Buchberger's algorithm, normal forms by
 multivariate division, the zero-dimensionality test, and the standard-monomial
-basis of the quotient ring.
+basis of the quotient ring as an order-ideal staircase.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -196,15 +195,30 @@ def is_zero_dimensional(basis: GroebnerBasis) -> bool:
 
 def standard_monomials(basis: GroebnerBasis) -> QuotientBasis:
     """All monomials under the staircase (divisible by no leading monomial),
-    ascending by the order; they form a linear basis of the quotient ring."""
-    caps = _pure_power_caps(basis)
-    if caps is None:
+    ascending by the order; they form a linear basis of the quotient ring.
+
+    The staircase is an order ideal, so it is the closure of {1} under
+    multiplication by single variables within the standard monomials: each
+    found monomial is multiplied by each variable, and a product is kept if
+    no leading monomial divides it.  That examines dim * nvars candidates,
+    never the exponent box bounded by the pure-power caps.
+    """
+    if _pure_power_caps(basis) is None:
         raise NotZeroDimensionalError("the ideal is not zero-dimensional")
-    lms = basis.leading_monomials()
-    found = []
-    for exps in itertools.product(*(range(c) for c in caps)):
-        mono = Monomial(exps)
-        if not any(lm.divides(mono) for lm in lms):
-            found.append(mono)
-    found.sort(key=basis.order.key)
-    return QuotientBasis(tuple(found), basis.order)
+    lms = [lm.exponents for lm in basis.leading_monomials()]
+
+    def standard(exps: tuple[int, ...]) -> bool:
+        return not any(all(a <= b for a, b in zip(lm, exps)) for lm in lms)
+
+    unit = (0,) * basis.order.nvars
+    found = {unit} if standard(unit) else set()
+    frontier = list(found)
+    while frontier:
+        exps = frontier.pop()
+        for var in range(len(exps)):
+            product = exps[:var] + (exps[var] + 1,) + exps[var + 1 :]
+            if product not in found and standard(product):
+                found.add(product)
+                frontier.append(product)
+    monos = sorted(map(Monomial, found), key=basis.order.key)
+    return QuotientBasis(tuple(monos), basis.order)

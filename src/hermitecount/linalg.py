@@ -176,51 +176,3 @@ def inertia_via_charpoly(entries: Sequence[Sequence[Scalar]]) -> InertiaResult:
     nonzero = [c for c in coeffs[zero:] if c]
     positive = sum(1 for x, y in zip(nonzero, nonzero[1:]) if (x < 0) != (y < 0))
     return InertiaResult(positive, n - zero - positive, zero)
-
-
-def gaussian_rank(entries: Sequence[Sequence[Scalar]]) -> int:
-    """Rank by plain exact Gaussian elimination (works on any matrix)."""
-    m = [[Fraction(x) for x in row] for row in entries]
-    if not m:
-        return 0
-    rows, cols = len(m), len(m[0])
-    if any(len(row) != cols for row in m):
-        raise ValueError("ragged matrix")
-    rank = 0
-    for c in range(cols):
-        pivot = next((r for r in range(rank, rows) if m[r][c]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = Fraction(1) / m[rank][c]
-        for r in range(rows):
-            if r != rank and m[r][c]:
-                f = m[r][c] * inv
-                for j in range(c, cols):
-                    m[r][j] -= f * m[rank][j]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
-def determinant(entries: Sequence[Sequence[Scalar]]) -> Fraction:
-    """Exact determinant via fraction elimination."""
-    m = as_matrix(entries)
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if m[r][c]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = Fraction(1) / m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c]:
-                f = m[r][c] * inv
-                for j in range(c, n):
-                    m[r][j] -= f * m[c][j]
-    return det

@@ -1,12 +1,18 @@
-"""Arithmetic in the quotient ring on its standard-monomial basis: matrices of
-multiplication operators, the trace functional, and the symmetric trace form
-whose rank and signature count distinct complex and real solutions.
+"""Arithmetic in the quotient ring on its standard-monomial basis.
+
+The ring has one linear-algebra representation: the border multiplication
+matrices M_{x_v}, built column by column from the reduced basis with sparse
+matrix-vector products (FGLM-style border normal forms).  The product table
+NF(b_i * b_j), the trace functional, the symmetric trace form whose rank and
+signature count distinct complex and real solutions, and
+`multiplication_matrix` are all derived from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import linalg
 from .groebner import (
@@ -58,16 +64,154 @@ class HermiteReport:
     quotient_dimension: int
 
 
-def _check_basis(basis: GroebnerBasis, quotient: QuotientBasis) -> None:
-    if quotient.order != basis.order or quotient.monomials != standard_monomials(basis).monomials:
-        raise ValueError("quotient basis does not belong to this Groebner basis")
+# Sparse coordinates on the quotient basis: integer numerators by basis index
+# over one positive common denominator, kept in lowest terms.  Integer
+# arithmetic with one gcd per vector is several times faster than a Fraction
+# per coordinate.
+Vector = tuple[dict[int, int], int]
 
 
-def _coordinates(p: Polynomial, index: dict[Monomial, int], dimension: int) -> list[Fraction]:
-    coords = [Fraction(0)] * dimension
-    for mono, coeff in p.terms:
-        coords[index[mono]] = coeff
-    return coords
+def _unit(k: int) -> Vector:
+    return {k: 1}, 1
+
+
+def _vector(coords: dict[int, Fraction]) -> Vector:
+    den = lcm(*(c.denominator for c in coords.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in coords.items()}, den
+
+
+def _shift(exps: tuple[int, ...], var: int, step: int) -> tuple[int, ...]:
+    """Exponents of the monomial times x_var**step."""
+    return exps[:var] + (exps[var] + step,) + exps[var + 1 :]
+
+
+def _mismatch() -> ValueError:
+    return ValueError("quotient basis does not belong to this Groebner basis")
+
+
+def _multiplication_columns(basis: GroebnerBasis, quotient: QuotientBasis) -> list[list[Vector]]:
+    """columns[v][k] = coordinates of NF(x_v * b_k): the matrix of
+    multiplication by each variable, column by column.
+
+    A standard product x_v * b_k is a unit column.  The others form the border
+    and are reduced in ascending order: a border monomial that leads a
+    generator g has normal form -tail(g) (the basis is reduced and monic),
+    and any other is x_u * m' for a smaller border monomial m', so its normal
+    form is M_{x_u} * NF(m'), built only from columns already filled.
+
+    This also proves that `quotient` is the staircase of `basis`: it holds 1
+    (or is empty, for the unit ideal), no leading monomial divides its
+    members, and every border monomial is shown to lie outside the staircase,
+    so the quotient is closed.  Any failure raises ValueError.
+    """
+    order = basis.order
+    monos = quotient.monomials
+    if quotient.order != order:
+        raise _mismatch()
+    keys = [order.key(m) for m in monos]
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        raise _mismatch()
+    leading = {g.leading_monomial().exponents: g for g in basis.generators}
+    unit = (0,) * order.nvars
+    if unit not in leading and not (monos and monos[0].exponents == unit):
+        raise _mismatch()
+    if any(lm.divides(mono) for lm in basis.leading_monomials() for mono in monos):
+        raise _mismatch()
+
+    index = {m.exponents: k for k, m in enumerate(monos)}
+    columns: list[list[Vector]] = [[None] * len(monos) for _ in range(order.nvars)]
+    border: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for k, mono in enumerate(monos):
+        exps = mono.exponents
+        for var in range(order.nvars):
+            product = _shift(exps, var, 1)
+            if product in index:
+                columns[var][k] = _unit(index[product])
+            else:
+                border.setdefault(product, []).append((var, k))
+
+    reduced: dict[tuple[int, ...], Vector] = {}
+    for exps in sorted(border, key=lambda e: order.key(Monomial(e))):
+        g = leading.get(exps)
+        if g is not None:
+            try:
+                form = _vector({index[m.exponents]: -c for m, c in g.terms[1:]})
+            except KeyError:
+                raise _mismatch() from None
+        else:
+            var = next((v for v, e in enumerate(exps) if e and _shift(exps, v, -1) in reduced), None)
+            if var is None:
+                raise _mismatch()  # exps is standard but missing from the quotient
+            form = _apply(columns[var], reduced[_shift(exps, var, -1)])
+        reduced[exps] = form
+        for var, k in border[exps]:
+            columns[var][k] = form
+    return columns
+
+
+def _apply(matrix: list[Vector], vector: Vector) -> Vector:
+    """matrix * vector for a matrix given by its sparse columns.  A unit
+    vector returns the column itself, shared: vectors are never mutated."""
+    nums, den = vector
+    if len(nums) <= 1 and den == 1:
+        if not nums:
+            return vector
+        ((k, c),) = nums.items()
+        if c == 1:
+            return matrix[k]
+    scale = lcm(*(matrix[k][1] for k in nums))
+    acc: dict[int, int] = {}
+    for k, a in nums.items():
+        column, column_den = matrix[k]
+        f = a * (scale // column_den)
+        for r, x in column.items():
+            acc[r] = acc.get(r, 0) + f * x
+    acc = {r: x for r, x in acc.items() if x}
+    den *= scale
+    g = gcd(den, *acc.values())
+    return {r: x // g for r, x in acc.items()}, den // g
+
+
+def _product_table(basis: GroebnerBasis, quotient: QuotientBasis) -> list[list[Vector]]:
+    """table[i][j] = coordinates of NF(b_i * b_j) for i <= j (None below).
+
+    Row 0 is b_0 = 1 times the basis.  Every other b_i is x_v * b_p for a
+    standard parent b_p earlier in the basis, so NF(b_i * b_j) is
+    M_{x_v} * NF(b_p * b_j): one sparse matrix-vector product per entry.
+    """
+    columns = _multiplication_columns(basis, quotient)
+    monos = quotient.monomials
+    dim = len(monos)
+    index = {m.exponents: k for k, m in enumerate(monos)}
+    table: list[list[Vector]] = [[_unit(j) for j in range(dim)]] if dim else []
+    for i in range(1, dim):
+        exps = monos[i].exponents
+        var = next(v for v, e in enumerate(exps) if e)
+        parent = table[index[_shift(exps, var, -1)]]
+        row = [None] * dim
+        for j in range(i, dim):
+            row[j] = _apply(columns[var], parent[j])
+        table.append(row)
+    return table
+
+
+def _product(table: list[list[Vector]], i: int, j: int) -> Vector:
+    return table[i][j] if i <= j else table[j][i]
+
+
+def _traces(table: list[list[Vector]]) -> list[Fraction]:
+    """tau[k] = trace of multiplication by b_k: the sum over j of the b_j
+    coordinate of NF(b_k * b_j)."""
+    dim = len(table)
+    tau = []
+    for k in range(dim):
+        total = Fraction(0)
+        for j in range(dim):
+            nums, den = _product(table, k, j)
+            if j in nums:
+                total += Fraction(nums[j], den)
+        tau.append(total)
+    return tau
 
 
 def multiplication_matrix(
@@ -75,47 +219,24 @@ def multiplication_matrix(
 ) -> MultiplicationMatrix:
     """Matrix of multiplication by g on the quotient basis.
 
-    Reduced products are supported on standard monomials, so their
-    coordinates are read directly off the normal form.
+    With NF(g) = sum(c_m * b_m), column k is sum(c_m * NF(b_m * b_k)), read off
+    the product table; only NF(g) itself needs a polynomial division.
     """
-    _check_basis(basis, quotient)
+    table = _product_table(basis, quotient)
     element = normal_form(g, basis)
     index = quotient.index()
+    coords = [(index[m], c) for m, c in element.terms]
     dim = quotient.dimension
     columns = []
-    for mono in quotient.monomials:
-        product = normal_form(element.mul_term(1, mono), basis)
-        columns.append(_coordinates(product, index, dim))
+    for k in range(dim):
+        column = [Fraction(0)] * dim
+        for m, c in coords:
+            nums, den = _product(table, m, k)
+            for r, x in nums.items():
+                column[r] += c * x / den
+        columns.append(column)
     rows = tuple(tuple(columns[k][r] for k in range(dim)) for r in range(dim))
     return MultiplicationMatrix(rows, element, quotient)
-
-
-def _product_table(
-    basis: GroebnerBasis, quotient: QuotientBasis
-) -> dict[tuple[int, int], dict[Monomial, Fraction]]:
-    """Reduced products of basis pairs: (i, j) with i <= j -> NF(b_i * b_j)."""
-    order = basis.order
-    table: dict[tuple[int, int], dict[Monomial, Fraction]] = {}
-    monos = quotient.monomials
-    for i in range(len(monos)):
-        for j in range(i, len(monos)):
-            product = Polynomial(order, [(monos[i] * monos[j], 1)])
-            table[(i, j)] = dict(normal_form(product, basis).terms)
-    return table
-
-
-def _trace_table(
-    quotient: QuotientBasis, products: dict[tuple[int, int], dict[Monomial, Fraction]]
-) -> dict[Monomial, Fraction]:
-    monos = quotient.monomials
-    tau: dict[Monomial, Fraction] = {}
-    for i, mono in enumerate(monos):
-        total = Fraction(0)
-        for k, other in enumerate(monos):
-            entry = products[(min(i, k), max(i, k))]
-            total += entry.get(other, Fraction(0))
-        tau[mono] = total
-    return tau
 
 
 def trace_functional(basis: GroebnerBasis, quotient: QuotientBasis) -> dict[Monomial, Fraction]:
@@ -125,8 +246,8 @@ def trace_functional(basis: GroebnerBasis, quotient: QuotientBasis) -> dict[Mono
     form sum(c_m * b_m) has multiplication trace sum(c_m * tau(b_m)), which
     replaces one dim^2-sized matrix build per form entry with a single table.
     """
-    _check_basis(basis, quotient)
-    return _trace_table(quotient, _product_table(basis, quotient))
+    tau = _traces(_product_table(basis, quotient))
+    return dict(zip(quotient.monomials, tau))
 
 
 def hermite_form(basis: GroebnerBasis, quotient: QuotientBasis) -> HermiteForm:
@@ -135,16 +256,17 @@ def hermite_form(basis: GroebnerBasis, quotient: QuotientBasis) -> HermiteForm:
     Entries are computed for i <= j and mirrored; symmetry is exact because
     the products themselves are symmetric.
     """
-    _check_basis(basis, quotient)
-    products = _product_table(basis, quotient)
-    tau = _trace_table(quotient, products)
+    table = _product_table(basis, quotient)
+    tau = _traces(table)
     dim = quotient.dimension
-    entries = [[Fraction(0)] * dim for _ in range(dim)]
+    zero = Fraction(0)
+    entries = [[zero] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i, dim):
-            value = sum(
-                (c * tau[mono] for mono, c in products[(i, j)].items()), Fraction(0)
-            )
+            nums, den = table[i][j]
+            value = sum((c * tau[m] for m, c in nums.items() if tau[m]), zero)
+            if den != 1:
+                value /= den
             entries[i][j] = value
             entries[j][i] = value
     return HermiteForm(tuple(tuple(row) for row in entries), quotient)

@@ -5,8 +5,21 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from random import Random
+from typing import Sequence
 
-from hermitecount import Monomial, MonomialOrder, Polynomial, UnivariatePolynomial
+from hermitecount import (
+    GroebnerBasis,
+    HermiteForm,
+    Monomial,
+    MonomialOrder,
+    MultiplicationMatrix,
+    NotZeroDimensionalError,
+    Polynomial,
+    QuotientBasis,
+    UnivariatePolynomial,
+    normal_form,
+)
+from hermitecount.linalg import Scalar, as_matrix
 
 
 def rand_fraction(rng: Random, bound: int = 100) -> Fraction:
@@ -127,3 +140,198 @@ FIXTURE_SYSTEMS = [
     ("diagonal-cubic", "x1-x2\nx1^3-x2"),
     ("three-vars", "x1^2-1\nx2^2-2\nx3^2-x1*x2"),
 ]
+
+
+def rand_dense_system(rng: Random, order: MonomialOrder, degree: int) -> list[Polynomial]:
+    """order.nvars dense polynomials of total degree <= degree, integer
+    coefficients in [-9, 9], nonzero on every top-degree monomial."""
+    monos = all_monomials(order.nvars, degree)
+    nonzero = [c for c in range(-9, 10) if c]
+    return [
+        Polynomial(
+            order,
+            {m: rng.choice(nonzero) if m.degree == degree else rng.randint(-9, 9) for m in monos},
+        )
+        for _ in range(order.nvars)
+    ]
+
+
+def rand_triangular_system(rng: Random, order: MonomialOrder, max_power: int = 3) -> list[Polynomial]:
+    """x_k^a_k + (random terms of lower x_k-degree in x_k..x_n) for each k:
+    a triangular set under lex, so the ideal is zero-dimensional (under every
+    order), often with repeated roots."""
+    n = order.nvars
+    polys = []
+    for k in range(n):
+        power = rng.randint(2, max_power)
+        lead = Monomial(tuple(power if i == k else 0 for i in range(n)))
+        terms = {lead: 1}
+        for _ in range(rng.randint(0, 4)):
+            exps = tuple(
+                rng.randint(0, power - 1) if i == k else rng.randint(0, 2) if i > k else 0
+                for i in range(n)
+            )
+            terms[Monomial(exps)] = rng.randint(-5, 5)
+        polys.append(Polynomial(order, terms))
+    return polys
+
+
+def rand_monomial_staircase(rng: Random, order: MonomialOrder, max_power: int = 6) -> list[Polynomial]:
+    """x_i^a_i - c_i*x_i for each i plus a few random mixed monomials: a
+    staircase with a ragged corner set."""
+    n = order.nvars
+    polys = []
+    for i in range(n):
+        power = rng.randint(2, max_power)
+        terms = {
+            Monomial(tuple(power if j == i else 0 for j in range(n))): 1,
+            Monomial(tuple(1 if j == i else 0 for j in range(n))): -rng.randint(0, 4),
+        }
+        polys.append(Polynomial(order, terms))
+    for _ in range(rng.randint(0, 3)):
+        polys.append(Polynomial(order, {rand_monomial(rng, n, 3): 1}))
+    return polys
+
+
+# The division-based quotient route that the border multiplication matrices
+# replaced, kept as a differential oracle: the staircase by walking the
+# exponent box, and every product NF(b_i * b_j) by full polynomial division.
+
+
+def box_standard_monomials(basis: GroebnerBasis) -> QuotientBasis:
+    """Every monomial of the pure-power exponent box that no leading
+    monomial divides, ascending by the order."""
+    lms = basis.leading_monomials()
+    caps = []
+    for var in range(basis.order.nvars):
+        pure = [
+            lm.exponents[var]
+            for lm in lms
+            if all(e == 0 for i, e in enumerate(lm.exponents) if i != var)
+        ]
+        if not pure:
+            raise NotZeroDimensionalError("the ideal is not zero-dimensional")
+        caps.append(min(pure))
+    found = []
+    for exps in itertools.product(*(range(c) for c in caps)):
+        mono = Monomial(exps)
+        if not any(lm.divides(mono) for lm in lms):
+            found.append(mono)
+    found.sort(key=basis.order.key)
+    return QuotientBasis(tuple(found), basis.order)
+
+
+def _division_coordinates(p: Polynomial, quotient: QuotientBasis) -> list[Fraction]:
+    index = quotient.index()
+    coords = [Fraction(0)] * quotient.dimension
+    for mono, coeff in p.terms:
+        coords[index[mono]] = coeff
+    return coords
+
+
+def division_multiplication_matrix(
+    g: Polynomial, basis: GroebnerBasis, quotient: QuotientBasis
+) -> MultiplicationMatrix:
+    """Column k is the normal form of NF(g) * b_k, one division per column."""
+    element = normal_form(g, basis)
+    columns = [
+        _division_coordinates(normal_form(element.mul_term(1, mono), basis), quotient)
+        for mono in quotient.monomials
+    ]
+    dim = quotient.dimension
+    rows = tuple(tuple(columns[k][r] for k in range(dim)) for r in range(dim))
+    return MultiplicationMatrix(rows, element, quotient)
+
+
+def division_product_table(
+    basis: GroebnerBasis, quotient: QuotientBasis
+) -> dict[tuple[int, int], dict[Monomial, Fraction]]:
+    """(i, j) with i <= j -> NF(b_i * b_j), one division per pair."""
+    monos = quotient.monomials
+    table = {}
+    for i in range(len(monos)):
+        for j in range(i, len(monos)):
+            product = Polynomial(basis.order, [(monos[i] * monos[j], 1)])
+            table[(i, j)] = dict(normal_form(product, basis).terms)
+    return table
+
+
+def _division_traces(
+    quotient: QuotientBasis, products: dict[tuple[int, int], dict[Monomial, Fraction]]
+) -> dict[Monomial, Fraction]:
+    monos = quotient.monomials
+    return {
+        mono: sum(
+            (products[(min(i, k), max(i, k))].get(other, Fraction(0)) for k, other in enumerate(monos)),
+            Fraction(0),
+        )
+        for i, mono in enumerate(monos)
+    }
+
+
+def division_trace_functional(
+    basis: GroebnerBasis, quotient: QuotientBasis
+) -> dict[Monomial, Fraction]:
+    return _division_traces(quotient, division_product_table(basis, quotient))
+
+
+def division_hermite_form(basis: GroebnerBasis, quotient: QuotientBasis) -> HermiteForm:
+    """H[i][j] = sum of c * tau(m) over NF(b_i * b_j) = sum(c * m)."""
+    products = division_product_table(basis, quotient)
+    tau = _division_traces(quotient, products)
+    dim = quotient.dimension
+    entries = [[Fraction(0)] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            value = sum((c * tau[m] for m, c in products[(i, j)].items()), Fraction(0))
+            entries[i][j] = value
+            entries[j][i] = value
+    return HermiteForm(tuple(tuple(row) for row in entries), quotient)
+
+
+def gaussian_rank(entries: Sequence[Sequence[Scalar]]) -> int:
+    """Rank by plain exact Gaussian elimination (works on any matrix)."""
+    m = [[Fraction(x) for x in row] for row in entries]
+    if not m:
+        return 0
+    rows, cols = len(m), len(m[0])
+    if any(len(row) != cols for row in m):
+        raise ValueError("ragged matrix")
+    rank = 0
+    for c in range(cols):
+        pivot = next((r for r in range(rank, rows) if m[r][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = Fraction(1) / m[rank][c]
+        for r in range(rows):
+            if r != rank and m[r][c]:
+                f = m[r][c] * inv
+                for j in range(c, cols):
+                    m[r][j] -= f * m[rank][j]
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+def determinant(entries: Sequence[Sequence[Scalar]]) -> Fraction:
+    """Exact determinant via fraction elimination."""
+    m = as_matrix(entries)
+    n = len(m)
+    det = Fraction(1)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if m[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        inv = Fraction(1) / m[c][c]
+        for r in range(c + 1, n):
+            if m[r][c]:
+                f = m[r][c] * inv
+                for j in range(c, n):
+                    m[r][j] -= f * m[c][j]
+    return det

@@ -175,3 +175,13 @@ def test_bench_rejects_too_small_families(capsys):
     assert main(["bench", "--spheres", "1"]) == EXIT_PARSE
     with pytest.raises(ValueError):
         run_bench(max_spheres=1)
+
+
+def test_solve_wide_staircase(capsys):
+    # x1^400 = x2^400 = x1*x2 = 0: the origin with multiplicity 799
+    code = main(["solve", "--poly", "x1^400", "--poly", "x2^400", "--poly", "x1*x2"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert "quotient dimension: 799" in out
+    assert "number of complex solutions: 1" in out
+    assert "number of real solutions: 1" in out

@@ -203,3 +203,13 @@ def test_lex_staircase_can_exceed_generator_degree():
     quotient = standard_monomials(basis)
     assert quotient.dimension == 4
     assert max(m.degree for m in quotient.monomials) == 3
+
+
+def test_wide_staircase_is_enumerated_by_closure():
+    # 898 standard monomials in an exponent box of 2.7e7 points
+    _, polys = parse_system("x1^300\nx2^300\nx3^300\nx1*x2\nx2*x3\nx1*x3")
+    order = polys[0].order
+    quotient = standard_monomials(buchberger(polys, order))
+    assert quotient.dimension == 898
+    keys = [order.key(m) for m in quotient.monomials]
+    assert keys == sorted(set(keys))

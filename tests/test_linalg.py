@@ -10,13 +10,18 @@ from hermitecount import (
     InertiaResult,
     characteristic_polynomial,
     congruence_diagonalize,
-    determinant,
-    gaussian_rank,
     inertia,
     inertia_via_charpoly,
 )
 
-from support import mat_mul, rand_invertible, rand_symmetric, transpose
+from support import (
+    determinant,
+    gaussian_rank,
+    mat_mul,
+    rand_invertible,
+    rand_symmetric,
+    transpose,
+)
 
 TRACE_FORM_4X4 = [
     [4, 0, -2, 0],

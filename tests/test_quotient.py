@@ -8,12 +8,16 @@ import pytest
 
 from hermitecount import (
     GREVLEX,
+    ORDER_KINDS,
     Monomial,
     MonomialOrder,
     NotZeroDimensionalError,
+    Polynomial,
+    QuotientBasis,
     buchberger,
     hermite_form,
     hermite_report,
+    is_zero_dimensional,
     multiplication_matrix,
     normal_form,
     parse_polynomial,
@@ -22,7 +26,18 @@ from hermitecount import (
     trace_functional,
 )
 
-from support import FIXTURE_SYSTEMS, permutation_equal, rand_polynomial
+from support import (
+    FIXTURE_SYSTEMS,
+    box_standard_monomials,
+    division_hermite_form,
+    division_multiplication_matrix,
+    division_trace_functional,
+    permutation_equal,
+    rand_dense_system,
+    rand_monomial_staircase,
+    rand_polynomial,
+    rand_triangular_system,
+)
 
 ORDER2 = MonomialOrder(GREVLEX, 2)
 VARS2 = ["x1", "x2"]
@@ -226,3 +241,114 @@ def test_twisted_cubic_slice():
     # x2 = x1^2, x3 = x1^3 restricted to x1^3 = x1: three real points
     report = hermite_report(system_basis("x2-x1^2\nx3-x1^3\nx1^3-x1"))
     assert (report.complex_count, report.real_count) == (3, 3)
+
+
+# Differential oracle: the border multiplication matrices must reproduce the
+# division-based route they replaced (box-walk staircase, one polynomial
+# division per product) exactly, entry for entry and in the same basis order.
+
+RANDOM_SYSTEM_SHAPES = [
+    # (how many, variables, generator)
+    (6, 2, lambda rng, order: rand_dense_system(rng, order, 2)),
+    (4, 2, lambda rng, order: rand_dense_system(rng, order, 3)),
+    (2, 3, lambda rng, order: rand_dense_system(rng, order, 2)),
+    (5, 1, rand_triangular_system),
+    (7, 2, rand_triangular_system),
+    (4, 3, lambda rng, order: rand_triangular_system(rng, order, 2)),
+    (5, 1, rand_monomial_staircase),
+    (5, 2, rand_monomial_staircase),
+    (4, 3, lambda rng, order: rand_monomial_staircase(rng, order, 4)),
+]
+
+
+def random_systems(kind):
+    """42 seeded systems, the same polynomials under every order."""
+    seed = 0
+    for count, nvars, generate in RANDOM_SYSTEM_SHAPES:
+        order = MonomialOrder(kind, nvars)
+        for _ in range(count):
+            seed += 1
+            yield seed, order, generate(Random(seed), order)
+
+
+def assert_matches_division_route(basis, rng):
+    quotient = standard_monomials(basis)
+    assert quotient == box_standard_monomials(basis)
+    assert hermite_form(basis, quotient) == division_hermite_form(basis, quotient)
+    assert trace_functional(basis, quotient) == division_trace_functional(basis, quotient)
+    g = rand_polynomial(rng, basis.order, max_terms=4, max_exponent=3, bound=9)
+    assert multiplication_matrix(g, basis, quotient) == division_multiplication_matrix(
+        g, basis, quotient
+    )
+
+
+@pytest.mark.parametrize("kind", ORDER_KINDS)
+def test_fixture_systems_match_division_route(kind):
+    rng = Random(kind)
+    for _, text in FIXTURE_SYSTEMS:
+        assert_matches_division_route(system_basis(text, kind), rng)
+
+
+@pytest.mark.parametrize("kind", ORDER_KINDS)
+def test_random_systems_match_division_route(kind):
+    systems = list(random_systems(kind))
+    assert len(systems) >= 40
+    for seed, order, polys in systems:
+        basis = buchberger(polys, order)
+        assert is_zero_dimensional(basis), seed
+        assert_matches_division_route(basis, Random(seed))
+
+
+# Every consumer of a quotient basis proves it is the staircase of the
+# Groebner basis while building the border, and rejects it otherwise.
+
+QUOTIENT_CONSUMERS = {
+    "hermite_form": hermite_form,
+    "trace_functional": trace_functional,
+    "multiplication_matrix": lambda basis, quotient: multiplication_matrix(
+        Polynomial.variable(basis.order, 0), basis, quotient
+    ),
+}
+MISMATCH_SYSTEMS = ["x1*x2+x2-1\nx1^2+x2^2-1", "x1^2-1\nx2^2-2\nx3^2-x1*x2", "(x1-1)^2\nx2^3"]
+
+
+def missing_one(text, basis, quotient):
+    monos = quotient.monomials
+    for k in range(len(monos)):
+        yield QuotientBasis(monos[:k] + monos[k + 1 :], quotient.order)
+
+
+def extra_one(text, basis, quotient):
+    monos = quotient.monomials
+    border = {
+        m * Monomial.variable(v, basis.order.nvars) for m in monos for v in range(basis.order.nvars)
+    } - set(monos)
+    assert set(basis.leading_monomials()) <= border
+    for extra in border:
+        yield QuotientBasis(tuple(sorted(monos + (extra,), key=basis.order.key)), quotient.order)
+
+
+def out_of_order(text, basis, quotient):
+    monos = quotient.monomials
+    for k in range(len(monos) - 1):
+        yield QuotientBasis(monos[:k] + (monos[k + 1], monos[k]) + monos[k + 2 :], quotient.order)
+
+
+def other_order(text, basis, quotient):
+    for kind in ORDER_KINDS:
+        if kind != basis.order.kind:
+            yield QuotientBasis(quotient.monomials, MonomialOrder(kind, basis.order.nvars))
+            yield standard_monomials(system_basis(text, kind))
+
+
+@pytest.mark.parametrize("consumer", sorted(QUOTIENT_CONSUMERS))
+@pytest.mark.parametrize("mismatch", [missing_one, extra_one, out_of_order, other_order])
+def test_quotient_basis_mismatch_is_rejected(consumer, mismatch):
+    call = QUOTIENT_CONSUMERS[consumer]
+    for text in MISMATCH_SYSTEMS:
+        basis = system_basis(text)
+        quotient = standard_monomials(basis)
+        call(basis, quotient)
+        for wrong in mismatch(text, basis, quotient):
+            with pytest.raises(ValueError, match="does not belong"):
+                call(basis, wrong)
