@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Sequence, TextIO
 
 from . import linalg
-from .groebner import GroebnerBasis, NotZeroDimensionalError, buchberger
+from .groebner import GroebnerBasis, NotZeroDimensionalError, audit_basis, buchberger
 from .parsing import ParseError, format_monomial, parse_system
 from .poly import GREVLEX, ORDER_KINDS
 from .quotient import HermiteReport, hermite_report
@@ -63,6 +63,10 @@ def _solve_text(text: str, kind: str) -> tuple[list[str], GroebnerBasis, Hermite
 
 def _cross_check(variables: Sequence[str], basis: GroebnerBasis, report: HermiteReport) -> str | None:
     """Returns a description of the first mismatch, or None if all checks agree."""
+    try:
+        audit_basis(basis)
+    except ValueError as exc:
+        return f"Groebner basis audit: {exc}"
     oracle = linalg.inertia_via_charpoly(report.form.rows())
     if (oracle.rank, oracle.signature) != (report.rank, report.signature):
         return (

@@ -1,12 +1,16 @@
-"""Reduced Groebner bases via Buchberger's algorithm, normal forms by
-multivariate division, the zero-dimensionality test, and the standard-monomial
-basis of the quotient ring as an order-ideal staircase.
+"""Reduced Groebner bases via Buchberger's algorithm with the Gebauer-Moeller
+pair criteria, normal forms by heap division, the zero-dimensionality test,
+and the standard-monomial basis of the quotient ring as an order-ideal
+staircase.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import chain
+from operator import add, le, sub
 from typing import Iterable, Sequence
 
 from .poly import Monomial, MonomialOrder, Polynomial
@@ -59,34 +63,80 @@ class QuotientBasis:
         return len(self.monomials)
 
 
+# The engine works on exponent tuples: a polynomial under reduction is a dict
+# {exponents: Fraction}, a monic generator its leading exponents plus its tail
+# terms, strictly descending.  `Polynomial` appears only at the API.
+Exponents = tuple[int, ...]
+Terms = list[tuple[Exponents, Fraction]]
+Generator = tuple[Exponents, Terms]
+
+
+def _accumulator(p: Polynomial) -> dict[Exponents, Fraction]:
+    return {m.exponents: c for m, c in p.terms}
+
+
+def _monic(terms: Terms) -> Generator:
+    (lead, lc), *tail = terms
+    return lead, tail if lc == 1 else [(e, c / lc) for e, c in tail]
+
+
+def _generator(p: Polynomial) -> Generator:
+    return _monic([(m.exponents, c) for m, c in p.terms])
+
+
+def _reduce(acc: dict[Exponents, Fraction], divisors: Sequence[Generator], key) -> Terms:
+    """Remainder of the polynomial `acc` (consumed) on division by the monic
+    `divisors`, tried in list order; `key` is the order's descending key.
+
+    Heap division with a dict accumulator (Monagan and Pearce 2007): pop the
+    largest pending monomial, then either move it to the remainder or cancel
+    it by subtracting a multiple of a divisor's tail in place.  Tail terms are
+    smaller, so the remainder comes out strictly descending.
+    """
+    heap = [(key(e), e) for e in acc]
+    heapq.heapify(heap)
+    remainder: Terms = []
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = acc.pop(m)
+        if not c:
+            continue
+        for lead, tail in divisors:
+            if all(map(le, lead, m)):
+                shift = tuple(map(sub, m, lead))
+                for e, d in tail:
+                    t = tuple(map(add, e, shift))
+                    if t in acc:
+                        acc[t] -= c * d
+                    else:
+                        acc[t] = -c * d
+                        heapq.heappush(heap, (key(t), t))
+                break
+        else:
+            remainder.append((m, c))
+    return remainder
+
+
+def _s_accumulator(f: Generator, g: Generator) -> dict[Exponents, Fraction]:
+    """S(f, g) of monic generators without its cancelled leading term."""
+    lcm = tuple(map(max, f[0], g[0]))
+    shift = tuple(map(sub, lcm, f[0]))
+    acc = {tuple(map(add, e, shift)): c for e, c in f[1]}
+    shift = tuple(map(sub, lcm, g[0]))
+    for e, c in g[1]:
+        t = tuple(map(add, e, shift))
+        acc[t] = acc.get(t, 0) - c
+    return acc
+
+
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """S(f, g) = (L/lt(f))*f - (L/lt(g))*g with L the lcm of leading monomials."""
     if f.is_zero() or g.is_zero():
         raise ValueError("S-polynomial of a zero polynomial is undefined")
     if f.order != g.order:
         raise ValueError(f"polynomial ring mismatch: {f.order!r} vs {g.order!r}")
-    lcm = f.leading_monomial().lcm(g.leading_monomial())
-    left = f.mul_term(1 / f.leading_coefficient(), lcm // f.leading_monomial())
-    right = g.mul_term(1 / g.leading_coefficient(), lcm // g.leading_monomial())
-    return left - right
-
-
-def _reduce(p: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
-    """Remainder of multivariate division, divisors tried in list order."""
-    remainder: list = []
-    work = p
-    while work:
-        lm = work.leading_monomial()
-        lc = work.leading_coefficient()
-        for g in divisors:
-            glm = g.leading_monomial()
-            if glm.divides(lm):
-                work = work - g.mul_term(lc / g.leading_coefficient(), lm // glm)
-                break
-        else:
-            remainder.append((lm, lc))
-            work = Polynomial(work.order, work.terms[1:])
-    return Polynomial(p.order, remainder)
+    acc = _s_accumulator(_generator(f), _generator(g))
+    return Polynomial(f.order, [(Monomial(e), c) for e, c in acc.items()])
 
 
 def normal_form(p: Polynomial, basis: GroebnerBasis) -> Polynomial:
@@ -95,61 +145,76 @@ def normal_form(p: Polynomial, basis: GroebnerBasis) -> Polynomial:
     """
     if p.order != basis.order:
         raise ValueError(f"polynomial ring mismatch: {p.order!r} vs {basis.order!r}")
-    return _reduce(p, basis.generators)
-
-
-def _interreduce(gens: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
-    """Minimalize then tail-reduce; the result is the unique reduced basis."""
-    by_lm = sorted(gens, key=lambda g: order.key(g.leading_monomial()))
-    minimal: list[Polynomial] = []
-    for g in by_lm:
-        if not any(h.leading_monomial().divides(g.leading_monomial()) for h in minimal):
-            minimal.append(g)
-    reduced = list(minimal)
-    for i, g in enumerate(reduced):
-        others = reduced[:i] + reduced[i + 1 :]
-        reduced[i] = _reduce(g, others).monic()
-    return reduced
+    divisors = [_generator(g) for g in basis.generators]
+    remainder = _reduce(_accumulator(p), divisors, p.order.descending_key)
+    return Polynomial._from_sorted(p.order, remainder)
 
 
 def buchberger(polys: Iterable[Polynomial], order: MonomialOrder) -> GroebnerBasis:
     """Reduced monic Groebner basis of the ideal generated by `polys`.
 
-    Pairs are processed smallest-lcm-first; pairs with coprime leading
-    monomials are skipped (their S-polynomials always reduce to zero).
+    Pairs are processed smallest-lcm-first and pruned by the Gebauer-Moeller
+    criteria (the UPDATE of Becker-Weispfenning): a new pair (g, h) is dropped
+    if another new pair's lcm divides its lcm (criteria M and F) or if lm(g)
+    and lm(h) are coprime; an old pair (g1, g2) is dropped if lm(h) divides
+    its lcm L while lcm(g1, h) != L != lcm(g2, h) (criterion B).  With no
+    variables, all-zero input is the zero ideal: the empty basis.
     """
     original = tuple(p if p.order == order else p.with_order(order) for p in polys)
-    basis = [p.monic() for p in original if p]
-    if not basis:
+    if order.nvars and not any(original):
         raise NotZeroDimensionalError(
             "the ideal is not zero-dimensional: all generators are zero"
         )
+    key = order.descending_key
+    gens: list[Generator] = []
+    active: list[int] = []  # generators no newer leading monomial divides
+    pairs: list[tuple] = []  # heap of (ascending key of lcm, i, j, lcm)
 
-    pairs: list[tuple] = []
+    def add_generator(acc: dict[Exponents, Fraction]) -> None:
+        nonlocal active, pairs
+        remainder = _reduce(acc, [gens[s] for s in active], key)
+        if not remainder:
+            return
+        h = _monic(remainder)
+        lead, t = h[0], len(gens)
+        gens.append(h)
 
-    def push_pairs(t: int) -> None:
-        lm_t = basis[t].leading_monomial()
-        for s in range(t):
-            lm_s = basis[s].leading_monomial()
-            if not lm_s.is_coprime_with(lm_t):
-                heapq.heappush(pairs, (order.key(lm_s.lcm(lm_t)), s, t))
+        def lcm_with(s: int) -> Exponents:
+            return tuple(map(max, gens[s][0], lead))
 
-    for t in range(1, len(basis)):
-        push_pairs(t)
+        new = [(lcm_with(s), s) for s in active]
+        kept = []
+        for k, (lcm, s) in enumerate(new):
+            coprime = lcm == tuple(map(add, gens[s][0], lead))
+            if coprime or not any(all(map(le, q[0], lcm)) for q in chain(new[k + 1 :], kept)):
+                kept.append((lcm, s, coprime))
+        pairs = [
+            q for q in pairs
+            if not all(map(le, lead, q[3])) or q[3] in (lcm_with(q[1]), lcm_with(q[2]))
+        ]
+        pairs += [(order.exponent_key(lcm), s, t, lcm) for lcm, s, coprime in kept if not coprime]
+        heapq.heapify(pairs)
+        active = [s for s in active if not all(map(le, lead, gens[s][0]))] + [t]
 
+    for p in original:
+        add_generator(_accumulator(p))
     while pairs:
-        _, i, j = heapq.heappop(pairs)
-        candidate = _reduce(s_polynomial(basis[i], basis[j]), basis)
-        if candidate:
-            basis.append(candidate.monic())
-            push_pairs(len(basis) - 1)
+        _, i, j, _ = heapq.heappop(pairs)
+        add_generator(_s_accumulator(gens[i], gens[j]))
 
-    return GroebnerBasis(tuple(_interreduce(basis, order)), order, original)
+    # The active leading monomials are minimal, so only smaller generators,
+    # already tail-reduced, can divide a tail term.
+    reduced: list[Generator] = []
+    for lead, tail in sorted((gens[s] for s in active), key=lambda g: order.exponent_key(g[0])):
+        reduced.append((lead, _reduce(dict(tail), reduced, key)))
+    basis = [Polynomial._from_sorted(order, [(lead, Fraction(1)), *tail]) for lead, tail in reduced]
+    return GroebnerBasis(tuple(basis), order, original)
 
 
 def audit_basis(basis: GroebnerBasis) -> None:
-    """Post-construction audit: Buchberger's criterion plus membership of the
-    original generators.  Raises ValueError on any violation.
+    """Post-construction audit, independent of the pair criteria: Buchberger's
+    criterion on every pair plus membership of the original generators.
+    Raises ValueError on any violation.
     """
     gens = basis.generators
     for g in gens:
@@ -159,12 +224,14 @@ def audit_basis(basis: GroebnerBasis) -> None:
             for h in gens:
                 if h is not g and h.leading_monomial().divides(mono):
                     raise ValueError(f"basis is not reduced at {g!r}")
+    key = basis.order.descending_key
+    divisors = [_generator(g) for g in gens]
     for f in basis.original:
-        if f and _reduce(f, gens):
+        if _reduce(_accumulator(f), divisors, key):
             raise ValueError(f"original generator does not reduce to zero: {f!r}")
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
-            if _reduce(s_polynomial(gens[i], gens[j]), gens):
+            if _reduce(_s_accumulator(divisors[i], divisors[j]), divisors, key):
                 raise ValueError(f"S-polynomial of pair ({i}, {j}) does not reduce to zero")
 
 

@@ -9,6 +9,7 @@ order, with no zero coefficients and no duplicate monomials.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import neg
 from typing import Iterable, Iterator, Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -59,21 +60,6 @@ class Monomial:
         self._check_same_nvars(other)
         return all(a <= b for a, b in zip(self.exponents, other.exponents))
 
-    def __floordiv__(self, other: "Monomial") -> "Monomial":
-        self._check_same_nvars(other)
-        diff = tuple(a - b for a, b in zip(self.exponents, other.exponents))
-        if any(d < 0 for d in diff):
-            raise ValueError(f"{other} does not divide {self}")
-        return Monomial(diff)
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        self._check_same_nvars(other)
-        return Monomial(max(a, b) for a, b in zip(self.exponents, other.exponents))
-
-    def is_coprime_with(self, other: "Monomial") -> bool:
-        self._check_same_nvars(other)
-        return all(min(a, b) == 0 for a, b in zip(self.exponents, other.exponents))
-
     def _check_same_nvars(self, other: "Monomial") -> None:
         if len(self.exponents) != len(other.exponents):
             raise ValueError(
@@ -90,6 +76,18 @@ class Monomial:
         return f"Monomial{self.exponents}"
 
 
+# Sort keys on exponent tuples, two per order kind: ascending(a) <
+# ascending(b) iff a < b, and descending reverses that, so a plain sort or a
+# min-heap under it yields the largest monomial first.  grevlex: on a degree
+# tie the last differing exponent decides, smaller exponent meaning the larger
+# monomial.
+_KEYS = {
+    LEX: (lambda e: e, lambda e: tuple(map(neg, e))),
+    GRLEX: (lambda e: (sum(e), e), lambda e: (-sum(e), tuple(map(neg, e)))),
+    GREVLEX: (lambda e: (sum(e), tuple(map(neg, reversed(e)))), lambda e: (-sum(e), e[::-1])),
+}
+
+
 class MonomialOrder:
     """A term order on monomials in a fixed number of variables.
 
@@ -97,9 +95,12 @@ class MonomialOrder:
     the unit monomial as minimum.  `grevlex` and `grlex` compare total degree
     first; `grevlex` breaks degree ties at the last differing exponent, the
     smaller exponent winning.
+
+    `exponent_key` and `descending_key` are the order's sort keys on raw
+    exponent tuples, ascending and descending, without validation.
     """
 
-    __slots__ = ("kind", "nvars")
+    __slots__ = ("kind", "nvars", "exponent_key", "descending_key")
 
     def __init__(self, kind: str, nvars: int):
         if kind not in ORDER_KINDS:
@@ -108,19 +109,13 @@ class MonomialOrder:
             raise ValueError("variable count must be non-negative")
         self.kind = kind
         self.nvars = nvars
+        self.exponent_key, self.descending_key = _KEYS[kind]
 
     def key(self, m: Monomial):
         """Sort key: key(a) < key(b) iff a < b under this order."""
         if m.nvars != self.nvars:
             raise ValueError(f"monomial has {m.nvars} variables, order expects {self.nvars}")
-        e = m.exponents
-        if self.kind == LEX:
-            return e
-        if self.kind == GRLEX:
-            return (sum(e), e)
-        # grevlex: on a degree tie the last differing exponent decides,
-        # smaller exponent meaning the larger monomial.
-        return (sum(e), tuple(-x for x in reversed(e)))
+        return self.exponent_key(m.exponents)
 
     def compare(self, a: Monomial, b: Monomial) -> int:
         """-1, 0 or 1 as a <, =, > b."""
@@ -169,7 +164,20 @@ class Polynomial:
             else:
                 acc.pop(mono, None)
         self.order = order
-        self.terms = tuple(sorted(acc.items(), key=lambda t: order.key(t[0]), reverse=True))
+        key = order.descending_key
+        self.terms = tuple(sorted(acc.items(), key=lambda t: key(t[0].exponents)))
+
+    @classmethod
+    def _from_sorted(
+        cls, order: MonomialOrder, terms: Iterable[tuple[tuple[int, ...], Fraction]]
+    ) -> "Polynomial":
+        """Trusted constructor: (exponents, Fraction) pairs already strictly
+        descending under `order`, nonzero and of the right length, taken as
+        they are: no re-wrapping in Fraction, no re-sorting."""
+        p = object.__new__(cls)
+        p.order = order
+        p.terms = tuple((Monomial(e), c) for e, c in terms)
+        return p
 
     @classmethod
     def zero(cls, order: MonomialOrder) -> "Polynomial":
@@ -267,13 +275,6 @@ class Polynomial:
         if not c:
             return Polynomial.zero(self.order)
         return Polynomial(self.order, [(m, c * v) for m, v in self.terms])
-
-    def mul_term(self, coeff: Scalar, mono: Monomial) -> "Polynomial":
-        """Multiply by the single term coeff*mono (division workhorse)."""
-        c = Fraction(coeff)
-        if not c:
-            return Polynomial.zero(self.order)
-        return Polynomial(self.order, [(m * mono, c * v) for m, v in self.terms])
 
     def monic(self) -> "Polynomial":
         if not self.terms:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from fractions import Fraction
 from random import Random
@@ -69,6 +70,11 @@ def rand_monic_univariate(rng: Random, max_degree: int = 8) -> UnivariatePolynom
                 f = f * UnivariatePolynomial([-root, 1])
             degree += power
     return f
+
+
+def mul_term(p: Polynomial, coeff: Scalar, mono: Monomial) -> Polynomial:
+    """p times the single term coeff*mono."""
+    return Polynomial(p.order, [(m * mono, coeff * c) for m, c in p.terms])
 
 
 def all_monomials(nvars: int, max_degree: int) -> list[Monomial]:
@@ -193,6 +199,111 @@ def rand_monomial_staircase(rng: Random, order: MonomialOrder, max_power: int = 
     return polys
 
 
+def rand_sparse_system(rng: Random, order: MonomialOrder) -> list[Polynomial]:
+    """2 to 4 polynomials of 1 to 3 terms with exponents up to 2: often
+    positive-dimensional, and rich in pairs whose lcms coincide."""
+    polys = []
+    for _ in range(rng.randint(2, 4)):
+        terms = {rand_monomial(rng, order.nvars, 2): rng.choice((-3, -2, -1, 1, 2, 3))}
+        for _ in range(rng.randint(0, 2)):
+            terms[rand_monomial(rng, order.nvars, 2)] = rng.randint(1, 3)
+        polys.append(Polynomial(order, terms))
+    return polys
+
+
+RANDOM_SYSTEM_SHAPES = [
+    # (how many, variables, generator)
+    (6, 2, lambda rng, order: rand_dense_system(rng, order, 2)),
+    (4, 2, lambda rng, order: rand_dense_system(rng, order, 3)),
+    (2, 3, lambda rng, order: rand_dense_system(rng, order, 2)),
+    (5, 1, rand_triangular_system),
+    (7, 2, rand_triangular_system),
+    (4, 3, lambda rng, order: rand_triangular_system(rng, order, 2)),
+    (5, 1, rand_monomial_staircase),
+    (5, 2, rand_monomial_staircase),
+    (4, 3, lambda rng, order: rand_monomial_staircase(rng, order, 4)),
+]
+
+
+def random_systems(kind: str):
+    """42 seeded systems, the same polynomials under every order."""
+    seed = 0
+    for count, nvars, generate in RANDOM_SYSTEM_SHAPES:
+        order = MonomialOrder(kind, nvars)
+        for _ in range(count):
+            seed += 1
+            yield seed, order, generate(Random(seed), order)
+
+
+# The Buchberger engine that heap division and the Gebauer-Moeller criteria
+# replaced, kept as a differential oracle: only the coprime criterion, and
+# every division step rebuilds the remainder as a Polynomial.
+
+
+def _monomial_quotient(a: Monomial, b: Monomial) -> Monomial:
+    return Monomial(x - y for x, y in zip(a.exponents, b.exponents))
+
+
+def _naive_s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
+    lcm = Monomial(map(max, f.leading_monomial().exponents, g.leading_monomial().exponents))
+    left = mul_term(f, 1 / f.leading_coefficient(), _monomial_quotient(lcm, f.leading_monomial()))
+    right = mul_term(g, 1 / g.leading_coefficient(), _monomial_quotient(lcm, g.leading_monomial()))
+    return left - right
+
+
+def _naive_reduce(p: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
+    """Remainder of multivariate division, divisors tried in list order."""
+    remainder = []
+    work = p
+    while work:
+        lm = work.leading_monomial()
+        lc = work.leading_coefficient()
+        for g in divisors:
+            glm = g.leading_monomial()
+            if glm.divides(lm):
+                work = work - mul_term(g, lc / g.leading_coefficient(), _monomial_quotient(lm, glm))
+                break
+        else:
+            remainder.append((lm, lc))
+            work = Polynomial(work.order, work.terms[1:])
+    return Polynomial(p.order, remainder)
+
+
+def naive_buchberger(polys: Sequence[Polynomial], order: MonomialOrder) -> GroebnerBasis:
+    """Reduced monic Groebner basis: every pair with non-coprime leading
+    monomials is reduced, smallest lcm first, then the basis is minimalized
+    and tail-reduced."""
+    original = tuple(p if p.order == order else p.with_order(order) for p in polys)
+    basis = [p.monic() for p in original if p]
+    if not basis:
+        raise NotZeroDimensionalError("all generators are zero")
+    pairs = []
+
+    def push_pairs(t):
+        lm_t = basis[t].leading_monomial().exponents
+        for s in range(t):
+            lm_s = basis[s].leading_monomial().exponents
+            if any(a and b for a, b in zip(lm_s, lm_t)):
+                heapq.heappush(pairs, (order.key(Monomial(map(max, lm_s, lm_t))), s, t))
+
+    for t in range(1, len(basis)):
+        push_pairs(t)
+    while pairs:
+        _, i, j = heapq.heappop(pairs)
+        candidate = _naive_reduce(_naive_s_polynomial(basis[i], basis[j]), basis)
+        if candidate:
+            basis.append(candidate.monic())
+            push_pairs(len(basis) - 1)
+
+    minimal = []
+    for g in sorted(basis, key=lambda g: order.key(g.leading_monomial())):
+        if not any(h.leading_monomial().divides(g.leading_monomial()) for h in minimal):
+            minimal.append(g)
+    for i, g in enumerate(minimal):
+        minimal[i] = _naive_reduce(g, minimal[:i] + minimal[i + 1 :]).monic()
+    return GroebnerBasis(tuple(minimal), order, original)
+
+
 # The division-based quotient route that the border multiplication matrices
 # replaced, kept as a differential oracle: the staircase by walking the
 # exponent box, and every product NF(b_i * b_j) by full polynomial division.
@@ -235,7 +346,7 @@ def division_multiplication_matrix(
     """Column k is the normal form of NF(g) * b_k, one division per column."""
     element = normal_form(g, basis)
     columns = [
-        _division_coordinates(normal_form(element.mul_term(1, mono), basis), quotient)
+        _division_coordinates(normal_form(mul_term(element, 1, mono), basis), quotient)
         for mono in quotient.monomials
     ]
     dim = quotient.dimension

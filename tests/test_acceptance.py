@@ -35,6 +35,7 @@ from hermitecount.cli import EXIT_NOT_ZERO_DIMENSIONAL, main, run_bench
 from support import (
     FIXTURE_SYSTEMS,
     mat_mul,
+    mul_term,
     permutation_equal,
     rand_monic_univariate,
     rand_symmetric,
@@ -207,7 +208,7 @@ def test_criterion_9_nilpotent_annihilation():
         power = normal_form(x2_poly * x2_poly, basis)
         assert power.is_zero()  # x2^m = 0 with m = 2 <= dim A + 1
         for mono in quotient.monomials:
-            product = x2_poly.mul_term(1, mono)
+            product = mul_term(x2_poly, 1, mono)
             assert multiplication_matrix(product, basis, quotient).trace() == 0
         form = hermite_form(basis, quotient)
         row = quotient.index()[x2]

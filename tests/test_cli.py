@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from hermitecount import inertia
+from hermitecount import GroebnerBasis, buchberger, inertia, parse_system
+from hermitecount import cli
 from hermitecount.cli import (
     EXIT_NOT_ZERO_DIMENSIONAL,
     EXIT_OK,
+    EXIT_ORACLE_MISMATCH,
     EXIT_PARSE,
     RunConfiguration,
     degree_family,
@@ -85,6 +87,36 @@ def test_solve_with_check_flag_passes(capsys):
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "number of real solutions: 3" in out
+
+
+def test_check_rejects_a_basis_of_another_ideal(monkeypatch, capsys):
+    # The basis of x1^2-1, x2^2-3 under the generators x1^2-1, x2^2-2: monic,
+    # reduced and closed under S-pairs, with a Hermite matrix the inertia
+    # oracles agree on, but x2^2-2 does not reduce to zero.
+    _, wrong = parse_system("x1^2-1\nx2^2-3")
+    wrong_generators = buchberger(wrong, wrong[0].order).generators
+
+    def corrupted(polys, order):
+        return GroebnerBasis(wrong_generators, order, tuple(polys))
+
+    monkeypatch.setattr(cli, "buchberger", corrupted)
+    code = main(["solve", "--poly", "x1^2-1", "--poly", "x2^2-2", "--check"])
+    assert code == EXIT_ORACLE_MISMATCH
+    assert "does not reduce to zero" in capsys.readouterr().err
+    assert main(["solve", "--poly", "x1^2-1", "--poly", "x2^2-2"]) == EXIT_OK
+
+
+def test_solve_without_variables(capsys):
+    # the zero ideal of the constants is one point; a nonzero constant has none
+    code = main(["solve", "--poly", "0", "--check"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert "quotient dimension: 1" in out
+    assert "number of complex solutions: 1" in out
+    assert "number of real solutions: 1" in out
+    assert main(["solve", "--poly", "3"]) == EXIT_OK
+    assert "number of complex solutions: 0" in capsys.readouterr().out
+    assert main(["solve", "--poly", "0*x1"]) == EXIT_NOT_ZERO_DIMENSIONAL
 
 
 def test_solve_from_file(tmp_path, capsys):

@@ -1,11 +1,13 @@
 """Buchberger's algorithm, normal forms, and the staircase of standard monomials."""
 
+from fractions import Fraction
 from random import Random
 
 import pytest
 
 from hermitecount import (
     GREVLEX,
+    LEX,
     ORDER_KINDS,
     Monomial,
     MonomialOrder,
@@ -21,7 +23,14 @@ from hermitecount import (
     standard_monomials,
 )
 
-from support import FIXTURE_SYSTEMS, rand_polynomial
+from support import (
+    FIXTURE_SYSTEMS,
+    naive_buchberger,
+    rand_dense_system,
+    rand_polynomial,
+    rand_sparse_system,
+    random_systems,
+)
 
 ORDER2 = MonomialOrder(GREVLEX, 2)
 VARS2 = ["x1", "x2"]
@@ -55,6 +64,15 @@ def test_buchberger_rejects_all_zero_input():
         buchberger([Polynomial.zero(ORDER2)], ORDER2)
     with pytest.raises(NotZeroDimensionalError):
         buchberger([], ORDER2)
+
+
+def test_buchberger_zero_ideal_without_variables():
+    order = MonomialOrder(GREVLEX, 0)
+    for polys in ([Polynomial.zero(order)], []):
+        basis = buchberger(polys, order)
+        assert basis.generators == ()
+        assert standard_monomials(basis).monomials == (Monomial(()),)
+    assert list(buchberger([Polynomial.constant(order, 5)], order)) == [Polynomial.constant(order, 1)]
 
 
 def test_buchberger_drops_zero_generators(line_circle_basis):
@@ -213,3 +231,74 @@ def test_wide_staircase_is_enumerated_by_closure():
     assert quotient.dimension == 898
     keys = [order.key(m) for m in quotient.monomials]
     assert keys == sorted(set(keys))
+
+
+# Differential oracle: the heap-division engine with the Gebauer-Moeller
+# criteria must return exactly the basis of the coprime-only engine with
+# Polynomial division that it replaced, term for term and in the same order.
+
+
+def assert_matches_naive_buchberger(polys, order):
+    basis = buchberger(polys, order)
+    assert [g.terms for g in basis] == [g.terms for g in naive_buchberger(polys, order)]
+    audit_basis(basis)
+
+
+@pytest.mark.parametrize("kind", ORDER_KINDS)
+def test_fixture_systems_match_naive_buchberger(kind):
+    for _, text in FIXTURE_SYSTEMS:
+        _, polys = parse_system(text, kind)
+        assert_matches_naive_buchberger(polys, polys[0].order)
+
+
+@pytest.mark.parametrize("kind", ORDER_KINDS)
+def test_random_systems_match_naive_buchberger(kind):
+    for _, order, polys in random_systems(kind):
+        assert_matches_naive_buchberger(polys, order)
+
+
+@pytest.mark.parametrize("kind", ORDER_KINDS)
+def test_sparse_systems_match_naive_buchberger(kind):
+    # coinciding lcms exercise criterion F: exactly one pair per lcm is kept
+    for seed in range(30):
+        order = MonomialOrder(kind, 3)
+        assert_matches_naive_buchberger(rand_sparse_system(Random(seed), order), order)
+
+
+def test_lex_dense_systems_match_naive_buchberger():
+    # dense(3,2) under lex: the shape where the pair criteria skip the most
+    order = MonomialOrder(LEX, 3)
+    for seed in range(3):
+        assert_matches_naive_buchberger(rand_dense_system(Random(seed), order, 2), order)
+
+
+def _sympy_basis(sympy, polys, order):
+    """sympy's reduced basis as {exponents: Fraction} dicts, each divided by
+    its leading coefficient under the same order."""
+    gens = sympy.symbols(f"x1:{order.nvars + 1}")
+    exprs = [
+        sympy.Poly.from_dict(
+            {m.exponents: sympy.Rational(c.numerator, c.denominator) for m, c in p.terms},
+            *gens,
+        ).as_expr()
+        for p in polys
+    ]
+    basis = []
+    for g in sympy.groebner(exprs, *gens, order=order.kind).polys:
+        lc = g.LC(order=order.kind)
+        basis.append(
+            {exps: Fraction(int(c.p), int(c.q)) / Fraction(int(lc.p), int(lc.q)) for exps, c in g.terms()}
+        )
+    return basis
+
+
+@pytest.mark.parametrize("kind", ORDER_KINDS)
+def test_bases_match_sympy(kind):
+    sympy = pytest.importorskip("sympy")
+    systems = [parse_system(text, kind)[1] for _, text in FIXTURE_SYSTEMS]
+    systems += [polys for _, _, polys in random_systems(kind)]
+    for polys in systems:
+        order = polys[0].order
+        ours = [{m.exponents: c for m, c in g.terms} for g in buchberger(polys, order)]
+        theirs = _sympy_basis(sympy, polys, order)
+        assert ours == sorted(theirs, key=lambda g: order.exponent_key(max(g, key=order.exponent_key)))

@@ -32,11 +32,10 @@ from support import (
     division_hermite_form,
     division_multiplication_matrix,
     division_trace_functional,
+    mul_term,
     permutation_equal,
-    rand_dense_system,
-    rand_monomial_staircase,
     rand_polynomial,
-    rand_triangular_system,
+    random_systems,
 )
 
 ORDER2 = MonomialOrder(GREVLEX, 2)
@@ -170,7 +169,7 @@ def test_symmetry_by_recomputation():
     monos = quotient.monomials
     for i, bi in enumerate(monos):
         for j, bj in enumerate(monos):
-            product = p2("1").mul_term(1, bi * bj)
+            product = mul_term(p2("1"), 1, bi * bj)
             trace = multiplication_matrix(product, basis, quotient).trace()
             assert form.entries[i][j] == trace
             assert form.entries[j][i] == trace
@@ -182,7 +181,7 @@ def test_nilpotent_annihilation(nilpotent_basis):
     x2 = p2("x2")
     assert normal_form(x2 * x2, nilpotent_basis).is_zero()
     for mono in quotient.monomials:
-        product = x2.mul_term(1, mono)
+        product = mul_term(x2, 1, mono)
         assert multiplication_matrix(product, nilpotent_basis, quotient).trace() == 0
     form = hermite_form(nilpotent_basis, quotient)
     row = quotient.index()[Monomial((0, 1))]
@@ -246,30 +245,6 @@ def test_twisted_cubic_slice():
 # Differential oracle: the border multiplication matrices must reproduce the
 # division-based route they replaced (box-walk staircase, one polynomial
 # division per product) exactly, entry for entry and in the same basis order.
-
-RANDOM_SYSTEM_SHAPES = [
-    # (how many, variables, generator)
-    (6, 2, lambda rng, order: rand_dense_system(rng, order, 2)),
-    (4, 2, lambda rng, order: rand_dense_system(rng, order, 3)),
-    (2, 3, lambda rng, order: rand_dense_system(rng, order, 2)),
-    (5, 1, rand_triangular_system),
-    (7, 2, rand_triangular_system),
-    (4, 3, lambda rng, order: rand_triangular_system(rng, order, 2)),
-    (5, 1, rand_monomial_staircase),
-    (5, 2, rand_monomial_staircase),
-    (4, 3, lambda rng, order: rand_monomial_staircase(rng, order, 4)),
-]
-
-
-def random_systems(kind):
-    """42 seeded systems, the same polynomials under every order."""
-    seed = 0
-    for count, nvars, generate in RANDOM_SYSTEM_SHAPES:
-        order = MonomialOrder(kind, nvars)
-        for _ in range(count):
-            seed += 1
-            yield seed, order, generate(Random(seed), order)
-
 
 def assert_matches_division_route(basis, rng):
     quotient = standard_monomials(basis)
