@@ -1,7 +1,9 @@
 """Exact rank and signature of symmetric rational matrices.
 
-Two independent routes that must agree: congruence diagonalization (primary)
-and the division-free characteristic polynomial with Descartes' rule (oracle).
+Two independent routes that must agree: congruence diagonalization (primary),
+whose output is the diagonal alone, and the division-free characteristic
+polynomial with Descartes' rule (oracle).  The transform P of the congruence
+is not built here; `tests/support.py::congruence_certificate` rebuilds it.
 No floating point anywhere; signatures are integers and are computed as such.
 """
 
@@ -53,47 +55,30 @@ class InertiaResult:
         return self.positive - self.negative
 
 
-def _identity(n: int) -> Matrix:
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+def congruence_diagonalize(entries: Sequence[Sequence[Scalar]]) -> list[Fraction]:
+    """Diagonal d of a congruence P^T * M * P = diag(d) with P invertible.
 
-
-def congruence_diagonalize(entries: Sequence[Sequence[Scalar]]) -> tuple[list[Fraction], Matrix]:
-    """Diagonalize by congruence: returns (diagonal, P) with P^T * M * P diagonal.
-
-    P is a product of elementary matrices, hence invertible; by Sylvester's
-    law the signs along the diagonal give the inertia of M.  Pivoting: prefer
+    By Sylvester's law the signs of d give the inertia of M; only d is
+    returned (tests/support.py rebuilds P as a certificate).  Each pivot k
+    takes one symmetric Schur-complement step on the trailing block,
+    M[r][c] -= (M[r][k] / M[k][k]) * M[k][c] for r, c > k.  Pivoting: prefer
     a nonzero diagonal entry in the remaining block; failing that, a nonzero
     off-diagonal entry (i, j) is rescued by adding row/column j to row/column
     i, which plants the nonzero diagonal value 2*M[i][j].
     """
     a = check_symmetric(entries)
     n = len(a)
-    p = _identity(n)
 
     def swap(i: int, j: int) -> None:
         a[i], a[j] = a[j], a[i]
         for row in a:
             row[i], row[j] = row[j], row[i]
-        for row in p:
-            row[i], row[j] = row[j], row[i]
 
     def add_row_col(i: int, j: int) -> None:
-        # row_i += row_j, col_i += col_j on A; col_i += col_j on P
         for c in range(n):
             a[i][c] += a[j][c]
         for r in range(n):
             a[r][i] += a[r][j]
-        for r in range(n):
-            p[r][i] += p[r][j]
-
-    def eliminate(r: int, k: int, factor: Fraction) -> None:
-        # row_r -= f*row_k, col_r -= f*col_k on A; col_r -= f*col_k on P
-        for c in range(n):
-            a[r][c] -= factor * a[k][c]
-        for i in range(n):
-            a[i][r] -= factor * a[i][k]
-        for i in range(n):
-            p[i][r] -= factor * p[i][k]
 
     for k in range(n):
         if not a[k][k]:
@@ -112,16 +97,23 @@ def congruence_diagonalize(entries: Sequence[Sequence[Scalar]]) -> tuple[list[Fr
                 if i != k:
                     swap(k, i)
         pivot = a[k][k]
-        for r in range(k + 1, n):
-            if a[r][k]:
-                eliminate(r, k, a[r][k] / pivot)
+        # M[r][k] == M[k][r], so the rows with a nonzero multiplier are the
+        # columns this update touches; sweep the upper triangle and mirror it.
+        support = [(c, a[k][c]) for c in range(k + 1, n) if a[k][c]]
+        for s, (r, a_rk) in enumerate(support):
+            factor = a_rk / pivot
+            row = a[r]
+            for c, a_kc in support[s:]:
+                value = row[c] - factor * a_kc
+                row[c] = value
+                a[c][r] = value
 
-    return [a[i][i] for i in range(n)], p
+    return [a[i][i] for i in range(n)]
 
 
 def inertia(entries: Sequence[Sequence[Scalar]]) -> InertiaResult:
     """Exact inertia from the congruence diagonal."""
-    diagonal, _ = congruence_diagonalize(entries)
+    diagonal = congruence_diagonalize(entries)
     pos = sum(1 for d in diagonal if d > 0)
     neg = sum(1 for d in diagonal if d < 0)
     return InertiaResult(pos, neg, len(diagonal) - pos - neg)

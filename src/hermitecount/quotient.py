@@ -131,7 +131,7 @@ def _multiplication_columns(basis: GroebnerBasis, quotient: QuotientBasis) -> li
                 border.setdefault(product, []).append((var, k))
 
     reduced: dict[tuple[int, ...], Vector] = {}
-    for exps in sorted(border, key=lambda e: order.key(Monomial(e))):
+    for exps in sorted(border, key=order.exponent_key):
         g = leading.get(exps)
         if g is not None:
             try:

@@ -18,9 +18,10 @@ from hermitecount import (
     Polynomial,
     QuotientBasis,
     UnivariatePolynomial,
+    congruence_diagonalize,
     normal_form,
 )
-from hermitecount.linalg import Scalar, as_matrix
+from hermitecount.linalg import Scalar, as_matrix, check_symmetric
 
 
 def rand_fraction(rng: Random, bound: int = 100) -> Fraction:
@@ -446,3 +447,81 @@ def determinant(entries: Sequence[Sequence[Scalar]]) -> Fraction:
                 for j in range(c, n):
                     m[r][j] -= f * m[c][j]
     return det
+
+
+# The congruence route that also tracks the transform, kept as the reference
+# for `congruence_diagonalize`: every elimination updates a whole row, then a
+# whole column of M, and the same column of P.
+
+
+def congruence_certificate(
+    entries: Sequence[Sequence[Scalar]],
+) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """(diagonal, P) with P^T * M * P = diag(diagonal) and P invertible."""
+    a = check_symmetric(entries)
+    n = len(a)
+    p = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+
+    def swap(i: int, j: int) -> None:
+        a[i], a[j] = a[j], a[i]
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in p:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row_col(i: int, j: int) -> None:
+        # row_i += row_j, col_i += col_j on A; col_i += col_j on P
+        for c in range(n):
+            a[i][c] += a[j][c]
+        for r in range(n):
+            a[r][i] += a[r][j]
+        for r in range(n):
+            p[r][i] += p[r][j]
+
+    def eliminate(r: int, k: int, factor: Fraction) -> None:
+        # row_r -= f*row_k, col_r -= f*col_k on A; col_r -= f*col_k on P
+        for c in range(n):
+            a[r][c] -= factor * a[k][c]
+        for i in range(n):
+            a[i][r] -= factor * a[i][k]
+        for i in range(n):
+            p[i][r] -= factor * p[i][k]
+
+    for k in range(n):
+        if not a[k][k]:
+            pivot_row = next((l for l in range(k + 1, n) if a[l][l]), None)
+            if pivot_row is not None:
+                swap(k, pivot_row)
+            else:
+                spot = next(
+                    ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]),
+                    None,
+                )
+                if spot is None:
+                    break  # remaining block is zero; diagonal already final
+                i, j = spot
+                add_row_col(i, j)
+                if i != k:
+                    swap(k, i)
+        pivot = a[k][k]
+        for r in range(k + 1, n):
+            if a[r][k]:
+                eliminate(r, k, a[r][k] / pivot)
+
+    return [a[i][i] for i in range(n)], p
+
+
+def certified_diagonal(entries: Sequence[Sequence[Scalar]]) -> list[Fraction]:
+    """The reference diagonal of M, after checking its certificate
+    (P^T * M * P == diag(d), det(P) != 0) and that `congruence_diagonalize`
+    returns exactly the same diagonal."""
+    diagonal, p = congruence_certificate(entries)
+    m = as_matrix(entries)
+    dim = len(m)
+    product = mat_mul(mat_mul(transpose(p), m), p)
+    for i in range(dim):
+        for j in range(dim):
+            assert product[i][j] == (diagonal[i] if i == j else 0)
+    assert determinant(p) != 0
+    assert congruence_diagonalize(entries) == diagonal
+    return diagonal

@@ -1,25 +1,32 @@
 """Exact inertia: congruence diagonalization against the characteristic
 polynomial oracle."""
 
-from fractions import Fraction
+import copy
 from random import Random
 
 import pytest
 
 from hermitecount import (
+    ORDER_KINDS,
     InertiaResult,
+    buchberger,
     characteristic_polynomial,
     congruence_diagonalize,
+    hermite_form,
     inertia,
     inertia_via_charpoly,
+    parse_system,
+    standard_monomials,
 )
 
 from support import (
-    determinant,
+    FIXTURE_SYSTEMS,
+    certified_diagonal,
     gaussian_rank,
     mat_mul,
     rand_invertible,
     rand_symmetric,
+    random_systems,
     transpose,
 )
 
@@ -32,10 +39,27 @@ TRACE_FORM_4X4 = [
 
 
 def test_congruence_rank_deficient_diagonal():
-    diagonal, transform = congruence_diagonalize([[2, 0], [0, 0]])
-    assert diagonal == [2, 0]
+    assert certified_diagonal([[2, 0], [0, 0]]) == [2, 0]
     assert inertia([[2, 0], [0, 0]]) == InertiaResult(1, 0, 1)
-    assert determinant(transform) != 0
+
+
+# One matrix per pivoting branch: a later nonzero diagonal is swapped in; the
+# rescue plants 2*M[i][j] at i == k, or at i > k and is then swapped to k; the
+# trailing block becomes zero and the sweep stops early.
+PIVOT_BRANCHES = {
+    "swap": [[0, 1], [1, 2]],
+    "rescue-at-k": [[0, 1], [1, 0]],
+    "rescue-below-k": [[0, 0, 0], [0, 0, 1], [0, 1, 0]],
+    "zero-block": [[1, 1, 0], [1, 1, 0], [0, 0, 0]],
+}
+
+
+@pytest.mark.parametrize("matrix", PIVOT_BRANCHES.values(), ids=PIVOT_BRANCHES.keys())
+def test_congruence_pivot_branches(matrix):
+    original = copy.deepcopy(matrix)
+    certified_diagonal(matrix)
+    assert inertia(matrix) == inertia_via_charpoly(matrix)
+    assert matrix == original
 
 
 def test_congruence_hyperbolic_pair():
@@ -107,13 +131,7 @@ def test_oracle_agreement_and_congruence_validity_random():
         primary = inertia(m)
         oracle = inertia_via_charpoly(m)
         assert primary == oracle
-        diagonal, transform = congruence_diagonalize(m)
-        product = mat_mul(mat_mul(transpose(transform), m), transform)
-        for i in range(dim):
-            for j in range(dim):
-                expected = diagonal[i] if i == j else Fraction(0)
-                assert product[i][j] == expected
-        assert determinant(transform) != 0
+        certified_diagonal(m)
         assert primary.rank == gaussian_rank(m)
 
 
@@ -125,6 +143,16 @@ def test_sylvester_stability_under_congruence():
         p = rand_invertible(rng, dim)
         transformed = mat_mul(mat_mul(transpose(p), m), p)
         assert inertia(transformed) == inertia(m)
+
+
+@pytest.mark.parametrize("kind", ORDER_KINDS)
+def test_hermite_matrices_match_congruence_certificate(kind):
+    systems = [parse_system(text, kind)[1] for _, text in FIXTURE_SYSTEMS]
+    systems += [polys for _, _, polys in random_systems(kind)]
+    for polys in systems:
+        basis = buchberger(polys, polys[0].order)
+        form = hermite_form(basis, standard_monomials(basis))
+        certified_diagonal(form.entries)
 
 
 def test_gaussian_rank_on_rectangular():
