@@ -128,7 +128,7 @@ def run_solve(config: RunConfiguration, out: TextIO | None = None, err: TextIO |
     err = err if err is not None else sys.stderr
     try:
         text = config.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_PARSE
     try:
@@ -205,38 +205,22 @@ def run_bench(
     if max_spheres < 2 or max_degree < 2:
         raise ValueError("benchmark families start at n = 2 and d = 2")
     out = out if out is not None else sys.stdout
+    cases = [("sphere", f"n={n}", n, sphere_family(n), (1, 1)) for n in range(2, max_spheres + 1)]
+    cases += [
+        ("degree", f"d={d}", d, degree_family(d), _degree_family_expected(d))
+        for d in range(2, max_degree + 1)
+    ]
     results = []
-    for n in range(2, max_spheres + 1):
-        report, seconds = _timed_solve(sphere_family(n), repeats)
-        if (report.complex_count, report.real_count) != (1, 1):
+    for family, label, parameter, texts, expected in cases:
+        report, seconds = _timed_solve(texts, repeats)
+        counts = (report.complex_count, report.real_count)
+        if counts != expected:
             raise OracleMismatchError(
-                f"sphere family n={n}: expected counts (1, 1), "
-                f"got ({report.complex_count}, {report.real_count})"
+                f"{family} family {label}: expected counts {expected}, got {counts}"
             )
-        results.append(
-            BenchResult("sphere", n, report.quotient_dimension,
-                        report.complex_count, report.real_count, seconds)
-        )
+        results.append(BenchResult(family, parameter, report.quotient_dimension, *counts, seconds))
         print(
-            f"sphere n={n}: dimension {report.quotient_dimension}, "
-            f"complex {report.complex_count}, real {report.real_count}, "
-            f"{seconds:.6f}s",
-            file=out,
-        )
-    for d in range(2, max_degree + 1):
-        expected = _degree_family_expected(d)
-        report, seconds = _timed_solve(degree_family(d), repeats)
-        if (report.complex_count, report.real_count) != expected:
-            raise OracleMismatchError(
-                f"degree family d={d}: expected counts {expected}, "
-                f"got ({report.complex_count}, {report.real_count})"
-            )
-        results.append(
-            BenchResult("degree", d, report.quotient_dimension,
-                        report.complex_count, report.real_count, seconds)
-        )
-        print(
-            f"degree d={d}: dimension {report.quotient_dimension}, "
+            f"{family} {label}: dimension {report.quotient_dimension}, "
             f"complex {report.complex_count}, real {report.real_count}, "
             f"{seconds:.6f}s",
             file=out,

@@ -71,10 +71,6 @@ Terms = list[tuple[Exponents, Fraction]]
 Generator = tuple[Exponents, Terms]
 
 
-def _accumulator(p: Polynomial) -> dict[Exponents, Fraction]:
-    return {m.exponents: c for m, c in p.terms}
-
-
 def _monic(terms: Terms) -> Generator:
     (lead, lc), *tail = terms
     return lead, tail if lc == 1 else [(e, c / lc) for e, c in tail]
@@ -146,7 +142,7 @@ def normal_form(p: Polynomial, basis: GroebnerBasis) -> Polynomial:
     if p.order != basis.order:
         raise ValueError(f"polynomial ring mismatch: {p.order!r} vs {basis.order!r}")
     divisors = [_generator(g) for g in basis.generators]
-    remainder = _reduce(_accumulator(p), divisors, p.order.descending_key)
+    remainder = _reduce(p._term_dict(), divisors, p.order.descending_key)
     return Polynomial._from_sorted(p.order, remainder)
 
 
@@ -197,7 +193,7 @@ def buchberger(polys: Iterable[Polynomial], order: MonomialOrder) -> GroebnerBas
         active = [s for s in active if not all(map(le, lead, gens[s][0]))] + [t]
 
     for p in original:
-        add_generator(_accumulator(p))
+        add_generator(p._term_dict())
     while pairs:
         _, i, j, _ = heapq.heappop(pairs)
         add_generator(_s_accumulator(gens[i], gens[j]))
@@ -227,7 +223,7 @@ def audit_basis(basis: GroebnerBasis) -> None:
     key = basis.order.descending_key
     divisors = [_generator(g) for g in gens]
     for f in basis.original:
-        if _reduce(_accumulator(f), divisors, key):
+        if _reduce(f._term_dict(), divisors, key):
             raise ValueError(f"original generator does not reduce to zero: {f!r}")
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):

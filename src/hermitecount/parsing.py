@@ -13,6 +13,10 @@ Grammar (UTF-8, `#` starts a comment running to end of line):
 Multiplication is always explicit (`2*x1`, never `2x1`).  Without a `vars:`
 header, identifiers must look like `x<digits>` and are declared in numeric
 order; with a header, any identifiers are accepted in the declared order.
+
+The variables are fixed from the tokens before any line is parsed, so each
+line is evaluated directly as `{exponent tuple: Fraction}` terms with the
+sparse arithmetic of `poly` and becomes a `Polynomial` once.
 """
 
 from __future__ import annotations
@@ -21,7 +25,18 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import GREVLEX, Monomial, MonomialOrder, Polynomial
+from .poly import (
+    GREVLEX,
+    Monomial,
+    MonomialOrder,
+    Polynomial,
+    TermDict,
+    add_terms,
+    mul_terms,
+    neg_terms,
+    pow_terms,
+    sub_terms,
+)
 
 _MAX_NESTING = 200
 _AUTO_VAR = re.compile(r"^x(\d+)$")
@@ -90,70 +105,20 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-# Raw polynomials during parsing: {((name, exp), ...) sorted: coefficient}.
-_RawPoly = dict
-
-
-def _raw_const(value: Fraction) -> _RawPoly:
-    return {(): value} if value else {}
-
-
-def _raw_var(name: str) -> _RawPoly:
-    return {((name, 1),): Fraction(1)}
-
-
-def _raw_add(a: _RawPoly, b: _RawPoly) -> _RawPoly:
-    out = dict(a)
-    for k, c in b.items():
-        s = out.get(k, Fraction(0)) + c
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _raw_neg(a: _RawPoly) -> _RawPoly:
-    return {k: -c for k, c in a.items()}
-
-
-def _raw_mul(a: _RawPoly, b: _RawPoly) -> _RawPoly:
-    out: _RawPoly = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            exps = dict(ka)
-            for name, e in kb:
-                exps[name] = exps.get(name, 0) + e
-            k = tuple(sorted(exps.items()))
-            s = out.get(k, Fraction(0)) + ca * cb
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-    return out
-
-
-def _raw_pow(a: _RawPoly, e: int) -> _RawPoly:
-    result = _raw_const(Fraction(1))
-    base = a
-    while e:
-        if e & 1:
-            result = _raw_mul(result, base)
-        e >>= 1
-        if e:
-            base = _raw_mul(base, base)
-    return result
-
-
 class _ExprParser:
-    """Recursive-descent parser for a single polynomial token stream."""
+    """Recursive-descent parser for a single polynomial token stream,
+    evaluated with `poly`'s sparse arithmetic over the variables in `index`.
+    `auto` says the variables are the `x<digits>` identifiers (no header)."""
 
-    def __init__(self, tokens: list[_Token], declared: set[str] | None, seen: set[str]):
+    def __init__(self, tokens: list[_Token], index: dict[str, int], auto: bool):
         self.tokens = tokens
         self.pos = 0
-        self.declared = declared
-        self.seen = seen
+        self.index = index
+        self.auto = auto
         self.depth = 0
+
+    def _constant(self, value: Fraction) -> TermDict:
+        return {(0,) * len(self.index): value} if value else {}
 
     def _peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -173,14 +138,14 @@ class _ExprParser:
             return ParseError(f"{message} at end of input", line, col)
         return ParseError(message, tok.line, tok.column)
 
-    def parse(self) -> _RawPoly:
+    def parse(self) -> TermDict:
         value = self.polynomial()
         tok = self._peek()
         if tok is not None:
             raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.column)
         return value
 
-    def polynomial(self) -> _RawPoly:
+    def polynomial(self) -> TermDict:
         value = self.term()
         while True:
             tok = self._peek()
@@ -188,31 +153,31 @@ class _ExprParser:
                 return value
             self._next()
             rhs = self.term()
-            value = _raw_add(value, rhs if tok.kind == "+" else _raw_neg(rhs))
+            value = add_terms(value, rhs) if tok.kind == "+" else sub_terms(value, rhs)
 
-    def term(self) -> _RawPoly:
+    def term(self) -> TermDict:
         value = self.factor()
         while True:
             tok = self._peek()
             if tok is None or tok.kind != "*":
                 return value
             self._next()
-            value = _raw_mul(value, self.factor())
+            value = mul_terms(value, self.factor())
 
-    def factor(self) -> _RawPoly:
+    def factor(self) -> TermDict:
         tok = self._peek()
         if tok is None:
             raise self._fail("expected a factor")
         if tok.kind == "-":
             self._next()
-            return _raw_neg(self.factor())
+            return neg_terms(self.factor())
         value = self.primary()
         if self._peek() is not None and self._peek().kind == "^":
             self._next()
-            value = _raw_pow(value, self.exponent())
+            value = pow_terms(value, self.exponent(), len(self.index))
         return value
 
-    def primary(self) -> _RawPoly:
+    def primary(self) -> TermDict:
         tok = self._peek()
         if tok is None:
             raise self._fail("expected a factor")
@@ -226,22 +191,15 @@ class _ExprParser:
                     raise self._fail("malformed rational: expected a denominator")
                 if int(den.text) == 0:
                     raise ParseError("malformed rational: zero denominator", den.line, den.column)
-                return _raw_const(Fraction(numerator, int(den.text)))
-            return _raw_const(Fraction(numerator))
+                return self._constant(Fraction(numerator, int(den.text)))
+            return self._constant(Fraction(numerator))
         if tok.kind == "ident":
             self._next()
-            name = tok.text
-            if self.declared is not None:
-                if name not in self.declared:
-                    raise ParseError(f"undeclared identifier {name}", tok.line, tok.column)
-            elif not _AUTO_VAR.match(name):
-                raise ParseError(
-                    f"undeclared identifier {name} (use a vars: header for names other than x1, x2, ...)",
-                    tok.line,
-                    tok.column,
-                )
-            self.seen.add(name)
-            return _raw_var(name)
+            var = self.index.get(tok.text)
+            if var is None:
+                hint = " (use a vars: header for names other than x1, x2, ...)" if self.auto else ""
+                raise ParseError(f"undeclared identifier {tok.text}{hint}", tok.line, tok.column)
+            return {tuple(int(i == var) for i in range(len(self.index))): Fraction(1)}
         if tok.kind == "(":
             self.depth += 1
             if self.depth > _MAX_NESTING:
@@ -266,26 +224,14 @@ class _ExprParser:
         return int(tok.text)
 
 
-def _raw_to_polynomial(raw: _RawPoly, variables: Sequence[str], order: MonomialOrder) -> Polynomial:
-    index = {name: i for i, name in enumerate(variables)}
-    terms = []
-    for key, coeff in raw.items():
-        exps = [0] * len(variables)
-        for name, e in key:
-            exps[index[name]] = e
-        terms.append((Monomial(exps), coeff))
-    return Polynomial(order, terms)
-
-
 def parse_polynomial(text: str, variables: Sequence[str], kind: str = GREVLEX) -> Polynomial:
     """Parse one polynomial over the declared variables, in canonical form."""
     names = list(variables)
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate variable names in {names}")
     tokens = [t for t in _tokenize(text) if t.kind != "newline"]
-    parser = _ExprParser(tokens, declared=set(names), seen=set())
-    raw = parser.parse()
-    return _raw_to_polynomial(raw, names, MonomialOrder(kind, len(names)))
+    terms = _ExprParser(tokens, {name: i for i, name in enumerate(names)}, auto=False).parse()
+    return Polynomial._from_terms(MonomialOrder(kind, len(names)), terms)
 
 
 def parse_system(text: str, kind: str = GREVLEX) -> tuple[list[str], list[Polynomial]]:
@@ -311,7 +257,7 @@ def parse_system(text: str, kind: str = GREVLEX) -> tuple[list[str], list[Polyno
     declared: list[str] | None = None
     if lines and lines[0][0].kind == "ident" and lines[0][0].text == "vars" \
             and len(lines[0]) > 1 and lines[0][1].kind == ":":
-        header = lines.pop(0)[2:]
+        colon, *header = lines.pop(0)[1:]
         declared = []
         expect_name = True
         for tok in header:
@@ -325,23 +271,22 @@ def parse_system(text: str, kind: str = GREVLEX) -> tuple[list[str], list[Polyno
                 raise ParseError("expected ','", tok.line, tok.column)
             expect_name = not expect_name
         if expect_name:
-            last = header[-1] if header else lines[0][0] if lines else _Token("", "", 1, 1)
+            last = header[-1] if header else colon
             raise ParseError("expected a variable name", last.line, last.column + len(last.text))
 
     if not lines:
         raise ParseError("empty system: no polynomials", 1, 1)
 
-    seen: set[str] = set()
-    declared_set = set(declared) if declared is not None else None
-    raws = [_ExprParser(line, declared_set, seen).parse() for line in lines]
-
     if declared is not None:
         names = declared
     else:
         # x<digits> identifiers sort by their numeric suffix.
-        names = sorted(seen, key=lambda s: (int(_AUTO_VAR.match(s).group(1)), s))
+        found = {t.text for line in lines for t in line if t.kind == "ident" and _AUTO_VAR.match(t.text)}
+        names = sorted(found, key=lambda s: (int(_AUTO_VAR.match(s).group(1)), s))
+    index = {name: i for i, name in enumerate(names)}
+    parsed = [_ExprParser(line, index, auto=declared is None).parse() for line in lines]
     order = MonomialOrder(kind, len(names))
-    return names, [_raw_to_polynomial(raw, names, order) for raw in raws]
+    return names, [Polynomial._from_terms(order, terms) for terms in parsed]
 
 
 def format_monomial(m: Monomial, variables: Sequence[str]) -> str:

@@ -3,13 +3,15 @@
 Coefficients are `fractions.Fraction` throughout: every operation is exact,
 so ranks and signatures computed downstream are never perturbed by rounding.
 Terms are kept in strictly descending order under the polynomial's monomial
-order, with no zero coefficients and no duplicate monomials.
+order, with no zero coefficients and no duplicate monomials.  The arithmetic
+itself works on `{exponent tuple: Fraction}` dicts (`add_terms` and its
+siblings), shared by `Polynomial`'s operators and the parser.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import neg
+from operator import add, neg
 from typing import Iterable, Iterator, Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -140,6 +142,51 @@ class MonomialOrder:
         return f"MonomialOrder({self.kind!r}, {self.nvars})"
 
 
+# The sparse arithmetic: polynomials as {exponent tuple: Fraction} dicts with
+# no zero coefficients.  `Polynomial`'s operators and the parser both use it.
+TermDict = dict[tuple[int, ...], Fraction]
+
+
+def add_terms(a: TermDict, b: TermDict) -> TermDict:
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+    return out
+
+
+def neg_terms(a: TermDict) -> TermDict:
+    return {e: -c for e, c in a.items()}
+
+
+def sub_terms(a: TermDict, b: TermDict) -> TermDict:
+    return add_terms(a, neg_terms(b))
+
+
+def mul_terms(a: TermDict, b: TermDict) -> TermDict:
+    out: TermDict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(add, ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def pow_terms(a: TermDict, exponent: int, nvars: int) -> TermDict:
+    """a**exponent by repeated squaring; a**0 is 1, also for a = 0."""
+    result: TermDict = {(0,) * nvars: Fraction(1)}
+    while exponent:
+        if exponent & 1:
+            result = mul_terms(result, a)
+        exponent >>= 1
+        if exponent:
+            a = mul_terms(a, a)
+    return result
+
+
 class Polynomial:
     """Immutable sparse polynomial with Fraction coefficients.
 
@@ -180,6 +227,16 @@ class Polynomial:
         return p
 
     @classmethod
+    def _from_terms(cls, order: MonomialOrder, terms: TermDict) -> "Polynomial":
+        """Trusted constructor from a `TermDict` over `order`'s variables:
+        one sort, then `_from_sorted`."""
+        key = order.descending_key
+        return cls._from_sorted(order, sorted(terms.items(), key=lambda t: key(t[0])))
+
+    def _term_dict(self) -> TermDict:
+        return {m.exponents: c for m, c in self.terms}
+
+    @classmethod
     def zero(cls, order: MonomialOrder) -> "Polynomial":
         return cls(order)
 
@@ -216,15 +273,6 @@ class Polynomial:
             raise ValueError("the zero polynomial has no leading term")
         return self.terms[0][1]
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        for m, c in self.terms:
-            if m == mono:
-                return c
-        return Fraction(0)
-
-    def as_dict(self) -> dict[Monomial, Fraction]:
-        return dict(self.terms)
-
     def _check_compatible(self, other: "Polynomial") -> None:
         if self.order != other.order:
             raise ValueError(
@@ -233,42 +281,23 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)
-        acc = dict(self.terms)
-        for m, c in other.terms:
-            acc[m] = acc.get(m, Fraction(0)) + c
-        return Polynomial(self.order, acc)
+        return Polynomial._from_terms(self.order, add_terms(self._term_dict(), other._term_dict()))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)
-        acc = dict(self.terms)
-        for m, c in other.terms:
-            acc[m] = acc.get(m, Fraction(0)) - c
-        return Polynomial(self.order, acc)
+        return Polynomial._from_terms(self.order, sub_terms(self._term_dict(), other._term_dict()))
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.order, [(m, -c) for m, c in self.terms])
+        return Polynomial._from_terms(self.order, neg_terms(self._term_dict()))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)
-        acc: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = m1 * m2
-                acc[m] = acc.get(m, Fraction(0)) + c1 * c2
-        return Polynomial(self.order, acc)
+        return Polynomial._from_terms(self.order, mul_terms(self._term_dict(), other._term_dict()))
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
             raise ValueError("polynomial powers must be non-negative")
-        result = Polynomial.constant(self.order, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return Polynomial._from_terms(self.order, pow_terms(self._term_dict(), exponent, self.nvars))
 
     def scale(self, coeff: Scalar) -> "Polynomial":
         c = Fraction(coeff)

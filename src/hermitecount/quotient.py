@@ -5,7 +5,9 @@ matrices M_{x_v}, built column by column from the reduced basis with sparse
 matrix-vector products (FGLM-style border normal forms).  The product table
 NF(b_i * b_j), the trace functional, the symmetric trace form whose rank and
 signature count distinct complex and real solutions, and
-`multiplication_matrix` are all derived from it.
+`multiplication_matrix` are all derived from it.  Coordinates, the trace
+functional included, stay integer numerators over one common denominator;
+`Fraction`s appear only in the returned objects.
 """
 
 from __future__ import annotations
@@ -89,7 +91,9 @@ def _mismatch() -> ValueError:
     return ValueError("quotient basis does not belong to this Groebner basis")
 
 
-def _multiplication_columns(basis: GroebnerBasis, quotient: QuotientBasis) -> list[list[Vector]]:
+def _multiplication_columns(
+    basis: GroebnerBasis, quotient: QuotientBasis, index: dict[tuple[int, ...], int]
+) -> list[list[Vector]]:
     """columns[v][k] = coordinates of NF(x_v * b_k): the matrix of
     multiplication by each variable, column by column.
 
@@ -102,7 +106,8 @@ def _multiplication_columns(basis: GroebnerBasis, quotient: QuotientBasis) -> li
     This also proves that `quotient` is the staircase of `basis`: it holds 1
     (or is empty, for the unit ideal), no leading monomial divides its
     members, and every border monomial is shown to lie outside the staircase,
-    so the quotient is closed.  Any failure raises ValueError.
+    so the quotient is closed.  Any failure raises ValueError.  `index` maps
+    each basis monomial's exponents to its position.
     """
     order = basis.order
     monos = quotient.monomials
@@ -118,7 +123,6 @@ def _multiplication_columns(basis: GroebnerBasis, quotient: QuotientBasis) -> li
     if any(lm.divides(mono) for lm in basis.leading_monomials() for mono in monos):
         raise _mismatch()
 
-    index = {m.exponents: k for k, m in enumerate(monos)}
     columns: list[list[Vector]] = [[None] * len(monos) for _ in range(order.nvars)]
     border: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for k, mono in enumerate(monos):
@@ -172,17 +176,20 @@ def _apply(matrix: list[Vector], vector: Vector) -> Vector:
     return {r: x // g for r, x in acc.items()}, den // g
 
 
-def _product_table(basis: GroebnerBasis, quotient: QuotientBasis) -> list[list[Vector]]:
-    """table[i][j] = coordinates of NF(b_i * b_j) for i <= j (None below).
+def _product_table(
+    basis: GroebnerBasis, quotient: QuotientBasis
+) -> tuple[list[list[Vector]], dict[tuple[int, ...], int]]:
+    """table[i][j] = coordinates of NF(b_i * b_j) for i <= j (None below),
+    and the basis index {exponents: position} it was built with.
 
     Row 0 is b_0 = 1 times the basis.  Every other b_i is x_v * b_p for a
     standard parent b_p earlier in the basis, so NF(b_i * b_j) is
     M_{x_v} * NF(b_p * b_j): one sparse matrix-vector product per entry.
     """
-    columns = _multiplication_columns(basis, quotient)
     monos = quotient.monomials
     dim = len(monos)
     index = {m.exponents: k for k, m in enumerate(monos)}
+    columns = _multiplication_columns(basis, quotient, index)
     table: list[list[Vector]] = [[_unit(j) for j in range(dim)]] if dim else []
     for i in range(1, dim):
         exps = monos[i].exponents
@@ -192,26 +199,28 @@ def _product_table(basis: GroebnerBasis, quotient: QuotientBasis) -> list[list[V
         for j in range(i, dim):
             row[j] = _apply(columns[var], parent[j])
         table.append(row)
-    return table
+    return table, index
 
 
 def _product(table: list[list[Vector]], i: int, j: int) -> Vector:
     return table[i][j] if i <= j else table[j][i]
 
 
-def _traces(table: list[list[Vector]]) -> list[Fraction]:
-    """tau[k] = trace of multiplication by b_k: the sum over j of the b_j
-    coordinate of NF(b_k * b_j)."""
+def _traces(table: list[list[Vector]]) -> tuple[list[int], int]:
+    """tau[k] = trace of multiplication by b_k, the sum over j of the b_j
+    coordinate of NF(b_k * b_j), as integer numerators over one positive
+    common denominator in lowest terms."""
     dim = len(table)
-    tau = []
+    coords: list[list[tuple[int, int]]] = [[] for _ in range(dim)]
     for k in range(dim):
-        total = Fraction(0)
         for j in range(dim):
-            nums, den = _product(table, k, j)
+            nums, d = _product(table, k, j)
             if j in nums:
-                total += Fraction(nums[j], den)
-        tau.append(total)
-    return tau
+                coords[k].append((nums[j], d))
+    den = lcm(*(d for row in coords for _, d in row))
+    tau = [sum(n * (den // d) for n, d in row) for row in coords]
+    g = gcd(den, *tau)
+    return [t // g for t in tau], den // g
 
 
 def multiplication_matrix(
@@ -219,23 +228,20 @@ def multiplication_matrix(
 ) -> MultiplicationMatrix:
     """Matrix of multiplication by g on the quotient basis.
 
-    With NF(g) = sum(c_m * b_m), column k is sum(c_m * NF(b_m * b_k)), read off
-    the product table; only NF(g) itself needs a polynomial division.
+    With NF(g) = sum(c_m * b_m), column k is sum(c_m * NF(b_m * b_k)): the
+    k-th column of the product table applied to NF(g).  Only NF(g) itself
+    needs a polynomial division.
     """
-    table = _product_table(basis, quotient)
+    table, index = _product_table(basis, quotient)
     element = normal_form(g, basis)
-    index = quotient.index()
-    coords = [(index[m], c) for m, c in element.terms]
+    coords = _vector({index[m.exponents]: c for m, c in element.terms})
     dim = quotient.dimension
-    columns = []
-    for k in range(dim):
-        column = [Fraction(0)] * dim
-        for m, c in coords:
-            nums, den = _product(table, m, k)
-            for r, x in nums.items():
-                column[r] += c * x / den
-        columns.append(column)
-    rows = tuple(tuple(columns[k][r] for k in range(dim)) for r in range(dim))
+    columns = [_apply([_product(table, m, k) for m in range(dim)], coords) for k in range(dim)]
+    zero = Fraction(0)
+    rows = tuple(
+        tuple(Fraction(nums[r], den) if r in nums else zero for nums, den in columns)
+        for r in range(dim)
+    )
     return MultiplicationMatrix(rows, element, quotient)
 
 
@@ -246,29 +252,29 @@ def trace_functional(basis: GroebnerBasis, quotient: QuotientBasis) -> dict[Mono
     form sum(c_m * b_m) has multiplication trace sum(c_m * tau(b_m)), which
     replaces one dim^2-sized matrix build per form entry with a single table.
     """
-    tau = _traces(_product_table(basis, quotient))
-    return dict(zip(quotient.monomials, tau))
+    tau, den = _traces(_product_table(basis, quotient)[0])
+    return {m: Fraction(t, den) for m, t in zip(quotient.monomials, tau)}
 
 
 def hermite_form(basis: GroebnerBasis, quotient: QuotientBasis) -> HermiteForm:
     """Gram matrix H[i][j] = trace of multiplication by b_i*b_j.
 
+    NF(b_i*b_j) and tau are both integer numerators over one denominator,
+    so each entry is one integer dot product turned into one Fraction.
     Entries are computed for i <= j and mirrored; symmetry is exact because
     the products themselves are symmetric.
     """
-    table = _product_table(basis, quotient)
-    tau = _traces(table)
+    table, _ = _product_table(basis, quotient)
+    tau, tau_den = _traces(table)
     dim = quotient.dimension
     zero = Fraction(0)
     entries = [[zero] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i, dim):
             nums, den = table[i][j]
-            value = sum((c * tau[m] for m, c in nums.items() if tau[m]), zero)
-            if den != 1:
-                value /= den
-            entries[i][j] = value
-            entries[j][i] = value
+            value = sum(c * tau[m] for m, c in nums.items())
+            if value:
+                entries[i][j] = entries[j][i] = Fraction(value, den * tau_den)
     return HermiteForm(tuple(tuple(row) for row in entries), quotient)
 
 

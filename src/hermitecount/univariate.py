@@ -129,12 +129,6 @@ class UnivariatePolynomial:
     def __floordiv__(self, divisor: "UnivariatePolynomial") -> "UnivariatePolynomial":
         return divmod(self, divisor)[0]
 
-    def evaluate(self, x: Scalar) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * Fraction(x) + c
-        return acc
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UnivariatePolynomial):
             return NotImplemented

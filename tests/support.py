@@ -236,6 +236,34 @@ def random_systems(kind: str):
             yield seed, order, generate(Random(seed), order)
 
 
+def rand_expression(rng: Random, names: Sequence[str], depth: int = 3) -> str:
+    """Polynomial text in the parser's grammar with nested sums, products,
+    powers, unary minus and rationals.  Every operand that is not a variable
+    or a natural is parenthesised, so the text also reads as a Python
+    expression with `^` meaning `**`."""
+    roll = rng.random() if depth else 0.0
+    if roll < 0.3:
+        if rng.random() < 0.5:
+            return rng.choice(names)
+        num, den = rng.randint(0, 3), rng.randint(1, 3)
+        return str(num) if den == 1 else f"{num}/{den}"
+
+    def operand() -> str:
+        text = rand_expression(rng, names, depth - 1)
+        return text if text.isalnum() else f"({text})"
+
+    if roll < 0.55:
+        text = operand()
+        for _ in range(rng.randint(1, 2)):
+            text += rng.choice(("+", "-", " + ", " - ")) + operand()
+        return text
+    if roll < 0.75:
+        return "*".join(operand() for _ in range(rng.randint(2, 3)))
+    if roll < 0.9:
+        return f"{operand()}^{rng.randint(0, 3)}"
+    return "-" + operand()
+
+
 # The Buchberger engine that heap division and the Gebauer-Moeller criteria
 # replaced, kept as a differential oracle: only the coprime criterion, and
 # every division step rebuilds the remainder as a Polynomial.

@@ -134,6 +134,14 @@ def test_solve_missing_file(capsys):
     assert capsys.readouterr().err
 
 
+def test_solve_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "system.txt"
+    path.write_bytes(b"\xff\xfe x1\n")
+    code = main(["solve", str(path)])
+    assert code == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_exactly_one_input_source_required(capsys):
     assert main(["solve"]) == EXIT_PARSE
     assert main(["solve", "file.txt", "--poly", "x1"]) == EXIT_PARSE

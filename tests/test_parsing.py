@@ -3,6 +3,8 @@
 from fractions import Fraction
 from random import Random
 
+import re
+
 import pytest
 
 from hermitecount import (
@@ -19,7 +21,7 @@ from hermitecount import (
     parse_system,
 )
 
-from support import rand_polynomial
+from support import rand_expression, rand_polynomial
 
 
 def test_parse_system_two_polynomials():
@@ -171,6 +173,8 @@ def test_error_positions_are_reported():
         ("x1?1", 1, 3),
         ("x1^x2", 1, 4),
         ("(x1+1", 1, 6),
+        ("vars:\nx+1", 1, 6),
+        ("vars:", 1, 6),
     ]
     for text, line, column in cases:
         with pytest.raises(ParseError) as excinfo:
@@ -202,3 +206,33 @@ def test_deep_nesting_is_rejected_not_crashing():
 def test_parse_with_lex_order_sorts_with_lex():
     p = parse_polynomial("x2^3+x1", ["x1", "x2"], LEX)
     assert p.leading_monomial() == Monomial((1, 0))
+
+
+def _sympy_terms(sympy, expr, variables) -> dict:
+    """{exponents: Fraction} of a sympy expression over the symbols `variables`."""
+    if not variables:
+        return {(): Fraction(int(expr.p), int(expr.q))} if expr else {}
+    poly = sympy.Poly(expr, *variables)
+    return {e: Fraction(int(c.p), int(c.q)) for e, c in poly.terms() if c}
+
+
+@pytest.mark.parametrize("kind", ORDER_KINDS)
+def test_random_expressions_match_sympy_expand(kind):
+    """Seeded expression texts parse to the terms of sympy's expansion, both
+    through parse_polynomial over declared names and through parse_system,
+    which finds the variables in the text; terms come out strictly
+    descending under the order."""
+    sympy = pytest.importorskip("sympy")
+    rng = Random(f"expressions:{kind}")
+    for _ in range(80):
+        names = [f"x{i + 1}" for i in range(rng.randint(1, 3))]
+        text = rand_expression(rng, names)
+        symbols = {name: sympy.Symbol(name) for name in names}
+        expanded = sympy.expand(sympy.sympify(text.replace("^", "**"), locals=symbols))
+        found, (auto,) = parse_system(text, kind)
+        assert found == sorted(set(re.findall(r"x\d", text)))
+        for variables, p in ((names, parse_polynomial(text, names, kind)), (found, auto)):
+            expected = _sympy_terms(sympy, expanded, [symbols[v] for v in variables])
+            assert {m.exponents: c for m, c in p.terms} == expected, text
+            keys = [p.order.descending_key(m.exponents) for m, _ in p.terms]
+            assert all(a < b for a, b in zip(keys, keys[1:])), text
