@@ -7,7 +7,6 @@ from .groebner import (
     GroebnerBasis,
     NotZeroDimensionalError,
     QuotientBasis,
-    audit_basis,
     buchberger,
     is_zero_dimensional,
     normal_form,
@@ -33,28 +32,23 @@ from .quotient import (
     HermiteForm,
     HermiteReport,
     MultiplicationMatrix,
+    audit_basis,
     hermite_form,
     hermite_report,
     multiplication_matrix,
     trace_functional,
 )
 from .univariate import (
-    NewtonSums,
     UnivariatePolynomial,
-    classic_hermite_matrix,
     from_multivariate,
-    newton_sums,
-    poly_gcd,
     squarefree_part,
     sturm_count,
-    to_multivariate,
 )
 
 __all__ = [
     "GroebnerBasis",
     "NotZeroDimensionalError",
     "QuotientBasis",
-    "audit_basis",
     "buchberger",
     "is_zero_dimensional",
     "normal_form",
@@ -80,17 +74,13 @@ __all__ = [
     "HermiteForm",
     "HermiteReport",
     "MultiplicationMatrix",
+    "audit_basis",
     "hermite_form",
     "hermite_report",
     "multiplication_matrix",
     "trace_functional",
-    "NewtonSums",
     "UnivariatePolynomial",
-    "classic_hermite_matrix",
     "from_multivariate",
-    "newton_sums",
-    "poly_gcd",
     "squarefree_part",
     "sturm_count",
-    "to_multivariate",
 ]

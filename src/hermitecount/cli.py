@@ -1,8 +1,11 @@
 """Command-line front end: solve a system and report solution counts, or run
 the scaling benchmark families.
 
-Exit codes: 0 success, 2 parse/usage error, 3 ideal not zero-dimensional,
-4 internal oracle mismatch (a bug, never expected).
+Exit codes: 0 success, 2 parse/usage error (an integer literal longer than
+the interpreter's int conversion limit included), 3 ideal not zero-dimensional,
+4 internal oracle mismatch (a bug, never expected), 5 an exact number in the
+requested output has more digits than that limit (CPython 3.10.7+ converts at
+most 4300 by default; PYTHONINTMAXSTRDIGITS=0 lifts it).
 """
 
 from __future__ import annotations
@@ -16,16 +19,17 @@ from pathlib import Path
 from typing import Sequence, TextIO
 
 from . import linalg
-from .groebner import GroebnerBasis, NotZeroDimensionalError, audit_basis, buchberger
+from .groebner import GroebnerBasis, NotZeroDimensionalError, buchberger
 from .parsing import ParseError, format_monomial, parse_system
 from .poly import GREVLEX, ORDER_KINDS
-from .quotient import HermiteReport, hermite_report
+from .quotient import HermiteReport, audit_basis, hermite_report
 from .univariate import UnivariatePolynomial, from_multivariate, squarefree_part, sturm_count
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_NOT_ZERO_DIMENSIONAL = 3
 EXIT_ORACLE_MISMATCH = 4
+EXIT_OUTPUT_LIMIT = 5
 
 
 class OracleMismatchError(RuntimeError):
@@ -91,7 +95,7 @@ def _matrix_strings(report: HermiteReport) -> list[list[str]]:
 
 
 def _emit_text(
-    variables: Sequence[str], report: HermiteReport, print_matrix: bool, out: TextIO
+    variables: Sequence[str], report: HermiteReport, matrix: list[list[str]] | None, out: TextIO
 ) -> None:
     names = list(variables)
     basis_names = [format_monomial(m, names) for m in report.form.basis.monomials]
@@ -99,22 +103,24 @@ def _emit_text(
     print(f"order: {report.form.basis.order.kind}", file=out)
     print(f"quotient dimension: {report.quotient_dimension}", file=out)
     print(f"basis: {', '.join(basis_names) if basis_names else '(empty)'}", file=out)
-    if print_matrix:
+    if matrix is not None:
         print("Hermite matrix:", file=out)
-        for row in _matrix_strings(report):
+        for row in matrix:
             print(" ".join(row), file=out)
     print(f"number of complex solutions: {report.complex_count}", file=out)
     print(f"number of real solutions: {report.real_count}", file=out)
 
 
-def _emit_json(variables: Sequence[str], report: HermiteReport, out: TextIO) -> None:
+def _emit_json(
+    variables: Sequence[str], report: HermiteReport, matrix: list[list[str]], out: TextIO
+) -> None:
     names = list(variables)
     payload = {
         "variables": names,
         "order": report.form.basis.order.kind,
         "quotient_dimension": report.quotient_dimension,
         "basis": [format_monomial(m, names) for m in report.form.basis.monomials],
-        "hermite_matrix": _matrix_strings(report),
+        "hermite_matrix": matrix,
         "rank": report.rank,
         "signature": report.signature,
         "distinct_complex_solutions": report.complex_count,
@@ -144,10 +150,15 @@ def run_solve(config: RunConfiguration, out: TextIO | None = None, err: TextIO |
         if mismatch is not None:
             print(f"oracle mismatch: {mismatch}", file=err)
             return EXIT_ORACLE_MISMATCH
+    try:
+        matrix = _matrix_strings(report) if config.json_output or config.print_matrix else None
+    except ValueError as exc:
+        print(f"error: the Hermite matrix cannot be printed exactly: {exc}", file=err)
+        return EXIT_OUTPUT_LIMIT
     if config.json_output:
-        _emit_json(variables, report, out)
+        _emit_json(variables, report, matrix, out)
     else:
-        _emit_text(variables, report, config.print_matrix, out)
+        _emit_text(variables, report, matrix, out)
     return EXIT_OK
 
 

@@ -53,9 +53,6 @@ class QuotientBasis:
     def dimension(self) -> int:
         return len(self.monomials)
 
-    def index(self) -> dict[Monomial, int]:
-        return {m: i for i, m in enumerate(self.monomials)}
-
     def __iter__(self):
         return iter(self.monomials)
 
@@ -205,30 +202,6 @@ def buchberger(polys: Iterable[Polynomial], order: MonomialOrder) -> GroebnerBas
         reduced.append((lead, _reduce(dict(tail), reduced, key)))
     basis = [Polynomial._from_sorted(order, [(lead, Fraction(1)), *tail]) for lead, tail in reduced]
     return GroebnerBasis(tuple(basis), order, original)
-
-
-def audit_basis(basis: GroebnerBasis) -> None:
-    """Post-construction audit, independent of the pair criteria: Buchberger's
-    criterion on every pair plus membership of the original generators.
-    Raises ValueError on any violation.
-    """
-    gens = basis.generators
-    for g in gens:
-        if g.leading_coefficient() != 1:
-            raise ValueError(f"generator is not monic: {g!r}")
-        for mono, _ in g.terms:
-            for h in gens:
-                if h is not g and h.leading_monomial().divides(mono):
-                    raise ValueError(f"basis is not reduced at {g!r}")
-    key = basis.order.descending_key
-    divisors = [_generator(g) for g in gens]
-    for f in basis.original:
-        if _reduce(f._term_dict(), divisors, key):
-            raise ValueError(f"original generator does not reduce to zero: {f!r}")
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            if _reduce(_s_accumulator(divisors[i], divisors[j]), divisors, key):
-                raise ValueError(f"S-polynomial of pair ({i}, {j}) does not reduce to zero")
 
 
 def _pure_power_caps(basis: GroebnerBasis) -> list[int] | None:

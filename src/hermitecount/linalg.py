@@ -1,16 +1,20 @@
 """Exact rank and signature of symmetric rational matrices.
 
 Two independent routes that must agree: congruence diagonalization (primary),
-whose output is the diagonal alone, and the division-free characteristic
-polynomial with Descartes' rule (oracle).  The transform P of the congruence
-is not built here; `tests/support.py::congruence_certificate` rebuilds it.
-No floating point anywhere; signatures are integers and are computed as such.
+whose output is the diagonal alone, and the characteristic polynomial with
+Descartes' rule (oracle).  The oracle runs Berkowitz's division-free scheme
+on integers, on D*M with D the lcm of the denominators, so it never touches a
+`Fraction` inside the O(n^4) loop.  The transform P of the congruence is not
+built here; `tests/support.py::congruence_certificate` rebuilds it.  No
+floating point anywhere; signatures are integers and are computed as such.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Sequence, Union
 
 from .univariate import UnivariatePolynomial
@@ -119,36 +123,40 @@ def inertia(entries: Sequence[Sequence[Scalar]]) -> InertiaResult:
     return InertiaResult(pos, neg, len(diagonal) - pos - neg)
 
 
-def _berkowitz(a: Matrix) -> list[Fraction]:
-    """Coefficients of det(tI - A), descending powers, no divisions."""
-    n = len(a)
-    if n == 0:
-        return [Fraction(1)]
-    if n == 1:
-        return [Fraction(1), -a[0][0]]
-    row = a[0][1:]
-    col = [r[0] for r in a[1:]]
-    minor = [r[1:] for r in a[1:]]
-    q = _berkowitz(minor)
-    items = [Fraction(1), -a[0][0]]
-    v = col
-    for i in range(n - 1):
-        items.append(-sum((x * y for x, y in zip(row, v)), Fraction(0)))
-        if i < n - 2:
-            v = [sum((mr[c] * v[c] for c in range(n - 1)), Fraction(0)) for mr in minor]
-    # multiply the (n+1) x n Toeplitz matrix built from `items` into q
-    out = []
-    for i in range(n + 1):
-        s = Fraction(0)
-        for j in range(max(0, i - n), min(i, n - 1) + 1):
-            s += items[i - j] * q[j]
-        out.append(s)
-    return out
+def _integer_matrix(m: Matrix) -> tuple[list[list[int]], int]:
+    """(D * M, D) with D > 0 the lcm of M's denominators."""
+    scale = lcm(*(x.denominator for row in m for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in m], scale
+
+
+def _berkowitz(a: list[list[int]]) -> list[int]:
+    """Coefficients of det(tI - A) for an integer matrix, descending powers.
+
+    Iterative and division-free: the charpoly of each leading principal block
+    A_{r+1} = [[A_r, c], [R, a]] is the Toeplitz matrix of
+    1, -a, -R*c, -R*A_r*c, ..., -R*A_r^(r-1)*c applied to the charpoly of A_r.
+    """
+    poly = [1]
+    for r, last in enumerate(a):
+        toeplitz = [1, -last[r]]
+        v = [a[i][r] for i in range(r)]
+        for k in range(r):
+            toeplitz.append(-sum(map(mul, last, v)))
+            if k < r - 1:
+                v = [sum(map(mul, a[i], v)) for i in range(r)]
+        poly = [sum(toeplitz[i - j] * poly[j] for j in range(min(i, r) + 1)) for i in range(r + 2)]
+    return poly
 
 
 def characteristic_polynomial(entries: Sequence[Sequence[Scalar]]) -> UnivariatePolynomial:
-    """Exact det(tI - M) for any square M, by the Berkowitz scheme."""
-    descending = _berkowitz(as_matrix(entries))
+    """Exact det(tI - M) for any square rational M.
+
+    Berkowitz runs on the integer matrix D*M; since
+    det(tI - D*M) = D^n * det((t/D)I - M), its coefficient of t^k is D^(n-k)
+    times that of M.
+    """
+    scaled, scale = _integer_matrix(as_matrix(entries))
+    descending = [Fraction(c, scale**i) for i, c in enumerate(_berkowitz(scaled))]
     return UnivariatePolynomial(reversed(descending))
 
 
@@ -156,12 +164,14 @@ def inertia_via_charpoly(entries: Sequence[Sequence[Scalar]]) -> InertiaResult:
     """Independent inertia: eigenvalues of a symmetric matrix are all real, so
     Descartes' rule is exact on the characteristic polynomial.
 
-    The zero count is the multiplicity of the root 0; the positive count is
-    the number of sign variations of the remaining coefficients.
+    The signs are read from the integer charpoly of D*M (D > 0 the lcm of the
+    denominators), which has the eigenvalues of M scaled by D and so the same
+    inertia.  The zero count is the multiplicity of the root 0; the positive
+    count is the number of sign variations of the remaining coefficients.
     """
     m = check_symmetric(entries)
     n = len(m)
-    coeffs = characteristic_polynomial(m).coefficients  # ascending, top == 1
+    coeffs = _berkowitz(_integer_matrix(m)[0])[::-1]  # ascending, top == 1
     zero = 0
     while zero < len(coeffs) and not coeffs[zero]:
         zero += 1

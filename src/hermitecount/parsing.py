@@ -105,6 +105,20 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _natural(tok: _Token) -> int:
+    """The value of a `nat` token.  CPython 3.10.7+ refuses to convert more
+    digits than `sys.get_int_max_str_digits()` (4300 by default)."""
+    try:
+        return int(tok.text)
+    except ValueError:
+        raise ParseError(
+            f"integer literal of {len(tok.text)} digits exceeds the interpreter's "
+            "int conversion limit (PYTHONINTMAXSTRDIGITS)",
+            tok.line,
+            tok.column,
+        ) from None
+
+
 class _ExprParser:
     """Recursive-descent parser for a single polynomial token stream,
     evaluated with `poly`'s sparse arithmetic over the variables in `index`.
@@ -165,17 +179,16 @@ class _ExprParser:
             value = mul_terms(value, self.factor())
 
     def factor(self) -> TermDict:
-        tok = self._peek()
-        if tok is None:
-            raise self._fail("expected a factor")
-        if tok.kind == "-":
+        # "-" factor, counted in a loop: a run of signs costs no recursion.
+        negate = False
+        while (tok := self._peek()) is not None and tok.kind == "-":
             self._next()
-            return neg_terms(self.factor())
+            negate = not negate
         value = self.primary()
         if self._peek() is not None and self._peek().kind == "^":
             self._next()
             value = pow_terms(value, self.exponent(), len(self.index))
-        return value
+        return neg_terms(value) if negate else value
 
     def primary(self) -> TermDict:
         tok = self._peek()
@@ -183,15 +196,16 @@ class _ExprParser:
             raise self._fail("expected a factor")
         if tok.kind == "nat":
             self._next()
-            numerator = int(tok.text)
+            numerator = _natural(tok)
             if self._peek() is not None and self._peek().kind == "/":
                 self._next()
                 den = self._next()
                 if den is None or den.kind != "nat":
                     raise self._fail("malformed rational: expected a denominator")
-                if int(den.text) == 0:
+                denominator = _natural(den)
+                if denominator == 0:
                     raise ParseError("malformed rational: zero denominator", den.line, den.column)
-                return self._constant(Fraction(numerator, int(den.text)))
+                return self._constant(Fraction(numerator, denominator))
             return self._constant(Fraction(numerator))
         if tok.kind == "ident":
             self._next()
@@ -221,7 +235,7 @@ class _ExprParser:
                 raise ParseError("exponent must be a non-negative integer literal", tok.line, tok.column)
             raise self._fail("exponent must be a non-negative integer literal")
         self._next()
-        return int(tok.text)
+        return _natural(tok)
 
 
 def parse_polynomial(text: str, variables: Sequence[str], kind: str = GREVLEX) -> Polynomial:

@@ -8,12 +8,17 @@ signature count distinct complex and real solutions, and
 `multiplication_matrix` are all derived from it.  Coordinates, the trace
 functional included, stay integer numerators over one common denominator;
 `Fraction`s appear only in the returned objects.
+
+The same matrices certify the basis: `audit_basis` checks that they commute
+(the border-basis criterion), which proves the reduced basis is a Groebner
+basis without reducing a single S-polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
 from . import linalg
@@ -174,6 +179,39 @@ def _apply(matrix: list[Vector], vector: Vector) -> Vector:
     den *= scale
     g = gcd(den, *acc.values())
     return {r: x // g for r, x in acc.items()}, den // g
+
+
+def audit_basis(basis: GroebnerBasis) -> None:
+    """Certify a zero-dimensional `basis` as the reduced Groebner basis of
+    the ideal of its original generators; raises ValueError on a violation.
+
+    G must be monic and reduced, and every original generator must reduce to
+    zero, so the original ideal lies in <G>.  G is a Groebner basis when the
+    border matrices commute, M_{x_u} * M_{x_v} = M_{x_v} * M_{x_u} for u < v
+    (Mourrain 1999): then f -> f(M) * e_1, with e_1 the coordinates of 1, maps
+    Q[x] onto Q^|O| (O the staircase of LM(G)) and sends each g in G to 0,
+    because the column of LM(g) is -tail(g).  So dim Q[x]/<G> >= |O|, which
+    forces LT(<G>) = <LM(G)>.  A positive-dimensional basis raises
+    NotZeroDimensionalError.
+    """
+    gens = basis.generators
+    for g in gens:
+        if g.leading_coefficient() != 1:
+            raise ValueError(f"generator is not monic: {g!r}")
+        for mono, _ in g.terms:
+            for h in gens:
+                if h is not g and h.leading_monomial().divides(mono):
+                    raise ValueError(f"basis is not reduced at {g!r}")
+    for f in basis.original:
+        if not normal_form(f, basis).is_zero():
+            raise ValueError(f"original generator does not reduce to zero: {f!r}")
+    quotient = standard_monomials(basis)
+    index = {m.exponents: k for k, m in enumerate(quotient.monomials)}
+    columns = _multiplication_columns(basis, quotient, index)
+    for u, v in combinations(range(len(columns)), 2):
+        for k in range(quotient.dimension):
+            if _apply(columns[u], columns[v][k]) != _apply(columns[v], columns[u][k]):
+                raise ValueError(f"multiplication by variables {u} and {v} does not commute")
 
 
 def _product_table(

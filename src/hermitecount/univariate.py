@@ -1,15 +1,13 @@
-"""Single-variable root counting: Newton power sums, the Hankel trace matrix,
-and the independent squarefree/Sturm oracles used to validate the multivariate
-pipeline.
+"""Dense single-variable polynomials and the independent squarefree/Sturm
+root-counting oracles used to validate the multivariate pipeline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .poly import Monomial, MonomialOrder, Polynomial
+from .poly import Polynomial
 
 Scalar = Union[int, Fraction]
 
@@ -148,55 +146,6 @@ def poly_gcd(a: UnivariatePolynomial, b: UnivariatePolynomial) -> UnivariatePoly
     return a.monic() if not a.is_zero() else a
 
 
-@dataclass(frozen=True)
-class NewtonSums:
-    """Power sums p_k of a monic polynomial's roots, p_0 = degree."""
-
-    values: tuple[Fraction, ...]
-
-    def __getitem__(self, k: int) -> Fraction:
-        return self.values[k]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def newton_sums(f: UnivariatePolynomial, count: int) -> NewtonSums:
-    """First `count` power sums of the roots, from the coefficient recursion.
-
-    p_0 is the degree n; for r >= 1, p_r is minus the sum of a_{n-i}*p_{r-i}
-    over i = 1..min(r-1, n), minus r*a_{n-r} while r <= n.
-    """
-    if f.is_zero() or f.degree == 0:
-        raise ValueError("power sums need a polynomial of degree >= 1")
-    if not f.is_monic():
-        raise ValueError("power sums are defined for monic polynomials; normalize first")
-    if count < 1:
-        raise ValueError("count must be positive")
-    n = f.degree
-    a = f.coefficients  # a[j] multiplies t^j; a[n] == 1
-    sums = [Fraction(n)]
-    for r in range(1, count):
-        acc = Fraction(0)
-        for i in range(1, min(r - 1, n) + 1):
-            acc += a[n - i] * sums[r - i]
-        if r <= n:
-            acc += r * a[n - r]
-        sums.append(-acc)
-    return NewtonSums(tuple(sums))
-
-
-def classic_hermite_matrix(f: UnivariatePolynomial) -> list[list[Fraction]]:
-    """The n-by-n Hankel matrix of power sums, entry (i, j) = p_{i+j}.
-
-    Its rank counts the distinct complex roots of f and its signature the
-    distinct real roots; the top-left entry is p_0 = n.
-    """
-    n = f.degree
-    sums = newton_sums(f, 2 * n - 1)
-    return [[sums[i + j] for j in range(n)] for i in range(n)]
-
-
 def squarefree_part(f: UnivariatePolynomial) -> UnivariatePolynomial:
     """Monic f / gcd(f, f'); its degree is the number of distinct complex roots."""
     if f.is_zero():
@@ -237,13 +186,6 @@ def sturm_count(f: UnivariatePolynomial) -> int:
         at_plus_inf.append(s)
         at_minus_inf.append(s if g.degree % 2 == 0 else -s)
     return _sign_variations(at_minus_inf) - _sign_variations(at_plus_inf)
-
-
-def to_multivariate(f: UnivariatePolynomial, order: MonomialOrder) -> Polynomial:
-    """View f as a member of a one-variable polynomial ring."""
-    if order.nvars != 1:
-        raise ValueError("expected a one-variable order")
-    return Polynomial(order, [(Monomial((i,)), c) for i, c in enumerate(f.coefficients)])
 
 
 def from_multivariate(p: Polynomial) -> UnivariatePolynomial:

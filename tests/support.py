@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import Sequence
@@ -21,7 +22,8 @@ from hermitecount import (
     congruence_diagonalize,
     normal_form,
 )
-from hermitecount.linalg import Scalar, as_matrix, check_symmetric
+from hermitecount.groebner import _generator, _reduce, _s_accumulator
+from hermitecount.linalg import Matrix, Scalar, as_matrix, check_symmetric
 
 
 def rand_fraction(rng: Random, bound: int = 100) -> Fraction:
@@ -361,8 +363,13 @@ def box_standard_monomials(basis: GroebnerBasis) -> QuotientBasis:
     return QuotientBasis(tuple(found), basis.order)
 
 
+def basis_index(quotient: QuotientBasis) -> dict[Monomial, int]:
+    """Position of each standard monomial in the quotient basis."""
+    return {m: i for i, m in enumerate(quotient.monomials)}
+
+
 def _division_coordinates(p: Polynomial, quotient: QuotientBasis) -> list[Fraction]:
-    index = quotient.index()
+    index = basis_index(quotient)
     coords = [Fraction(0)] * quotient.dimension
     for mono, coeff in p.terms:
         coords[index[mono]] = coeff
@@ -553,3 +560,126 @@ def certified_diagonal(entries: Sequence[Sequence[Scalar]]) -> list[Fraction]:
     assert determinant(p) != 0
     assert congruence_diagonalize(entries) == diagonal
     return diagonal
+
+
+# The all-pairs audit that the commuting-matrix audit `audit_basis` replaced,
+# kept as its reference.  It needs no staircase, so the positive-dimensional
+# bases of the Groebner tests are audited with it.
+
+
+def s_pair_audit(basis: GroebnerBasis) -> None:
+    """Monic, reduced, every original generator reduces to zero, and
+    Buchberger's criterion: every S-polynomial reduces to zero.  Raises
+    ValueError on any violation; works on positive-dimensional bases too."""
+    gens = basis.generators
+    for g in gens:
+        if g.leading_coefficient() != 1:
+            raise ValueError(f"generator is not monic: {g!r}")
+        for mono, _ in g.terms:
+            for h in gens:
+                if h is not g and h.leading_monomial().divides(mono):
+                    raise ValueError(f"basis is not reduced at {g!r}")
+    key = basis.order.descending_key
+    divisors = [_generator(g) for g in gens]
+    for f in basis.original:
+        if _reduce(f._term_dict(), divisors, key):
+            raise ValueError(f"original generator does not reduce to zero: {f!r}")
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            if _reduce(_s_accumulator(divisors[i], divisors[j]), divisors, key):
+                raise ValueError(f"S-polynomial of pair ({i}, {j}) does not reduce to zero")
+
+
+# The recursive Fraction Berkowitz that the integer one replaced, kept as the
+# reference for `characteristic_polynomial`.
+
+
+def fraction_berkowitz(a: Matrix) -> list[Fraction]:
+    """Coefficients of det(tI - A), descending powers, no divisions."""
+    n = len(a)
+    if n == 0:
+        return [Fraction(1)]
+    if n == 1:
+        return [Fraction(1), -a[0][0]]
+    row = a[0][1:]
+    col = [r[0] for r in a[1:]]
+    minor = [r[1:] for r in a[1:]]
+    q = fraction_berkowitz(minor)
+    items = [Fraction(1), -a[0][0]]
+    v = col
+    for i in range(n - 1):
+        items.append(-sum((x * y for x, y in zip(row, v)), Fraction(0)))
+        if i < n - 2:
+            v = [sum((mr[c] * v[c] for c in range(n - 1)), Fraction(0)) for mr in minor]
+    # multiply the (n+1) x n Toeplitz matrix built from `items` into q
+    out = []
+    for i in range(n + 1):
+        s = Fraction(0)
+        for j in range(max(0, i - n), min(i, n - 1) + 1):
+            s += items[i - j] * q[j]
+        out.append(s)
+    return out
+
+
+def reference_characteristic_polynomial(entries: Sequence[Sequence[Scalar]]) -> UnivariatePolynomial:
+    return UnivariatePolynomial(reversed(fraction_berkowitz(as_matrix(entries))))
+
+
+# Newton power sums and the Hankel matrix of the one-variable Hermite
+# criterion, a second route to the univariate counts.
+
+
+@dataclass(frozen=True)
+class NewtonSums:
+    """Power sums p_k of a monic polynomial's roots, p_0 = degree."""
+
+    values: tuple[Fraction, ...]
+
+    def __getitem__(self, k: int) -> Fraction:
+        return self.values[k]
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+
+def newton_sums(f: UnivariatePolynomial, count: int) -> NewtonSums:
+    """First `count` power sums of the roots, from the coefficient recursion.
+
+    p_0 is the degree n; for r >= 1, p_r is minus the sum of a_{n-i}*p_{r-i}
+    over i = 1..min(r-1, n), minus r*a_{n-r} while r <= n.
+    """
+    if f.is_zero() or f.degree == 0:
+        raise ValueError("power sums need a polynomial of degree >= 1")
+    if not f.is_monic():
+        raise ValueError("power sums are defined for monic polynomials; normalize first")
+    if count < 1:
+        raise ValueError("count must be positive")
+    n = f.degree
+    a = f.coefficients  # a[j] multiplies t^j; a[n] == 1
+    sums = [Fraction(n)]
+    for r in range(1, count):
+        acc = Fraction(0)
+        for i in range(1, min(r - 1, n) + 1):
+            acc += a[n - i] * sums[r - i]
+        if r <= n:
+            acc += r * a[n - r]
+        sums.append(-acc)
+    return NewtonSums(tuple(sums))
+
+
+def classic_hermite_matrix(f: UnivariatePolynomial) -> list[list[Fraction]]:
+    """The n-by-n Hankel matrix of power sums, entry (i, j) = p_{i+j}.
+
+    Its rank counts the distinct complex roots of f and its signature the
+    distinct real roots; the top-left entry is p_0 = n.
+    """
+    n = f.degree
+    sums = newton_sums(f, 2 * n - 1)
+    return [[sums[i + j] for j in range(n)] for i in range(n)]
+
+
+def to_multivariate(f: UnivariatePolynomial, order: MonomialOrder) -> Polynomial:
+    """View f as a member of a one-variable polynomial ring."""
+    if order.nvars != 1:
+        raise ValueError("expected a one-variable order")
+    return Polynomial(order, [(Monomial((i,)), c) for i, c in enumerate(f.coefficients)])

@@ -16,7 +16,6 @@ from hermitecount import (
     Polynomial,
     UnivariatePolynomial,
     buchberger,
-    classic_hermite_matrix,
     hermite_form,
     hermite_report,
     inertia,
@@ -27,17 +26,19 @@ from hermitecount import (
     squarefree_part,
     standard_monomials,
     sturm_count,
-    to_multivariate,
 )
 from hermitecount.cli import EXIT_NOT_ZERO_DIMENSIONAL, main, run_bench
 
 from support import (
     FIXTURE_SYSTEMS,
+    basis_index,
     certified_diagonal,
+    classic_hermite_matrix,
     mul_term,
     permutation_equal,
     rand_monic_univariate,
     rand_symmetric,
+    to_multivariate,
 )
 
 CIRCLE_HYPERBOLA_FORM = [
@@ -205,7 +206,7 @@ def test_criterion_9_nilpotent_annihilation():
             product = mul_term(x2_poly, 1, mono)
             assert multiplication_matrix(product, basis, quotient).trace() == 0
         form = hermite_form(basis, quotient)
-        row = quotient.index()[x2]
+        row = basis_index(quotient)[x2]
         dim = quotient.dimension
         assert all(form.entries[row][j] == 0 for j in range(dim))
         assert all(form.entries[i][row] == 0 for i in range(dim))

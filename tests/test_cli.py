@@ -1,16 +1,18 @@
 """Command-line behavior: output shapes, exit codes, flags, and the bench."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
-from hermitecount import GroebnerBasis, buchberger, inertia, parse_system
+from hermitecount import GroebnerBasis, Polynomial, buchberger, inertia, parse_system
 from hermitecount import cli
 from hermitecount.cli import (
     EXIT_NOT_ZERO_DIMENSIONAL,
     EXIT_OK,
     EXIT_ORACLE_MISMATCH,
+    EXIT_OUTPUT_LIMIT,
     EXIT_PARSE,
     RunConfiguration,
     degree_family,
@@ -104,6 +106,84 @@ def test_check_rejects_a_basis_of_another_ideal(monkeypatch, capsys):
     assert code == EXIT_ORACLE_MISMATCH
     assert "does not reduce to zero" in capsys.readouterr().err
     assert main(["solve", "--poly", "x1^2-1", "--poly", "x2^2-2"]) == EXIT_OK
+
+
+def drop_first(generators, order):
+    return generators[1:]
+
+
+def perturb_first_tail(generators, order):
+    first, *rest = generators
+    (lead, one), (mono, c), *others = first.terms
+    return (Polynomial(order, [(lead, one), (mono, c + 1), *others]), *rest)
+
+
+@pytest.mark.parametrize(
+    "mutate, own_original, message",
+    [
+        (drop_first, False, "does not reduce to zero"),
+        (perturb_first_tail, False, "does not reduce to zero"),
+        # a basis that is its own original ideal: only the commuting
+        # multiplication matrices can tell it is no Groebner basis
+        (perturb_first_tail, True, "does not commute"),
+    ],
+    ids=["dropped-generator", "perturbed-tail", "perturbed-tail-own-ideal"],
+)
+def test_check_rejects_a_mutated_basis(monkeypatch, capsys, mutate, own_original, message):
+    # circle-hyperbola: {x1*x2+x2-1, x1^2+x2^2-1, x2^3+x1-1} under grevlex;
+    # both mutations keep the ideal zero-dimensional
+    true_buchberger = cli.buchberger
+
+    def corrupted(polys, order):
+        generators = mutate(true_buchberger(polys, order).generators, order)
+        return GroebnerBasis(generators, order, generators if own_original else tuple(polys))
+
+    monkeypatch.setattr(cli, "buchberger", corrupted)
+    argv = ["solve", "--poly", "x1*x2+x2-1", "--poly", "x1^2+x2^2-1"]
+    assert main(argv + ["--check"]) == EXIT_ORACLE_MISMATCH
+    assert message in capsys.readouterr().err
+    assert main(argv) == EXIT_OK
+
+
+def test_solve_many_unary_minus_signs(tmp_path, capsys):
+    # the signs are counted, not recursed on; --poly cannot carry a leading -
+    path = tmp_path / "system.txt"
+    path.write_text("-" * 5000 + "x1\n", encoding="utf-8")
+    code = main(["solve", str(path)])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert "number of complex solutions: 1" in out
+    assert "number of real solutions: 1" in out
+
+
+def int_str_limit():
+    """CPython's int<->str digit limit, or None where there is none."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return limit or None
+
+
+def test_overlong_literal_is_a_parse_error(capsys):
+    limit = int_str_limit()
+    if limit is None:
+        pytest.skip("this interpreter converts integers of any length")
+    code = main(["solve", "--poly", "x1-" + "7" * (limit + 700)])
+    assert code == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("parse error: 1:4: integer literal of")
+
+
+def test_overlong_output_entry_exits_5(capsys):
+    # H holds entries of about 6000 digits; the counts stay printable
+    n = "1" + "0" * 3000
+    argv = ["solve", "--poly", f"x1^2-{n}", "--poly", f"x2^2-{n}*x1"]
+    assert main(argv) == EXIT_OK
+    assert "number of real solutions: 2" in capsys.readouterr().out
+    if int_str_limit() is None or int_str_limit() >= 7000:
+        pytest.skip("this interpreter prints entries of any length")
+    for flag in ("--json", "--print-matrix"):
+        assert main(argv + [flag]) == EXIT_OUTPUT_LIMIT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the Hermite matrix cannot be printed exactly")
 
 
 def test_solve_without_variables(capsys):

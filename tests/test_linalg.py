@@ -24,9 +24,11 @@ from support import (
     certified_diagonal,
     gaussian_rank,
     mat_mul,
+    rand_fraction,
     rand_invertible,
     rand_symmetric,
     random_systems,
+    reference_characteristic_polynomial,
     transpose,
 )
 
@@ -110,6 +112,38 @@ def test_charpoly_examples():
 def test_charpoly_on_nonsymmetric_matrix():
     # det(tI - A) for A = [[0, 1], [0, 0]] is t^2
     assert characteristic_polynomial([[0, 1], [0, 0]]).coefficients == (0, 0, 1)
+
+
+def rand_square(rng, dim, shape):
+    """A random rational dim x dim matrix of the given shape."""
+    if shape == "zero":
+        return [[0] * dim for _ in range(dim)]
+    m = [[rand_fraction(rng, 20) if rng.random() < 0.7 else 0 for _ in range(dim)] for _ in range(dim)]
+    if shape == "singular" and dim:
+        # the last row is a rational combination of the others (zero if dim 1)
+        weights = [rand_fraction(rng, 5) for _ in range(dim - 1)]
+        m[-1] = [sum(w * row[c] for w, row in zip(weights, m)) for c in range(dim)]
+    return m
+
+
+@pytest.mark.parametrize("shape", ["general", "singular", "zero"])
+def test_charpoly_matches_fraction_berkowitz(shape):
+    rng = Random(f"charpoly-{shape}")
+    for dim in [0, 1, 1, 2, 3] + [rng.randint(2, 9) for _ in range(25)]:
+        m = rand_square(rng, dim, shape)
+        expected = reference_characteristic_polynomial(m)
+        assert characteristic_polynomial(m) == expected
+        if shape != "general" and dim:
+            assert expected.coefficients[0] == 0  # det == 0
+
+
+@pytest.mark.parametrize("kind", ORDER_KINDS)
+def test_charpoly_matches_fraction_berkowitz_on_fixture_forms(kind):
+    for _, text in FIXTURE_SYSTEMS:
+        _, polys = parse_system(text, kind)
+        basis = buchberger(polys, polys[0].order)
+        form = hermite_form(basis, standard_monomials(basis))
+        assert characteristic_polynomial(form.entries) == reference_characteristic_polynomial(form.entries)
 
 
 def test_inertia_via_charpoly_examples():

@@ -4,6 +4,7 @@ from fractions import Fraction
 from random import Random
 
 import re
+import sys
 
 import pytest
 
@@ -201,6 +202,30 @@ def test_fuzzed_inputs_never_crash():
 def test_deep_nesting_is_rejected_not_crashing():
     with pytest.raises(ParseError):
         parse_system("(" * 500 + "x1" + ")" * 500)
+
+
+def test_long_runs_of_unary_minus_parse_without_recursion():
+    assert parse_polynomial("-" * 5000 + "x1^2", ["x1"]) == parse_polynomial("x1^2", ["x1"])
+    assert parse_polynomial("-" * 5001 + "x1^2", ["x1"]) == parse_polynomial("-x1^2", ["x1"])
+    with pytest.raises(ParseError) as excinfo:
+        parse_polynomial("x1*" + "-" * 5000, ["x1"])
+    assert "expected a factor at end of input" in str(excinfo.value)
+
+
+def test_overlong_integer_literals_are_positioned():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
+    digits = "9" * (limit + 1)
+    cases = [
+        (f"x1-{digits}", 1, 4),
+        (f"x1\n1/{digits}*x1", 2, 3),
+        (f"x1^{digits}", 1, 4),
+    ]
+    for text, line, column in cases:
+        with pytest.raises(ParseError, match="exceeds the interpreter's int conversion limit") as excinfo:
+            parse_system(text)
+        assert (excinfo.value.line, excinfo.value.column) == (line, column)
 
 
 def test_parse_with_lex_order_sorts_with_lex():

@@ -8,12 +8,15 @@ import pytest
 
 from hermitecount import (
     GREVLEX,
+    LEX,
+    GroebnerBasis,
     ORDER_KINDS,
     Monomial,
     MonomialOrder,
     NotZeroDimensionalError,
     Polynomial,
     QuotientBasis,
+    audit_basis,
     buchberger,
     hermite_form,
     hermite_report,
@@ -28,6 +31,7 @@ from hermitecount import (
 
 from support import (
     FIXTURE_SYSTEMS,
+    basis_index,
     box_standard_monomials,
     division_hermite_form,
     division_multiplication_matrix,
@@ -36,6 +40,7 @@ from support import (
     permutation_equal,
     rand_polynomial,
     random_systems,
+    s_pair_audit,
 )
 
 ORDER2 = MonomialOrder(GREVLEX, 2)
@@ -184,7 +189,7 @@ def test_nilpotent_annihilation(nilpotent_basis):
         product = mul_term(x2, 1, mono)
         assert multiplication_matrix(product, nilpotent_basis, quotient).trace() == 0
     form = hermite_form(nilpotent_basis, quotient)
-    row = quotient.index()[Monomial((0, 1))]
+    row = basis_index(quotient)[Monomial((0, 1))]
     assert all(form.entries[row][j] == 0 for j in range(quotient.dimension))
     assert all(form.entries[i][row] == 0 for i in range(quotient.dimension))
 
@@ -327,3 +332,80 @@ def test_quotient_basis_mismatch_is_rejected(consumer, mismatch):
         for wrong in mismatch(text, basis, quotient):
             with pytest.raises(ValueError, match="does not belong"):
                 call(basis, wrong)
+
+
+# The commuting-matrix audit against the all-pairs reference: both certify a
+# monic, reduced Groebner basis of an ideal that holds the original
+# generators, so on zero-dimensional bases their verdicts must coincide.
+
+
+def audit_systems(kind):
+    systems = [parse_system(text, kind)[1] for _, text in FIXTURE_SYSTEMS]
+    return systems + [polys for _, _, polys in random_systems(kind)]
+
+
+def verdict(audit, basis):
+    """None if `audit` accepts the basis, else the class of its error."""
+    try:
+        audit(basis)
+    except ValueError as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("kind", ORDER_KINDS)
+def test_audits_accept_every_basis(kind):
+    for polys in audit_systems(kind):
+        basis = buchberger(polys, polys[0].order)
+        s_pair_audit(basis)
+        audit_basis(basis)
+
+
+@pytest.mark.parametrize("kind", ORDER_KINDS)
+def test_audits_reject_a_dropped_generator(kind):
+    # The reduced basis is unique, so no proper subset of it is a Groebner
+    # basis that still holds the original generators.
+    dropped = 0
+    for polys in audit_systems(kind):
+        basis = buchberger(polys, polys[0].order)
+        for k in range(len(basis)):
+            wrong = GroebnerBasis(basis.generators[:k] + basis.generators[k + 1 :], basis.order, basis.original)
+            for audit in (s_pair_audit, audit_basis):
+                with pytest.raises(ValueError):
+                    audit(wrong)
+            dropped += 1
+    assert dropped > 100
+
+
+def perturbed_tails(basis):
+    """Each basis with one tail coefficient c of one generator changed."""
+    for k, g in enumerate(basis.generators):
+        for t in range(1, len(g.terms)):
+            terms = list(g.terms)
+            mono, c = terms[t]
+            terms[t] = (mono, c + 1 if c != -1 else c + 2)
+            yield basis.generators[:k] + (Polynomial(basis.order, terms),) + basis.generators[k + 1 :]
+
+
+@pytest.mark.parametrize("kind", ORDER_KINDS)
+def test_audits_agree_on_perturbed_tails(kind):
+    # Against the original generators both audits reject.  Taken as its own
+    # original generators, a perturbed basis keeps its leading monomials, so
+    # it is accepted exactly when it is still a Groebner basis, and the two
+    # criteria (S-pairs, commuting matrices) must say the same.  Under lex
+    # every basis here is triangular or in shape position, with pairwise
+    # coprime leading monomials, so every perturbation stays a basis.
+    verdicts = {None: 0, ValueError: 0}
+    for polys in audit_systems(kind):
+        basis = buchberger(polys, polys[0].order)
+        for gens in perturbed_tails(basis):
+            wrong = GroebnerBasis(gens, basis.order, basis.original)
+            for audit in (s_pair_audit, audit_basis):
+                with pytest.raises(ValueError):
+                    audit(wrong)
+            own = GroebnerBasis(gens, basis.order, gens)
+            expected = verdict(s_pair_audit, own)
+            assert verdict(audit_basis, own) == expected, gens
+            verdicts[expected] += 1
+    assert verdicts[None] > 50
+    assert verdicts[ValueError] > 300 or kind == LEX

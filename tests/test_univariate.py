@@ -10,18 +10,15 @@ from hermitecount import (
     MonomialOrder,
     UnivariatePolynomial,
     buchberger,
-    classic_hermite_matrix,
     from_multivariate,
     hermite_report,
     inertia,
-    newton_sums,
-    poly_gcd,
     squarefree_part,
     sturm_count,
-    to_multivariate,
 )
+from hermitecount.univariate import poly_gcd
 
-from support import rand_monic_univariate
+from support import classic_hermite_matrix, newton_sums, rand_monic_univariate, to_multivariate
 
 
 def uni(*ascending):
