@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -24,6 +25,11 @@ from hermitecount import (
 )
 from hermitecount.groebner import _generator, _reduce, _s_accumulator
 from hermitecount.linalg import Matrix, Scalar, as_matrix, check_symmetric
+
+
+def int_str_limit() -> int | None:
+    """The interpreter's int<->str digit limit, or None where there is none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or None
 
 
 def rand_fraction(rng: Random, bound: int = 100) -> Fraction:

@@ -1,7 +1,6 @@
 """Command-line behavior: output shapes, exit codes, flags, and the bench."""
 
 import json
-import sys
 from fractions import Fraction
 
 import pytest
@@ -21,6 +20,8 @@ from hermitecount.cli import (
     run_solve,
     sphere_family,
 )
+
+from support import int_str_limit
 
 
 def test_solve_circle_hyperbola_counts(capsys):
@@ -154,12 +155,6 @@ def test_solve_many_unary_minus_signs(tmp_path, capsys):
     assert code == EXIT_OK
     assert "number of complex solutions: 1" in out
     assert "number of real solutions: 1" in out
-
-
-def int_str_limit():
-    """CPython's int<->str digit limit, or None where there is none."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    return limit or None
 
 
 def test_overlong_literal_is_a_parse_error(capsys):

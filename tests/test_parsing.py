@@ -4,7 +4,6 @@ from fractions import Fraction
 from random import Random
 
 import re
-import sys
 
 import pytest
 
@@ -22,7 +21,7 @@ from hermitecount import (
     parse_system,
 )
 
-from support import rand_expression, rand_polynomial
+from support import int_str_limit, rand_expression, rand_polynomial
 
 
 def test_parse_system_two_polynomials():
@@ -213,8 +212,8 @@ def test_long_runs_of_unary_minus_parse_without_recursion():
 
 
 def test_overlong_integer_literals_are_positioned():
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit:
+    limit = int_str_limit()
+    if limit is None:
         pytest.skip("this interpreter converts integers of any length")
     digits = "9" * (limit + 1)
     cases = [
