@@ -1,7 +1,14 @@
 """Reduced Groebner bases via Buchberger's algorithm with the Gebauer-Moeller
-pair criteria, normal forms by heap division, the zero-dimensionality test,
-and the standard-monomial basis of the quotient ring as an order-ideal
-staircase.
+pair criteria, normal forms by fraction-free heap division, the
+zero-dimensionality test, and the standard-monomial basis of the quotient
+ring as an order-ideal staircase.
+
+The engine computes in integers: generators are primitive integer
+polynomials, and reduction scales the accumulator rather than divide by a
+leading coefficient.  The content of a remainder is removed once, when it is
+finished; removing it at a bit threshold during the division measured no
+faster on lex elimination.  Monic `Fraction` polynomials appear only at the
+API.
 """
 
 from __future__ import annotations
@@ -10,6 +17,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import gcd, lcm
 from operator import add, le, sub
 from typing import Iterable, Sequence
 
@@ -60,42 +68,70 @@ class QuotientBasis:
         return len(self.monomials)
 
 
-# The engine works on exponent tuples: a polynomial under reduction is a dict
-# {exponents: Fraction}, a monic generator its leading exponents plus its tail
-# terms, strictly descending.  `Polynomial` appears only at the API.
+# The engine works on exponent tuples and integers.  A polynomial under
+# reduction is a dict {exponents: int}.  A generator is a primitive integer
+# polynomial (content 1): its leading exponents, its positive leading
+# coefficient and its tail terms, strictly descending.  Reduction scales the
+# accumulator instead of dividing, so each cancelled term costs one gcd.
+# `Polynomial` and `Fraction` appear only at the API.
 Exponents = tuple[int, ...]
-Terms = list[tuple[Exponents, Fraction]]
-Generator = tuple[Exponents, Terms]
+Terms = list[tuple[Exponents, int]]
+Generator = tuple[Exponents, int, Terms]
 
 
-def _monic(terms: Terms) -> Generator:
+def _integer_terms(p: Polynomial) -> tuple[dict[Exponents, int], int]:
+    """(D * p as {exponents: int}, D) with D > 0 the lcm of p's denominators."""
+    scale = lcm(*(c.denominator for _, c in p.terms))
+    return {m.exponents: c.numerator * (scale // c.denominator) for m, c in p.terms}, scale
+
+
+def _primitive(terms: Terms) -> Generator:
+    """Nonzero integer terms, descending, divided by their content, signed so
+    that the leading coefficient is positive."""
+    content = gcd(*(c for _, c in terms))
     (lead, lc), *tail = terms
-    return lead, tail if lc == 1 else [(e, c / lc) for e, c in tail]
+    if lc < 0:
+        content = -content
+    if content == 1:
+        return lead, lc, tail
+    return lead, lc // content, [(e, c // content) for e, c in tail]
 
 
 def _generator(p: Polynomial) -> Generator:
-    return _monic([(m.exponents, c) for m, c in p.terms])
+    return _primitive(list(_integer_terms(p)[0].items()))
 
 
-def _reduce(acc: dict[Exponents, Fraction], divisors: Sequence[Generator], key) -> Terms:
-    """Remainder of the polynomial `acc` (consumed) on division by the monic
-    `divisors`, tried in list order; `key` is the order's descending key.
+def _reduce(acc: dict[Exponents, int], divisors: Sequence[Generator], key) -> tuple[Terms, int]:
+    """(s * r, s): r the remainder of the polynomial `acc` (consumed) on
+    division by the primitive `divisors`, tried in list order, and s > 0 the
+    integer it was scaled by; `key` is the order's descending key.
 
     Heap division with a dict accumulator (Monagan and Pearce 2007): pop the
     largest pending monomial, then either move it to the remainder or cancel
-    it by subtracting a multiple of a divisor's tail in place.  Tail terms are
-    smaller, so the remainder comes out strictly descending.
+    its term c*x^m with a divisor g of leading term lc*x^l, fraction-free:
+    acc <- (lc/q)*acc - (c/q)*x^(m-l)*tail(g) with q = gcd(lc, c).  A term
+    that reached the remainder records how many scalings came before it, and
+    is scaled by the later ones once, at the end.  Tail terms are smaller, so
+    the remainder comes out strictly descending.
     """
     heap = [(key(e), e) for e in acc]
     heapq.heapify(heap)
-    remainder: Terms = []
+    remainder: list[tuple[Exponents, int, int]] = []
+    scalings: list[int] = []
     while heap:
         m = heapq.heappop(heap)[1]
         c = acc.pop(m)
         if not c:
             continue
-        for lead, tail in divisors:
+        for lead, lc, tail in divisors:
             if all(map(le, lead, m)):
+                q = gcd(lc, c)
+                if q != lc:
+                    a = lc // q
+                    for t in acc:
+                        acc[t] *= a
+                    scalings.append(a)
+                c //= q
                 shift = tuple(map(sub, m, lead))
                 for e, d in tail:
                     t = tuple(map(add, e, shift))
@@ -106,19 +142,32 @@ def _reduce(acc: dict[Exponents, Fraction], divisors: Sequence[Generator], key) 
                         heapq.heappush(heap, (key(t), t))
                 break
         else:
-            remainder.append((m, c))
-    return remainder
+            remainder.append((m, c, len(scalings)))
+    scaled: Terms = []
+    scale, k = 1, len(scalings)
+    for m, c, before in reversed(remainder):
+        while k > before:
+            k -= 1
+            scale *= scalings[k]
+        scaled.append((m, c * scale))
+    scaled.reverse()
+    for a in scalings[:k]:
+        scale *= a
+    return scaled, scale
 
 
-def _s_accumulator(f: Generator, g: Generator) -> dict[Exponents, Fraction]:
-    """S(f, g) of monic generators without its cancelled leading term."""
-    lcm = tuple(map(max, f[0], g[0]))
-    shift = tuple(map(sub, lcm, f[0]))
-    acc = {tuple(map(add, e, shift)): c for e, c in f[1]}
-    shift = tuple(map(sub, lcm, g[0]))
-    for e, c in g[1]:
+def _s_accumulator(f: Generator, g: Generator) -> dict[Exponents, int]:
+    """lcm(lc(f), lc(g)) * S(f, g) for primitive generators, without its
+    cancelled leading term."""
+    lcm_exps = tuple(map(max, f[0], g[0]))
+    q = gcd(f[1], g[1])
+    a, b = g[1] // q, f[1] // q
+    shift = tuple(map(sub, lcm_exps, f[0]))
+    acc = {tuple(map(add, e, shift)): a * c for e, c in f[2]}
+    shift = tuple(map(sub, lcm_exps, g[0]))
+    for e, c in g[2]:
         t = tuple(map(add, e, shift))
-        acc[t] = acc.get(t, 0) - c
+        acc[t] = acc.get(t, 0) - b * c
     return acc
 
 
@@ -128,8 +177,10 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
         raise ValueError("S-polynomial of a zero polynomial is undefined")
     if f.order != g.order:
         raise ValueError(f"polynomial ring mismatch: {f.order!r} vs {g.order!r}")
-    acc = _s_accumulator(_generator(f), _generator(g))
-    return Polynomial(f.order, [(Monomial(e), c) for e, c in acc.items()])
+    f_gen, g_gen = _generator(f), _generator(g)
+    den = lcm(f_gen[1], g_gen[1])
+    acc = _s_accumulator(f_gen, g_gen)
+    return Polynomial(f.order, [(Monomial(e), Fraction(c, den)) for e, c in acc.items()])
 
 
 def normal_form(p: Polynomial, basis: GroebnerBasis) -> Polynomial:
@@ -139,8 +190,10 @@ def normal_form(p: Polynomial, basis: GroebnerBasis) -> Polynomial:
     if p.order != basis.order:
         raise ValueError(f"polynomial ring mismatch: {p.order!r} vs {basis.order!r}")
     divisors = [_generator(g) for g in basis.generators]
-    remainder = _reduce(p._term_dict(), divisors, p.order.descending_key)
-    return Polynomial._from_sorted(p.order, remainder)
+    acc, den = _integer_terms(p)
+    remainder, scale = _reduce(acc, divisors, p.order.descending_key)
+    den *= scale
+    return Polynomial._from_sorted(p.order, [(e, Fraction(c, den)) for e, c in remainder])
 
 
 def buchberger(polys: Iterable[Polynomial], order: MonomialOrder) -> GroebnerBasis:
@@ -152,6 +205,10 @@ def buchberger(polys: Iterable[Polynomial], order: MonomialOrder) -> GroebnerBas
     and lm(h) are coprime; an old pair (g1, g2) is dropped if lm(h) divides
     its lcm L while lcm(g1, h) != L != lcm(g2, h) (criterion B).  With no
     variables, all-zero input is the zero ideal: the empty basis.
+
+    Inputs are cleared of denominators once, every new generator is stored
+    primitive (its content removed once per finished remainder), and the
+    basis is made monic in `Fraction` only when it is returned.
     """
     original = tuple(p if p.order == order else p.with_order(order) for p in polys)
     if order.nvars and not any(original):
@@ -163,12 +220,12 @@ def buchberger(polys: Iterable[Polynomial], order: MonomialOrder) -> GroebnerBas
     active: list[int] = []  # generators no newer leading monomial divides
     pairs: list[tuple] = []  # heap of (ascending key of lcm, i, j, lcm)
 
-    def add_generator(acc: dict[Exponents, Fraction]) -> None:
+    def add_generator(acc: dict[Exponents, int]) -> None:
         nonlocal active, pairs
-        remainder = _reduce(acc, [gens[s] for s in active], key)
+        remainder = _reduce(acc, [gens[s] for s in active], key)[0]
         if not remainder:
             return
-        h = _monic(remainder)
+        h = _primitive(remainder)
         lead, t = h[0], len(gens)
         gens.append(h)
 
@@ -177,30 +234,35 @@ def buchberger(polys: Iterable[Polynomial], order: MonomialOrder) -> GroebnerBas
 
         new = [(lcm_with(s), s) for s in active]
         kept = []
-        for k, (lcm, s) in enumerate(new):
-            coprime = lcm == tuple(map(add, gens[s][0], lead))
-            if coprime or not any(all(map(le, q[0], lcm)) for q in chain(new[k + 1 :], kept)):
-                kept.append((lcm, s, coprime))
+        for k, (lcm_exps, s) in enumerate(new):
+            coprime = lcm_exps == tuple(map(add, gens[s][0], lead))
+            if coprime or not any(all(map(le, q[0], lcm_exps)) for q in chain(new[k + 1 :], kept)):
+                kept.append((lcm_exps, s, coprime))
         pairs = [
             q for q in pairs
             if not all(map(le, lead, q[3])) or q[3] in (lcm_with(q[1]), lcm_with(q[2]))
         ]
-        pairs += [(order.exponent_key(lcm), s, t, lcm) for lcm, s, coprime in kept if not coprime]
+        pairs += [(order.exponent_key(e), s, t, e) for e, s, coprime in kept if not coprime]
         heapq.heapify(pairs)
         active = [s for s in active if not all(map(le, lead, gens[s][0]))] + [t]
 
     for p in original:
-        add_generator(p._term_dict())
+        add_generator(_integer_terms(p)[0])
     while pairs:
         _, i, j, _ = heapq.heappop(pairs)
         add_generator(_s_accumulator(gens[i], gens[j]))
 
     # The active leading monomials are minimal, so only smaller generators,
-    # already tail-reduced, can divide a tail term.
+    # already tail-reduced, can divide a tail term; a scaled remainder s*r of
+    # the tail belongs after the leading term s*lc.
     reduced: list[Generator] = []
-    for lead, tail in sorted((gens[s] for s in active), key=lambda g: order.exponent_key(g[0])):
-        reduced.append((lead, _reduce(dict(tail), reduced, key)))
-    basis = [Polynomial._from_sorted(order, [(lead, Fraction(1)), *tail]) for lead, tail in reduced]
+    for lead, lc, tail in sorted((gens[s] for s in active), key=lambda g: order.exponent_key(g[0])):
+        remainder, scale = _reduce(dict(tail), reduced, key)
+        reduced.append(_primitive([(lead, lc * scale), *remainder]))
+    basis = [
+        Polynomial._from_sorted(order, [(lead, Fraction(1)), *((e, Fraction(c, lc)) for e, c in tail)])
+        for lead, lc, tail in reduced
+    ]
     return GroebnerBasis(tuple(basis), order, original)
 
 

@@ -24,8 +24,9 @@ Matrix = list[list[Fraction]]
 
 
 def as_matrix(entries: Sequence[Sequence[Scalar]]) -> Matrix:
-    """Validated square Fraction copy of the input."""
-    m = [[Fraction(x) for x in row] for row in entries]
+    """Validated square Fraction copy of the input; entries that are already
+    `Fraction`s are kept, not re-wrapped."""
+    m = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in entries]
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
@@ -79,10 +80,12 @@ def congruence_diagonalize(entries: Sequence[Sequence[Scalar]]) -> list[Fraction
             row[i], row[j] = row[j], row[i]
 
     def add_row_col(i: int, j: int) -> None:
-        for c in range(n):
-            a[i][c] += a[j][c]
-        for r in range(n):
-            a[r][i] += a[r][j]
+        for c, a_jc in enumerate(a[j]):
+            if a_jc:
+                a[i][c] += a_jc
+        for row in a:
+            if row[j]:
+                row[i] += row[j]
 
     for k in range(n):
         if not a[k][k]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +24,6 @@ from hermitecount import (
     congruence_diagonalize,
     normal_form,
 )
-from hermitecount.groebner import _generator, _reduce, _s_accumulator
 from hermitecount.linalg import Matrix, Scalar, as_matrix, check_symmetric
 
 
@@ -34,6 +34,10 @@ def int_str_limit() -> int | None:
 
 def rand_fraction(rng: Random, bound: int = 100) -> Fraction:
     return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+
+
+def rand_nonzero_fraction(rng: Random, bound: int = 100) -> Fraction:
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, bound), rng.randint(1, bound))
 
 
 def rand_monomial(rng: Random, nvars: int, max_exponent: int = 4) -> Monomial:
@@ -242,6 +246,26 @@ def random_systems(kind: str):
         for _ in range(count):
             seed += 1
             yield seed, order, generate(Random(seed), order)
+
+
+def rational_systems(kind: str):
+    """The 42 `random_systems` with every coefficient multiplied by a seeded
+    nonzero rational, and every other polynomial then by an integer of
+    absolute value 2 to 6 and random sign: negative leading coefficients and
+    polynomials whose denominator-free form has a content above 1."""
+    for seed, order, polys in random_systems(kind):
+        rng = Random(f"rational:{seed}")
+        scaled = []
+        for k, p in enumerate(polys):
+            q = Polynomial(order, [(m, c * rand_nonzero_fraction(rng)) for m, c in p.terms])
+            scaled.append(q.scale(rng.choice((-1, 1)) * rng.randint(2, 6)) if k % 2 else q)
+        yield seed, order, scaled
+
+
+def integer_content(p: Polynomial) -> int:
+    """Content of D*p, D the lcm of p's denominators."""
+    scale = math.lcm(*(c.denominator for _, c in p.terms))
+    return math.gcd(*(c.numerator * (scale // c.denominator) for _, c in p.terms))
 
 
 def rand_expression(rng: Random, names: Sequence[str], depth: int = 3) -> str:
@@ -570,7 +594,8 @@ def certified_diagonal(entries: Sequence[Sequence[Scalar]]) -> list[Fraction]:
 
 # The all-pairs audit that the commuting-matrix audit `audit_basis` replaced,
 # kept as its reference.  It needs no staircase, so the positive-dimensional
-# bases of the Groebner tests are audited with it.
+# bases of the Groebner tests are audited with it.  It divides with the naive
+# `Polynomial` division above, so it shares no code with the engine it audits.
 
 
 def s_pair_audit(basis: GroebnerBasis) -> None:
@@ -585,14 +610,12 @@ def s_pair_audit(basis: GroebnerBasis) -> None:
             for h in gens:
                 if h is not g and h.leading_monomial().divides(mono):
                     raise ValueError(f"basis is not reduced at {g!r}")
-    key = basis.order.descending_key
-    divisors = [_generator(g) for g in gens]
     for f in basis.original:
-        if _reduce(f._term_dict(), divisors, key):
+        if _naive_reduce(f, gens):
             raise ValueError(f"original generator does not reduce to zero: {f!r}")
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
-            if _reduce(_s_accumulator(divisors[i], divisors[j]), divisors, key):
+            if _naive_reduce(_naive_s_polynomial(gens[i], gens[j]), gens):
                 raise ValueError(f"S-polynomial of pair ({i}, {j}) does not reduce to zero")
 
 

@@ -25,11 +25,15 @@ from hermitecount import (
 
 from support import (
     FIXTURE_SYSTEMS,
+    _naive_reduce,
+    _naive_s_polynomial,
+    integer_content,
     naive_buchberger,
     rand_dense_system,
     rand_polynomial,
     rand_sparse_system,
     random_systems,
+    rational_systems,
     s_pair_audit,
 )
 
@@ -243,6 +247,7 @@ def assert_matches_naive_buchberger(polys, order):
     basis = buchberger(polys, order)
     assert [g.terms for g in basis] == [g.terms for g in naive_buchberger(polys, order)]
     s_pair_audit(basis)  # also positive-dimensional bases, which audit_basis refuses
+    return basis
 
 
 @pytest.mark.parametrize("kind", ORDER_KINDS)
@@ -256,6 +261,31 @@ def test_fixture_systems_match_naive_buchberger(kind):
 def test_random_systems_match_naive_buchberger(kind):
     for _, order, polys in random_systems(kind):
         assert_matches_naive_buchberger(polys, order)
+
+
+@pytest.mark.parametrize("kind", ORDER_KINDS)
+def test_rational_systems_match_naive_buchberger(kind):
+    # Non-integer coefficients, negative leading coefficients and non-unit
+    # content: the engine clears denominators and makes generators primitive,
+    # and must still return the monic basis, and normal forms, of Fraction
+    # division.
+    rng = Random(f"normal forms:{kind}")
+    negative = content = 0
+    for _, order, polys in rational_systems(kind):
+        negative += sum(p.leading_coefficient() < 0 for p in polys if p)
+        content += sum(integer_content(p) > 1 for p in polys if p)
+        basis = assert_matches_naive_buchberger(polys, order)
+        for _ in range(3):
+            p = rand_polynomial(rng, order)
+            assert normal_form(p, basis).terms == _naive_reduce(p, basis.generators).terms
+    assert negative > 20 and content > 20
+
+
+@pytest.mark.parametrize("kind", ORDER_KINDS)
+def test_s_polynomials_of_rational_generators(kind):
+    for _, _, polys in rational_systems(kind):
+        for f, g in zip(polys, polys[1:]):
+            assert s_polynomial(f, g) == _naive_s_polynomial(f, g)
 
 
 @pytest.mark.parametrize("kind", ORDER_KINDS)
