@@ -2,12 +2,12 @@
 
 The ring has one linear-algebra representation: the border multiplication
 matrices M_{x_v}, built column by column from the reduced basis with sparse
-matrix-vector products (FGLM-style border normal forms).  The product table
-NF(b_i * b_j), the trace functional, the symmetric trace form whose rank and
-signature count distinct complex and real solutions, and
-`multiplication_matrix` are all derived from it.  Coordinates, the trace
-functional included, stay integer numerators over one common denominator;
-`Fraction`s appear only in the returned objects.
+matrix-vector products (FGLM-style border normal forms).  Each basis element
+after 1 is b_i = x_v * b_p for a standard parent b_p, and one product per
+element along this chain gives `multiplication_matrix`; on the transposed
+matrices it gives the trace functional and the trace form, whose rank and
+signature count distinct complex and real solutions.  Coordinates stay
+integers over one common denominator until the returned `Fraction`s.
 
 The same matrices certify the basis: `audit_basis` checks that they commute
 (the border-basis criterion), which proves the reduced basis is a Groebner
@@ -20,11 +20,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import le
 
 from . import linalg
 from .groebner import (
     GroebnerBasis,
     QuotientBasis,
+    _generator,
+    _integer_terms,
+    _reduce,
     normal_form,
     standard_monomials,
 )
@@ -51,10 +55,6 @@ class HermiteForm:
     entries: tuple[tuple[Fraction, ...], ...]
     basis: QuotientBasis
 
-    @property
-    def dimension(self) -> int:
-        return len(self.entries)
-
     def rows(self) -> list[list[Fraction]]:
         return [list(row) for row in self.entries]
 
@@ -77,9 +77,8 @@ class HermiteReport:
 # per coordinate.
 Vector = tuple[dict[int, int], int]
 
-
-def _unit(k: int) -> Vector:
-    return {k: 1}, 1
+# The parent chain: steps[i] = (v, p) for b_i = x_v * b_p, None for b_0 = 1.
+Steps = list[tuple[int, int] | None]
 
 
 def _vector(coords: dict[int, Fraction]) -> Vector:
@@ -97,12 +96,14 @@ def _mismatch() -> ValueError:
 
 
 def _multiplication_columns(
-    basis: GroebnerBasis, quotient: QuotientBasis, index: dict[tuple[int, ...], int]
-) -> list[list[Vector]]:
-    """columns[v][k] = coordinates of NF(x_v * b_k): the matrix of
-    multiplication by each variable, column by column.
+    basis: GroebnerBasis, quotient: QuotientBasis
+) -> tuple[list[list[Vector]], Steps]:
+    """(columns, steps): columns[v][k] = coordinates of NF(x_v * b_k), the
+    matrix of multiplication by each variable, column by column, and the
+    parent chain of the staircase.
 
-    A standard product x_v * b_k is a unit column.  The others form the border
+    A standard product x_v * b_k = b_i is a unit column; the first found, from
+    the smallest parent b_k, is the step of b_i.  The others form the border
     and are reduced in ascending order: a border monomial that leads a
     generator g has normal form -tail(g) (the basis is reduced and monic),
     and any other is x_u * m' for a smaller border monomial m', so its normal
@@ -111,8 +112,7 @@ def _multiplication_columns(
     This also proves that `quotient` is the staircase of `basis`: it holds 1
     (or is empty, for the unit ideal), no leading monomial divides its
     members, and every border monomial is shown to lie outside the staircase,
-    so the quotient is closed.  Any failure raises ValueError.  `index` maps
-    each basis monomial's exponents to its position.
+    so the quotient is closed.  Any failure raises ValueError.
     """
     order = basis.order
     monos = quotient.monomials
@@ -128,14 +128,18 @@ def _multiplication_columns(
     if any(lm.divides(mono) for lm in basis.leading_monomials() for mono in monos):
         raise _mismatch()
 
+    index = {m.exponents: k for k, m in enumerate(monos)}
     columns: list[list[Vector]] = [[None] * len(monos) for _ in range(order.nvars)]
+    steps: Steps = [None] * len(monos)
     border: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for k, mono in enumerate(monos):
         exps = mono.exponents
         for var in range(order.nvars):
             product = _shift(exps, var, 1)
             if product in index:
-                columns[var][k] = _unit(index[product])
+                i = index[product]
+                columns[var][k] = {i: 1}, 1
+                steps[i] = steps[i] or (var, k)
             else:
                 border.setdefault(product, []).append((var, k))
 
@@ -155,7 +159,7 @@ def _multiplication_columns(
         reduced[exps] = form
         for var, k in border[exps]:
             columns[var][k] = form
-    return columns
+    return columns, steps
 
 
 def _apply(matrix: list[Vector], vector: Vector) -> Vector:
@@ -194,71 +198,73 @@ def audit_basis(basis: GroebnerBasis) -> None:
     forces LT(<G>) = <LM(G)>.  A positive-dimensional basis raises
     NotZeroDimensionalError.
     """
-    gens = basis.generators
+    gens, order = basis.generators, basis.order
+    leads = [g.leading_monomial().exponents for g in gens]
     for g in gens:
         if g.leading_coefficient() != 1:
             raise ValueError(f"generator is not monic: {g!r}")
         for mono, _ in g.terms:
-            for h in gens:
-                if h is not g and h.leading_monomial().divides(mono):
+            exps = mono.exponents
+            for h, lead in zip(gens, leads):
+                if h is not g and all(map(le, lead, exps)):
                     raise ValueError(f"basis is not reduced at {g!r}")
+    divisors = [_generator(g) for g in gens]
     for f in basis.original:
-        if not normal_form(f, basis).is_zero():
+        if f.order != order or _reduce(_integer_terms(f)[0], divisors, order.descending_key)[0]:
             raise ValueError(f"original generator does not reduce to zero: {f!r}")
     quotient = standard_monomials(basis)
-    index = {m.exponents: k for k, m in enumerate(quotient.monomials)}
-    columns = _multiplication_columns(basis, quotient, index)
+    columns = _multiplication_columns(basis, quotient)[0]
     for u, v in combinations(range(len(columns)), 2):
         for k in range(quotient.dimension):
             if _apply(columns[u], columns[v][k]) != _apply(columns[v], columns[u][k]):
                 raise ValueError(f"multiplication by variables {u} and {v} does not commute")
 
 
-def _product_table(
-    basis: GroebnerBasis, quotient: QuotientBasis
-) -> tuple[list[list[Vector]], dict[tuple[int, ...], int]]:
-    """table[i][j] = coordinates of NF(b_i * b_j) for i <= j (None below),
-    and the basis index {exponents: position} it was built with.
-
-    Row 0 is b_0 = 1 times the basis.  Every other b_i is x_v * b_p for a
-    standard parent b_p earlier in the basis, so NF(b_i * b_j) is
-    M_{x_v} * NF(b_p * b_j): one sparse matrix-vector product per entry.
-    """
-    monos = quotient.monomials
-    dim = len(monos)
-    index = {m.exponents: k for k, m in enumerate(monos)}
-    columns = _multiplication_columns(basis, quotient, index)
-    table: list[list[Vector]] = [[_unit(j) for j in range(dim)]] if dim else []
-    for i in range(1, dim):
-        exps = monos[i].exponents
-        var = next(v for v, e in enumerate(exps) if e)
-        parent = table[index[_shift(exps, var, -1)]]
-        row = [None] * dim
-        for j in range(i, dim):
-            row[j] = _apply(columns[var], parent[j])
-        table.append(row)
-    return table, index
+def _chain(matrices, steps: Steps, start: Vector) -> list[Vector]:
+    """[M_{b_i} * start for every i], each M_{x_v} * (M_{b_p} * start) from its
+    parent's vector; `matrices` maps each step variable to its columns."""
+    vectors: list[Vector] = []
+    for step in steps:
+        vectors.append(_apply(matrices[step[0]], vectors[step[1]]) if step else start)
+    return vectors
 
 
-def _product(table: list[list[Vector]], i: int, j: int) -> Vector:
-    return table[i][j] if i <= j else table[j][i]
+def _transposed(basis: GroebnerBasis, quotient: QuotientBasis) -> tuple[dict[int, list[Vector]], Steps]:
+    """(M_{x_v}^T for each variable x_v of the parent chain, the chain); under
+    lex in shape position only the last variable.  Each column of M_{x_v}^T is
+    over the lcm of the denominators it draws on, in lowest terms."""
+    columns, steps = _multiplication_columns(basis, quotient)
+    transposed = {}
+    for v in {step[0] for step in steps if step}:
+        rows: list[list[tuple[int, int, int]]] = [[] for _ in columns[v]]
+        for k, (nums, den) in enumerate(columns[v]):
+            for r, x in nums.items():
+                rows[r].append((k, x, den))
+        transposed[v] = []
+        for row in rows:
+            den = lcm(*(d for _, _, d in row))
+            nums = {k: x * (den // d) for k, x, d in row}
+            g = gcd(den, *nums.values())
+            transposed[v].append(({k: x // g for k, x in nums.items()}, den // g))
+    return transposed, steps
 
 
-def _traces(table: list[list[Vector]]) -> tuple[list[int], int]:
-    """tau[k] = trace of multiplication by b_k, the sum over j of the b_j
-    coordinate of NF(b_k * b_j), as integer numerators over one positive
-    common denominator in lowest terms."""
-    dim = len(table)
-    coords: list[list[tuple[int, int]]] = [[] for _ in range(dim)]
-    for k in range(dim):
-        for j in range(dim):
-            nums, d = _product(table, k, j)
-            if j in nums:
-                coords[k].append((nums[j], d))
-    den = lcm(*(d for row in coords for _, d in row))
-    tau = [sum(n * (den // d) for n, d in row) for row in coords]
-    g = gcd(den, *tau)
-    return [t // g for t in tau], den // g
+def _sum(vectors: list[Vector]) -> Vector:
+    """The sum of the vectors: their matrix applied to the all-ones vector."""
+    return _apply(vectors, (dict.fromkeys(range(len(vectors)), 1), 1))
+
+
+def _traces(transposed: dict[int, list[Vector]], steps: Steps) -> Vector:
+    """tau[k] = trace of multiplication by b_k = sum over j of the b_j
+    coordinate of NF(b_j * b_k), so tau = sum_j M_{b_j}^T * e_j.  Grouped
+    along the parent chain as in Horner's rule, that is S_0 with S_i = e_i
+    + sum of M_{x_v}^T * S_c over the children b_c = x_v * b_i: one backward
+    pass, one transposed product per element."""
+    pending = [[({j: 1}, 1)] for j in range(len(steps))]
+    for j in reversed(range(1, len(steps))):
+        v, p = steps[j]
+        pending[p].append(_apply(transposed[v], _sum(pending[j])))
+    return _sum(pending[0]) if steps else ({}, 1)
 
 
 def multiplication_matrix(
@@ -266,53 +272,46 @@ def multiplication_matrix(
 ) -> MultiplicationMatrix:
     """Matrix of multiplication by g on the quotient basis.
 
-    With NF(g) = sum(c_m * b_m), column k is sum(c_m * NF(b_m * b_k)): the
-    k-th column of the product table applied to NF(g).  Only NF(g) itself
+    Column 0 is NF(g), and column k, NF(g * b_k) = M_{x_v} * NF(g * b_p), is
+    one border-matrix product from its parent's column.  Only NF(g) itself
     needs a polynomial division.
     """
-    table, index = _product_table(basis, quotient)
+    columns, steps = _multiplication_columns(basis, quotient)
     element = normal_form(g, basis)
-    coords = _vector({index[m.exponents]: c for m, c in element.terms})
-    dim = quotient.dimension
-    columns = [_apply([_product(table, m, k) for m in range(dim)], coords) for k in range(dim)]
+    index = {m: k for k, m in enumerate(quotient.monomials)}
+    coords = _vector({index[m]: c for m, c in element.terms})
+    products = [{r: Fraction(x, den) for r, x in nums.items()} for nums, den in _chain(columns, steps, coords)]
     zero = Fraction(0)
-    rows = tuple(
-        tuple(Fraction(nums[r], den) if r in nums else zero for nums, den in columns)
-        for r in range(dim)
-    )
+    rows = tuple(tuple(column.get(r, zero) for column in products) for r in range(quotient.dimension))
     return MultiplicationMatrix(rows, element, quotient)
 
 
 def trace_functional(basis: GroebnerBasis, quotient: QuotientBasis) -> dict[Monomial, Fraction]:
-    """tau(b) = trace of multiplication by b, for every basis monomial b.
+    """tau(b) = trace of multiplication by b, for every basis monomial b,
+    summed up the parent chain on the transposed border matrices.
 
     Traces of arbitrary elements follow by linearity: an element with normal
-    form sum(c_m * b_m) has multiplication trace sum(c_m * tau(b_m)), which
-    replaces one dim^2-sized matrix build per form entry with a single table.
+    form sum(c_m * b_m) has multiplication trace sum(c_m * tau(b_m)).
     """
-    tau, den = _traces(_product_table(basis, quotient)[0])
-    return {m: Fraction(t, den) for m, t in zip(quotient.monomials, tau)}
+    tau, den = _traces(*_transposed(basis, quotient))
+    return {m: Fraction(tau.get(k, 0), den) for k, m in enumerate(quotient.monomials)}
 
 
 def hermite_form(basis: GroebnerBasis, quotient: QuotientBasis) -> HermiteForm:
-    """Gram matrix H[i][j] = trace of multiplication by b_i*b_j.
+    """Gram matrix H[i][j] = trace of multiplication by b_i*b_j, by columns.
 
-    NF(b_i*b_j) and tau are both integer numerators over one denominator,
-    so each entry is one integer dot product turned into one Fraction.
-    Entries are computed for i <= j and mirrored; symmetry is exact because
-    the products themselves are symmetric.
+    H * e_i = M_{b_i}^T * tau, and the border matrices commute, so column i
+    is M_{x_v}^T times its parent's column, starting from tau.  Each Fraction
+    is built once, for r <= i, and mirrored.
     """
-    table, _ = _product_table(basis, quotient)
-    tau, tau_den = _traces(table)
+    transposed, steps = _transposed(basis, quotient)
     dim = quotient.dimension
     zero = Fraction(0)
     entries = [[zero] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i, dim):
-            nums, den = table[i][j]
-            value = sum(c * tau[m] for m, c in nums.items())
-            if value:
-                entries[i][j] = entries[j][i] = Fraction(value, den * tau_den)
+    for i, (nums, den) in enumerate(_chain(transposed, steps, _traces(transposed, steps))):
+        for r, x in nums.items():
+            if r <= i:
+                entries[r][i] = entries[i][r] = Fraction(x, den)
     return HermiteForm(tuple(tuple(row) for row in entries), quotient)
 
 

@@ -279,6 +279,19 @@ def test_random_systems_match_division_route(kind):
         assert_matches_division_route(basis, Random(seed))
 
 
+def test_long_staircase_chains_match_division_route():
+    # x_i^21 - c_i*x_i and x_i*x_j for i < j in three variables are already a
+    # reduced basis with a staircase of dim 61, so the parent chains that
+    # build tau and H run 20 steps up each axis.  The solutions are the
+    # origin and the 20 roots of t^20 = c_i on each axis, two of them real
+    # as every c_i > 0: 1 + 3*20 complex and 1 + 3*2 real.
+    basis = system_basis("x1^21-2*x1\n2*x2^21-3*x2\nx3^21-7*x3\nx1*x2\nx1*x3\nx2*x3")
+    assert standard_monomials(basis).dimension == 61
+    assert_matches_division_route(basis, Random(21))
+    report = hermite_report(basis)
+    assert (report.complex_count, report.real_count) == (61, 7)
+
+
 # Every consumer of a quotient basis proves it is the staircase of the
 # Groebner basis while building the border, and rejects it otherwise.
 
