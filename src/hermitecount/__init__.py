@@ -6,12 +6,10 @@ on the quotient ring.  All arithmetic is over exact rationals.
 from .groebner import (
     GroebnerBasis,
     NotZeroDimensionalError,
-    QuotientBasis,
     buchberger,
     is_zero_dimensional,
     normal_form,
     s_polynomial,
-    standard_monomials,
 )
 from .linalg import (
     InertiaResult,
@@ -32,10 +30,12 @@ from .quotient import (
     HermiteForm,
     HermiteReport,
     MultiplicationMatrix,
+    QuotientBasis,
     audit_basis,
     hermite_form,
     hermite_report,
     multiplication_matrix,
+    standard_monomials,
     trace_functional,
 )
 from .univariate import (
@@ -48,12 +48,10 @@ from .univariate import (
 __all__ = [
     "GroebnerBasis",
     "NotZeroDimensionalError",
-    "QuotientBasis",
     "buchberger",
     "is_zero_dimensional",
     "normal_form",
     "s_polynomial",
-    "standard_monomials",
     "InertiaResult",
     "characteristic_polynomial",
     "congruence_diagonalize",
@@ -74,10 +72,12 @@ __all__ = [
     "HermiteForm",
     "HermiteReport",
     "MultiplicationMatrix",
+    "QuotientBasis",
     "audit_basis",
     "hermite_form",
     "hermite_report",
     "multiplication_matrix",
+    "standard_monomials",
     "trace_functional",
     "UnivariatePolynomial",
     "from_multivariate",

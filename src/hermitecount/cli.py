@@ -68,10 +68,10 @@ def _solve_text(text: str, kind: str) -> tuple[list[str], GroebnerBasis, Hermite
 def _cross_check(variables: Sequence[str], basis: GroebnerBasis, report: HermiteReport) -> str | None:
     """Returns a description of the first mismatch, or None if all checks agree."""
     try:
-        audit_basis(basis)
+        audit_basis(basis, report.form.basis)
     except ValueError as exc:
         return f"Groebner basis audit: {exc}"
-    oracle = linalg.inertia_via_charpoly(report.form.rows())
+    oracle = linalg.inertia_via_charpoly(report.form.entries)
     if (oracle.rank, oracle.signature) != (report.rank, report.signature):
         return (
             f"characteristic-polynomial inertia (rank {oracle.rank}, signature "

@@ -1,7 +1,7 @@
 """Reduced Groebner bases via Buchberger's algorithm with the Gebauer-Moeller
-pair criteria, normal forms by fraction-free heap division, the
-zero-dimensionality test, and the standard-monomial basis of the quotient
-ring as an order-ideal staircase.
+pair criteria, normal forms by fraction-free heap division, and the
+zero-dimensionality test.  The staircase of a basis and the quotient ring it
+spans are built in `quotient`.
 
 The engine computes in integers: generators are primitive integer
 polynomials, and reduction scales the accumulator rather than divide by a
@@ -48,24 +48,6 @@ class GroebnerBasis:
 
     def __len__(self) -> int:
         return len(self.generators)
-
-
-@dataclass(frozen=True)
-class QuotientBasis:
-    """Standard monomials spanning the quotient ring, ascending by the order."""
-
-    monomials: tuple[Monomial, ...]
-    order: MonomialOrder
-
-    @property
-    def dimension(self) -> int:
-        return len(self.monomials)
-
-    def __iter__(self):
-        return iter(self.monomials)
-
-    def __len__(self) -> int:
-        return len(self.monomials)
 
 
 # The engine works on exponent tuples and integers.  A polynomial under
@@ -290,33 +272,3 @@ def is_zero_dimensional(basis: GroebnerBasis) -> bool:
     (empty variety, zero-dimensional quotient)."""
     return _pure_power_caps(basis) is not None
 
-
-def standard_monomials(basis: GroebnerBasis) -> QuotientBasis:
-    """All monomials under the staircase (divisible by no leading monomial),
-    ascending by the order; they form a linear basis of the quotient ring.
-
-    The staircase is an order ideal, so it is the closure of {1} under
-    multiplication by single variables within the standard monomials: each
-    found monomial is multiplied by each variable, and a product is kept if
-    no leading monomial divides it.  That examines dim * nvars candidates,
-    never the exponent box bounded by the pure-power caps.
-    """
-    if _pure_power_caps(basis) is None:
-        raise NotZeroDimensionalError("the ideal is not zero-dimensional")
-    lms = [lm.exponents for lm in basis.leading_monomials()]
-
-    def standard(exps: tuple[int, ...]) -> bool:
-        return not any(all(a <= b for a, b in zip(lm, exps)) for lm in lms)
-
-    unit = (0,) * basis.order.nvars
-    found = {unit} if standard(unit) else set()
-    frontier = list(found)
-    while frontier:
-        exps = frontier.pop()
-        for var in range(len(exps)):
-            product = exps[:var] + (exps[var] + 1,) + exps[var + 1 :]
-            if product not in found and standard(product):
-                found.add(product)
-                frontier.append(product)
-    monos = sorted(map(Monomial, found), key=basis.order.key)
-    return QuotientBasis(tuple(monos), basis.order)

@@ -1,13 +1,15 @@
-"""Arithmetic in the quotient ring on its standard-monomial basis.
+"""The quotient ring on its standard-monomial basis, built once.
 
-The ring has one linear-algebra representation: the border multiplication
-matrices M_{x_v}, built column by column from the reduced basis with sparse
-matrix-vector products (FGLM-style border normal forms).  Each basis element
-after 1 is b_i = x_v * b_p for a standard parent b_p, and one product per
-element along this chain gives `multiplication_matrix`; on the transposed
-matrices it gives the trace functional and the trace form, whose rank and
-signature count distinct complex and real solutions.  Coordinates stay
-integers over one common denominator until the returned `Fraction`s.
+`standard_monomials` walks the staircase of a reduced basis and, in the same
+pass, builds the ring's one linear-algebra representation: the border
+multiplication matrices M_{x_v}, column by column with sparse matrix-vector
+products (FGLM-style border normal forms), and the parent chain that writes
+each basis element after 1 as b_i = x_v * b_p for a standard parent b_p.  The
+returned `QuotientBasis` carries them, and every consumer reads them: one
+product per element along the chain gives `multiplication_matrix`; on the
+transposed matrices it gives the trace functional and the trace form, whose
+rank and signature count distinct complex and real solutions.  Coordinates
+stay integers over one common denominator until the returned `Fraction`s.
 
 The same matrices certify the basis: `audit_basis` checks that they commute
 (the border-basis criterion), which proves the reduced basis is a Groebner
@@ -16,23 +18,66 @@ basis without reducing a single S-polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 from operator import le
+from typing import NamedTuple
 
 from . import linalg
 from .groebner import (
     GroebnerBasis,
-    QuotientBasis,
+    NotZeroDimensionalError,
     _generator,
     _integer_terms,
     _reduce,
+    is_zero_dimensional,
     normal_form,
-    standard_monomials,
 )
-from .poly import Monomial, Polynomial
+from .poly import Monomial, MonomialOrder, Polynomial
+
+# Sparse coordinates on the quotient basis: integer numerators by basis index
+# over one positive common denominator, kept in lowest terms.  Integer
+# arithmetic with one gcd per vector is several times faster than a Fraction
+# per coordinate.
+Vector = tuple[dict[int, int], int]
+
+# The parent chain: steps[i] = (v, p) for b_i = x_v * b_p, None for b_0 = 1.
+Steps = list[tuple[int, int] | None]
+
+
+class _Ring(NamedTuple):
+    """The ring as `standard_monomials` built it from `basis`: columns[v][k]
+    holds the coordinates of NF(x_v * b_k), the matrix of multiplication by
+    each variable, and `steps` the parent chain.  Never mutated."""
+
+    basis: GroebnerBasis
+    columns: list[list[Vector]]
+    steps: Steps
+
+
+@dataclass(frozen=True)
+class QuotientBasis:
+    """Standard monomials spanning the quotient ring, ascending by the order.
+
+    One built by `standard_monomials` also carries the ring; equality and
+    repr see only the monomials and the order.
+    """
+
+    monomials: tuple[Monomial, ...]
+    order: MonomialOrder
+    ring: _Ring | None = field(default=None, init=False, compare=False, repr=False)
+
+    @property
+    def dimension(self) -> int:
+        return len(self.monomials)
+
+    def __iter__(self):
+        return iter(self.monomials)
+
+    def __len__(self) -> int:
+        return len(self.monomials)
 
 
 @dataclass(frozen=True)
@@ -71,16 +116,6 @@ class HermiteReport:
     quotient_dimension: int
 
 
-# Sparse coordinates on the quotient basis: integer numerators by basis index
-# over one positive common denominator, kept in lowest terms.  Integer
-# arithmetic with one gcd per vector is several times faster than a Fraction
-# per coordinate.
-Vector = tuple[dict[int, int], int]
-
-# The parent chain: steps[i] = (v, p) for b_i = x_v * b_p, None for b_0 = 1.
-Steps = list[tuple[int, int] | None]
-
-
 def _vector(coords: dict[int, Fraction]) -> Vector:
     den = lcm(*(c.denominator for c in coords.values()))
     return {k: c.numerator * (den // c.denominator) for k, c in coords.items()}, den
@@ -91,49 +126,51 @@ def _shift(exps: tuple[int, ...], var: int, step: int) -> tuple[int, ...]:
     return exps[:var] + (exps[var] + step,) + exps[var + 1 :]
 
 
-def _mismatch() -> ValueError:
-    return ValueError("quotient basis does not belong to this Groebner basis")
+def standard_monomials(basis: GroebnerBasis) -> QuotientBasis:
+    """All monomials under the staircase (divisible by no leading monomial),
+    ascending by the order, carrying the ring they span; they form a linear
+    basis of the quotient ring.
 
+    The staircase is an order ideal, so it is the closure of {1} under
+    multiplication by single variables within the standard monomials: each
+    found monomial is multiplied by each variable, and a product is kept if
+    no leading monomial divides it.  That examines dim * nvars candidates,
+    never the exponent box bounded by the pure-power caps.
 
-def _multiplication_columns(
-    basis: GroebnerBasis, quotient: QuotientBasis
-) -> tuple[list[list[Vector]], Steps]:
-    """(columns, steps): columns[v][k] = coordinates of NF(x_v * b_k), the
-    matrix of multiplication by each variable, column by column, and the
-    parent chain of the staircase.
-
-    A standard product x_v * b_k = b_i is a unit column; the first found, from
-    the smallest parent b_k, is the step of b_i.  The others form the border
-    and are reduced in ascending order: a border monomial that leads a
-    generator g has normal form -tail(g) (the basis is reduced and monic),
-    and any other is x_u * m' for a smaller border monomial m', so its normal
-    form is M_{x_u} * NF(m'), built only from columns already filled.
-
-    This also proves that `quotient` is the staircase of `basis`: it holds 1
-    (or is empty, for the unit ideal), no leading monomial divides its
-    members, and every border monomial is shown to lie outside the staircase,
-    so the quotient is closed.  Any failure raises ValueError.
+    The same products fill the border matrices.  A standard product x_v * b_k
+    = b_i is a unit column; the first found, from the smallest parent b_k, is
+    the step of b_i.  The others form the border and are reduced in ascending
+    order: a border monomial that leads a generator g has normal form
+    -tail(g) (the basis is reduced and monic), and any other is x_u * m' for
+    a smaller border monomial m', so its normal form is M_{x_u} * NF(m'),
+    built only from columns already filled.  A tail term outside the
+    staircase raises ValueError: the basis is not reduced.
     """
+    if not is_zero_dimensional(basis):
+        raise NotZeroDimensionalError("the ideal is not zero-dimensional")
     order = basis.order
-    monos = quotient.monomials
-    if quotient.order != order:
-        raise _mismatch()
-    keys = [order.key(m) for m in monos]
-    if any(a >= b for a, b in zip(keys, keys[1:])):
-        raise _mismatch()
     leading = {g.leading_monomial().exponents: g for g in basis.generators}
-    unit = (0,) * order.nvars
-    if unit not in leading and not (monos and monos[0].exponents == unit):
-        raise _mismatch()
-    if any(lm.divides(mono) for lm in basis.leading_monomials() for mono in monos):
-        raise _mismatch()
 
-    index = {m.exponents: k for k, m in enumerate(monos)}
-    columns: list[list[Vector]] = [[None] * len(monos) for _ in range(order.nvars)]
-    steps: Steps = [None] * len(monos)
+    def standard(exps: tuple[int, ...]) -> bool:
+        return not any(all(map(le, lm, exps)) for lm in leading)
+
+    unit = (0,) * order.nvars
+    found = {unit} if standard(unit) else set()
+    frontier = list(found)
+    while frontier:
+        exps = frontier.pop()
+        for var in range(order.nvars):
+            product = _shift(exps, var, 1)
+            if product not in found and standard(product):
+                found.add(product)
+                frontier.append(product)
+    staircase = sorted(found, key=order.exponent_key)
+
+    index = {exps: k for k, exps in enumerate(staircase)}
+    columns: list[list[Vector]] = [[None] * len(staircase) for _ in range(order.nvars)]
+    steps: Steps = [None] * len(staircase)
     border: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for k, mono in enumerate(monos):
-        exps = mono.exponents
+    for k, exps in enumerate(staircase):
         for var in range(order.nvars):
             product = _shift(exps, var, 1)
             if product in index:
@@ -150,16 +187,26 @@ def _multiplication_columns(
             try:
                 form = _vector({index[m.exponents]: -c for m, c in g.terms[1:]})
             except KeyError:
-                raise _mismatch() from None
+                raise ValueError(f"basis is not reduced at {g!r}") from None
         else:
-            var = next((v for v, e in enumerate(exps) if e and _shift(exps, v, -1) in reduced), None)
-            if var is None:
-                raise _mismatch()  # exps is standard but missing from the quotient
+            var = next(v for v, e in enumerate(exps) if e and _shift(exps, v, -1) in reduced)
             form = _apply(columns[var], reduced[_shift(exps, var, -1)])
         reduced[exps] = form
         for var, k in border[exps]:
             columns[var][k] = form
-    return columns, steps
+
+    quotient = QuotientBasis(tuple(map(Monomial, staircase)), order)
+    object.__setattr__(quotient, "ring", _Ring(basis, columns, steps))  # once, before anyone sees it
+    return quotient
+
+
+def _ring(basis: GroebnerBasis, quotient: QuotientBasis) -> _Ring:
+    """The ring `quotient` carries, if `standard_monomials` built it from a
+    basis equal to `basis`; raises ValueError otherwise."""
+    ring = quotient.ring
+    if ring is None or ring.basis != basis:
+        raise ValueError("quotient basis does not belong to this Groebner basis")
+    return ring
 
 
 def _apply(matrix: list[Vector], vector: Vector) -> Vector:
@@ -185,9 +232,10 @@ def _apply(matrix: list[Vector], vector: Vector) -> Vector:
     return {r: x // g for r, x in acc.items()}, den // g
 
 
-def audit_basis(basis: GroebnerBasis) -> None:
+def audit_basis(basis: GroebnerBasis, quotient: QuotientBasis) -> None:
     """Certify a zero-dimensional `basis` as the reduced Groebner basis of
-    the ideal of its original generators; raises ValueError on a violation.
+    the ideal of its original generators, on the border matrices that
+    `quotient`, its staircase, carries; raises ValueError on a violation.
 
     G must be monic and reduced, and every original generator must reduce to
     zero, so the original ideal lies in <G>.  G is a Groebner basis when the
@@ -195,9 +243,9 @@ def audit_basis(basis: GroebnerBasis) -> None:
     (Mourrain 1999): then f -> f(M) * e_1, with e_1 the coordinates of 1, maps
     Q[x] onto Q^|O| (O the staircase of LM(G)) and sends each g in G to 0,
     because the column of LM(g) is -tail(g).  So dim Q[x]/<G> >= |O|, which
-    forces LT(<G>) = <LM(G)>.  A positive-dimensional basis raises
-    NotZeroDimensionalError.
+    forces LT(<G>) = <LM(G)>.
     """
+    columns = _ring(basis, quotient).columns
     gens, order = basis.generators, basis.order
     leads = [g.leading_monomial().exponents for g in gens]
     for g in gens:
@@ -212,8 +260,6 @@ def audit_basis(basis: GroebnerBasis) -> None:
     for f in basis.original:
         if f.order != order or _reduce(_integer_terms(f)[0], divisors, order.descending_key)[0]:
             raise ValueError(f"original generator does not reduce to zero: {f!r}")
-    quotient = standard_monomials(basis)
-    columns = _multiplication_columns(basis, quotient)[0]
     for u, v in combinations(range(len(columns)), 2):
         for k in range(quotient.dimension):
             if _apply(columns[u], columns[v][k]) != _apply(columns[v], columns[u][k]):
@@ -229,11 +275,11 @@ def _chain(matrices, steps: Steps, start: Vector) -> list[Vector]:
     return vectors
 
 
-def _transposed(basis: GroebnerBasis, quotient: QuotientBasis) -> tuple[dict[int, list[Vector]], Steps]:
-    """(M_{x_v}^T for each variable x_v of the parent chain, the chain); under
-    lex in shape position only the last variable.  Each column of M_{x_v}^T is
-    over the lcm of the denominators it draws on, in lowest terms."""
-    columns, steps = _multiplication_columns(basis, quotient)
+def _transposed(ring: _Ring) -> dict[int, list[Vector]]:
+    """M_{x_v}^T for each variable x_v of the parent chain; under lex in
+    shape position only the last variable.  Each column of M_{x_v}^T is over
+    the lcm of the denominators it draws on, in lowest terms."""
+    columns, steps = ring.columns, ring.steps
     transposed = {}
     for v in {step[0] for step in steps if step}:
         rows: list[list[tuple[int, int, int]]] = [[] for _ in columns[v]]
@@ -246,7 +292,7 @@ def _transposed(basis: GroebnerBasis, quotient: QuotientBasis) -> tuple[dict[int
             nums = {k: x * (den // d) for k, x, d in row}
             g = gcd(den, *nums.values())
             transposed[v].append(({k: x // g for k, x in nums.items()}, den // g))
-    return transposed, steps
+    return transposed
 
 
 def _sum(vectors: list[Vector]) -> Vector:
@@ -276,11 +322,13 @@ def multiplication_matrix(
     one border-matrix product from its parent's column.  Only NF(g) itself
     needs a polynomial division.
     """
-    columns, steps = _multiplication_columns(basis, quotient)
+    ring = _ring(basis, quotient)
     element = normal_form(g, basis)
     index = {m: k for k, m in enumerate(quotient.monomials)}
     coords = _vector({index[m]: c for m, c in element.terms})
-    products = [{r: Fraction(x, den) for r, x in nums.items()} for nums, den in _chain(columns, steps, coords)]
+    products = [
+        {r: Fraction(x, den) for r, x in nums.items()} for nums, den in _chain(ring.columns, ring.steps, coords)
+    ]
     zero = Fraction(0)
     rows = tuple(tuple(column.get(r, zero) for column in products) for r in range(quotient.dimension))
     return MultiplicationMatrix(rows, element, quotient)
@@ -293,7 +341,8 @@ def trace_functional(basis: GroebnerBasis, quotient: QuotientBasis) -> dict[Mono
     Traces of arbitrary elements follow by linearity: an element with normal
     form sum(c_m * b_m) has multiplication trace sum(c_m * tau(b_m)).
     """
-    tau, den = _traces(*_transposed(basis, quotient))
+    ring = _ring(basis, quotient)
+    tau, den = _traces(_transposed(ring), ring.steps)
     return {m: Fraction(tau.get(k, 0), den) for k, m in enumerate(quotient.monomials)}
 
 
@@ -304,7 +353,8 @@ def hermite_form(basis: GroebnerBasis, quotient: QuotientBasis) -> HermiteForm:
     is M_{x_v}^T times its parent's column, starting from tau.  Each Fraction
     is built once, for r <= i, and mirrored.
     """
-    transposed, steps = _transposed(basis, quotient)
+    ring = _ring(basis, quotient)
+    transposed, steps = _transposed(ring), ring.steps
     dim = quotient.dimension
     zero = Fraction(0)
     entries = [[zero] * dim for _ in range(dim)]
@@ -324,7 +374,7 @@ def hermite_report(basis: GroebnerBasis) -> HermiteReport:
     """
     quotient = standard_monomials(basis)
     form = hermite_form(basis, quotient)
-    result = linalg.inertia(form.rows())
+    result = linalg.inertia(form.entries)
     return HermiteReport(
         form=form,
         rank=result.rank,

@@ -124,9 +124,6 @@ class UnivariatePolynomial:
     def __mod__(self, divisor: "UnivariatePolynomial") -> "UnivariatePolynomial":
         return divmod(self, divisor)[1]
 
-    def __floordiv__(self, divisor: "UnivariatePolynomial") -> "UnivariatePolynomial":
-        return divmod(self, divisor)[0]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UnivariatePolynomial):
             return NotImplemented

@@ -1,12 +1,13 @@
 """Command-line behavior: output shapes, exit codes, flags, and the bench."""
 
+import io
 import json
 from fractions import Fraction
 
 import pytest
 
 from hermitecount import GroebnerBasis, Polynomial, buchberger, inertia, parse_system
-from hermitecount import cli
+from hermitecount import cli, quotient
 from hermitecount.cli import (
     EXIT_NOT_ZERO_DIMENSIONAL,
     EXIT_OK,
@@ -90,6 +91,22 @@ def test_solve_with_check_flag_passes(capsys):
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "number of real solutions: 3" in out
+
+
+def test_check_builds_the_quotient_ring_once(monkeypatch):
+    # The audit reads the border matrices that the Hermite matrix was built
+    # from, so --check does not build the staircase again.
+    calls = []
+    build = quotient.standard_monomials
+
+    def counted(basis):
+        calls.append(basis)
+        return build(basis)
+
+    monkeypatch.setattr(quotient, "standard_monomials", counted)
+    config = RunConfiguration(inline_polynomials=("x1*x2+x2-1", "x1^2+x2^2-1"), cross_check=True)
+    assert run_solve(config, io.StringIO(), io.StringIO()) == EXIT_OK
+    assert len(calls) == 1
 
 
 def test_check_rejects_a_basis_of_another_ideal(monkeypatch, capsys):

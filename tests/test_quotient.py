@@ -292,10 +292,13 @@ def test_long_staircase_chains_match_division_route():
     assert (report.complex_count, report.real_count) == (61, 7)
 
 
-# Every consumer of a quotient basis proves it is the staircase of the
-# Groebner basis while building the border, and rejects it otherwise.
+# Every consumer of a quotient basis reads the ring it carries, so it accepts
+# only a quotient that `standard_monomials` built from an equal basis: a
+# hand-built one carries no ring, and one built from another basis carries
+# the wrong one.
 
 QUOTIENT_CONSUMERS = {
+    "audit_basis": audit_basis,
     "hermite_form": hermite_form,
     "trace_functional": trace_functional,
     "multiplication_matrix": lambda basis, quotient: multiplication_matrix(
@@ -347,6 +350,14 @@ def test_quotient_basis_mismatch_is_rejected(consumer, mismatch):
                 call(basis, wrong)
 
 
+def test_standard_monomials_rejects_a_basis_that_is_not_reduced():
+    # The tail x2^2 of x1^2-x2^2 is divisible by the leading monomial of
+    # x2^2-1, so the border column of x1^2 has no coordinates on the staircase.
+    gens = (p2("x2^2-1"), p2("x1^2-x2^2"))
+    with pytest.raises(ValueError, match="not reduced"):
+        standard_monomials(GroebnerBasis(gens, ORDER2, gens))
+
+
 # The commuting-matrix audit against the all-pairs reference: both certify a
 # monic, reduced Groebner basis of an ideal that holds the original
 # generators, so on zero-dimensional bases their verdicts must coincide.
@@ -355,6 +366,10 @@ def test_quotient_basis_mismatch_is_rejected(consumer, mismatch):
 def audit_systems(kind):
     systems = [parse_system(text, kind)[1] for _, text in FIXTURE_SYSTEMS]
     return systems + [polys for _, _, polys in random_systems(kind)]
+
+
+def commuting_audit(basis):
+    audit_basis(basis, standard_monomials(basis))
 
 
 def verdict(audit, basis):
@@ -371,7 +386,7 @@ def test_audits_accept_every_basis(kind):
     for polys in audit_systems(kind):
         basis = buchberger(polys, polys[0].order)
         s_pair_audit(basis)
-        audit_basis(basis)
+        commuting_audit(basis)
 
 
 @pytest.mark.parametrize("kind", ORDER_KINDS)
@@ -383,7 +398,7 @@ def test_audits_reject_a_dropped_generator(kind):
         basis = buchberger(polys, polys[0].order)
         for k in range(len(basis)):
             wrong = GroebnerBasis(basis.generators[:k] + basis.generators[k + 1 :], basis.order, basis.original)
-            for audit in (s_pair_audit, audit_basis):
+            for audit in (s_pair_audit, commuting_audit):
                 with pytest.raises(ValueError):
                     audit(wrong)
             dropped += 1
@@ -413,12 +428,12 @@ def test_audits_agree_on_perturbed_tails(kind):
         basis = buchberger(polys, polys[0].order)
         for gens in perturbed_tails(basis):
             wrong = GroebnerBasis(gens, basis.order, basis.original)
-            for audit in (s_pair_audit, audit_basis):
+            for audit in (s_pair_audit, commuting_audit):
                 with pytest.raises(ValueError):
                     audit(wrong)
             own = GroebnerBasis(gens, basis.order, gens)
             expected = verdict(s_pair_audit, own)
-            assert verdict(audit_basis, own) == expected, gens
+            assert verdict(commuting_audit, own) == expected, gens
             verdicts[expected] += 1
     assert verdicts[None] > 50
     assert verdicts[ValueError] > 300 or kind == LEX
