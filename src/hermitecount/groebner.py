@@ -5,10 +5,11 @@ spans are built in `quotient`.
 
 The engine computes in integers: generators are primitive integer
 polynomials, and reduction scales the accumulator rather than divide by a
-leading coefficient.  The content of a remainder is removed once, when it is
-finished; removing it at a bit threshold during the division measured no
-faster on lex elimination.  Monic `Fraction` polynomials appear only at the
-API.
+leading coefficient.  The remainder stays at the accumulator's running scale,
+so no rescale is deferred to the end of a division.  The content of a
+remainder is removed once, when it is finished; removing it at a bit
+threshold during the division measured no faster on lex elimination.  Monic
+`Fraction` polynomials appear only at the API.
 """
 
 from __future__ import annotations
@@ -91,15 +92,16 @@ def _reduce(acc: dict[Exponents, int], divisors: Sequence[Generator], key) -> tu
     Heap division with a dict accumulator (Monagan and Pearce 2007): pop the
     largest pending monomial, then either move it to the remainder or cancel
     its term c*x^m with a divisor g of leading term lc*x^l, fraction-free:
-    acc <- (lc/q)*acc - (c/q)*x^(m-l)*tail(g) with q = gcd(lc, c).  A term
-    that reached the remainder records how many scalings came before it, and
-    is scaled by the later ones once, at the end.  Tail terms are smaller, so
-    the remainder comes out strictly descending.
+    acc <- (lc/q)*acc - (c/q)*x^(m-l)*tail(g) with q = gcd(lc, c).  The
+    remainder stays at the accumulator's running scale s: each scaling of the
+    accumulator by a = lc/q scales the remainder terms collected so far and s
+    by a as well.  Tail terms are smaller, so the remainder comes out strictly
+    descending.
     """
     heap = [(key(e), e) for e in acc]
     heapq.heapify(heap)
-    remainder: list[tuple[Exponents, int, int]] = []
-    scalings: list[int] = []
+    remainder: Terms = []
+    scale = 1
     while heap:
         m = heapq.heappop(heap)[1]
         c = acc.pop(m)
@@ -112,7 +114,8 @@ def _reduce(acc: dict[Exponents, int], divisors: Sequence[Generator], key) -> tu
                     a = lc // q
                     for t in acc:
                         acc[t] *= a
-                    scalings.append(a)
+                    remainder = [(e, d * a) for e, d in remainder]
+                    scale *= a
                 c //= q
                 shift = tuple(map(sub, m, lead))
                 for e, d in tail:
@@ -124,18 +127,8 @@ def _reduce(acc: dict[Exponents, int], divisors: Sequence[Generator], key) -> tu
                         heapq.heappush(heap, (key(t), t))
                 break
         else:
-            remainder.append((m, c, len(scalings)))
-    scaled: Terms = []
-    scale, k = 1, len(scalings)
-    for m, c, before in reversed(remainder):
-        while k > before:
-            k -= 1
-            scale *= scalings[k]
-        scaled.append((m, c * scale))
-    scaled.reverse()
-    for a in scalings[:k]:
-        scale *= a
-    return scaled, scale
+            remainder.append((m, c))
+    return remainder, scale
 
 
 def _s_accumulator(f: Generator, g: Generator) -> dict[Exponents, int]:
@@ -248,27 +241,13 @@ def buchberger(polys: Iterable[Polynomial], order: MonomialOrder) -> GroebnerBas
     return GroebnerBasis(tuple(basis), order, original)
 
 
-def _pure_power_caps(basis: GroebnerBasis) -> list[int] | None:
-    """Per-variable exponent caps from pure-power leading monomials, or None
-    if some variable has no pure power (positive-dimensional ideal)."""
-    nvars = basis.order.nvars
-    lms = basis.leading_monomials()
-    caps: list[int] = []
-    for var in range(nvars):
-        cap = None
-        for lm in lms:
-            exps = lm.exponents
-            if all(e == 0 for i, e in enumerate(exps) if i != var):
-                cap = exps[var] if cap is None else min(cap, exps[var])
-        if cap is None:
-            return None
-        caps.append(cap)
-    return caps
-
-
 def is_zero_dimensional(basis: GroebnerBasis) -> bool:
     """True iff every variable has a pure-power leading monomial in the basis,
-    i.e. the staircase is finite.  The unit ideal counts as zero-dimensional
-    (empty variety, zero-dimensional quotient)."""
-    return _pure_power_caps(basis) is not None
-
+    i.e. the staircase is finite.  The unit monomial is a power of every
+    variable: the unit ideal counts as zero-dimensional (empty variety)."""
+    powered: set[int] = set()
+    for lm in basis.leading_monomials():
+        support = [i for i, e in enumerate(lm.exponents) if e]
+        if len(support) <= 1:
+            powered.update(support or range(basis.order.nvars))
+    return len(powered) == basis.order.nvars

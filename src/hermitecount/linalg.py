@@ -35,11 +35,12 @@ def as_matrix(entries: Sequence[Sequence[Scalar]]) -> Matrix:
 
 def check_symmetric(entries: Sequence[Sequence[Scalar]]) -> Matrix:
     m = as_matrix(entries)
-    n = len(m)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if m[i][j] != m[j][i]:
-                raise ValueError(f"asymmetric input: entry ({i},{j}) != ({j},{i})")
+    # Rows against columns as lists (in C, skipping identical objects); pairs
+    # with j < i passed in row j, so the first mismatch in row i has j > i.
+    for i, (row, column) in enumerate(zip(m, zip(*m))):
+        if row != list(column):
+            j = next(j for j, (x, y) in enumerate(zip(row, column)) if x != y)
+            raise ValueError(f"asymmetric input: entry ({i},{j}) != ({j},{i})")
     return m
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import groupby
 from typing import Sequence
 
 from .poly import (
@@ -40,8 +41,10 @@ from .poly import (
 
 _MAX_NESTING = 200
 _AUTO_VAR = re.compile(r"^x(\d+)$")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_NATURAL = re.compile(r"\d+")
+_TOKEN = re.compile(
+    r"(?P<skip>[ \t\r]+|#[^\n]*)|(?P<newline>\n)|(?P<nat>\d+)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^(),:])|(?P<other>.)"
+)
 
 
 class ParseError(ValueError):
@@ -65,43 +68,19 @@ class _Token:
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """Tokens of `text`; an operator's kind is its own text."""
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "skip":
             continue
-        if ch == "\n":
-            tokens.append(_Token("newline", ch, line, col))
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch in "+-*/^(),:":
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        m = _NATURAL.match(text, i)
-        if m:
-            tokens.append(_Token("nat", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            tokens.append(_Token("ident", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        raise ParseError(f"unknown character {ch!r}", line, col)
+        column = m.start() - line_start + 1
+        if kind == "other":
+            raise ParseError(f"unknown character {m.group()!r}", line, column)
+        tokens.append(_Token(m.group() if kind == "op" else kind, m.group(), line, column))
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
     return tokens
 
 
@@ -255,18 +234,11 @@ def parse_system(text: str, kind: str = GREVLEX) -> tuple[list[str], list[Polyno
     over the full variable set.  Without a header, variables are the `x<digits>`
     identifiers that occur, ordered numerically.
     """
-    tokens = _tokenize(text)
-    lines: list[list[_Token]] = []
-    current: list[_Token] = []
-    for tok in tokens:
-        if tok.kind == "newline":
-            if current:
-                lines.append(current)
-                current = []
-        else:
-            current.append(tok)
-    if current:
-        lines.append(current)
+    lines = [
+        list(line)
+        for newline, line in groupby(_tokenize(text), key=lambda t: t.kind == "newline")
+        if not newline
+    ]
 
     declared: list[str] | None = None
     if lines and lines[0][0].kind == "ident" and lines[0][0].text == "vars" \

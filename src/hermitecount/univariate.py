@@ -28,10 +28,6 @@ class UnivariatePolynomial:
         self.coefficients = tuple(coeffs)
 
     @classmethod
-    def zero(cls) -> "UnivariatePolynomial":
-        return cls()
-
-    @classmethod
     def from_roots(cls, roots: Iterable[Scalar]) -> "UnivariatePolynomial":
         """Monic product of (t - r) over the given rational roots."""
         result = cls([1])

@@ -130,6 +130,12 @@ def test_is_zero_dimensional_cases(line_circle_basis):
     assert is_zero_dimensional(line_circle_basis)
     assert not is_zero_dimensional(buchberger([p2("x1-x2")], ORDER2))
     assert is_zero_dimensional(buchberger([p2("1")], ORDER2))
+    # x2 has only the mixed leading monomial x1*x2 until x2^3 joins.
+    assert not is_zero_dimensional(buchberger([p2("x1^2"), p2("x1*x2")], ORDER2))
+    assert is_zero_dimensional(buchberger([p2("x1^2"), p2("x1*x2"), p2("x2^3")], ORDER2))
+    order = MonomialOrder(GREVLEX, 0)
+    assert is_zero_dimensional(buchberger([], order))
+    assert is_zero_dimensional(buchberger([Polynomial.constant(order, 5)], order))
 
 
 def test_standard_monomials_line_circle(line_circle_basis):

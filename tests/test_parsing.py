@@ -175,6 +175,9 @@ def test_error_positions_are_reported():
         ("(x1+1", 1, 6),
         ("vars:\nx+1", 1, 6),
         ("vars:", 1, 6),
+        ("x1+1 # note\r\n\tx2 ? 1", 2, 5),
+        ("x1*x2\r\n#?\n\t3€", 3, 3),
+        ("x1 # ?\n2x1", 2, 2),
     ]
     for text, line, column in cases:
         with pytest.raises(ParseError) as excinfo:
