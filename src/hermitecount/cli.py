@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, TextIO
 
-from . import linalg
 from .groebner import GroebnerBasis, NotZeroDimensionalError, buchberger
 from .parsing import ParseError, format_monomial, parse_system
 from .poly import GREVLEX, ORDER_KINDS
@@ -67,17 +66,16 @@ def _solve_text(text: str, kind: str) -> tuple[list[str], GroebnerBasis, Hermite
 
 def _cross_check(variables: Sequence[str], basis: GroebnerBasis, report: HermiteReport) -> str | None:
     """Returns a description of the first mismatch, or None if all checks agree."""
+    quotient = report.form.basis
     try:
-        audit_basis(basis, report.form.basis)
+        audit_basis(basis, quotient)
     except ValueError as exc:
         return f"Groebner basis audit: {exc}"
-    oracle = linalg.inertia_via_charpoly(report.form.entries)
-    if (oracle.rank, oracle.signature) != (report.rank, report.signature):
-        return (
-            f"characteristic-polynomial inertia (rank {oracle.rank}, signature "
-            f"{oracle.signature}) != congruence inertia (rank {report.rank}, "
-            f"signature {report.signature})"
-        )
+    from .separating import oracle_mismatch  # loaded only when --check runs
+
+    mismatch = oracle_mismatch(basis, quotient, report.rank, report.signature)
+    if mismatch is not None:
+        return mismatch
     if len(variables) == 1:
         generator = from_multivariate(basis.generators[0])
         complex_count = squarefree_part(generator).degree

@@ -1,12 +1,15 @@
 """Exact rank and signature of symmetric rational matrices.
 
-Two independent routes that must agree: congruence diagonalization (primary),
-whose output is the diagonal alone, and the characteristic polynomial with
-Descartes' rule (oracle).  The oracle runs Berkowitz's division-free scheme
-on integers, on D*M with D the lcm of the denominators, so it never touches a
-`Fraction` inside the O(n^4) loop.  The transform P of the congruence is not
-built here; `tests/support.py::congruence_certificate` rebuilds it.  No
-floating point anywhere; signatures are integers and are computed as such.
+`inertia` reads them off the diagonal of a congruence diagonalization.  The
+transform P of the congruence is not built here;
+`tests/support.py::congruence_certificate` rebuilds it.  A second route reads
+the inertia off the characteristic polynomial by Descartes' rule, exact for a
+symmetric matrix: Berkowitz's division-free scheme on integers, on D*M with D
+the lcm of the denominators, so it never touches a `Fraction` inside the
+O(n^4) loop.  `solve --check` no longer uses it: its oracle is the
+separating linear form of `separating.py`, which never reads the Hermite
+matrix.  No floating point anywhere; signatures are integers and are
+computed as such.
 """
 
 from __future__ import annotations

@@ -13,7 +13,10 @@ stay integers over one common denominator until the returned `Fraction`s.
 
 The same matrices certify the basis: `audit_basis` checks that they commute
 (the border-basis criterion), which proves the reduced basis is a Groebner
-basis without reducing a single S-polynomial.
+basis without reducing a single S-polynomial.  They also give the counts a
+second way, for `solve --check`: `separating.separating_charpoly` builds the
+characteristic polynomial of a linear form from its Newton sums on them,
+without the trace form.
 """
 
 from __future__ import annotations
@@ -233,9 +236,11 @@ def _apply(matrix: list[Vector], vector: Vector) -> Vector:
 
 
 def audit_basis(basis: GroebnerBasis, quotient: QuotientBasis) -> None:
-    """Certify a zero-dimensional `basis` as the reduced Groebner basis of
-    the ideal of its original generators, on the border matrices that
+    """Certify a zero-dimensional `basis` G as a reduced Groebner basis of an
+    ideal that holds every original generator, on the border matrices that
     `quotient`, its staircase, carries; raises ValueError on a violation.
+    It proves <F> in <G> for the original generators F, not <G> = <F>: a
+    Groebner basis of a larger ideal passes.
 
     G must be monic and reduced, and every original generator must reduce to
     zero, so the original ideal lies in <G>.  G is a Groebner basis when the

@@ -1,0 +1,222 @@
+"""The separating-form oracle of `solve --check`: the characteristic
+polynomial of a linear form, from Newton sums on the border matrices, against
+the rank and signature of the Hermite form."""
+
+import io
+import time
+from fractions import Fraction
+from itertools import chain
+from math import comb
+
+import pytest
+
+from hermitecount import (
+    ORDER_KINDS,
+    HermiteForm,
+    HermiteReport,
+    InertiaResult,
+    Monomial,
+    Polynomial,
+    buchberger,
+    characteristic_polynomial,
+    hermite_report,
+    linalg,
+    multiplication_matrix,
+    parse_system,
+    quotient,
+    trace_functional,
+)
+from hermitecount import cli, separating
+from hermitecount.cli import EXIT_OK, EXIT_ORACLE_MISMATCH, RunConfiguration, main, run_solve
+from hermitecount.separating import primitive, separating_charpoly, squarefree_mod_p
+
+from support import FIXTURE_SYSTEMS, random_systems, rational_systems
+
+SYMMETRIC_PAIR = ["x1^2+x2^2-5", "x1*x2-2"]  # (1,2), (2,1), (-1,-2), (-2,-1)
+NON_RADICAL_PAIR = ["x1^2", "x2^3-x2"]  # (0,0), (0,1), (0,-1), dimension 6
+CIRCLE_HYPERBOLA = ["x1*x2+x2-1", "x1^2+x2^2-1"]  # rank 4, signature 2
+
+
+def fixture_bases(kind):
+    for name, text in FIXTURE_SYSTEMS:
+        _, polys = parse_system(text, kind)
+        yield name, buchberger(polys, polys[0].order)
+
+
+def all_bases(kind):
+    yield from fixture_bases(kind)
+    for label, systems in (("random", random_systems), ("rational", rational_systems)):
+        for seed, order, polys in systems(kind):
+            yield f"{label}-{seed}", buchberger(polys, order)
+
+
+def linear_form(order, k):
+    n = order.nvars
+    return Polynomial(order, {Monomial.variable(i, n): k**i for i in range(n)})
+
+
+def oracle(basis, rank, signature):
+    report = hermite_report(basis)
+    q = report.form.basis
+    return separating.separating_form_mismatch(basis, q, trace_functional(basis, q), rank, signature)
+
+
+def argv(polys):
+    return ["solve", *chain.from_iterable(("--poly", p) for p in polys), "--check"]
+
+
+@pytest.fixture
+def used_k(monkeypatch):
+    """The values of k the oracle tries, in order."""
+    calls = []
+    original = separating.separating_charpoly
+
+    def spy(basis, q, tau, k):
+        calls.append(k)
+        return original(basis, q, tau, k)
+
+    monkeypatch.setattr(separating, "separating_charpoly", spy)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ORDER_KINDS)
+def test_charpoly_matches_berkowitz_on_the_multiplication_matrix(kind):
+    for name, basis in fixture_bases(kind):
+        q = hermite_report(basis).form.basis
+        tau = trace_functional(basis, q)
+        for k in (1, 2, 5):
+            matrix = multiplication_matrix(linear_form(basis.order, k), basis, q)
+            expected = primitive(characteristic_polynomial(matrix.entries))
+            assert separating_charpoly(basis, q, tau, k) == expected, (name, k)
+
+
+@pytest.mark.parametrize("kind", ORDER_KINDS)
+def test_oracle_agrees_with_hermite_inertia(kind):
+    for name, basis in all_bases(kind):
+        report = hermite_report(basis)
+        assert oracle(basis, report.rank, report.signature) is None, name
+
+
+@pytest.mark.parametrize(
+    "shift",
+    [(1, 0), (-1, 0), (1, -1), (-1, 1)],
+    ids=["rank+1", "rank-1", "signature+2", "signature-2"],
+)
+def test_oracle_rejects_wrong_counts_on_fixtures(shift):
+    dpos, dneg = shift
+    for name, basis in fixture_bases("grevlex"):
+        report = hermite_report(basis)
+        result = linalg.inertia(report.form.entries)
+        if result.positive + dpos < 0 or result.negative + dneg < 0:
+            continue
+        rank = result.rank + dpos + dneg
+        signature = result.signature + dpos - dneg
+        assert oracle(basis, rank, signature) is not None, name
+
+
+def test_symmetric_pair_needs_k_2(used_k, capsys):
+    assert main(argv(SYMMETRIC_PAIR)) == EXIT_OK
+    assert used_k == [1, 2]
+    out = capsys.readouterr().out
+    assert "number of complex solutions: 4" in out
+    assert "number of real solutions: 4" in out
+
+
+def test_non_radical_pair_takes_the_exact_path(used_k, capsys):
+    _, polys = parse_system("\n".join(NON_RADICAL_PAIR))
+    basis = buchberger(polys, polys[0].order)
+    q = hermite_report(basis).form.basis
+    assert not squarefree_mod_p(separating_charpoly(basis, q, trace_functional(basis, q), 1))
+    assert main(argv(NON_RADICAL_PAIR)) == EXIT_OK
+    assert used_k == [1]
+    out = capsys.readouterr().out
+    assert "quotient dimension: 6" in out
+    assert "number of complex solutions: 3" in out
+    assert "number of real solutions: 3" in out
+
+
+def test_unit_ideal_passes(capsys):
+    assert main(argv(["x1", "x1+1"])) == EXIT_OK
+    assert "number of complex solutions: 0" in capsys.readouterr().out
+
+
+def test_oracle_never_reads_h_or_berkowitz(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the oracle ran Berkowitz")
+
+    monkeypatch.setattr(linalg, "inertia_via_charpoly", forbidden)
+    _, polys = parse_system("\n".join(CIRCLE_HYPERBOLA))
+    basis = buchberger(polys, polys[0].order)
+    report = hermite_report(basis)
+    blank = HermiteForm((), report.form.basis)
+    blind = HermiteReport(blank, report.rank, report.signature, 4, 2, report.quotient_dimension)
+    assert cli._cross_check(["x1", "x2"], basis, blind) is None
+
+
+@pytest.mark.parametrize(
+    "polys, shift, message",
+    [
+        (CIRCLE_HYPERBOLA, (1, 0), "exceeds the quotient dimension"),
+        (NON_RADICAL_PAIR, (1, 0), "the rank is too high"),
+        (CIRCLE_HYPERBOLA, (0, -1), "more than rank 3"),
+        (NON_RADICAL_PAIR, (-1, 0), "more than rank 2"),
+        (CIRCLE_HYPERBOLA, (1, -1), "!= signature 4"),
+        (CIRCLE_HYPERBOLA, (-1, 1), "!= signature 0"),
+        (NON_RADICAL_PAIR, (-1, 1), "!= signature 1"),
+    ],
+    ids=["rank+1", "rank+1-bound", "rank-1", "rank-1-non-radical", "signature+2", "signature-2",
+         "signature-2-non-radical"],
+)
+def test_check_exits_4_when_the_inertia_is_wrong(monkeypatch, capsys, used_k, polys, shift, message):
+    true_inertia = linalg.inertia
+
+    def wrong(entries):
+        result = true_inertia(entries)
+        return InertiaResult(result.positive + shift[0], result.negative + shift[1], result.zero)
+
+    monkeypatch.setattr(linalg, "inertia", wrong)
+    start = time.perf_counter()
+    assert main(argv(polys)) == EXIT_ORACLE_MISMATCH
+    assert time.perf_counter() - start < 10
+    assert message in capsys.readouterr().err
+    if message == "the rank is too high":
+        # rank 4 on three solutions in a dimension-6 quotient: every l_k up
+        # to the bound C(4, 2) * (2 - 1) + 1 is tried, none separates four
+        assert used_k == list(range(1, comb(4, 2) * (2 - 1) + 2))
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (0, "tau(1) = 5 != dimension 4"),
+        (1, "tau(x2) = 1 != trace of its matrix 0"),
+        (2, "tau(x1) = -1 != "),
+        # no direct check reads tau(x2^2); Newton's identities stop being integral
+        (3, "Newton identity 3 of a linear form is not integral"),
+    ],
+    ids=["tau(1)", "tau(x2)", "tau(x1)", "tau(x2^2)"],
+)
+def test_check_exits_4_on_a_wrong_trace_functional(monkeypatch, capsys, entry, message):
+    # circle-hyperbola has the basis 1, x2, x1, x2^2 under grevlex
+    true_traces = quotient._traces
+
+    def perturbed(transposed, steps):
+        nums, den = true_traces(transposed, steps)
+        return {**nums, entry: nums.get(entry, 0) + den}, den
+
+    monkeypatch.setattr(quotient, "_traces", perturbed)
+    err = io.StringIO()
+    config = RunConfiguration(inline_polynomials=tuple(CIRCLE_HYPERBOLA), cross_check=True)
+    assert run_solve(config, io.StringIO(), err) == EXIT_ORACLE_MISMATCH
+    assert message in err.getvalue()
+
+
+def test_a_fractional_trace_gives_a_fractional_newton_sum():
+    _, polys = parse_system("\n".join(CIRCLE_HYPERBOLA))
+    basis = buchberger(polys, polys[0].order)
+    q = hermite_report(basis).form.basis
+    tau = trace_functional(basis, q)
+    assert separating_charpoly(basis, q, tau, 1) == [7, -6, -4, 2, 1]
+    tau[q.monomials[3]] += Fraction(1, 3)
+    with pytest.raises(ValueError, match="Newton sum 3 of a linear form is not an integer"):
+        separating_charpoly(basis, q, tau, 1)

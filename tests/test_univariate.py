@@ -1,5 +1,7 @@
-"""Newton sums, the classic Hankel criterion, and the Sturm/squarefree oracles."""
+"""Newton sums, the classic Hankel criterion, the Sturm/squarefree oracles,
+and the integer layer: the squarefree test mod p and the Descartes count."""
 
+import functools
 from fractions import Fraction
 from random import Random
 
@@ -16,6 +18,7 @@ from hermitecount import (
     squarefree_part,
     sturm_count,
 )
+from hermitecount.separating import PRIME, primitive, real_root_count, squarefree_mod_p
 from hermitecount.univariate import poly_gcd
 
 from support import classic_hermite_matrix, newton_sums, rand_monic_univariate, to_multivariate
@@ -146,3 +149,94 @@ def test_non_monic_inputs_are_normalized_upstream():
     assert sturm_count(f) == 0
     g = f.monic()
     assert newton_sums(g, 3).values == (2, 0, -2)
+
+
+def uni_from_ints(coefficients):
+    return UnivariatePolynomial(coefficients)
+
+
+def rand_root_factor(rng):
+    """A factor with rational roots at the bisection points 0, +-1, 1/2 and
+    1/2^j, at other small rationals, or with clustered and complex roots."""
+    style = rng.randrange(6)
+    if style == 0:
+        root = rng.choice([0, 1, -1, Fraction(1, 2), Fraction(-1, 2)])
+    elif style == 1:
+        root = rng.choice((1, -1)) * Fraction(1, 2 ** rng.randint(1, 12))
+    elif style == 2:
+        root = Fraction(rng.randint(-40, 40), rng.randint(1, 40))
+    elif style == 3:  # t^e - c: e clustered roots on a circle
+        e = rng.randint(2, 19)
+        return UnivariatePolynomial([-rng.choice((1, -1)) * rng.randint(1, 99)] + [0] * (e - 1) + [1])
+    elif style == 4:  # a close pair of real roots
+        a = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        return UnivariatePolynomial.from_roots([a, a + Fraction(1, 2 ** rng.randint(8, 30))])
+    else:  # irreducible or real-irrational quadratic
+        return UnivariatePolynomial([rng.randint(-20, 20), rng.randint(-5, 5), 1])
+    return UnivariatePolynomial.from_roots([root])
+
+
+@functools.cache
+def squarefree_integer_polynomials():
+    """200 seeded squarefree primitive integer polynomials of degree at most
+    about 30, plus the fixed cases the bisection must handle."""
+    fixed = [
+        [7],
+        [-3],
+        [0, 1],
+        [5, -2],
+        [-1, 2],
+        [0, -1, 0, 1],  # 0, +-1
+        [-1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1],  # t^19 - 1
+        [-7] + [0] * 18 + [1],  # t^19 - 7
+        [7] + [0] * 18 + [1],  # t^19 + 7
+        primitive(UnivariatePolynomial.from_roots([Fraction(1, 2 ** j) for j in range(12)])),
+        primitive(UnivariatePolynomial.from_roots([0, 1, -1, Fraction(1, 2), Fraction(-1, 2)])),
+    ]
+    rng = Random(20261018)
+    for _ in range(200):
+        f = UnivariatePolynomial([rng.randint(1, 9)])
+        for _ in range(rng.randint(1, 5)):
+            if f.degree < 12:
+                f = f * rand_root_factor(rng)
+        fixed.append(primitive(squarefree_part(f)))
+    return fixed
+
+
+def test_descartes_count_matches_sturm_on_squarefree_polynomials():
+    cases = squarefree_integer_polynomials()
+    assert len(cases) >= 200
+    assert {len(f) - 1 for f in cases} >= {0, 1, 19}
+    for f in cases:
+        assert real_root_count(f) == sturm_count(uni_from_ints(f)), f
+
+
+def test_descartes_count_examples():
+    assert real_root_count([1]) == 0
+    assert real_root_count([0, 3]) == 1
+    assert real_root_count([1, 0, 1]) == 0
+    assert real_root_count([-2, 0, 1]) == 2
+    assert real_root_count([-1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]) == 1
+    assert real_root_count(primitive(UnivariatePolynomial.from_roots([1, 2, 3, 4, 5]))) == 5
+
+
+def test_mod_p_test_passes_squarefree_polynomials():
+    # 2^61 - 1 divides neither a leading coefficient nor a discriminant here
+    for f in squarefree_integer_polynomials():
+        assert squarefree_part(uni_from_ints(f)).degree == len(f) - 1
+        assert squarefree_mod_p(f), f
+
+
+def test_mod_p_test_never_passes_a_square_factor():
+    rng = Random(2**61 - 1)
+    for _ in range(200):
+        g = UnivariatePolynomial([rng.randint(-30, 30) for _ in range(rng.randint(1, 5))] + [rng.randint(1, 30)])
+        h = UnivariatePolynomial([rng.randint(-30, 30) for _ in range(rng.randint(0, 6))] + [rng.randint(1, 30)])
+        f = primitive(g * g * h)
+        assert not squarefree_mod_p(f), f
+    # a degree that drops mod PRIME says nothing, so the test fails
+    assert not squarefree_mod_p([1, 0, PRIME])
+    assert not squarefree_mod_p([-PRIME, 1, PRIME])
+    assert squarefree_mod_p([1, 0, PRIME + 1])
+    assert squarefree_mod_p([5]) and squarefree_mod_p([3, 2])
+    assert not squarefree_mod_p([]) and not squarefree_mod_p([3, PRIME])
