@@ -13,7 +13,6 @@ from .groebner import (
 )
 from .linalg import (
     InertiaResult,
-    characteristic_polynomial,
     congruence_diagonalize,
     inertia,
     inertia_via_charpoly,
@@ -38,12 +37,6 @@ from .quotient import (
     standard_monomials,
     trace_functional,
 )
-from .univariate import (
-    UnivariatePolynomial,
-    from_multivariate,
-    squarefree_part,
-    sturm_count,
-)
 
 __all__ = [
     "GroebnerBasis",
@@ -53,7 +46,6 @@ __all__ = [
     "normal_form",
     "s_polynomial",
     "InertiaResult",
-    "characteristic_polynomial",
     "congruence_diagonalize",
     "inertia",
     "inertia_via_charpoly",
@@ -79,8 +71,4 @@ __all__ = [
     "multiplication_matrix",
     "standard_monomials",
     "trace_functional",
-    "UnivariatePolynomial",
-    "from_multivariate",
-    "squarefree_part",
-    "sturm_count",
 ]

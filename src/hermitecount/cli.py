@@ -22,7 +22,6 @@ from .groebner import GroebnerBasis, NotZeroDimensionalError, buchberger
 from .parsing import ParseError, format_monomial, parse_system
 from .poly import GREVLEX, ORDER_KINDS
 from .quotient import HermiteReport, audit_basis, hermite_report
-from .univariate import UnivariatePolynomial, from_multivariate, squarefree_part, sturm_count
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -64,7 +63,7 @@ def _solve_text(text: str, kind: str) -> tuple[list[str], GroebnerBasis, Hermite
     return variables, basis, hermite_report(basis)
 
 
-def _cross_check(variables: Sequence[str], basis: GroebnerBasis, report: HermiteReport) -> str | None:
+def _cross_check(basis: GroebnerBasis, report: HermiteReport) -> str | None:
     """Returns a description of the first mismatch, or None if all checks agree."""
     quotient = report.form.basis
     try:
@@ -73,19 +72,7 @@ def _cross_check(variables: Sequence[str], basis: GroebnerBasis, report: Hermite
         return f"Groebner basis audit: {exc}"
     from .separating import oracle_mismatch  # loaded only when --check runs
 
-    mismatch = oracle_mismatch(basis, quotient, report.rank, report.signature)
-    if mismatch is not None:
-        return mismatch
-    if len(variables) == 1:
-        generator = from_multivariate(basis.generators[0])
-        complex_count = squarefree_part(generator).degree
-        real_count = sturm_count(generator)
-        if (complex_count, real_count) != (report.complex_count, report.real_count):
-            return (
-                f"univariate oracle counts ({complex_count}, {real_count}) != "
-                f"pipeline counts ({report.complex_count}, {report.real_count})"
-            )
-    return None
+    return oracle_mismatch(basis, quotient, report.rank, report.signature)
 
 
 def _matrix_strings(report: HermiteReport) -> list[list[str]]:
@@ -144,7 +131,7 @@ def run_solve(config: RunConfiguration, out: TextIO | None = None, err: TextIO |
         print("error: the ideal is not zero-dimensional", file=err)
         return EXIT_NOT_ZERO_DIMENSIONAL
     if config.cross_check:
-        mismatch = _cross_check(variables, basis, report)
+        mismatch = _cross_check(basis, report)
         if mismatch is not None:
             print(f"oracle mismatch: {mismatch}", file=err)
             return EXIT_ORACLE_MISMATCH
@@ -174,8 +161,9 @@ def degree_family(d: int) -> list[str]:
 
 
 def _degree_family_expected(d: int) -> tuple[int, int]:
-    f = UnivariatePolynomial([0, -1] + [0] * (d - 2) + [1])  # t^d - t
-    return squarefree_part(f).degree, sturm_count(f)
+    """t^d - t = t * (t^(d-1) - 1): 0 and the (d-1)-th roots of unity, all
+    distinct; the real ones are 0, 1 and, when d - 1 is even, -1."""
+    return d, 3 if d % 2 else 2
 
 
 @dataclass(frozen=True)
@@ -208,8 +196,8 @@ def run_bench(
     """Run both benchmark families, asserting counts and reporting wall time.
 
     Times are informational (machine-specific); the counts are checked against
-    closed-form expectations and the univariate oracle.  Raises
-    OracleMismatchError if any count is wrong.
+    closed-form expectations.  Raises OracleMismatchError if any count is
+    wrong.
     """
     if max_spheres < 2 or max_degree < 2:
         raise ValueError("benchmark families start at n = 2 and d = 2")

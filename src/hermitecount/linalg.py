@@ -2,13 +2,13 @@
 
 `inertia` reads them off the diagonal of a congruence diagonalization.  The
 transform P of the congruence is not built here;
-`tests/support.py::congruence_certificate` rebuilds it.  A second route reads
-the inertia off the characteristic polynomial by Descartes' rule, exact for a
+`tests/support.py::congruence_certificate` rebuilds it.  `inertia_via_charpoly`
+reads them off the characteristic polynomial by Descartes' rule, exact for a
 symmetric matrix: Berkowitz's division-free scheme on integers, on D*M with D
 the lcm of the denominators, so it never touches a `Fraction` inside the
-O(n^4) loop.  `solve --check` no longer uses it: its oracle is the
-separating linear form of `separating.py`, which never reads the Hermite
-matrix.  No floating point anywhere; signatures are integers and are
+O(n^4) loop.  Only the benchmark's `--check` workload runs it; `solve --check`
+uses the separating linear form of `separating.py`, which never reads the
+Hermite matrix.  No floating point anywhere; signatures are integers and are
 computed as such.
 """
 
@@ -19,8 +19,6 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 from typing import Sequence, Union
-
-from .univariate import UnivariatePolynomial
 
 Scalar = Union[int, Fraction]
 Matrix = list[list[Fraction]]
@@ -153,18 +151,6 @@ def _berkowitz(a: list[list[int]]) -> list[int]:
                 v = [sum(map(mul, a[i], v)) for i in range(r)]
         poly = [sum(toeplitz[i - j] * poly[j] for j in range(min(i, r) + 1)) for i in range(r + 2)]
     return poly
-
-
-def characteristic_polynomial(entries: Sequence[Sequence[Scalar]]) -> UnivariatePolynomial:
-    """Exact det(tI - M) for any square rational M.
-
-    Berkowitz runs on the integer matrix D*M; since
-    det(tI - D*M) = D^n * det((t/D)I - M), its coefficient of t^k is D^(n-k)
-    times that of M.
-    """
-    scaled, scale = _integer_matrix(as_matrix(entries))
-    descending = [Fraction(c, scale**i) for i, c in enumerate(_berkowitz(scaled))]
-    return UnivariatePolynomial(reversed(descending))
 
 
 def inertia_via_charpoly(entries: Sequence[Sequence[Scalar]]) -> InertiaResult:

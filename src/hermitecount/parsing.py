@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import groupby
+from math import comb
 from typing import Sequence
 
 from .poly import (
@@ -40,6 +41,9 @@ from .poly import (
 )
 
 _MAX_NESTING = 200
+# Products of two terms that one `*` or `^` may expand into: about 2 s at the
+# 8 us a product measured with small Fraction coefficients on 2 x86-64 vCPUs.
+_MAX_PRODUCTS = 250_000
 _AUTO_VAR = re.compile(r"^x(\d+)$")
 _TOKEN = re.compile(
     r"(?P<skip>[ \t\r]+|#[^\n]*)|(?P<newline>\n)|(?P<nat>\d+)"
@@ -96,6 +100,33 @@ def _natural(tok: _Token) -> int:
             tok.line,
             tok.column,
         ) from None
+
+
+def _power_products(a: TermDict, nvars: int, exponent: int) -> int:
+    """A bound on the term products of `pow_terms(a, exponent, nvars)`, counted
+    until it passes _MAX_PRODUCTS, along its repeated squaring: a^k has at most
+    C(len(a) + k - 1, k) terms (multisets of k terms of a) and C(nvars + k*d,
+    nvars) (monomials of degree at most k*d, d the degree of a)."""
+    size, degree = len(a), max(map(sum, a), default=0)
+
+    def terms(k: int) -> int:
+        return min(comb(size + k - 1, k), comb(nvars + k * degree, nvars)) if k else 1
+
+    total, result, power = 0, 0, 1
+    while exponent and total <= _MAX_PRODUCTS:
+        if exponent & 1:
+            total += terms(result) * terms(power)
+            result += power
+        exponent >>= 1
+        if exponent:
+            total += terms(power) ** 2
+            power *= 2
+    return total
+
+
+def _too_large(tok: _Token) -> ParseError:
+    what = "power" if tok.kind == "^" else "product"
+    return ParseError(f"expanding this {what} takes over {_MAX_PRODUCTS} term products", tok.line, tok.column)
 
 
 class _ExprParser:
@@ -155,7 +186,10 @@ class _ExprParser:
             if tok is None or tok.kind != "*":
                 return value
             self._next()
-            value = mul_terms(value, self.factor())
+            rhs = self.factor()
+            if len(value) * len(rhs) > _MAX_PRODUCTS:
+                raise _too_large(tok)
+            value = mul_terms(value, rhs)
 
     def factor(self) -> TermDict:
         # "-" factor, counted in a loop: a run of signs costs no recursion.
@@ -164,9 +198,12 @@ class _ExprParser:
             self._next()
             negate = not negate
         value = self.primary()
-        if self._peek() is not None and self._peek().kind == "^":
+        if (caret := self._peek()) is not None and caret.kind == "^":
             self._next()
-            value = pow_terms(value, self.exponent(), len(self.index))
+            exponent = self.exponent()
+            if _power_products(value, len(self.index), exponent) > _MAX_PRODUCTS:
+                raise _too_large(caret)
+            value = pow_terms(value, exponent, len(self.index))
         return neg_terms(value) if negate else value
 
     def primary(self) -> TermDict:

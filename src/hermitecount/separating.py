@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Sequence
 
-from .groebner import GroebnerBasis
+from .groebner import GroebnerBasis, _generator
 from .poly import Monomial
 from .quotient import QuotientBasis, Vector, _apply, _ring, _vector, trace_functional
 from .univariate import UnivariatePolynomial, squarefree_part
@@ -218,11 +218,18 @@ def separating_form_mismatch(
     number must be the signature.  d > r, or no k reaching d = r, is a
     mismatch.  A rank that is too low passes only if the first l_k with
     d = r does not separate.
+
+    In one variable l_1 = x1 is the only form tried, and chi must be the lone
+    generator g of the basis, primitive: a wrong tau can keep the counts.
     """
     if rank > quotient.dimension:
         return f"rank {rank} exceeds the quotient dimension {quotient.dimension}"
     for k in range(1, comb(rank, 2) * max(basis.order.nvars - 1, 0) + 2):
         chi = separating_charpoly(basis, quotient, tau, k)
+        if basis.order.nvars == 1:
+            lead, lc, tail = _generator(basis.generators[0])
+            if dict([(lead, lc), *tail]) != {(e,): c for e, c in enumerate(chi) if c}:
+                return "chi of x1 is not the primitive generator of the basis"
         part = chi if squarefree_mod_p(chi) else primitive(squarefree_part(UnivariatePolynomial(chi)))
         distinct = len(part) - 1
         if distinct > rank:

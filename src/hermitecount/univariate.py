@@ -1,13 +1,14 @@
-"""Dense single-variable polynomials and the independent squarefree/Sturm
-root-counting oracles used to validate the multivariate pipeline.
+"""Dense single-variable polynomials over the rationals, with the exact
+squarefree part and a Sturm-chain count of real roots.  The separating-form
+oracle of `solve --check` falls back on `squarefree_part` when its test
+modulo a prime says nothing; a solve without `--check` does not load this
+module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
-
-from .poly import Polynomial
 
 Scalar = Union[int, Fraction]
 
@@ -179,13 +180,3 @@ def sturm_count(f: UnivariatePolynomial) -> int:
         at_plus_inf.append(s)
         at_minus_inf.append(s if g.degree % 2 == 0 else -s)
     return _sign_variations(at_minus_inf) - _sign_variations(at_plus_inf)
-
-
-def from_multivariate(p: Polynomial) -> UnivariatePolynomial:
-    """Read a one-variable system polynomial back as a dense univariate one."""
-    if p.nvars != 1:
-        raise ValueError(f"polynomial has {p.nvars} variables, expected 1")
-    coeffs = [Fraction(0)] * (p.degree + 1 if p else 0)
-    for mono, c in p.terms:
-        coeffs[mono.exponents[0]] = c
-    return UnivariatePolynomial(coeffs)

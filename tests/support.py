@@ -20,11 +20,11 @@ from hermitecount import (
     NotZeroDimensionalError,
     Polynomial,
     QuotientBasis,
-    UnivariatePolynomial,
     congruence_diagonalize,
     normal_form,
 )
-from hermitecount.linalg import Matrix, Scalar, as_matrix, check_symmetric
+from hermitecount.linalg import Matrix, Scalar, _berkowitz, _integer_matrix, as_matrix, check_symmetric
+from hermitecount.univariate import UnivariatePolynomial
 
 
 def int_str_limit() -> int | None:
@@ -619,8 +619,18 @@ def s_pair_audit(basis: GroebnerBasis) -> None:
                 raise ValueError(f"S-polynomial of pair ({i}, {j}) does not reduce to zero")
 
 
-# The recursive Fraction Berkowitz that the integer one replaced, kept as the
-# reference for `characteristic_polynomial`.
+# The package's integer Berkowitz, read as a rational characteristic
+# polynomial, and the recursive Fraction Berkowitz that it replaced, kept as
+# its reference.
+
+
+def berkowitz_charpoly(entries: Sequence[Sequence[Scalar]]) -> UnivariatePolynomial:
+    """Exact det(tI - M) for any square rational M, by `linalg._berkowitz`
+    on the integer matrix D*M: since det(tI - D*M) = D^n * det((t/D)I - M),
+    its coefficient of t^k is D^(n-k) times that of M."""
+    scaled, scale = _integer_matrix(as_matrix(entries))
+    descending = [Fraction(c, scale**i) for i, c in enumerate(_berkowitz(scaled))]
+    return UnivariatePolynomial(reversed(descending))
 
 
 def fraction_berkowitz(a: Matrix) -> list[Fraction]:

@@ -14,7 +14,6 @@ from hermitecount import (
     Monomial,
     MonomialOrder,
     Polynomial,
-    UnivariatePolynomial,
     buchberger,
     hermite_form,
     hermite_report,
@@ -23,11 +22,10 @@ from hermitecount import (
     multiplication_matrix,
     normal_form,
     parse_system,
-    squarefree_part,
     standard_monomials,
-    sturm_count,
 )
 from hermitecount.cli import EXIT_NOT_ZERO_DIMENSIONAL, main, run_bench
+from hermitecount.univariate import UnivariatePolynomial, squarefree_part, sturm_count
 
 from support import (
     FIXTURE_SYSTEMS,

@@ -2,7 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -87,7 +91,7 @@ def test_json_round_trip_consistency(capsys):
 def test_solve_with_check_flag_passes(capsys):
     code = main(["solve", "--poly", "x1*x2+x2-1", "--poly", "x1^2+x2^2-1", "--check"])
     assert code == EXIT_OK
-    code = main(["solve", "--poly", "x1^3-x1", "--check"])  # univariate oracles too
+    code = main(["solve", "--poly", "x1^3-x1", "--check"])  # and chi of x1 = the generator
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "number of real solutions: 3" in out
@@ -307,6 +311,23 @@ def test_bench_rejects_too_small_families(capsys):
     assert main(["bench", "--spheres", "1"]) == EXIT_PARSE
     with pytest.raises(ValueError):
         run_bench(max_spheres=1)
+
+
+def test_importing_the_cli_loads_no_oracle_module():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = "import sys, hermitecount.cli; print(*sorted(sys.modules))"
+    loaded = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "hermitecount.cli" in loaded
+    assert "hermitecount.univariate" not in loaded
+    assert "hermitecount.separating" not in loaded
+
+
+def test_solve_rejects_an_expansion_beyond_the_bound(capsys):
+    assert main(["solve", "--poly", "(x1+x2+x3+x4)^40"]) == EXIT_PARSE
+    assert "parse error: 1:14: expanding this power takes over 250000 term products" in capsys.readouterr().err
 
 
 def test_solve_wide_staircase(capsys):

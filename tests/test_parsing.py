@@ -1,9 +1,10 @@
 """Parsing and formatting of polynomial-system text."""
 
-from fractions import Fraction
-from random import Random
-
 import re
+import time
+from fractions import Fraction
+from math import comb
+from random import Random
 
 import pytest
 
@@ -20,6 +21,8 @@ from hermitecount import (
     parse_polynomial,
     parse_system,
 )
+
+from hermitecount import parsing, poly
 
 from support import int_str_limit, rand_expression, rand_polynomial
 
@@ -228,6 +231,53 @@ def test_overlong_integer_literals_are_positioned():
         with pytest.raises(ParseError, match="exceeds the interpreter's int conversion limit") as excinfo:
             parse_system(text)
         assert (excinfo.value.line, excinfo.value.column) == (line, column)
+
+
+WIDE_SUM = "(" + "+".join(f"x{i}" for i in range(1, 601)) + ")"
+
+
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        ("(x1+x2+x3+x4)^40", 1, 14),
+        ("x1-1\n(x1+x2+x3+x4+1)^29*(x1-x2+x3+1)^29", 2, 16),
+        ("(x1+x2)^100000", 1, 8),
+        (f"{WIDE_SUM}*{WIDE_SUM}", 1, len(WIDE_SUM) + 1),
+    ],
+    ids=["power", "power-product", "binomial", "product"],
+)
+def test_expansion_beyond_the_product_bound_is_positioned(text, line, column):
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="term products") as excinfo:
+        parse_system(text)
+    assert time.perf_counter() - start < 1
+    assert (excinfo.value.line, excinfo.value.column) == (line, column)
+
+
+def test_expansion_within_the_product_bound_parses():
+    # the wide staircases x_i^400 and x_i^300 parse in test_cli and test_groebner
+    _, (p,) = parse_system("(x1+x2+x3+x4)^20")
+    assert len(p.terms) == comb(23, 3)
+
+
+def test_power_product_bound_covers_pow_terms(monkeypatch):
+    # The a-priori bound is at least the products pow_terms spends.
+    spent = []
+    mul = poly.mul_terms
+
+    def counting(a, b):
+        spent.append(len(a) * len(b))
+        return mul(a, b)
+
+    monkeypatch.setattr(poly, "mul_terms", counting)
+    rng = Random(7)
+    for _ in range(60):
+        names = [f"x{i}" for i in range(1, rng.randint(1, 3) + 1)]
+        terms = parse_polynomial(rand_expression(rng, names, 2), names)._term_dict()
+        exponent = rng.randint(0, 9)
+        spent.clear()
+        poly.pow_terms(terms, exponent, len(names))
+        assert sum(spent) <= parsing._power_products(terms, len(names), exponent)
 
 
 def test_parse_with_lex_order_sorts_with_lex():

@@ -7,6 +7,7 @@ import time
 from fractions import Fraction
 from itertools import chain
 from math import comb
+from random import Random
 
 import pytest
 
@@ -16,9 +17,9 @@ from hermitecount import (
     HermiteReport,
     InertiaResult,
     Monomial,
+    MonomialOrder,
     Polynomial,
     buchberger,
-    characteristic_polynomial,
     hermite_report,
     linalg,
     multiplication_matrix,
@@ -28,9 +29,17 @@ from hermitecount import (
 )
 from hermitecount import cli, separating
 from hermitecount.cli import EXIT_OK, EXIT_ORACLE_MISMATCH, RunConfiguration, main, run_solve
-from hermitecount.separating import primitive, separating_charpoly, squarefree_mod_p
+from hermitecount.separating import primitive, real_root_count, separating_charpoly, squarefree_mod_p
+from hermitecount.univariate import poly_gcd
 
-from support import FIXTURE_SYSTEMS, random_systems, rational_systems
+from support import (
+    FIXTURE_SYSTEMS,
+    berkowitz_charpoly,
+    rand_monic_univariate,
+    random_systems,
+    rational_systems,
+    to_multivariate,
+)
 
 SYMMETRIC_PAIR = ["x1^2+x2^2-5", "x1*x2-2"]  # (1,2), (2,1), (-1,-2), (-2,-1)
 NON_RADICAL_PAIR = ["x1^2", "x2^3-x2"]  # (0,0), (0,1), (0,-1), dimension 6
@@ -86,7 +95,7 @@ def test_charpoly_matches_berkowitz_on_the_multiplication_matrix(kind):
         tau = trace_functional(basis, q)
         for k in (1, 2, 5):
             matrix = multiplication_matrix(linear_form(basis.order, k), basis, q)
-            expected = primitive(characteristic_polynomial(matrix.entries))
+            expected = primitive(berkowitz_charpoly(matrix.entries))
             assert separating_charpoly(basis, q, tau, k) == expected, (name, k)
 
 
@@ -150,7 +159,7 @@ def test_oracle_never_reads_h_or_berkowitz(monkeypatch):
     report = hermite_report(basis)
     blank = HermiteForm((), report.form.basis)
     blind = HermiteReport(blank, report.rank, report.signature, 4, 2, report.quotient_dimension)
-    assert cli._cross_check(["x1", "x2"], basis, blind) is None
+    assert cli._cross_check(basis, blind) is None
 
 
 @pytest.mark.parametrize(
@@ -220,3 +229,46 @@ def test_a_fractional_trace_gives_a_fractional_newton_sum():
     tau[q.monomials[3]] += Fraction(1, 3)
     with pytest.raises(ValueError, match="Newton sum 3 of a linear form is not an integer"):
         separating_charpoly(basis, q, tau, 1)
+
+
+@pytest.mark.parametrize("kind", ["lex", "grevlex"])
+def test_chi_of_x1_is_the_primitive_generator(kind):
+    # In one variable the basis is g = gcd of the inputs, and l_1 = x1.
+    rng = Random(f"chi-x1-{kind}")
+    order = MonomialOrder(kind, 1)
+    for _ in range(60):
+        f = rand_monic_univariate(rng, 6)
+        a, b = rand_monic_univariate(rng, 3), rand_monic_univariate(rng, 3)
+        basis = buchberger([to_multivariate(f * a, order), to_multivariate(f * b, order)], order)
+        q = hermite_report(basis).form.basis
+        expected = primitive(poly_gcd(f * a, f * b))
+        assert separating_charpoly(basis, q, trace_functional(basis, q), 1) == expected, (f, a, b)
+
+
+@pytest.mark.parametrize("delta, chi", [(-2, [0, -1, 0, 1]), (2, [0, -3, 0, 1])], ids=["-2", "+2"])
+def test_check_exits_4_when_chi_of_x1_is_not_the_generator(monkeypatch, delta, chi):
+    # x1^3 - 2*x1 has the basis 1, x1, x1^2 and tau(x1^2) = 4.  Shifting it
+    # by an even delta keeps tau(1), tau(x1) and Newton's identities exact,
+    # and makes chi = t^3 - (2 + delta/2)*t.  The Hermite matrix has
+    # determinant (4 + delta)^2 * (2 - delta): with delta = -2 it stays
+    # positive definite, so chi = t^3 - t counts (3, 3) like the pipeline and
+    # only chi != g shows the fault; with delta = +2 the rank drops to 2.
+    true_traces = quotient._traces
+
+    def perturbed(transposed, steps):
+        nums, den = true_traces(transposed, steps)
+        return {**nums, 2: nums.get(2, 0) + delta * den}, den
+
+    monkeypatch.setattr(quotient, "_traces", perturbed)
+    _, polys = parse_system("x1^3-2*x1")
+    basis = buchberger(polys, polys[0].order)
+    report = hermite_report(basis)
+    q = report.form.basis
+    assert separating_charpoly(basis, q, trace_functional(basis, q), 1) == chi
+    if delta < 0:
+        assert squarefree_mod_p(chi)
+        assert (report.rank, report.signature) == (len(chi) - 1, real_root_count(chi)) == (3, 3)
+    err = io.StringIO()
+    config = RunConfiguration(inline_polynomials=("x1^3-2*x1",), cross_check=True)
+    assert run_solve(config, io.StringIO(), err) == EXIT_ORACLE_MISMATCH
+    assert "chi of x1 is not the primitive generator of the basis" in err.getvalue()

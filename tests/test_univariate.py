@@ -7,19 +7,9 @@ from random import Random
 
 import pytest
 
-from hermitecount import (
-    GREVLEX,
-    MonomialOrder,
-    UnivariatePolynomial,
-    buchberger,
-    from_multivariate,
-    hermite_report,
-    inertia,
-    squarefree_part,
-    sturm_count,
-)
+from hermitecount import GREVLEX, MonomialOrder, buchberger, hermite_report, inertia
 from hermitecount.separating import PRIME, primitive, real_root_count, squarefree_mod_p
-from hermitecount.univariate import poly_gcd
+from hermitecount.univariate import UnivariatePolynomial, poly_gcd, squarefree_part, sturm_count
 
 from support import classic_hermite_matrix, newton_sums, rand_monic_univariate, to_multivariate
 
@@ -134,12 +124,6 @@ def test_pipeline_equivalence_on_one_variable_systems():
         classic = inertia(classic_hermite_matrix(f))
         assert report.complex_count == classic.rank == squarefree_part(f).degree
         assert report.real_count == classic.signature == sturm_count(f)
-
-
-def test_multivariate_round_trip():
-    order = MonomialOrder(GREVLEX, 1)
-    f = uni(Fraction(1, 3), 0, -2, 1)
-    assert from_multivariate(to_multivariate(f, order)) == f
 
 
 def test_non_monic_inputs_are_normalized_upstream():
