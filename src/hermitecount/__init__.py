@@ -30,7 +30,6 @@ from .quotient import (
     HermiteReport,
     MultiplicationMatrix,
     QuotientBasis,
-    audit_basis,
     hermite_form,
     hermite_report,
     multiplication_matrix,
@@ -65,7 +64,6 @@ __all__ = [
     "HermiteReport",
     "MultiplicationMatrix",
     "QuotientBasis",
-    "audit_basis",
     "hermite_form",
     "hermite_report",
     "multiplication_matrix",

@@ -21,7 +21,7 @@ from typing import Sequence, TextIO
 from .groebner import GroebnerBasis, NotZeroDimensionalError, buchberger
 from .parsing import ParseError, format_monomial, parse_system
 from .poly import GREVLEX, ORDER_KINDS
-from .quotient import HermiteReport, audit_basis, hermite_report
+from .quotient import HermiteReport, hermite_report
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -61,18 +61,6 @@ def _solve_text(text: str, kind: str) -> tuple[list[str], GroebnerBasis, Hermite
     variables, polys = parse_system(text, kind)
     basis = buchberger(polys, polys[0].order)
     return variables, basis, hermite_report(basis)
-
-
-def _cross_check(basis: GroebnerBasis, report: HermiteReport) -> str | None:
-    """Returns a description of the first mismatch, or None if all checks agree."""
-    quotient = report.form.basis
-    try:
-        audit_basis(basis, quotient)
-    except ValueError as exc:
-        return f"Groebner basis audit: {exc}"
-    from .separating import oracle_mismatch  # loaded only when --check runs
-
-    return oracle_mismatch(basis, quotient, report.rank, report.signature)
 
 
 def _matrix_strings(report: HermiteReport) -> list[list[str]]:
@@ -131,9 +119,11 @@ def run_solve(config: RunConfiguration, out: TextIO | None = None, err: TextIO |
         print("error: the ideal is not zero-dimensional", file=err)
         return EXIT_NOT_ZERO_DIMENSIONAL
     if config.cross_check:
-        mismatch = _cross_check(basis, report)
-        if mismatch is not None:
-            print(f"oracle mismatch: {mismatch}", file=err)
+        from .separating import mismatch  # loaded only when --check runs
+
+        found = mismatch(basis, report)
+        if found is not None:
+            print(f"oracle mismatch: {found}", file=err)
             return EXIT_ORACLE_MISMATCH
     try:
         matrix = _matrix_strings(report) if config.json_output or config.print_matrix else None

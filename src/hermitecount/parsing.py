@@ -44,6 +44,10 @@ _MAX_NESTING = 200
 # Products of two terms that one `*` or `^` may expand into: about 2 s at the
 # 8 us a product measured with small Fraction coefficients on 2 x86-64 vCPUs.
 _MAX_PRODUCTS = 250_000
+# Coefficient bits, as `_bits` estimates them, that one `*` or `^` may reach:
+# about 2 s for the slowest power measured, (7/5*x1)^375000, whose Fraction
+# squarings pay a gcd quadratic in the bits, on 2 x86-64 vCPUs.
+_MAX_BITS = 750_000
 _AUTO_VAR = re.compile(r"^x(\d+)$")
 _TOKEN = re.compile(
     r"(?P<skip>[ \t\r]+|#[^\n]*)|(?P<newline>\n)|(?P<nat>\d+)"
@@ -124,9 +128,24 @@ def _power_products(a: TermDict, nvars: int, exponent: int) -> int:
     return total
 
 
-def _too_large(tok: _Token) -> ParseError:
+def _bits(a: TermDict) -> int:
+    """Coefficient size that a product adds and a power multiplies: the
+    largest bit_length() - 1 of a numerator or denominator, so +-1 costs
+    nothing, plus the bits of the term count, which bounds the multinomial
+    coefficients of a power."""
+    if not a:
+        return 0
+    largest = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in a.values())
+    return largest - 1 + (len(a) - 1).bit_length()
+
+
+def _bound(tok: _Token, products: int, bits: int) -> None:
+    """Rejects, at `tok`, a `*` or `^` past _MAX_PRODUCTS or _MAX_BITS."""
     what = "power" if tok.kind == "^" else "product"
-    return ParseError(f"expanding this {what} takes over {_MAX_PRODUCTS} term products", tok.line, tok.column)
+    if products > _MAX_PRODUCTS:
+        raise ParseError(f"expanding this {what} takes over {_MAX_PRODUCTS} term products", tok.line, tok.column)
+    if bits > _MAX_BITS:
+        raise ParseError(f"expanding this {what} makes coefficients of over {_MAX_BITS} bits", tok.line, tok.column)
 
 
 class _ExprParser:
@@ -187,8 +206,7 @@ class _ExprParser:
                 return value
             self._next()
             rhs = self.factor()
-            if len(value) * len(rhs) > _MAX_PRODUCTS:
-                raise _too_large(tok)
+            _bound(tok, len(value) * len(rhs), _bits(value) + _bits(rhs))
             value = mul_terms(value, rhs)
 
     def factor(self) -> TermDict:
@@ -201,8 +219,7 @@ class _ExprParser:
         if (caret := self._peek()) is not None and caret.kind == "^":
             self._next()
             exponent = self.exponent()
-            if _power_products(value, len(self.index), exponent) > _MAX_PRODUCTS:
-                raise _too_large(caret)
+            _bound(caret, _power_products(value, len(self.index), exponent), exponent * _bits(value))
             value = pow_terms(value, exponent, len(self.index))
         return neg_terms(value) if negate else value
 

@@ -11,33 +11,21 @@ transposed matrices it gives the trace functional and the trace form, whose
 rank and signature count distinct complex and real solutions.  Coordinates
 stay integers over one common denominator until the returned `Fraction`s.
 
-The same matrices certify the basis: `audit_basis` checks that they commute
-(the border-basis criterion), which proves the reduced basis is a Groebner
-basis without reducing a single S-polynomial.  They also give the counts a
-second way, for `solve --check`: `separating.separating_charpoly` builds the
-characteristic polynomial of a linear form from its Newton sums on them,
-without the trace form.
+The same matrices serve `solve --check`, which `separating` holds whole:
+its `audit_basis` certifies the basis by checking that they commute, and its
+oracle re-derives the counts from the characteristic polynomial of a linear
+form, built from Newton sums on them without the trace form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm
 from operator import le
-from typing import NamedTuple
 
 from . import linalg
-from .groebner import (
-    GroebnerBasis,
-    NotZeroDimensionalError,
-    _generator,
-    _integer_terms,
-    _reduce,
-    is_zero_dimensional,
-    normal_form,
-)
+from .groebner import GroebnerBasis, NotZeroDimensionalError, is_zero_dimensional, normal_form
 from .poly import Monomial, MonomialOrder, Polynomial
 
 # Sparse coordinates on the quotient basis: integer numerators by basis index
@@ -50,27 +38,22 @@ Vector = tuple[dict[int, int], int]
 Steps = list[tuple[int, int] | None]
 
 
-class _Ring(NamedTuple):
-    """The ring as `standard_monomials` built it from `basis`: columns[v][k]
-    holds the coordinates of NF(x_v * b_k), the matrix of multiplication by
-    each variable, and `steps` the parent chain.  Never mutated."""
-
-    basis: GroebnerBasis
-    columns: list[list[Vector]]
-    steps: Steps
-
-
 @dataclass(frozen=True)
 class QuotientBasis:
     """Standard monomials spanning the quotient ring, ascending by the order.
 
-    One built by `standard_monomials` also carries the ring; equality and
-    repr see only the monomials and the order.
+    One built by `standard_monomials` also carries the ring: `source`, the
+    Groebner basis it was built from; `columns`, where columns[v][k] holds
+    the coordinates of NF(x_v * b_k), the matrix of multiplication by each
+    variable; and `steps`, the parent chain.  Equality, hash and repr see
+    only the monomials and the order, and the ring is never mutated.
     """
 
     monomials: tuple[Monomial, ...]
     order: MonomialOrder
-    ring: _Ring | None = field(default=None, init=False, compare=False, repr=False)
+    source: GroebnerBasis | None = field(default=None, compare=False, repr=False)
+    columns: list[list[Vector]] | None = field(default=None, compare=False, repr=False)
+    steps: Steps | None = field(default=None, compare=False, repr=False)
 
     @property
     def dimension(self) -> int:
@@ -198,18 +181,16 @@ def standard_monomials(basis: GroebnerBasis) -> QuotientBasis:
         for var, k in border[exps]:
             columns[var][k] = form
 
-    quotient = QuotientBasis(tuple(map(Monomial, staircase)), order)
-    object.__setattr__(quotient, "ring", _Ring(basis, columns, steps))  # once, before anyone sees it
-    return quotient
+    return QuotientBasis(tuple(map(Monomial, staircase)), order, basis, columns, steps)
 
 
-def _ring(basis: GroebnerBasis, quotient: QuotientBasis) -> _Ring:
-    """The ring `quotient` carries, if `standard_monomials` built it from a
-    basis equal to `basis`; raises ValueError otherwise."""
-    ring = quotient.ring
-    if ring is None or ring.basis != basis:
+def _ring(basis: GroebnerBasis, quotient: QuotientBasis) -> QuotientBasis:
+    """`quotient`, if `standard_monomials` built it from a basis equal to
+    `basis`, so that it carries that basis's ring; raises ValueError
+    otherwise."""
+    if quotient.source != basis:
         raise ValueError("quotient basis does not belong to this Groebner basis")
-    return ring
+    return quotient
 
 
 def _apply(matrix: list[Vector], vector: Vector) -> Vector:
@@ -235,42 +216,6 @@ def _apply(matrix: list[Vector], vector: Vector) -> Vector:
     return {r: x // g for r, x in acc.items()}, den // g
 
 
-def audit_basis(basis: GroebnerBasis, quotient: QuotientBasis) -> None:
-    """Certify a zero-dimensional `basis` G as a reduced Groebner basis of an
-    ideal that holds every original generator, on the border matrices that
-    `quotient`, its staircase, carries; raises ValueError on a violation.
-    It proves <F> in <G> for the original generators F, not <G> = <F>: a
-    Groebner basis of a larger ideal passes.
-
-    G must be monic and reduced, and every original generator must reduce to
-    zero, so the original ideal lies in <G>.  G is a Groebner basis when the
-    border matrices commute, M_{x_u} * M_{x_v} = M_{x_v} * M_{x_u} for u < v
-    (Mourrain 1999): then f -> f(M) * e_1, with e_1 the coordinates of 1, maps
-    Q[x] onto Q^|O| (O the staircase of LM(G)) and sends each g in G to 0,
-    because the column of LM(g) is -tail(g).  So dim Q[x]/<G> >= |O|, which
-    forces LT(<G>) = <LM(G)>.
-    """
-    columns = _ring(basis, quotient).columns
-    gens, order = basis.generators, basis.order
-    leads = [g.leading_monomial().exponents for g in gens]
-    for g in gens:
-        if g.leading_coefficient() != 1:
-            raise ValueError(f"generator is not monic: {g!r}")
-        for mono, _ in g.terms:
-            exps = mono.exponents
-            for h, lead in zip(gens, leads):
-                if h is not g and all(map(le, lead, exps)):
-                    raise ValueError(f"basis is not reduced at {g!r}")
-    divisors = [_generator(g) for g in gens]
-    for f in basis.original:
-        if f.order != order or _reduce(_integer_terms(f)[0], divisors, order.descending_key)[0]:
-            raise ValueError(f"original generator does not reduce to zero: {f!r}")
-    for u, v in combinations(range(len(columns)), 2):
-        for k in range(quotient.dimension):
-            if _apply(columns[u], columns[v][k]) != _apply(columns[v], columns[u][k]):
-                raise ValueError(f"multiplication by variables {u} and {v} does not commute")
-
-
 def _chain(matrices, steps: Steps, start: Vector) -> list[Vector]:
     """[M_{b_i} * start for every i], each M_{x_v} * (M_{b_p} * start) from its
     parent's vector; `matrices` maps each step variable to its columns."""
@@ -280,11 +225,11 @@ def _chain(matrices, steps: Steps, start: Vector) -> list[Vector]:
     return vectors
 
 
-def _transposed(ring: _Ring) -> dict[int, list[Vector]]:
+def _transposed(quotient: QuotientBasis) -> dict[int, list[Vector]]:
     """M_{x_v}^T for each variable x_v of the parent chain; under lex in
     shape position only the last variable.  Each column of M_{x_v}^T is over
     the lcm of the denominators it draws on, in lowest terms."""
-    columns, steps = ring.columns, ring.steps
+    columns, steps = quotient.columns, quotient.steps
     transposed = {}
     for v in {step[0] for step in steps if step}:
         rows: list[list[tuple[int, int, int]]] = [[] for _ in columns[v]]
@@ -327,13 +272,12 @@ def multiplication_matrix(
     one border-matrix product from its parent's column.  Only NF(g) itself
     needs a polynomial division.
     """
-    ring = _ring(basis, quotient)
+    _ring(basis, quotient)
     element = normal_form(g, basis)
     index = {m: k for k, m in enumerate(quotient.monomials)}
     coords = _vector({index[m]: c for m, c in element.terms})
-    products = [
-        {r: Fraction(x, den) for r, x in nums.items()} for nums, den in _chain(ring.columns, ring.steps, coords)
-    ]
+    chained = _chain(quotient.columns, quotient.steps, coords)
+    products = [{r: Fraction(x, den) for r, x in nums.items()} for nums, den in chained]
     zero = Fraction(0)
     rows = tuple(tuple(column.get(r, zero) for column in products) for r in range(quotient.dimension))
     return MultiplicationMatrix(rows, element, quotient)
@@ -346,8 +290,7 @@ def trace_functional(basis: GroebnerBasis, quotient: QuotientBasis) -> dict[Mono
     Traces of arbitrary elements follow by linearity: an element with normal
     form sum(c_m * b_m) has multiplication trace sum(c_m * tau(b_m)).
     """
-    ring = _ring(basis, quotient)
-    tau, den = _traces(_transposed(ring), ring.steps)
+    tau, den = _traces(_transposed(_ring(basis, quotient)), quotient.steps)
     return {m: Fraction(tau.get(k, 0), den) for k, m in enumerate(quotient.monomials)}
 
 
@@ -358,8 +301,7 @@ def hermite_form(basis: GroebnerBasis, quotient: QuotientBasis) -> HermiteForm:
     is M_{x_v}^T times its parent's column, starting from tau.  Each Fraction
     is built once, for r <= i, and mirrored.
     """
-    ring = _ring(basis, quotient)
-    transposed, steps = _transposed(ring), ring.steps
+    transposed, steps = _transposed(_ring(basis, quotient)), quotient.steps
     dim = quotient.dimension
     zero = Fraction(0)
     entries = [[zero] * dim for _ in range(dim)]

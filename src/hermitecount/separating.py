@@ -1,5 +1,11 @@
-"""The separating-form oracle of `solve --check`: rank and signature of the
-trace form re-derived without reading it.
+"""All of `solve --check`: the basis audit, the trace-functional checks, and
+the separating-form oracle, which re-derives the rank and signature of the
+trace form without reading it.  Only `--check` loads this module, through
+`mismatch`, which runs them in that order.
+
+`audit_basis` certifies the Groebner basis on the border matrices that the
+quotient carries: they commute (the border-basis criterion), and every
+original generator reduces to zero.
 
 For k = 1, 2, ... the linear form l_k = x1 + k*x2 + k^2*x3 + ... has a
 characteristic polynomial chi on the quotient ring whose roots are the values
@@ -12,22 +18,59 @@ the real ones (Hermite's univariate theorem; Basu, Pollack and Roy, ch. 4).
 
 The univariate side runs on integer coefficient lists, ascending by degree
 with a nonzero leading coefficient: a squarefree test modulo one fixed prime
-and a Descartes-bisection count of real roots.  Only `--check` loads this
-module.
+and a Descartes-bisection count of real roots.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb, gcd, lcm
+from operator import le
 from typing import Sequence
 
-from .groebner import GroebnerBasis, _generator
+from .groebner import GroebnerBasis, _generator, _integer_terms, _reduce
 from .poly import Monomial
-from .quotient import QuotientBasis, Vector, _apply, _ring, _vector, trace_functional
+from .quotient import HermiteReport, QuotientBasis, Vector, _apply, _ring, _vector, trace_functional
 from .univariate import UnivariatePolynomial, squarefree_part
 
 PRIME = 2**61 - 1
+
+
+def audit_basis(basis: GroebnerBasis, quotient: QuotientBasis) -> None:
+    """Certify a zero-dimensional `basis` G as a reduced Groebner basis of an
+    ideal that holds every original generator, on the border matrices that
+    `quotient`, its staircase, carries; raises ValueError on a violation.
+    It proves <F> in <G> for the original generators F, not <G> = <F>: a
+    Groebner basis of a larger ideal passes.
+
+    G must be monic and reduced, and every original generator must reduce to
+    zero, so the original ideal lies in <G>.  G is a Groebner basis when the
+    border matrices commute, M_{x_u} * M_{x_v} = M_{x_v} * M_{x_u} for u < v
+    (Mourrain 1999): then f -> f(M) * e_1, with e_1 the coordinates of 1, maps
+    Q[x] onto Q^|O| (O the staircase of LM(G)) and sends each g in G to 0,
+    because the column of LM(g) is -tail(g).  So dim Q[x]/<G> >= |O|, which
+    forces LT(<G>) = <LM(G)>.
+    """
+    columns = _ring(basis, quotient).columns
+    gens, order = basis.generators, basis.order
+    leads = [g.leading_monomial().exponents for g in gens]
+    for g in gens:
+        if g.leading_coefficient() != 1:
+            raise ValueError(f"generator is not monic: {g!r}")
+        for mono, _ in g.terms:
+            exps = mono.exponents
+            for h, lead in zip(gens, leads):
+                if h is not g and all(map(le, lead, exps)):
+                    raise ValueError(f"basis is not reduced at {g!r}")
+    divisors = [_generator(g) for g in gens]
+    for f in basis.original:
+        if f.order != order or _reduce(_integer_terms(f)[0], divisors, order.descending_key)[0]:
+            raise ValueError(f"original generator does not reduce to zero: {f!r}")
+    for u, v in combinations(range(len(columns)), 2):
+        for k in range(quotient.dimension):
+            if _apply(columns[u], columns[v][k]) != _apply(columns[v], columns[u][k]):
+                raise ValueError(f"multiplication by variables {u} and {v} does not commute")
 
 
 def _gcd_degree_mod_p(f: list[int], g: list[int]) -> int:
@@ -242,14 +285,19 @@ def separating_form_mismatch(
     return f"no linear form l_1 .. l_{k} separates {rank} solutions: the rank is too high"
 
 
-def oracle_mismatch(basis: GroebnerBasis, quotient: QuotientBasis, rank: int, signature: int) -> str | None:
-    """Checks the trace functional, then `rank` and `signature` of the trace
-    form against the separating linear form; a description of the first
-    mismatch, or None."""
+def mismatch(basis: GroebnerBasis, report: HermiteReport) -> str | None:
+    """Audits `basis` on the quotient of `report`, checks the trace
+    functional, then the rank and signature of `report` against the
+    separating linear form; a description of the first mismatch, or None."""
+    quotient = report.form.basis
+    try:
+        audit_basis(basis, quotient)
+    except ValueError as exc:
+        return f"Groebner basis audit: {exc}"
     tau = trace_functional(basis, quotient)
     try:
         return trace_mismatch(basis, quotient, tau) or separating_form_mismatch(
-            basis, quotient, tau, rank, signature
+            basis, quotient, tau, report.rank, report.signature
         )
     except ValueError as exc:
         return f"trace functional: {exc}"

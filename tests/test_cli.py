@@ -316,13 +316,27 @@ def test_bench_rejects_too_small_families(capsys):
 def test_importing_the_cli_loads_no_oracle_module():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    script = "import sys, hermitecount.cli; print(*sorted(sys.modules))"
-    loaded = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-    ).stdout.split()
+    # the modules after the import, after an unchecked solve, after a checked one
+    script = """
+import io, sys
+from hermitecount import cli
+print(*sorted(sys.modules))
+for check in (False, True):
+    config = cli.RunConfiguration(inline_polynomials=("x1^2+x2^2-5", "x1*x2-2"), cross_check=check)
+    assert cli.run_solve(config, io.StringIO(), io.StringIO()) == cli.EXIT_OK
+    print(*sorted(sys.modules))
+"""
+    loaded, unchecked, checked = (
+        line.split()
+        for line in subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        ).stdout.splitlines()
+    )
     assert "hermitecount.cli" in loaded
     assert "hermitecount.univariate" not in loaded
     assert "hermitecount.separating" not in loaded
+    assert "hermitecount.separating" not in unchecked
+    assert "hermitecount.separating" in checked
 
 
 def test_solve_rejects_an_expansion_beyond_the_bound(capsys):

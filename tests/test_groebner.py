@@ -13,7 +13,6 @@ from hermitecount import (
     MonomialOrder,
     NotZeroDimensionalError,
     Polynomial,
-    audit_basis,
     buchberger,
     is_zero_dimensional,
     normal_form,
@@ -22,6 +21,7 @@ from hermitecount import (
     s_polynomial,
     standard_monomials,
 )
+from hermitecount.separating import audit_basis
 
 from support import (
     FIXTURE_SYSTEMS,

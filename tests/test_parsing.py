@@ -254,6 +254,31 @@ def test_expansion_beyond_the_product_bound_is_positioned(text, line, column):
     assert (excinfo.value.line, excinfo.value.column) == (line, column)
 
 
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        ("(99*x1)^4000000-1", 1, 8),
+        ("x1\n(99/97*x1)^200000", 2, 11),
+        ("(3*x1)^300000*(3*x1)^300000", 1, 14),
+    ],
+    ids=["power", "rational-power", "product"],
+)
+def test_coefficient_growth_beyond_the_bit_bound_is_positioned(text, line, column):
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="coefficients of over") as excinfo:
+        parse_system(text)
+    assert time.perf_counter() - start < 1
+    assert (excinfo.value.line, excinfo.value.column) == (line, column)
+
+
+def test_powers_of_unit_coefficients_cost_no_bits():
+    for text in ["x1^4000000", "x1^1000000000", "(-x1)^4000001"]:
+        _, (p,) = parse_system(text)
+        assert len(p.terms) == 1, text
+    _, (zero,) = parse_system("0^1000000000")
+    assert not zero.terms
+
+
 def test_expansion_within_the_product_bound_parses():
     # the wide staircases x_i^400 and x_i^300 parse in test_cli and test_groebner
     _, (p,) = parse_system("(x1+x2+x3+x4)^20")

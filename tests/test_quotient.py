@@ -16,7 +16,6 @@ from hermitecount import (
     NotZeroDimensionalError,
     Polynomial,
     QuotientBasis,
-    audit_basis,
     buchberger,
     hermite_form,
     hermite_report,
@@ -28,6 +27,7 @@ from hermitecount import (
     standard_monomials,
     trace_functional,
 )
+from hermitecount.separating import audit_basis
 
 from support import (
     FIXTURE_SYSTEMS,
