@@ -45,9 +45,12 @@ _MAX_NESTING = 200
 # 8 us a product measured with small Fraction coefficients on 2 x86-64 vCPUs.
 _MAX_PRODUCTS = 250_000
 # Coefficient bits, as `_bits` estimates them, that one `*` or `^` may reach:
-# about 2 s for the slowest power measured, (7/5*x1)^375000, whose Fraction
-# squarings pay a gcd quadratic in the bits, on 2 x86-64 vCPUs.
+# (7/5*x1)^375000 reaches them in about 2 s on 2 x86-64 vCPUs, but weighs over
+# _MAX_PRODUCTS below, which stops powers of 7/5 past (7/5*x1)^248476.
 _MAX_BITS = 750_000
+# Products weigh (1 + b/_WEIGHT_BITS)^2 in _MAX_PRODUCTS, b the coefficient bits of both
+# operands: fitted on 300- to 4000-digit rationals (1.8 ms at b = 26 600) on 2 x86-64 vCPUs.
+_WEIGHT_BITS = 1280
 _AUTO_VAR = re.compile(r"^x(\d+)$")
 _TOKEN = re.compile(
     r"(?P<skip>[ \t\r]+|#[^\n]*)|(?P<newline>\n)|(?P<nat>\d+)"
@@ -106,11 +109,15 @@ def _natural(tok: _Token) -> int:
         ) from None
 
 
-def _power_products(a: TermDict, nvars: int, exponent: int) -> int:
-    """A bound on the term products of `pow_terms(a, exponent, nvars)`, counted
-    until it passes _MAX_PRODUCTS, along its repeated squaring: a^k has at most
-    C(len(a) + k - 1, k) terms (multisets of k terms of a) and C(nvars + k*d,
-    nvars) (monomials of degree at most k*d, d the degree of a)."""
+def _weight(bits: int) -> int:  # 1 below 530 bits
+    return (bits + _WEIGHT_BITS) ** 2 // _WEIGHT_BITS**2
+
+
+def _power_products(a: TermDict, nvars: int, exponent: int, bits: int = 0) -> int:
+    """A bound on the term products of `pow_terms(a, exponent, nvars)`, each of
+    a^i by a^j weighted by `_weight((i + j) * bits)`, counted along its repeated
+    squaring until it passes _MAX_PRODUCTS: a^k has at most C(len(a) + k - 1, k)
+    terms (k-multisets of a's terms) and C(nvars + k*d, nvars) (d = deg a)."""
     size, degree = len(a), max(map(sum, a), default=0)
 
     def terms(k: int) -> int:
@@ -119,11 +126,11 @@ def _power_products(a: TermDict, nvars: int, exponent: int) -> int:
     total, result, power = 0, 0, 1
     while exponent and total <= _MAX_PRODUCTS:
         if exponent & 1:
-            total += terms(result) * terms(power)
+            total += terms(result) * terms(power) * _weight((result + power) * bits)
             result += power
         exponent >>= 1
         if exponent:
-            total += terms(power) ** 2
+            total += terms(power) ** 2 * _weight(2 * power * bits)
             power *= 2
     return total
 
@@ -139,13 +146,15 @@ def _bits(a: TermDict) -> int:
     return largest - 1 + (len(a) - 1).bit_length()
 
 
-def _bound(tok: _Token, products: int, bits: int) -> None:
-    """Rejects, at `tok`, a `*` or `^` past _MAX_PRODUCTS or _MAX_BITS."""
-    what = "power" if tok.kind == "^" else "product"
+def _bound(tok: _Token, products: int, bits: int, weighted: int) -> None:
+    """Rejects, at `tok`, a `*` or `^` past _MAX_PRODUCTS, plain or weighted, or _MAX_BITS."""
+    what = f"expanding this {'power' if tok.kind == '^' else 'product'}"
     if products > _MAX_PRODUCTS:
-        raise ParseError(f"expanding this {what} takes over {_MAX_PRODUCTS} term products", tok.line, tok.column)
+        raise ParseError(f"{what} takes over {_MAX_PRODUCTS} term products", tok.line, tok.column)
     if bits > _MAX_BITS:
-        raise ParseError(f"expanding this {what} makes coefficients of over {_MAX_BITS} bits", tok.line, tok.column)
+        raise ParseError(f"{what} makes coefficients of over {_MAX_BITS} bits", tok.line, tok.column)
+    if weighted > _MAX_PRODUCTS:
+        raise ParseError(f"{what} takes over {_MAX_PRODUCTS} term products weighted by coefficient size", tok.line, tok.column)
 
 
 class _ExprParser:
@@ -206,7 +215,8 @@ class _ExprParser:
                 return value
             self._next()
             rhs = self.factor()
-            _bound(tok, len(value) * len(rhs), _bits(value) + _bits(rhs))
+            products, bits = len(value) * len(rhs), _bits(value) + _bits(rhs)
+            _bound(tok, products, bits, products * _weight(bits))
             value = mul_terms(value, rhs)
 
     def factor(self) -> TermDict:
@@ -219,8 +229,9 @@ class _ExprParser:
         if (caret := self._peek()) is not None and caret.kind == "^":
             self._next()
             exponent = self.exponent()
-            _bound(caret, _power_products(value, len(self.index), exponent), exponent * _bits(value))
-            value = pow_terms(value, exponent, len(self.index))
+            bits, n = _bits(value), len(self.index)
+            _bound(caret, _power_products(value, n, exponent), exponent * bits, _power_products(value, n, exponent, bits))
+            value = pow_terms(value, exponent, n)
         return neg_terms(value) if negate else value
 
     def primary(self) -> TermDict:

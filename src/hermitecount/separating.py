@@ -16,9 +16,9 @@ matrices, and the oracle never reads the Hermite matrix.  Once l_k separates
 the solutions, chi's distinct roots count the complex ones and its real roots
 the real ones (Hermite's univariate theorem; Basu, Pollack and Roy, ch. 4).
 
-The univariate side runs on integer coefficient lists, ascending by degree
-with a nonzero leading coefficient: a squarefree test modulo one fixed prime
-and a Descartes-bisection count of real roots.
+Univariate polynomials are integer coefficient lists, ascending, with a nonzero
+leading coefficient: one Euclid gives the squarefree test modulo a prime and the
+exact squarefree part over Z, and a Descartes bisection counts the real roots.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from typing import Sequence
 from .groebner import GroebnerBasis, _generator, _integer_terms, _reduce
 from .poly import Monomial
 from .quotient import HermiteReport, QuotientBasis, Vector, _apply, _ring, _vector, trace_functional
-from .univariate import UnivariatePolynomial, squarefree_part
 
 PRIME = 2**61 - 1
 
@@ -73,23 +72,25 @@ def audit_basis(basis: GroebnerBasis, quotient: QuotientBasis) -> None:
                 raise ValueError(f"multiplication by variables {u} and {v} does not commute")
 
 
-def _gcd_degree_mod_p(f: list[int], g: list[int]) -> int:
-    """Degree of gcd(f, g) over GF(PRIME), for f, g reduced mod PRIME with
-    nonzero leading coefficients; Euclid on monic remainders."""
-    while g:
-        inverse = pow(g[-1], -1, PRIME)
-        g = [c * inverse % PRIME for c in g]
-        f = f[:]
-        for shift in range(len(f) - len(g), -1, -1):
-            factor = f[shift + len(g) - 1]
-            if factor:
-                for i, c in enumerate(g):
-                    f[shift + i] = (f[shift + i] - factor * c) % PRIME
-        del f[len(g) - 1 :]
-        while f and not f[-1]:
+def _gcd(f: list[int], g: list[int], p: int) -> list[int]:
+    """gcd(f, g) by Euclid, for f and g with nonzero leading coefficients: over
+    GF(p) for p > 0, on f and g reduced mod p, with monic remainders; over Z
+    for p = 0, with primitive pseudo-remainders lc(g)^k * f mod g."""
+    while g:  # g made monic mod p, primitive over Z
+        unit = pow(g[-1], -1, p) if p else gcd(*g)
+        g = [c * unit % p for c in g] if p else [c // unit for c in g]
+        f, n, lead = f[:], len(g), g[-1]
+        for shift in range(len(f) - n, -1, -1):
+            factor = f[shift + n - 1]
+            if factor and p:
+                f[shift : shift + n] = [(a - factor * c) % p for a, c in zip(f[shift : shift + n], g)]
+            elif factor:
+                f = [a * lead for a in f]
+                f[shift : shift + n] = [a - factor * c for a, c in zip(f[shift : shift + n], g)]
+        while f and not f[-1]:  # the loop zeroed f from degree n - 1 up
             f.pop()
         f, g = g, f
-    return len(f) - 1
+    return f
 
 
 def squarefree_mod_p(coefficients: Sequence[int]) -> bool:
@@ -100,20 +101,20 @@ def squarefree_mod_p(coefficients: Sequence[int]) -> bool:
     neither lc(g) nor lc(f).  False says nothing: the prime may be unlucky.
     """
     f = [c % PRIME for c in coefficients]
-    if len(f) <= 2:
-        return bool(f and f[-1])
-    if not f[-1]:
-        return False
     derivative = [i * c % PRIME for i, c in enumerate(f) if i]
-    return _gcd_degree_mod_p(f, derivative) == 0
+    return bool(f and f[-1]) and len(_gcd(f, derivative, PRIME)) == 1
 
 
-def primitive(f: UnivariatePolynomial) -> list[int]:
-    """The integer coefficients of f, cleared of denominators and content."""
-    scale = lcm(*(c.denominator for c in f.coefficients))
-    coefficients = [c.numerator * (scale // c.denominator) for c in f.coefficients]
-    content = gcd(*coefficients)
-    return [c // content for c in coefficients]
+def integer_squarefree_part(coefficients: Sequence[int]) -> list[int]:
+    """f / gcd(f, f') for a primitive f, with a positive leading coefficient.  The
+    gcd is primitive, so by Gauss's lemma the quotient is integral and primitive."""
+    f = list(coefficients)
+    g = _gcd(f, [i * c for i, c in enumerate(f) if i], 0)
+    quotient = [0] * (len(f) - len(g) + 1)
+    for shift in range(len(quotient) - 1, -1, -1):
+        quotient[shift] = factor = f[shift + len(g) - 1] // g[-1]
+        f[shift : shift + len(g)] = [a - factor * c for a, c in zip(f[shift : shift + len(g)], g)]
+    return quotient if quotient[-1] > 0 else [-c for c in quotient]
 
 
 def _variations(coefficients: Sequence[int]) -> int:
@@ -273,7 +274,7 @@ def separating_form_mismatch(
             lead, lc, tail = _generator(basis.generators[0])
             if dict([(lead, lc), *tail]) != {(e,): c for e, c in enumerate(chi) if c}:
                 return "chi of x1 is not the primitive generator of the basis"
-        part = chi if squarefree_mod_p(chi) else primitive(squarefree_part(UnivariatePolynomial(chi)))
+        part = chi if squarefree_mod_p(chi) else integer_squarefree_part(chi)
         distinct = len(part) - 1
         if distinct > rank:
             return f"l_{k} takes {distinct} distinct values on the solutions, more than rank {rank}"

@@ -1,8 +1,7 @@
 """Dense single-variable polynomials over the rationals, with the exact
-squarefree part and a Sturm-chain count of real roots.  The separating-form
-oracle of `solve --check` falls back on `squarefree_part` when its test
-modulo a prime says nothing; a solve without `--check` does not load this
-module.
+squarefree part and a Sturm-chain count of real roots.  No solve loads this
+module: `solve --check` works on integer coefficient lists in `separating`,
+and only perfbench's independent counts and the tests read these routes.
 """
 
 from __future__ import annotations

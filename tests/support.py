@@ -57,6 +57,14 @@ def rand_polynomial(
     return Polynomial(order, terms)
 
 
+def primitive(f: UnivariatePolynomial) -> list[int]:
+    """The integer coefficients of f, cleared of denominators and content."""
+    scale = math.lcm(*(c.denominator for c in f.coefficients))
+    coefficients = [c.numerator * (scale // c.denominator) for c in f.coefficients]
+    content = math.gcd(*coefficients)
+    return [c // content for c in coefficients]
+
+
 def rand_monic_univariate(rng: Random, max_degree: int = 8) -> UnivariatePolynomial:
     """Monic polynomial of degree 1..max_degree; a mix of free coefficients,
     rational linear factors with forced repetitions, and irreducible quadratics."""

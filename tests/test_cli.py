@@ -337,6 +337,7 @@ for check in (False, True):
     assert "hermitecount.separating" not in loaded
     assert "hermitecount.separating" not in unchecked
     assert "hermitecount.separating" in checked
+    assert "hermitecount.univariate" not in checked
 
 
 def test_solve_rejects_an_expansion_beyond_the_bound(capsys):

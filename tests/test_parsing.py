@@ -271,6 +271,30 @@ def test_coefficient_growth_beyond_the_bit_bound_is_positioned(text, line, colum
     assert (excinfo.value.line, excinfo.value.column) == (line, column)
 
 
+def long_sum(terms, digits):
+    """A sum of `terms` variables with seeded rationals of `digits` digits."""
+    rng, low = Random(digits), 10 ** (digits - 1)
+    coefficients = [f"{rng.randrange(low, 10 * low)}/{rng.randrange(low, 10 * low)}" for _ in range(terms)]
+    return "(" + "+".join(f"{c}*x{i}" for i, c in enumerate(coefficients, 1)) + ")"
+
+
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        (f"{long_sum(50, 2000)}*{long_sum(50, 2000)}", 1, len(long_sum(50, 2000)) + 1),
+        (f"x1\n{long_sum(4, 1000)}^10", 2, len(long_sum(4, 1000)) + 1),
+    ],
+    ids=["product", "power"],
+)
+def test_long_coefficients_beyond_the_weighted_bound_are_positioned(text, line, column):
+    # without the weighted bound the product parsed in 1.6 s and the power in 8.7 s
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="term products weighted by coefficient size") as excinfo:
+        parse_system(text)
+    assert time.perf_counter() - start < 1
+    assert (excinfo.value.line, excinfo.value.column) == (line, column)
+
+
 def test_powers_of_unit_coefficients_cost_no_bits():
     for text in ["x1^4000000", "x1^1000000000", "(-x1)^4000001"]:
         _, (p,) = parse_system(text)

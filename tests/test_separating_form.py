@@ -29,12 +29,13 @@ from hermitecount import (
 )
 from hermitecount import separating
 from hermitecount.cli import EXIT_OK, EXIT_ORACLE_MISMATCH, RunConfiguration, main, run_solve
-from hermitecount.separating import primitive, real_root_count, separating_charpoly, squarefree_mod_p
+from hermitecount.separating import real_root_count, separating_charpoly, squarefree_mod_p
 from hermitecount.univariate import poly_gcd
 
 from support import (
     FIXTURE_SYSTEMS,
     berkowitz_charpoly,
+    primitive,
     rand_monic_univariate,
     random_systems,
     rational_systems,
@@ -44,6 +45,13 @@ from support import (
 SYMMETRIC_PAIR = ["x1^2+x2^2-5", "x1*x2-2"]  # (1,2), (2,1), (-1,-2), (-2,-1)
 NON_RADICAL_PAIR = ["x1^2", "x2^3-x2"]  # (0,0), (0,1), (0,-1), dimension 6
 CIRCLE_HYPERBOLA = ["x1*x2+x2-1", "x1^2+x2^2-1"]  # rank 4, signature 2
+# perfbench's dense(2,5) at seed 1 with its first polynomial squared: dimension 50
+SQUARED_DENSE = [
+    "(-5+9*x2-7*x2^2-1*x2^3-6*x2^4+7*x2^5+5*x1+6*x1*x2+3*x1*x2^2-3*x1*x2^3-6*x1*x2^4+6*x1^2-9*x1^2*x2"
+    "+3*x1^2*x2^2+5*x1^2*x2^3-9*x1^3+5*x1^3*x2-1*x1^3*x2^2-2*x1^4-6*x1^4*x2+2*x1^5)^2",
+    "-9-9*x2-9*x2^2+8*x2^3-9*x2^4+4*x2^5-3*x1+4*x1*x2-9*x1*x2^2+7*x1*x2^3-2*x1*x2^4+5*x1^2+6*x1^2*x2"
+    "+8*x1^2*x2^2-2*x1^2*x2^3+2*x1^3-2*x1^3*x2-2*x1^3*x2^2+5*x1^4+1*x1^4*x2-9*x1^5",
+]
 
 
 def fixture_bases(kind):
@@ -142,6 +150,28 @@ def test_non_radical_pair_takes_the_exact_path(used_k, capsys):
     assert "quotient dimension: 6" in out
     assert "number of complex solutions: 3" in out
     assert "number of real solutions: 3" in out
+
+
+def test_squared_dense_system_takes_the_integer_exact_path(monkeypatch, capsys):
+    parts = []
+    original = separating.integer_squarefree_part
+
+    def spy(chi):
+        parts.append(original(chi))
+        return parts[-1]
+
+    monkeypatch.setattr(separating, "integer_squarefree_part", spy)
+    _, polys = parse_system("\n".join(SQUARED_DENSE))
+    report = hermite_report(buchberger(polys, polys[0].order))
+    assert (report.form.basis.dimension, report.rank, report.signature) == (50, 25, 1)
+    start = time.perf_counter()
+    assert main(["solve", *(f"--poly={p}" for p in SQUARED_DENSE), "--check"]) == EXIT_OK
+    assert time.perf_counter() - start < 10
+    assert [len(part) - 1 for part in parts] == [25]
+    out = capsys.readouterr().out
+    assert "quotient dimension: 50" in out
+    assert f"number of complex solutions: {report.rank}" in out
+    assert f"number of real solutions: {report.signature}" in out
 
 
 def test_unit_ideal_passes(capsys):

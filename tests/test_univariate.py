@@ -8,10 +8,10 @@ from random import Random
 import pytest
 
 from hermitecount import GREVLEX, MonomialOrder, buchberger, hermite_report, inertia
-from hermitecount.separating import PRIME, primitive, real_root_count, squarefree_mod_p
+from hermitecount.separating import PRIME, integer_squarefree_part, real_root_count, squarefree_mod_p
 from hermitecount.univariate import UnivariatePolynomial, poly_gcd, squarefree_part, sturm_count
 
-from support import classic_hermite_matrix, newton_sums, rand_monic_univariate, to_multivariate
+from support import classic_hermite_matrix, newton_sums, primitive, rand_monic_univariate, to_multivariate
 
 
 def uni(*ascending):
@@ -209,6 +209,7 @@ def test_mod_p_test_passes_squarefree_polynomials():
     for f in squarefree_integer_polynomials():
         assert squarefree_part(uni_from_ints(f)).degree == len(f) - 1
         assert squarefree_mod_p(f), f
+        assert integer_squarefree_part(f) == primitive(squarefree_part(uni_from_ints(f))), f
 
 
 def test_mod_p_test_never_passes_a_square_factor():
@@ -218,6 +219,7 @@ def test_mod_p_test_never_passes_a_square_factor():
         h = UnivariatePolynomial([rng.randint(-30, 30) for _ in range(rng.randint(0, 6))] + [rng.randint(1, 30)])
         f = primitive(g * g * h)
         assert not squarefree_mod_p(f), f
+        assert integer_squarefree_part(f) == primitive(squarefree_part(g * g * h)), f
     # a degree that drops mod PRIME says nothing, so the test fails
     assert not squarefree_mod_p([1, 0, PRIME])
     assert not squarefree_mod_p([-PRIME, 1, PRIME])
