@@ -45,11 +45,11 @@ _MAX_NESTING = 200
 # 8 us a product measured with small Fraction coefficients on 2 x86-64 vCPUs.
 _MAX_PRODUCTS = 250_000
 # Coefficient bits, as `_bits` estimates them, that one `*` or `^` may reach:
-# (7/5*x1)^375000 reaches them in about 2 s on 2 x86-64 vCPUs, but weighs over
-# _MAX_PRODUCTS below, which stops powers of 7/5 past (7/5*x1)^248476.
+# (7/5*x1)^375000 reaches them in about 2 s on 2 x86-64 vCPUs.
 _MAX_BITS = 750_000
 # Products weigh (1 + b/_WEIGHT_BITS)^2 in _MAX_PRODUCTS, b the coefficient bits of both
 # operands: fitted on 300- to 4000-digit rationals (1.8 ms at b = 26 600) on 2 x86-64 vCPUs.
+# A product of two lone terms, as in a one-term power, is left to _MAX_BITS alone.
 _WEIGHT_BITS = 1280
 _AUTO_VAR = re.compile(r"^x(\d+)$")
 _TOKEN = re.compile(
@@ -146,15 +146,15 @@ def _bits(a: TermDict) -> int:
     return largest - 1 + (len(a) - 1).bit_length()
 
 
-def _bound(tok: _Token, products: int, bits: int, weighted: int) -> None:
-    """Rejects, at `tok`, a `*` or `^` past _MAX_PRODUCTS, plain or weighted, or _MAX_BITS."""
+def _bound(tok: _Token, products: int, bits: int) -> None:
+    """Rejects, at `tok`, a `*` or `^` past _MAX_BITS or, weighted, _MAX_PRODUCTS."""
     what = f"expanding this {'power' if tok.kind == '^' else 'product'}"
-    if products > _MAX_PRODUCTS:
-        raise ParseError(f"{what} takes over {_MAX_PRODUCTS} term products", tok.line, tok.column)
     if bits > _MAX_BITS:
         raise ParseError(f"{what} makes coefficients of over {_MAX_BITS} bits", tok.line, tok.column)
-    if weighted > _MAX_PRODUCTS:
-        raise ParseError(f"{what} takes over {_MAX_PRODUCTS} term products weighted by coefficient size", tok.line, tok.column)
+    if products > _MAX_PRODUCTS:
+        raise ParseError(
+            f"{what} takes over {_MAX_PRODUCTS} term products weighted by coefficient size", tok.line, tok.column
+        )
 
 
 class _ExprParser:
@@ -216,7 +216,7 @@ class _ExprParser:
             self._next()
             rhs = self.factor()
             products, bits = len(value) * len(rhs), _bits(value) + _bits(rhs)
-            _bound(tok, products, bits, products * _weight(bits))
+            _bound(tok, products * _weight(bits) if products > 1 else products, bits)
             value = mul_terms(value, rhs)
 
     def factor(self) -> TermDict:
@@ -230,7 +230,7 @@ class _ExprParser:
             self._next()
             exponent = self.exponent()
             bits, n = _bits(value), len(self.index)
-            _bound(caret, _power_products(value, n, exponent), exponent * bits, _power_products(value, n, exponent, bits))
+            _bound(caret, _power_products(value, n, exponent, bits if len(value) > 1 else 0), exponent * bits)
             value = pow_terms(value, exponent, n)
         return neg_terms(value) if negate else value
 

@@ -295,6 +295,18 @@ def test_long_coefficients_beyond_the_weighted_bound_are_positioned(text, line, 
     assert (excinfo.value.line, excinfo.value.column) == (line, column)
 
 
+def test_products_of_lone_terms_are_left_to_the_bit_bound(monkeypatch):
+    # Weighted like products of sums, (7/5*x1)^375000 (about 2 s) and this 1x1 product of
+    # 645 678 bits (0.3 s) would pass _MAX_PRODUCTS; only the bit bound stops lone terms.
+    # The stub powers one term at once.
+    monkeypatch.setattr(parsing, "pow_terms", lambda a, e, n: {tuple(k * e for k in m): c**e for m, c in a.items()})
+    for text in ["(7/5*x1)^375000", "(7/5*x1)^115000*(7/5*x1)^115000"]:
+        _, (p,) = parse_system(text)
+        assert len(p.terms) == 1, text
+    with pytest.raises(ParseError, match="coefficients of over"):
+        parse_system("(7/5*x1)^375001")
+
+
 def test_powers_of_unit_coefficients_cost_no_bits():
     for text in ["x1^4000000", "x1^1000000000", "(-x1)^4000001"]:
         _, (p,) = parse_system(text)
