@@ -3,9 +3,10 @@ the scaling benchmark families.
 
 Exit codes: 0 success, 2 parse/usage error (an integer literal longer than
 the interpreter's int conversion limit included), 3 ideal not zero-dimensional,
-4 internal oracle mismatch (a bug, never expected), 5 an exact number in the
-requested output has more digits than that limit (CPython 3.10.7+ converts at
-most 4300 by default; PYTHONINTMAXSTRDIGITS=0 lifts it).
+4 internal error or oracle mismatch (a bug, never expected), 5 an exact number
+in the requested output has more digits than that limit (CPython 3.10.7+
+converts at most 4300 by default; PYTHONINTMAXSTRDIGITS=0 lifts it), 6 the
+quotient dimension exceeds `quotient.MAX_DIMENSION` (4096).
 """
 
 from __future__ import annotations
@@ -21,13 +22,14 @@ from typing import Sequence, TextIO
 from .groebner import GroebnerBasis, NotZeroDimensionalError, buchberger
 from .parsing import ParseError, format_monomial, parse_system
 from .poly import GREVLEX, ORDER_KINDS
-from .quotient import HermiteReport, hermite_report
+from .quotient import DimensionLimitError, HermiteReport, hermite_report
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_NOT_ZERO_DIMENSIONAL = 3
 EXIT_ORACLE_MISMATCH = 4
 EXIT_OUTPUT_LIMIT = 5
+EXIT_DIMENSION_LIMIT = 6
 
 
 class OracleMismatchError(RuntimeError):
@@ -118,6 +120,12 @@ def run_solve(config: RunConfiguration, out: TextIO | None = None, err: TextIO |
     except NotZeroDimensionalError:
         print("error: the ideal is not zero-dimensional", file=err)
         return EXIT_NOT_ZERO_DIMENSIONAL
+    except DimensionLimitError as exc:
+        print(f"error: {exc}", file=err)
+        return EXIT_DIMENSION_LIMIT
+    except ValueError as exc:
+        print(f"internal error: {exc}", file=err)
+        return EXIT_ORACLE_MISMATCH
     if config.cross_check:
         from .separating import mismatch  # loaded only when --check runs
 

@@ -1,15 +1,15 @@
 """Exact rank and signature of symmetric rational matrices.
 
-`inertia` reads them off the diagonal of a congruence diagonalization.  The
-transform P of the congruence is not built here;
-`tests/support.py::congruence_certificate` rebuilds it.  `inertia_via_charpoly`
-reads them off the characteristic polynomial by Descartes' rule, exact for a
-symmetric matrix: Berkowitz's division-free scheme on integers, on D*M with D
-the lcm of the denominators, so it never touches a `Fraction` inside the
-O(n^4) loop.  Only the benchmark's `--check` workload runs it; `solve --check`
-uses the separating linear form of `separating.py`, which never reads the
-Hermite matrix.  No floating point anywhere; signatures are integers and are
-computed as such.
+`inertia` reads them off the diagonal of a congruence diagonalization, which
+rescues a zero pivot within its own row and never swaps;
+`tests/support.py::congruence_certificate` rebuilds its transform P.
+`inertia_via_charpoly` reads them off the characteristic polynomial by
+Descartes' rule, exact for a symmetric matrix: Berkowitz's division-free
+scheme on integers, on D*M with D the lcm of the denominators, so it never
+touches a `Fraction` inside the O(n^4) loop.  Only the benchmark's `--check`
+workload runs it; `solve --check` uses the separating linear form of
+`separating.py`, which never reads the Hermite matrix.  No floating point
+anywhere; signatures are integers and are computed as such.
 """
 
 from __future__ import annotations
@@ -68,43 +68,24 @@ def congruence_diagonalize(entries: Sequence[Sequence[Scalar]]) -> list[Fraction
     By Sylvester's law the signs of d give the inertia of M; only d is
     returned (tests/support.py rebuilds P as a certificate).  Each pivot k
     takes one symmetric Schur-complement step on the trailing block,
-    M[r][c] -= (M[r][k] / M[k][k]) * M[k][c] for r, c > k.  Pivoting: prefer
-    a nonzero diagonal entry in the remaining block; failing that, a nonzero
-    off-diagonal entry (i, j) is rescued by adding row/column j to row/column
-    i, which plants the nonzero diagonal value 2*M[i][j].
+    M[r][c] -= (M[r][k] / M[k][k]) * M[k][c] for r, c > k.  A zero pivot is
+    rescued within its row: for j > k the first column with M[k][j] != 0,
+    adding t times row and column j to row and column k (the sweep reads row
+    k only) plants 2*t*M[k][j] + M[j][j], nonzero for t = 1 or else t = -1.
+    A row k that is zero past the diagonal keeps its final entry.
     """
     a = check_symmetric(entries)
     n = len(a)
-
-    def swap(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row_col(i: int, j: int) -> None:
-        for c, a_jc in enumerate(a[j]):
-            if a_jc:
-                a[i][c] += a_jc
-        for row in a:
-            if row[j]:
-                row[i] += row[j]
-
-    for k in range(n):
-        if not a[k][k]:
-            pivot_row = next((l for l in range(k + 1, n) if a[l][l]), None)
-            if pivot_row is not None:
-                swap(k, pivot_row)
-            else:
-                spot = next(
-                    ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]),
-                    None,
-                )
-                if spot is None:
-                    break  # remaining block is zero; diagonal already final
-                i, j = spot
-                add_row_col(i, j)
-                if i != k:
-                    swap(k, i)
+    for k, row_k in enumerate(a):
+        if not row_k[k]:
+            j = next((j for j in range(k + 1, n) if row_k[j]), None)
+            if j is None:
+                continue
+            t = -1 if 2 * row_k[j] + a[j][j] == 0 else 1
+            row_k[k] = 2 * t * row_k[j] + a[j][j]
+            for c in range(k + 1, n):
+                if a[j][c]:
+                    row_k[c] += t * a[j][c]
         pivot = a[k][k]
         # M[r][k] == M[k][r], so the rows with a nonzero multiplier are the
         # columns this update touches; sweep the upper triangle and mirror it.

@@ -37,6 +37,13 @@ Vector = tuple[dict[int, int], int]
 # The parent chain: steps[i] = (v, p) for b_i = x_v * b_p, None for b_0 = 1.
 Steps = list[tuple[int, int] | None]
 
+# Refused past this: x1^2000, x2^2000, x1*x2 (dimension 3 999) took 2.7 s and 271 MiB on 2 x86-64 vCPUs.
+MAX_DIMENSION = 4096
+
+
+class DimensionLimitError(ValueError):
+    """The staircase has more than MAX_DIMENSION standard monomials."""
+
 
 @dataclass(frozen=True)
 class QuotientBasis:
@@ -121,7 +128,8 @@ def standard_monomials(basis: GroebnerBasis) -> QuotientBasis:
     multiplication by single variables within the standard monomials: each
     found monomial is multiplied by each variable, and a product is kept if
     no leading monomial divides it.  That examines dim * nvars candidates,
-    never the exponent box bounded by the pure-power caps.
+    never the exponent box bounded by the pure-power caps.  A staircase
+    that grows past MAX_DIMENSION raises DimensionLimitError at once.
 
     The same products fill the border matrices.  A standard product x_v * b_k
     = b_i is a unit column; the first found, from the smallest parent b_k, is
@@ -148,6 +156,8 @@ def standard_monomials(basis: GroebnerBasis) -> QuotientBasis:
         for var in range(order.nvars):
             product = _shift(exps, var, 1)
             if product not in found and standard(product):
+                if len(found) == MAX_DIMENSION:
+                    raise DimensionLimitError(f"the quotient has over {MAX_DIMENSION} standard monomials")
                 found.add(product)
                 frontier.append(product)
     staircase = sorted(found, key=order.exponent_key)

@@ -189,14 +189,14 @@ def separating_charpoly(
     as primitive integer coefficients, ascending.  Its roots are the values
     of l at the solutions, each with the solution's multiplicity.
 
-    The columns of M_l are summed from the border columns, and A = c * M_l,
-    with c the lcm of their denominators, is an integer matrix.  Its Newton
-    sums P_j = Tr(A^j) = tau . A^j * e_1 take one sparse product each (e_1
+    The columns of M_l are summed from the border columns, with c the lcm of
+    their denominators.  The Newton sums of A = c * M_l, an integer matrix,
+    are P_j = c^j * tau . M_l^j * e_1, one sparse product on M_l each (e_1
     holds the coordinates of 1, and `tau` is the trace functional), and
     Newton's identities m * e_m = sum over i of (-1)^(i-1) * e_(m-i) * P_i
     give the elementary symmetric functions of A's eigenvalues.  All of them
-    are integers, and each division by m is exact.  A Newton sum or identity
-    that is not integral raises ValueError: `tau` is not the trace functional.
+    are integers, and every division is exact.  A Newton sum or identity that
+    is not integral raises ValueError: `tau` is not the trace functional.
     det(tI - M_l) = sum over m of (-1)^m * (e_m / c^m) * t^(D-m).
     """
     columns = _ring(basis, quotient).columns
@@ -204,13 +204,13 @@ def separating_charpoly(
     weights: Vector = ({v: k**v for v in range(len(columns))}, 1)
     summed = [_apply([column[j] for column in columns], weights) for j in range(dim)]
     scale = lcm(*(den for _, den in summed))
-    matrix = [({r: x * (scale // den) for r, x in nums.items()}, 1) for nums, den in summed]
     tau_nums, tau_den = _vector({i: tau[m] for i, m in enumerate(quotient.monomials) if tau[m]})
     sums = []
-    vector: Vector = ({0: 1}, 1)
+    power, vector = 1, ({0: 1}, 1)
     for _ in range(dim):
-        vector = _apply(matrix, vector)
-        total, remainder = divmod(sum(x * tau_nums.get(r, 0) for r, x in vector[0].items()), tau_den)
+        vector = nums, den = _apply(summed, vector)
+        power *= scale
+        total, remainder = divmod(power * sum(x * tau_nums.get(r, 0) for r, x in nums.items()), den * tau_den)
         if remainder:
             raise ValueError(f"Newton sum {len(sums) + 1} of a linear form is not an integer")
         sums.append(total)

@@ -535,21 +535,14 @@ def congruence_certificate(
     n = len(a)
     p = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
-    def swap(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in p:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row_col(i: int, j: int) -> None:
-        # row_i += row_j, col_i += col_j on A; col_i += col_j on P
+    def add_row_col(i: int, j: int, t: int) -> None:
+        # row_i += t*row_j, col_i += t*col_j on A; col_i += t*col_j on P
         for c in range(n):
-            a[i][c] += a[j][c]
+            a[i][c] += t * a[j][c]
         for r in range(n):
-            a[r][i] += a[r][j]
+            a[r][i] += t * a[r][j]
         for r in range(n):
-            p[r][i] += p[r][j]
+            p[r][i] += t * p[r][j]
 
     def eliminate(r: int, k: int, factor: Fraction) -> None:
         # row_r -= f*row_k, col_r -= f*col_k on A; col_r -= f*col_k on P
@@ -560,22 +553,16 @@ def congruence_certificate(
         for i in range(n):
             p[i][r] -= factor * p[i][k]
 
+    # The pivot rule of `congruence_diagonalize`: a zero pivot takes t times
+    # row and column j, the first j > k with a[k][j] != 0, with t = -1 exactly
+    # when 2*a[k][j] + a[j][j] == 0; a row that is zero past the diagonal is
+    # skipped, its diagonal entry already final.
     for k in range(n):
         if not a[k][k]:
-            pivot_row = next((l for l in range(k + 1, n) if a[l][l]), None)
-            if pivot_row is not None:
-                swap(k, pivot_row)
-            else:
-                spot = next(
-                    ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]),
-                    None,
-                )
-                if spot is None:
-                    break  # remaining block is zero; diagonal already final
-                i, j = spot
-                add_row_col(i, j)
-                if i != k:
-                    swap(k, i)
+            j = next((j for j in range(k + 1, n) if a[k][j]), None)
+            if j is None:
+                continue
+            add_row_col(k, j, -1 if 2 * a[k][j] + a[j][j] == 0 else 1)
         pivot = a[k][k]
         for r in range(k + 1, n):
             if a[r][k]:

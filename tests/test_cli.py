@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 from hermitecount import GroebnerBasis, Polynomial, buchberger, inertia, parse_system
 from hermitecount import cli, quotient
 from hermitecount.cli import (
+    EXIT_DIMENSION_LIMIT,
     EXIT_NOT_ZERO_DIMENSIONAL,
     EXIT_OK,
     EXIT_ORACLE_MISMATCH,
@@ -128,6 +130,19 @@ def test_check_rejects_a_basis_of_another_ideal(monkeypatch, capsys):
     assert code == EXIT_ORACLE_MISMATCH
     assert "does not reduce to zero" in capsys.readouterr().err
     assert main(["solve", "--poly", "x1^2-1", "--poly", "x2^2-2"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("flags", [[], ["--check"]], ids=["plain", "check"])
+def test_a_basis_that_is_not_reduced_exits_4(monkeypatch, capsys, flags):
+    # x2^2 in the tail of x1^2-x2^2 is the leading monomial of x2^2-1
+    _, generators = parse_system("x1^2-x2^2\nx2^2-1")
+
+    def unreduced(polys, order):
+        return GroebnerBasis(tuple(generators), order, tuple(polys))
+
+    monkeypatch.setattr(cli, "buchberger", unreduced)
+    assert main(["solve", "--poly", "x1^2-1", "--poly", "x2^2-1", *flags]) == EXIT_ORACLE_MISMATCH
+    assert "internal error: basis is not reduced" in capsys.readouterr().err
 
 
 def drop_first(generators, order):
@@ -343,6 +358,14 @@ for check in (False, True):
 def test_solve_rejects_an_expansion_beyond_the_bound(capsys):
     assert main(["solve", "--poly", "(x1+x2+x3+x4)^40"]) == EXIT_PARSE
     assert "parse error: 1:14: expanding this power takes over 250000 term products" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exponent", [1_000_000_000, quotient.MAX_DIMENSION + 1])
+def test_solve_refuses_a_quotient_past_the_dimension_cap(capsys, exponent):
+    start = time.perf_counter()
+    assert main(["solve", "--poly", f"x1^{exponent}"]) == EXIT_DIMENSION_LIMIT
+    assert time.perf_counter() - start < 1
+    assert f"over {quotient.MAX_DIMENSION} standard monomials" in capsys.readouterr().err
 
 
 def test_solve_wide_staircase(capsys):

@@ -45,14 +45,20 @@ def test_congruence_rank_deficient_diagonal():
     assert inertia([[2, 0], [0, 0]]) == InertiaResult(1, 0, 1)
 
 
-# One matrix per pivoting branch: a later nonzero diagonal is swapped in; the
-# rescue plants 2*M[i][j] at i == k, or at i > k and is then swapped to k; the
-# trailing block becomes zero and the sweep stops early.
+# One matrix per pivoting branch.  The first four are named for the branches
+# that a search of the whole trailing block would take on them; the row-local
+# rule rescues "swap" and "rescue-at-k" with t = 1 at k = 0, skips the zero
+# row 0 of "rescue-below-k" and then rescues at k = 1, and skips the rows of
+# "zero-block" that the first pivot leaves zero.  "rescue-minus" needs t = -1,
+# as 2*M[0][1] + M[1][1] == 0, and "zero-rows-first" skips two zero rows
+# before a block with a nonzero pivot.
 PIVOT_BRANCHES = {
     "swap": [[0, 1], [1, 2]],
     "rescue-at-k": [[0, 1], [1, 0]],
     "rescue-below-k": [[0, 0, 0], [0, 0, 1], [0, 1, 0]],
     "zero-block": [[1, 1, 0], [1, 1, 0], [0, 0, 0]],
+    "rescue-minus": [[0, 1], [1, -2]],
+    "zero-rows-first": [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 3, 1], [0, 0, 1, 0]],
 }
 
 
@@ -62,6 +68,21 @@ def test_congruence_pivot_branches(matrix):
     certified_diagonal(matrix)
     assert inertia(matrix) == inertia_via_charpoly(matrix)
     assert matrix == original
+
+
+def test_congruence_on_mostly_zero_diagonals_matches_charpoly():
+    """Small symmetric integer matrices whose diagonals are mostly zero, so
+    that most pivots need the rescue, some with t = -1, and rows go zero."""
+    rng = Random(16)
+    for _ in range(2000):
+        dim = rng.randint(1, 7)
+        m = [[0] * dim for _ in range(dim)]
+        for i in range(dim):
+            m[i][i] = rng.randint(-3, 3) if rng.random() < 0.25 else 0
+            for j in range(i + 1, dim):
+                m[i][j] = m[j][i] = rng.randint(-3, 3)
+        certified_diagonal(m)
+        assert inertia(m) == inertia_via_charpoly(m), m
 
 
 def test_congruence_hyperbolic_pair():

@@ -234,6 +234,8 @@ def test_overlong_integer_literals_are_positioned():
 
 
 WIDE_SUM = "(" + "+".join(f"x{i}" for i in range(1, 601)) + ")"
+# 249 001 products, under _MAX_PRODUCTS unless weighted by the 499 variables
+WIDE_SQUARE = "(" + "+".join(f"x{i}" for i in range(1, 500)) + ")"
 
 
 @pytest.mark.parametrize(
@@ -243,8 +245,9 @@ WIDE_SUM = "(" + "+".join(f"x{i}" for i in range(1, 601)) + ")"
         ("x1-1\n(x1+x2+x3+x4+1)^29*(x1-x2+x3+1)^29", 2, 16),
         ("(x1+x2)^100000", 1, 8),
         (f"{WIDE_SUM}*{WIDE_SUM}", 1, len(WIDE_SUM) + 1),
+        (f"{WIDE_SQUARE}*{WIDE_SQUARE}", 1, len(WIDE_SQUARE) + 1),
     ],
-    ids=["power", "power-product", "binomial", "product"],
+    ids=["power", "power-product", "binomial", "product", "many-variables"],
 )
 def test_expansion_beyond_the_product_bound_is_positioned(text, line, column):
     start = time.perf_counter()

@@ -53,6 +53,17 @@ SQUARED_DENSE = [
     "+8*x1^2*x2^2-2*x1^2*x2^3+2*x1^3-2*x1^3*x2-2*x1^3*x2^2+5*x1^4+1*x1^4*x2-9*x1^5",
 ]
 
+# perfbench's dense(3,3) at seed 1: dimension 27, and M_l's denominators have
+# a many-bit lcm c
+DENSE_3_3 = [
+    "-5+9*x3-7*x3^2-1*x3^3-6*x2+6*x2*x3+6*x2*x3^2+6*x2^2+4*x2^2*x3-3*x2^3-6*x1+6*x1*x3-9*x1*x3^2+3*x1*x2"
+    "+5*x1*x2*x3-9*x1*x2^2+5*x1^2-1*x1^2*x3-2*x1^2*x2-6*x1^3",
+    "1-9*x3-9*x3^2-9*x3^3+8*x2-9*x2*x3+4*x2*x3^2-3*x2^2+5*x2^2*x3-9*x2^3+7*x1-2*x1*x3+6*x1*x3^2+6*x1*x2"
+    "+9*x1*x2*x3-2*x1*x2^2+2*x1^2-2*x1^2*x3-2*x1^2*x2+6*x1^3",
+    "-9*x3+4*x3^2+9*x3^3-6*x2-4*x2*x3+1*x2*x3^2-6*x2^2+2*x2^2*x3+8*x2^3+4*x1+7*x1*x3-3*x1*x3^2+1*x1*x2*x3"
+    "+7*x1*x2^2+7*x1^2+4*x1^2*x3-8*x1^2*x2+7*x1^3",
+]
+
 
 def fixture_bases(kind):
     for name, text in FIXTURE_SYSTEMS:
@@ -105,6 +116,16 @@ def test_charpoly_matches_berkowitz_on_the_multiplication_matrix(kind):
             matrix = multiplication_matrix(linear_form(basis.order, k), basis, q)
             expected = primitive(berkowitz_charpoly(matrix.entries))
             assert separating_charpoly(basis, q, tau, k) == expected, (name, k)
+
+
+def test_charpoly_matches_berkowitz_on_a_dense_system():
+    _, polys = parse_system("\n".join(DENSE_3_3))
+    basis = buchberger(polys, polys[0].order)
+    q = hermite_report(basis).form.basis
+    matrix = multiplication_matrix(linear_form(basis.order, 1), basis, q)
+    assert q.dimension == 27
+    expected = primitive(berkowitz_charpoly(matrix.entries))
+    assert separating_charpoly(basis, q, trace_functional(basis, q), 1) == expected
 
 
 @pytest.mark.parametrize("kind", ORDER_KINDS)
