@@ -66,7 +66,7 @@ def _solve_text(text: str, kind: str) -> tuple[list[str], GroebnerBasis, Hermite
 
 
 def _matrix_strings(report: HermiteReport) -> list[list[str]]:
-    return [[str(value) for value in row] for row in report.form.entries]
+    return [[str(value) if value else "0" for value in row] for row in report.form.entries]
 
 
 def _emit_text(
@@ -101,7 +101,16 @@ def _emit_json(
         "distinct_complex_solutions": report.complex_count,
         "distinct_real_solutions": report.real_count,
     }
-    print(json.dumps(payload, indent=2), file=out)
+    # One key per line and one matrix row per line, each dumped by the C
+    # encoder: `indent` would switch json to its pure-Python encoder.
+    fields = []
+    for key, value in payload.items():
+        if key == "hermite_matrix" and value:
+            text = "[\n" + ",\n".join(f"    {json.dumps(row)}" for row in value) + "\n  ]"
+        else:
+            text = json.dumps(value)
+        fields.append(f"  {json.dumps(key)}: {text}")
+    print("{\n" + ",\n".join(fields) + "\n}", file=out)
 
 
 def run_solve(config: RunConfiguration, out: TextIO | None = None, err: TextIO | None = None) -> int:

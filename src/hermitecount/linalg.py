@@ -1,22 +1,20 @@
 """Exact rank and signature of symmetric rational matrices.
 
-`inertia` reads them off the diagonal of a congruence diagonalization, which
-rescues a zero pivot within its own row and never swaps;
-`tests/support.py::congruence_certificate` rebuilds its transform P.
+`inertia` reads them off the diagonal of a congruence diagonalization on
+sparse integer rows over one denominator each, which never swaps (rebuilt
+with its transform P by `tests/support.py::congruence_certificate`).
 `inertia_via_charpoly` reads them off the characteristic polynomial by
 Descartes' rule, exact for a symmetric matrix: Berkowitz's division-free
-scheme on integers, on D*M with D the lcm of the denominators, so it never
-touches a `Fraction` inside the O(n^4) loop.  Only the benchmark's `--check`
-workload runs it; `solve --check` uses the separating linear form of
-`separating.py`, which never reads the Hermite matrix.  No floating point
-anywhere; signatures are integers and are computed as such.
+scheme on D*M, D the lcm of the denominators; only the benchmark's `--check`
+workload runs it.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import compress
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence, Union
 
@@ -34,15 +32,24 @@ def as_matrix(entries: Sequence[Sequence[Scalar]]) -> Matrix:
     return m
 
 
-def check_symmetric(entries: Sequence[Sequence[Scalar]]) -> Matrix:
-    m = as_matrix(entries)
-    # Rows against columns as lists (in C, skipping identical objects); pairs
+def check_symmetric(entries: Sequence[Sequence[Scalar]]) -> Sequence[Sequence[Scalar]]:
+    """`entries`, once the rows as given are checked to form a square symmetric matrix."""
+    if any(len(row) != len(entries) for row in entries):
+        raise ValueError("matrix must be square")
+    # Rows against columns as tuples (in C, skipping identical objects); pairs
     # with j < i passed in row j, so the first mismatch in row i has j > i.
-    for i, (row, column) in enumerate(zip(m, zip(*m))):
-        if row != list(column):
+    for i, (row, column) in enumerate(zip(entries, zip(*entries))):
+        if tuple(row) != column:
             j = next(j for j, (x, y) in enumerate(zip(row, column)) if x != y)
             raise ValueError(f"asymmetric input: entry ({i},{j}) != ({j},{i})")
-    return m
+    return entries
+
+
+def _reduced(nums: dict[int, int], den: int) -> tuple[dict[int, int], int]:
+    """nums/den without its zero entries, in lowest terms."""
+    nums = {c: x for c, x in nums.items() if x}
+    g = gcd(den, *nums.values())
+    return ({c: x // g for c, x in nums.items()}, den // g) if g > 1 else (nums, den)
 
 
 @dataclass(frozen=True)
@@ -65,40 +72,53 @@ class InertiaResult:
 def congruence_diagonalize(entries: Sequence[Sequence[Scalar]]) -> list[Fraction]:
     """Diagonal d of a congruence P^T * M * P = diag(d) with P invertible.
 
-    By Sylvester's law the signs of d give the inertia of M; only d is
-    returned (tests/support.py rebuilds P as a certificate).  Each pivot k
-    takes one symmetric Schur-complement step on the trailing block,
-    M[r][c] -= (M[r][k] / M[k][k]) * M[k][c] for r, c > k.  A zero pivot is
-    rescued within its row: for j > k the first column with M[k][j] != 0,
-    adding t times row and column j to row and column k (the sweep reads row
-    k only) plants 2*t*M[k][j] + M[j][j], nonzero for t = 1 or else t = -1.
-    A row k that is zero past the diagonal keeps its final entry.
-    """
-    a = check_symmetric(entries)
-    n = len(a)
-    for k, row_k in enumerate(a):
-        if not row_k[k]:
-            j = next((j for j in range(k + 1, n) if row_k[j]), None)
-            if j is None:
-                continue
-            t = -1 if 2 * row_k[j] + a[j][j] == 0 else 1
-            row_k[k] = 2 * t * row_k[j] + a[j][j]
-            for c in range(k + 1, n):
-                if a[j][c]:
-                    row_k[c] += t * a[j][c]
-        pivot = a[k][k]
-        # M[r][k] == M[k][r], so the rows with a nonzero multiplier are the
-        # columns this update touches; sweep the upper triangle and mirror it.
-        support = [(c, a[k][c]) for c in range(k + 1, n) if a[k][c]]
-        for s, (r, a_rk) in enumerate(support):
-            factor = a_rk / pivot
-            row = a[r]
-            for c, a_kc in support[s:]:
-                value = row[c] - factor * a_kc
-                row[c] = value
-                a[c][r] = value
+    By Sylvester's law the signs of d give the inertia of M; tests/support.py
+    rebuilds P.  Pivot k takes one symmetric Schur-complement step,
+    M[r][c] -= (M[k][r] / M[k][k]) * M[k][c] for k < r <= c, and skips a row
+    zero past the diagonal.  A zero pivot is rescued within its row: with j > k
+    the first column where M[k][j] != 0, adding t times row and column j to
+    row and column k plants 2*t*M[k][j] + M[j][j], nonzero for t = 1 or -1.
 
-    return [a[i][i] for i in range(n)]
+    Row r from its diagonal on is integers N_r over d_r > 0 in lowest terms,
+    as `quotient.Vector`.  With p = N_k[k], a = N_k[r], g = gcd(p*d_k, a*d_r),
+    the step is N_r <- A*N_r - B*N_k, d_r <- A*d_r for A = p*d_k/g and
+    B = a*d_r/g, then one gcd per row.  Bareiss on D*M was 4-30x slower: its
+    minors carry powers of D, the lcm of M's denominators.
+    """
+    check_symmetric(entries)
+    rows, diagonal = [], []
+    for r, row in enumerate(entries):
+        upper = [(c, row[c]) for c in compress(range(r, len(row)), row[r:])]
+        den = lcm(*(x.denominator for _, x in upper))
+        rows.append(({c: x.numerator * (den // x.denominator) for c, x in upper}, den))
+    for k, (nums_k, den_k) in enumerate(rows):
+        p = nums_k.pop(k, 0)
+        if not p and nums_k:
+            j = min(nums_k)
+            nums_j, den_j = rows[j]
+            t = -1 if 2 * nums_k[j] * den_j + nums_j.get(j, 0) * den_k == 0 else 1
+            # Row j past column k, where M[j][c] = M[c][j] sits in row c for k < c < j.
+            column = [(c, rows[c][0].get(j, 0), rows[c][1]) for c in range(k + 1, j)]
+            column += [(c, x, den_j) for c, x in nums_j.items()]
+            den = lcm(den_k, den_j, *(d for _, x, d in column if x))
+            new = {c: x * (den // den_k) for c, x in nums_k.items()}
+            new[k] = 2 * t * new[j] + nums_j.get(j, 0) * (den // den_j)
+            for c, x, d in column:
+                new[c] = new.get(c, 0) + t * x * (den // d)
+            nums_k, den_k = _reduced(new, den)
+            p = nums_k.pop(k)
+        diagonal.append(Fraction(p, den_k))
+        pivot, sign = abs(p) * den_k, (1 if p > 0 else -1)
+        support = sorted(nums_k.items())
+        for s, (r, a) in enumerate(support):
+            nums_r, den_r = rows[r]
+            g = gcd(pivot, a * den_r)
+            A, B = pivot // g, sign * a * den_r // g
+            new = {c: A * x for c, x in nums_r.items()}
+            for c, y in support[s:]:
+                new[c] = new.get(c, 0) - B * y
+            rows[r] = _reduced(new, A * den_r)
+    return diagonal
 
 
 def inertia(entries: Sequence[Sequence[Scalar]]) -> InertiaResult:
@@ -143,7 +163,7 @@ def inertia_via_charpoly(entries: Sequence[Sequence[Scalar]]) -> InertiaResult:
     inertia.  The zero count is the multiplicity of the root 0; the positive
     count is the number of sign variations of the remaining coefficients.
     """
-    m = check_symmetric(entries)
+    m = as_matrix(check_symmetric(entries))
     n = len(m)
     coeffs = _berkowitz(_integer_matrix(m)[0])[::-1]  # ascending, top == 1
     zero = 0

@@ -168,6 +168,14 @@ FIXTURE_SYSTEMS = [
     ("three-vars", "x1^2-1\nx2^2-2\nx3^2-x1*x2"),
 ]
 
+# perfbench's dense(2,5) at seed 1: dimension 25, 25 complex solutions, 1 real.
+DENSE_2_5 = [
+    "-5+9*x2-7*x2^2-1*x2^3-6*x2^4+7*x2^5+5*x1+6*x1*x2+3*x1*x2^2-3*x1*x2^3-6*x1*x2^4+6*x1^2-9*x1^2*x2"
+    "+3*x1^2*x2^2+5*x1^2*x2^3-9*x1^3+5*x1^3*x2-1*x1^3*x2^2-2*x1^4-6*x1^4*x2+2*x1^5",
+    "-9-9*x2-9*x2^2+8*x2^3-9*x2^4+4*x2^5-3*x1+4*x1*x2-9*x1*x2^2+7*x1*x2^3-2*x1*x2^4+5*x1^2+6*x1^2*x2"
+    "+8*x1^2*x2^2-2*x1^2*x2^3+2*x1^3-2*x1^3*x2-2*x1^3*x2^2+5*x1^4+1*x1^4*x2-9*x1^5",
+]
+
 
 def rand_dense_system(rng: Random, order: MonomialOrder, degree: int) -> list[Polynomial]:
     """order.nvars dense polynomials of total degree <= degree, integer
@@ -528,10 +536,11 @@ def determinant(entries: Sequence[Sequence[Scalar]]) -> Fraction:
 
 
 def congruence_certificate(
-    entries: Sequence[Sequence[Scalar]],
+    entries: Sequence[Sequence[Scalar]], rescues: list[tuple[int, int, int]] | None = None
 ) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """(diagonal, P) with P^T * M * P = diag(diagonal) and P invertible."""
-    a = check_symmetric(entries)
+    """(diagonal, P) with P^T * M * P = diag(diagonal) and P invertible; each
+    zero-pivot rescue (k, j, t) is appended to `rescues` if one is given."""
+    a = as_matrix(check_symmetric(entries))
     n = len(a)
     p = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
@@ -562,7 +571,10 @@ def congruence_certificate(
             j = next((j for j in range(k + 1, n) if a[k][j]), None)
             if j is None:
                 continue
-            add_row_col(k, j, -1 if 2 * a[k][j] + a[j][j] == 0 else 1)
+            t = -1 if 2 * a[k][j] + a[j][j] == 0 else 1
+            if rescues is not None:
+                rescues.append((k, j, t))
+            add_row_col(k, j, t)
         pivot = a[k][k]
         for r in range(k + 1, n):
             if a[r][k]:
@@ -571,11 +583,13 @@ def congruence_certificate(
     return [a[i][i] for i in range(n)], p
 
 
-def certified_diagonal(entries: Sequence[Sequence[Scalar]]) -> list[Fraction]:
+def certified_diagonal(
+    entries: Sequence[Sequence[Scalar]], rescues: list[tuple[int, int, int]] | None = None
+) -> list[Fraction]:
     """The reference diagonal of M, after checking its certificate
     (P^T * M * P == diag(d), det(P) != 0) and that `congruence_diagonalize`
-    returns exactly the same diagonal."""
-    diagonal, p = congruence_certificate(entries)
+    returns exactly the same diagonal; `rescues` as in `congruence_certificate`."""
+    diagonal, p = congruence_certificate(entries, rescues)
     m = as_matrix(entries)
     dim = len(m)
     product = mat_mul(mat_mul(transpose(p), m), p)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from hermitecount import GroebnerBasis, Polynomial, buchberger, inertia, parse_system
+from hermitecount import GroebnerBasis, Polynomial, buchberger, format_monomial, hermite_report, inertia, parse_system
 from hermitecount import cli, quotient
 from hermitecount.cli import (
     EXIT_DIMENSION_LIMIT,
@@ -28,7 +28,7 @@ from hermitecount.cli import (
     sphere_family,
 )
 
-from support import int_str_limit
+from support import FIXTURE_SYSTEMS, int_str_limit
 
 
 def test_solve_circle_hyperbola_counts(capsys):
@@ -78,6 +78,41 @@ def test_solve_json_schema(capsys):
     assert payload["distinct_complex_solutions"] == 4
     assert payload["distinct_real_solutions"] == 2
     assert all(isinstance(v, str) for row in payload["hermite_matrix"] for v in row)
+
+
+@pytest.mark.parametrize("text", [text for _, text in FIXTURE_SYSTEMS], ids=[name for name, _ in FIXTURE_SYSTEMS])
+def test_json_has_one_key_and_one_matrix_row_per_line(text, capsys):
+    """The --json text loads as the payload that `json.dumps(payload, indent=2)`
+    wrote before, with `str` of every entry; each top-level key and each
+    matrix row is on one line of its own."""
+    assert main(["solve", *(f"--poly={line}" for line in text.split("\n")), "--json"]) == EXIT_OK
+    out = capsys.readouterr().out
+    variables, polys = parse_system(text)
+    report = hermite_report(buchberger(polys, polys[0].order))
+    expected = {
+        "variables": variables,
+        "order": "grevlex",
+        "quotient_dimension": report.quotient_dimension,
+        "basis": [format_monomial(m, variables) for m in report.form.basis.monomials],
+        "hermite_matrix": [[str(x) for x in row] for row in report.form.entries],
+        "rank": report.rank,
+        "signature": report.signature,
+        "distinct_complex_solutions": report.complex_count,
+        "distinct_real_solutions": report.real_count,
+    }
+    assert json.loads(out) == expected
+    lines = out.splitlines()
+    assert (lines[0], lines[-1]) == ("{", "}")
+    fields = iter(lines[1:-1])
+    for key, value in expected.items():
+        line = next(fields).rstrip(",")
+        if key == "hermite_matrix" and value:
+            assert line == '  "hermite_matrix": ['
+            assert [json.loads(next(fields).rstrip(",")) for _ in value] == value
+            assert next(fields).rstrip(",") == "  ]"
+            continue
+        assert json.loads("{" + line + "}") == {key: value}
+    assert next(fields, None) is None
 
 
 def test_json_round_trip_consistency(capsys):

@@ -2,6 +2,7 @@
 polynomial oracle."""
 
 import copy
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -19,6 +20,7 @@ from hermitecount import (
 )
 
 from support import (
+    DENSE_2_5,
     FIXTURE_SYSTEMS,
     berkowitz_charpoly,
     certified_diagonal,
@@ -83,6 +85,56 @@ def test_congruence_on_mostly_zero_diagonals_matches_charpoly():
                 m[i][j] = m[j][i] = rng.randint(-3, 3)
         certified_diagonal(m)
         assert inertia(m) == inertia_via_charpoly(m), m
+
+
+def rand_row_rational_symmetric(rng, dim, zero_diagonal):
+    """A symmetric matrix whose upper-triangle row i is over its own
+    denominator, up to 10^6, with numerators up to 200 bits and about a third
+    of the entries zero.  With `zero_diagonal`, three diagonal entries in four
+    are zero, and the first pivot is planted to need the rescue with t = -1."""
+    dens = [rng.randint(1, 10**6) for _ in range(dim)]
+    m = [[Fraction(0)] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            if rng.random() < 0.3 or (i == j and zero_diagonal and rng.random() < 0.75):
+                continue
+            m[i][j] = m[j][i] = Fraction(rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, 200)), dens[i])
+    j = next((j for j in range(1, dim) if m[0][j]), None)
+    if zero_diagonal and j is not None:
+        m[0][0], m[j][j] = Fraction(0), -2 * m[0][j]
+    return m
+
+
+def test_integer_row_congruence_matches_certificate():
+    """The integer-row sweep against the Fraction certificate, where every row
+    has its own denominator: on large rationals, on mostly-zero diagonals whose
+    pivots need the rescue with either t, and on the trace form of dense(2,5)."""
+    rng = Random(17)
+    rescues, diagonals = [], []
+    for n in range(300):
+        dim = rng.randint(1, 8)
+        diagonals += certified_diagonal(rand_row_rational_symmetric(rng, dim, n % 2 == 1), rescues)
+    # small numerators over small row denominators, where 2*M[k][j] + M[j][j]
+    # cancels deep in the sweep too
+    for _ in range(300):
+        dim = rng.randint(2, 7)
+        dens = [rng.randint(1, 4) for _ in range(dim)]
+        m = [[Fraction(0)] * dim for _ in range(dim)]
+        for i in range(dim):
+            for j in range(i, dim):
+                if i != j or rng.random() < 0.25:
+                    m[i][j] = m[j][i] = Fraction(rng.randint(-3, 3), dens[i])
+        diagonals += certified_diagonal(m, rescues)
+    assert {t for _, _, t in rescues} == {-1, 1}
+    assert any(t == -1 and k > 0 for k, _, t in rescues)
+    assert any(j > k + 1 for k, j, _ in rescues)
+    assert any(d < 0 for d in diagonals) and any(d > 0 for d in diagonals)
+    _, polys = parse_system("\n".join(DENSE_2_5))
+    basis = buchberger(polys, polys[0].order)
+    form = hermite_form(basis, standard_monomials(basis))
+    assert len(form.entries) == 25
+    certified_diagonal(form.entries)
+    assert inertia(form.entries) == InertiaResult(13, 12, 0)
 
 
 def test_congruence_hyperbolic_pair():

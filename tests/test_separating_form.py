@@ -33,6 +33,7 @@ from hermitecount.separating import real_root_count, separating_charpoly, square
 from hermitecount.univariate import poly_gcd
 
 from support import (
+    DENSE_2_5,
     FIXTURE_SYSTEMS,
     berkowitz_charpoly,
     primitive,
@@ -46,12 +47,7 @@ SYMMETRIC_PAIR = ["x1^2+x2^2-5", "x1*x2-2"]  # (1,2), (2,1), (-1,-2), (-2,-1)
 NON_RADICAL_PAIR = ["x1^2", "x2^3-x2"]  # (0,0), (0,1), (0,-1), dimension 6
 CIRCLE_HYPERBOLA = ["x1*x2+x2-1", "x1^2+x2^2-1"]  # rank 4, signature 2
 # perfbench's dense(2,5) at seed 1 with its first polynomial squared: dimension 50
-SQUARED_DENSE = [
-    "(-5+9*x2-7*x2^2-1*x2^3-6*x2^4+7*x2^5+5*x1+6*x1*x2+3*x1*x2^2-3*x1*x2^3-6*x1*x2^4+6*x1^2-9*x1^2*x2"
-    "+3*x1^2*x2^2+5*x1^2*x2^3-9*x1^3+5*x1^3*x2-1*x1^3*x2^2-2*x1^4-6*x1^4*x2+2*x1^5)^2",
-    "-9-9*x2-9*x2^2+8*x2^3-9*x2^4+4*x2^5-3*x1+4*x1*x2-9*x1*x2^2+7*x1*x2^3-2*x1*x2^4+5*x1^2+6*x1^2*x2"
-    "+8*x1^2*x2^2-2*x1^2*x2^3+2*x1^3-2*x1^3*x2-2*x1^3*x2^2+5*x1^4+1*x1^4*x2-9*x1^5",
-]
+SQUARED_DENSE = [f"({DENSE_2_5[0]})^2", DENSE_2_5[1]]
 
 # perfbench's dense(3,3) at seed 1: dimension 27, and M_l's denominators have
 # a many-bit lcm c
