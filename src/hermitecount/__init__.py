@@ -15,7 +15,6 @@ from .linalg import (
     InertiaResult,
     congruence_diagonalize,
     inertia,
-    inertia_via_charpoly,
 )
 from .parsing import (
     ParseError,
@@ -47,7 +46,6 @@ __all__ = [
     "InertiaResult",
     "congruence_diagonalize",
     "inertia",
-    "inertia_via_charpoly",
     "ParseError",
     "format_monomial",
     "format_polynomial",

@@ -22,6 +22,7 @@ from math import gcd, lcm
 from operator import add, le, sub
 from typing import Iterable, Sequence
 
+from .linalg import vector
 from .poly import Monomial, MonomialOrder, Polynomial
 
 
@@ -62,12 +63,6 @@ Terms = list[tuple[Exponents, int]]
 Generator = tuple[Exponents, int, Terms]
 
 
-def _integer_terms(p: Polynomial) -> tuple[dict[Exponents, int], int]:
-    """(D * p as {exponents: int}, D) with D > 0 the lcm of p's denominators."""
-    scale = lcm(*(c.denominator for _, c in p.terms))
-    return {m.exponents: c.numerator * (scale // c.denominator) for m, c in p.terms}, scale
-
-
 def _primitive(terms: Terms) -> Generator:
     """Nonzero integer terms, descending, divided by their content, signed so
     that the leading coefficient is positive."""
@@ -81,7 +76,7 @@ def _primitive(terms: Terms) -> Generator:
 
 
 def _generator(p: Polynomial) -> Generator:
-    return _primitive(list(_integer_terms(p)[0].items()))
+    return _primitive(list(vector(p._term_dict())[0].items()))
 
 
 def _reduce(acc: dict[Exponents, int], divisors: Sequence[Generator], key) -> tuple[Terms, int]:
@@ -165,7 +160,7 @@ def normal_form(p: Polynomial, basis: GroebnerBasis) -> Polynomial:
     if p.order != basis.order:
         raise ValueError(f"polynomial ring mismatch: {p.order!r} vs {basis.order!r}")
     divisors = [_generator(g) for g in basis.generators]
-    acc, den = _integer_terms(p)
+    acc, den = vector(p._term_dict())
     remainder, scale = _reduce(acc, divisors, p.order.descending_key)
     den *= scale
     return Polynomial._from_sorted(p.order, [(e, Fraction(c, den)) for e, c in remainder])
@@ -222,7 +217,7 @@ def buchberger(polys: Iterable[Polynomial], order: MonomialOrder) -> GroebnerBas
         active = [s for s in active if not all(map(le, lead, gens[s][0]))] + [t]
 
     for p in original:
-        add_generator(_integer_terms(p)[0])
+        add_generator(vector(p._term_dict())[0])
     while pairs:
         _, i, j, _ = heapq.heappop(pairs)
         add_generator(_s_accumulator(gens[i], gens[j]))

@@ -1,8 +1,15 @@
-"""Exact rank and signature of symmetric rational matrices.
+"""Exact linear algebra: the sparse vector kernel, and the rank and signature
+of symmetric rational matrices.
 
-`inertia` reads them off the diagonal of a congruence diagonalization on
-sparse integer rows over one denominator each, which never swaps (rebuilt
-with its transform P by `tests/support.py::congruence_certificate`).
+A `Vector` is sparse integer numerators by index over one positive
+denominator, in lowest terms, with no stored zero: one gcd per vector, not a
+`Fraction` normalisation per coordinate.  It is the one format of the
+quotient ring and of the congruence sweep.  `vector` and `lowest` make one;
+`apply` and `transpose` take a matrix as its list of sparse columns.
+
+`inertia` reads rank and signature off the diagonal of a congruence
+diagonalization on `Vector` rows, which never swaps (rebuilt with its
+transform P by `tests/support.py::congruence_certificate`).
 `inertia_via_charpoly` reads them off the characteristic polynomial by
 Descartes' rule, exact for a symmetric matrix: Berkowitz's division-free
 scheme on D*M, D the lcm of the denominators; only the benchmark's `--check`
@@ -16,20 +23,60 @@ from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
 from operator import mul
-from typing import Sequence, Union
+from typing import Hashable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
-Matrix = list[list[Fraction]]
+Vector = tuple[dict[int, int], int]
 
 
-def as_matrix(entries: Sequence[Sequence[Scalar]]) -> Matrix:
-    """Validated square Fraction copy of the input; entries that are already
-    `Fraction`s are kept, not re-wrapped."""
-    m = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in entries]
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix must be square")
-    return m
+def vector(coords: Mapping[Hashable, Scalar]) -> tuple[dict, int]:
+    """Rational coordinates over the lcm of their denominators, without their
+    zeros; in lowest terms, since each `Fraction` is."""
+    den = lcm(*(x.denominator for x in coords.values()))
+    return {k: n for k, x in coords.items() if (n := x.numerator * (den // x.denominator))}, den
+
+
+def lowest(nums: dict[int, int], den: int) -> Vector:
+    """nums/den without its zero entries, in lowest terms."""
+    nums = {k: x for k, x in nums.items() if x}
+    g = gcd(den, *nums.values())
+    return ({k: x // g for k, x in nums.items()}, den // g) if g > 1 else (nums, den)
+
+
+def apply(matrix: Sequence[Vector], v: Vector) -> Vector:
+    """matrix * v for a matrix given by its sparse columns.  A unit vector
+    returns the column itself, shared: vectors are never mutated."""
+    nums, den = v
+    if not nums:
+        return v
+    if den == 1 and len(nums) == 1 and 1 in nums.values():
+        return matrix[next(iter(nums))]
+    scale = lcm(*(matrix[k][1] for k in nums))
+    acc: dict[int, int] = {}
+    for k, a in nums.items():
+        column, column_den = matrix[k]
+        f = a * (scale // column_den)
+        for r, x in column.items():
+            acc[r] = acc.get(r, 0) + f * x
+    return lowest(acc, den * scale)
+
+
+def _combination(terms: Sequence[tuple[int, int, int]]) -> Vector:
+    """The sum of x/d * e_k over the terms (k, x, d), d > 0."""
+    den = lcm(*(d for _, _, d in terms))
+    acc: dict[int, int] = {}
+    for k, x, d in terms:
+        acc[k] = acc.get(k, 0) + x * (den // d)
+    return lowest(acc, den)
+
+
+def transpose(matrix: Sequence[Vector]) -> list[Vector]:
+    """M^T for a square M, both given by their sparse columns."""
+    rows: list[list[tuple[int, int, int]]] = [[] for _ in matrix]
+    for k, (nums, den) in enumerate(matrix):
+        for r, x in nums.items():
+            rows[r].append((k, x, den))
+    return list(map(_combination, rows))
 
 
 def check_symmetric(entries: Sequence[Sequence[Scalar]]) -> Sequence[Sequence[Scalar]]:
@@ -43,13 +90,6 @@ def check_symmetric(entries: Sequence[Sequence[Scalar]]) -> Sequence[Sequence[Sc
             j = next(j for j, (x, y) in enumerate(zip(row, column)) if x != y)
             raise ValueError(f"asymmetric input: entry ({i},{j}) != ({j},{i})")
     return entries
-
-
-def _reduced(nums: dict[int, int], den: int) -> tuple[dict[int, int], int]:
-    """nums/den without its zero entries, in lowest terms."""
-    nums = {c: x for c, x in nums.items() if x}
-    g = gcd(den, *nums.values())
-    return ({c: x // g for c, x in nums.items()}, den // g) if g > 1 else (nums, den)
 
 
 @dataclass(frozen=True)
@@ -79,33 +119,34 @@ def congruence_diagonalize(entries: Sequence[Sequence[Scalar]]) -> list[Fraction
     the first column where M[k][j] != 0, adding t times row and column j to
     row and column k plants 2*t*M[k][j] + M[j][j], nonzero for t = 1 or -1.
 
-    Row r from its diagonal on is integers N_r over d_r > 0 in lowest terms,
-    as `quotient.Vector`.  With p = N_k[k], a = N_k[r], g = gcd(p*d_k, a*d_r),
-    the step is N_r <- A*N_r - B*N_k, d_r <- A*d_r for A = p*d_k/g and
-    B = a*d_r/g, then one gcd per row.  Bareiss on D*M was 4-30x slower: its
-    minors carry powers of D, the lcm of M's denominators.
+    Row r from its diagonal on is a `Vector` N_r / d_r.  With p = N_k[k],
+    a = N_k[r], g = gcd(p*d_k, a*d_r), the step is N_r <- A*N_r - B*N_k,
+    d_r <- A*d_r for A = p*d_k/g and B = a*d_r/g, then one gcd per row.
+    Bareiss on D*M was 4-30x slower: its minors carry powers of D, the lcm of
+    M's denominators.  A nonzero entry on or above the diagonal with no
+    numerator and denominator, such as a float, raises TypeError at once.
     """
     check_symmetric(entries)
     rows, diagonal = [], []
     for r, row in enumerate(entries):
-        upper = [(c, row[c]) for c in compress(range(r, len(row)), row[r:])]
-        den = lcm(*(x.denominator for _, x in upper))
-        rows.append(({c: x.numerator * (den // x.denominator) for c, x in upper}, den))
+        upper = {c: row[c] for c in compress(range(r, len(row)), row[r:])}
+        try:
+            rows.append(vector(upper))
+        except AttributeError:
+            c, x = next((c, x) for c, x in upper.items() if not isinstance(x, (int, Fraction)))
+            raise TypeError(f"entry ({r},{c}) is {type(x).__name__}, not int or Fraction") from None
     for k, (nums_k, den_k) in enumerate(rows):
         p = nums_k.pop(k, 0)
         if not p and nums_k:
             j = min(nums_k)
             nums_j, den_j = rows[j]
             t = -1 if 2 * nums_k[j] * den_j + nums_j.get(j, 0) * den_k == 0 else 1
-            # Row j past column k, where M[j][c] = M[c][j] sits in row c for k < c < j.
-            column = [(c, rows[c][0].get(j, 0), rows[c][1]) for c in range(k + 1, j)]
-            column += [(c, x, den_j) for c, x in nums_j.items()]
-            den = lcm(den_k, den_j, *(d for _, x, d in column if x))
-            new = {c: x * (den // den_k) for c, x in nums_k.items()}
-            new[k] = 2 * t * new[j] + nums_j.get(j, 0) * (den // den_j)
-            for c, x, d in column:
-                new[c] = new.get(c, 0) + t * x * (den // d)
-            nums_k, den_k = _reduced(new, den)
+            # Row k plus t times row j past column k, where M[j][c] = M[c][j]
+            # sits in row c for k < c < j, and 2*t*M[k][j] + M[j][j] at column k.
+            terms = [(c, x, den_k) for c, x in nums_k.items()] + [(k, 2 * t * nums_k[j], den_k)]
+            terms += [(c, t * x, rows[c][1]) for c in range(k + 1, j) if (x := rows[c][0].get(j))]
+            terms += [(c, t * x, den_j) for c, x in nums_j.items()] + [(k, nums_j.get(j, 0), den_j)]
+            nums_k, den_k = _combination(terms)
             p = nums_k.pop(k)
         diagonal.append(Fraction(p, den_k))
         pivot, sign = abs(p) * den_k, (1 if p > 0 else -1)
@@ -117,7 +158,7 @@ def congruence_diagonalize(entries: Sequence[Sequence[Scalar]]) -> list[Fraction
             new = {c: A * x for c, x in nums_r.items()}
             for c, y in support[s:]:
                 new[c] = new.get(c, 0) - B * y
-            rows[r] = _reduced(new, A * den_r)
+            rows[r] = lowest(new, A * den_r)
     return diagonal
 
 
@@ -129,7 +170,7 @@ def inertia(entries: Sequence[Sequence[Scalar]]) -> InertiaResult:
     return InertiaResult(pos, neg, len(diagonal) - pos - neg)
 
 
-def _integer_matrix(m: Matrix) -> tuple[list[list[int]], int]:
+def _integer_matrix(m: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], int]:
     """(D * M, D) with D > 0 the lcm of M's denominators."""
     scale = lcm(*(x.denominator for row in m for x in row))
     return [[x.numerator * (scale // x.denominator) for x in row] for row in m], scale
@@ -163,12 +204,10 @@ def inertia_via_charpoly(entries: Sequence[Sequence[Scalar]]) -> InertiaResult:
     inertia.  The zero count is the multiplicity of the root 0; the positive
     count is the number of sign variations of the remaining coefficients.
     """
-    m = as_matrix(check_symmetric(entries))
-    n = len(m)
-    coeffs = _berkowitz(_integer_matrix(m)[0])[::-1]  # ascending, top == 1
+    coeffs = _berkowitz(_integer_matrix(check_symmetric(entries))[0])[::-1]  # ascending, top == 1
     zero = 0
     while zero < len(coeffs) and not coeffs[zero]:
         zero += 1
     nonzero = [c for c in coeffs[zero:] if c]
     positive = sum(1 for x, y in zip(nonzero, nonzero[1:]) if (x < 0) != (y < 0))
-    return InertiaResult(positive, n - zero - positive, zero)
+    return InertiaResult(positive, len(entries) - zero - positive, zero)

@@ -9,7 +9,7 @@ returned `QuotientBasis` carries them, and every consumer reads them: one
 product per element along the chain gives `multiplication_matrix`; on the
 transposed matrices it gives the trace functional and the trace form, whose
 rank and signature count distinct complex and real solutions.  Coordinates
-stay integers over one common denominator until the returned `Fraction`s.
+stay `linalg.Vector`s until the returned `Fraction`s.
 
 The same matrices serve `solve --check`, which `separating` holds whole:
 its `audit_basis` certifies the basis by checking that they commute, and its
@@ -21,18 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
 from operator import le
 
 from . import linalg
 from .groebner import GroebnerBasis, NotZeroDimensionalError, is_zero_dimensional, normal_form
+from .linalg import Vector, apply, transpose, vector
 from .poly import Monomial, MonomialOrder, Polynomial
-
-# Sparse coordinates on the quotient basis: integer numerators by basis index
-# over one positive common denominator, kept in lowest terms.  Integer
-# arithmetic with one gcd per vector is several times faster than a Fraction
-# per coordinate.
-Vector = tuple[dict[int, int], int]
 
 # The parent chain: steps[i] = (v, p) for b_i = x_v * b_p, None for b_0 = 1.
 Steps = list[tuple[int, int] | None]
@@ -109,11 +103,6 @@ class HermiteReport:
     quotient_dimension: int
 
 
-def _vector(coords: dict[int, Fraction]) -> Vector:
-    den = lcm(*(c.denominator for c in coords.values()))
-    return {k: c.numerator * (den // c.denominator) for k, c in coords.items()}, den
-
-
 def _shift(exps: tuple[int, ...], var: int, step: int) -> tuple[int, ...]:
     """Exponents of the monomial times x_var**step."""
     return exps[:var] + (exps[var] + step,) + exps[var + 1 :]
@@ -181,12 +170,12 @@ def standard_monomials(basis: GroebnerBasis) -> QuotientBasis:
         g = leading.get(exps)
         if g is not None:
             try:
-                form = _vector({index[m.exponents]: -c for m, c in g.terms[1:]})
+                form = vector({index[m.exponents]: -c for m, c in g.terms[1:]})
             except KeyError:
                 raise ValueError(f"basis is not reduced at {g!r}") from None
         else:
             var = next(v for v, e in enumerate(exps) if e and _shift(exps, v, -1) in reduced)
-            form = _apply(columns[var], reduced[_shift(exps, var, -1)])
+            form = apply(columns[var], reduced[_shift(exps, var, -1)])
         reduced[exps] = form
         for var, k in border[exps]:
             columns[var][k] = form
@@ -203,61 +192,24 @@ def _ring(basis: GroebnerBasis, quotient: QuotientBasis) -> QuotientBasis:
     return quotient
 
 
-def _apply(matrix: list[Vector], vector: Vector) -> Vector:
-    """matrix * vector for a matrix given by its sparse columns.  A unit
-    vector returns the column itself, shared: vectors are never mutated."""
-    nums, den = vector
-    if len(nums) <= 1 and den == 1:
-        if not nums:
-            return vector
-        ((k, c),) = nums.items()
-        if c == 1:
-            return matrix[k]
-    scale = lcm(*(matrix[k][1] for k in nums))
-    acc: dict[int, int] = {}
-    for k, a in nums.items():
-        column, column_den = matrix[k]
-        f = a * (scale // column_den)
-        for r, x in column.items():
-            acc[r] = acc.get(r, 0) + f * x
-    acc = {r: x for r, x in acc.items() if x}
-    den *= scale
-    g = gcd(den, *acc.values())
-    return {r: x // g for r, x in acc.items()}, den // g
-
-
 def _chain(matrices, steps: Steps, start: Vector) -> list[Vector]:
     """[M_{b_i} * start for every i], each M_{x_v} * (M_{b_p} * start) from its
     parent's vector; `matrices` maps each step variable to its columns."""
     vectors: list[Vector] = []
     for step in steps:
-        vectors.append(_apply(matrices[step[0]], vectors[step[1]]) if step else start)
+        vectors.append(apply(matrices[step[0]], vectors[step[1]]) if step else start)
     return vectors
 
 
 def _transposed(quotient: QuotientBasis) -> dict[int, list[Vector]]:
     """M_{x_v}^T for each variable x_v of the parent chain; under lex in
-    shape position only the last variable.  Each column of M_{x_v}^T is over
-    the lcm of the denominators it draws on, in lowest terms."""
-    columns, steps = quotient.columns, quotient.steps
-    transposed = {}
-    for v in {step[0] for step in steps if step}:
-        rows: list[list[tuple[int, int, int]]] = [[] for _ in columns[v]]
-        for k, (nums, den) in enumerate(columns[v]):
-            for r, x in nums.items():
-                rows[r].append((k, x, den))
-        transposed[v] = []
-        for row in rows:
-            den = lcm(*(d for _, _, d in row))
-            nums = {k: x * (den // d) for k, x, d in row}
-            g = gcd(den, *nums.values())
-            transposed[v].append(({k: x // g for k, x in nums.items()}, den // g))
-    return transposed
+    shape position only the last variable."""
+    return {v: transpose(quotient.columns[v]) for v in {s[0] for s in quotient.steps if s}}
 
 
 def _sum(vectors: list[Vector]) -> Vector:
     """The sum of the vectors: their matrix applied to the all-ones vector."""
-    return _apply(vectors, (dict.fromkeys(range(len(vectors)), 1), 1))
+    return apply(vectors, (dict.fromkeys(range(len(vectors)), 1), 1))
 
 
 def _traces(transposed: dict[int, list[Vector]], steps: Steps) -> Vector:
@@ -269,7 +221,7 @@ def _traces(transposed: dict[int, list[Vector]], steps: Steps) -> Vector:
     pending = [[({j: 1}, 1)] for j in range(len(steps))]
     for j in reversed(range(1, len(steps))):
         v, p = steps[j]
-        pending[p].append(_apply(transposed[v], _sum(pending[j])))
+        pending[p].append(apply(transposed[v], _sum(pending[j])))
     return _sum(pending[0]) if steps else ({}, 1)
 
 
@@ -285,7 +237,7 @@ def multiplication_matrix(
     _ring(basis, quotient)
     element = normal_form(g, basis)
     index = {m: k for k, m in enumerate(quotient.monomials)}
-    coords = _vector({index[m]: c for m, c in element.terms})
+    coords = vector({index[m]: c for m, c in element.terms})
     chained = _chain(quotient.columns, quotient.steps, coords)
     products = [{r: Fraction(x, den) for r, x in nums.items()} for nums, den in chained]
     zero = Fraction(0)

@@ -29,9 +29,10 @@ from math import comb, gcd, lcm
 from operator import le
 from typing import Sequence
 
-from .groebner import GroebnerBasis, _generator, _integer_terms, _reduce
+from .groebner import GroebnerBasis, _generator, _reduce
+from .linalg import apply, vector
 from .poly import Monomial
-from .quotient import HermiteReport, QuotientBasis, Vector, _apply, _ring, _vector, trace_functional
+from .quotient import HermiteReport, QuotientBasis, _ring, trace_functional
 
 PRIME = 2**61 - 1
 
@@ -64,11 +65,11 @@ def audit_basis(basis: GroebnerBasis, quotient: QuotientBasis) -> None:
                     raise ValueError(f"basis is not reduced at {g!r}")
     divisors = [_generator(g) for g in gens]
     for f in basis.original:
-        if f.order != order or _reduce(_integer_terms(f)[0], divisors, order.descending_key)[0]:
+        if f.order != order or _reduce(vector(f._term_dict())[0], divisors, order.descending_key)[0]:
             raise ValueError(f"original generator does not reduce to zero: {f!r}")
     for u, v in combinations(range(len(columns)), 2):
         for k in range(quotient.dimension):
-            if _apply(columns[u], columns[v][k]) != _apply(columns[v], columns[u][k]):
+            if apply(columns[u], columns[v][k]) != apply(columns[v], columns[u][k]):
                 raise ValueError(f"multiplication by variables {u} and {v} does not commute")
 
 
@@ -201,14 +202,14 @@ def separating_charpoly(
     """
     columns = _ring(basis, quotient).columns
     dim = quotient.dimension
-    weights: Vector = ({v: k**v for v in range(len(columns))}, 1)
-    summed = [_apply([column[j] for column in columns], weights) for j in range(dim)]
+    weights = ({v: k**v for v in range(len(columns))}, 1)
+    summed = [apply([column[j] for column in columns], weights) for j in range(dim)]
     scale = lcm(*(den for _, den in summed))
-    tau_nums, tau_den = _vector({i: tau[m] for i, m in enumerate(quotient.monomials) if tau[m]})
+    tau_nums, tau_den = vector({i: tau[m] for i, m in enumerate(quotient.monomials)})
     sums = []
-    power, vector = 1, ({0: 1}, 1)
+    power, krylov = 1, ({0: 1}, 1)
     for _ in range(dim):
-        vector = nums, den = _apply(summed, vector)
+        krylov = nums, den = apply(summed, krylov)
         power *= scale
         total, remainder = divmod(power * sum(x * tau_nums.get(r, 0) for r, x in nums.items()), den * tau_den)
         if remainder:

@@ -23,8 +23,21 @@ from hermitecount import (
     congruence_diagonalize,
     normal_form,
 )
-from hermitecount.linalg import Matrix, Scalar, _berkowitz, _integer_matrix, as_matrix, check_symmetric
+from hermitecount.linalg import Scalar, _berkowitz, _integer_matrix, check_symmetric
 from hermitecount.univariate import UnivariatePolynomial
+
+
+Matrix = list[list[Fraction]]
+
+
+def as_matrix(entries: Sequence[Sequence[Scalar]]) -> Matrix:
+    """Validated square Fraction copy of the input; entries that are already
+    `Fraction`s are kept, not re-wrapped."""
+    m = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in entries]
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix must be square")
+    return m
 
 
 def int_str_limit() -> int | None:

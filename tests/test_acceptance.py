@@ -18,13 +18,13 @@ from hermitecount import (
     hermite_form,
     hermite_report,
     inertia,
-    inertia_via_charpoly,
     multiplication_matrix,
     normal_form,
     parse_system,
     standard_monomials,
 )
 from hermitecount.cli import EXIT_NOT_ZERO_DIMENSIONAL, main, run_bench
+from hermitecount.linalg import inertia_via_charpoly
 from hermitecount.univariate import UnivariatePolynomial, squarefree_part, sturm_count
 
 from support import (

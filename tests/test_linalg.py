@@ -2,7 +2,9 @@
 polynomial oracle."""
 
 import copy
+from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
@@ -14,10 +16,11 @@ from hermitecount import (
     congruence_diagonalize,
     hermite_form,
     inertia,
-    inertia_via_charpoly,
+    linalg,
     parse_system,
     standard_monomials,
 )
+from hermitecount.linalg import inertia_via_charpoly
 
 from support import (
     DENSE_2_5,
@@ -152,6 +155,22 @@ def test_congruence_rejects_asymmetric_input():
         inertia_via_charpoly([[0, 1], [0, 0]])
 
 
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([[0.5]], r"entry \(0,0\) is float"),
+        ([[1, Decimal("0.5")], [Decimal("0.5"), 2]], r"entry \(0,1\) is Decimal"),
+        # a zero pivot in row 0, so the sweep would rescue it first
+        ([[0, 1, 0], [1, 0, 0], [0, 0, 0.25]], r"entry \(2,2\) is float"),
+    ],
+    ids=["float", "decimal", "float-past-a-zero-pivot"],
+)
+def test_entries_that_are_not_int_or_fraction_raise_type_error(entries, message):
+    for function in (congruence_diagonalize, inertia):
+        with pytest.raises(TypeError, match=message):
+            function(entries)
+
+
 def test_inertia_of_known_indefinite_form():
     result = inertia(TRACE_FORM_4X4)
     assert (result.rank, result.signature) == (4, 2)
@@ -273,3 +292,52 @@ def test_inertia_result_identities():
     assert r.rank == 5
     assert r.signature == 1
     assert r.positive + r.negative + r.zero == 6
+
+
+def _fractions(v, n):
+    nums, den = v
+    return [Fraction(nums.get(r, 0), den) for r in range(n)]
+
+
+def _is_lowest(v):
+    nums, den = v
+    return den > 0 and all(nums.values()) and gcd(den, *nums.values()) == 1
+
+
+def _rand_coords(rng, n):
+    """Sparse coordinates, a mix of ints and Fractions, zeros included."""
+    return {r: rng.choice((rng.randint(-9, 9), rand_fraction(rng, 60))) for r in range(n) if rng.random() < 0.5}
+
+
+def test_vector_kernel_matches_fraction_arithmetic():
+    rng = Random(18)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        coords = [_rand_coords(rng, n) for _ in range(n)]
+        dense = [[Fraction(c.get(r, 0)) for r in range(n)] for c in coords]  # by columns
+        matrix = [linalg.vector(c) for c in coords]
+        assert [_fractions(column, n) for column in matrix] == dense
+        x_coords = _rand_coords(rng, n)
+        x = linalg.vector(x_coords)
+        product = linalg.apply(matrix, x)
+        assert _fractions(product, n) == [
+            sum((column[r] * x_coords.get(k, 0) for k, column in enumerate(dense)), Fraction(0))
+            for r in range(n)
+        ]
+        transposed = linalg.transpose(matrix)
+        assert [_fractions(row, n) for row in transposed] == [list(row) for row in zip(*dense)]
+        assert linalg.transpose(transposed) == matrix
+        assert all(map(_is_lowest, [*matrix, x, product, *transposed]))
+        for k, column in enumerate(matrix):
+            assert linalg.apply(matrix, ({k: 1}, 1)) is column
+        scale = rng.randint(1, 10**6)
+        assert linalg.lowest({**{r: scale * y for r, y in x[0].items()}, n: 0}, scale * x[1]) == x
+
+
+def test_vector_clears_ints_and_fractions():
+    assert linalg.vector({}) == ({}, 1)
+    assert linalg.vector({0: 4, 2: 0, 5: -6}) == ({0: 4, 5: -6}, 1)
+    assert linalg.vector({(1, 0): Fraction(1, 6), (0, 2): -2, (0, 0): Fraction(3, 4)}) == (
+        {(1, 0): 2, (0, 2): -24, (0, 0): 9},
+        12,
+    )

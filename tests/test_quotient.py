@@ -2,6 +2,7 @@
 functional, and solution counts."""
 
 from fractions import Fraction
+from operator import le
 from random import Random
 
 import pytest
@@ -27,6 +28,7 @@ from hermitecount import (
     standard_monomials,
     trace_functional,
 )
+from hermitecount.quotient import _transposed
 from hermitecount.separating import audit_basis
 
 from support import (
@@ -277,6 +279,32 @@ def test_random_systems_match_division_route(kind):
         basis = buchberger(polys, order)
         assert is_zero_dimensional(basis), seed
         assert_matches_division_route(basis, Random(seed))
+
+
+def assert_parent_chain(basis):
+    """steps[i] = (v, p) writes b_i = x_v * b_p with p the smallest index of
+    a standard monomial that b_i is one variable times, and M_{x_v} maps b_p
+    to e_i; `_transposed` holds every variable of the chain."""
+    quotient = standard_monomials(basis)
+    exps = [m.exponents for m in quotient.monomials]
+    steps = quotient.steps
+    assert len(steps) == quotient.dimension
+    assert steps == [] or steps[0] is None
+    for i in range(1, len(steps)):
+        v, p = steps[i]
+        parents = [q for q, e in enumerate(exps) if sum(exps[i]) == sum(e) + 1 and all(map(le, e, exps[i]))]
+        assert p == min(parents) < i
+        assert exps[i] == tuple(e + (u == v) for u, e in enumerate(exps[p]))
+        assert quotient.columns[v][p] == ({i: 1}, 1)
+    assert set(_transposed(quotient)) == {v for v, _ in steps[1:]}
+
+
+@pytest.mark.parametrize("kind", ORDER_KINDS)
+def test_parent_chain(kind):
+    bases = [system_basis(text, kind) for _, text in FIXTURE_SYSTEMS]
+    bases += [buchberger(polys, order) for _, order, polys in random_systems(kind)]
+    for basis in bases:
+        assert_parent_chain(basis)
 
 
 def test_long_staircase_chains_match_division_route():
