@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
 from operator import mul
-from typing import Hashable, Mapping, Sequence, Union
+from typing import Hashable, Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 Vector = tuple[dict[int, int], int]
@@ -109,6 +109,12 @@ class InertiaResult:
         return self.positive - self.negative
 
 
+def _inexact(cells: Iterable[tuple[int, int, object]]) -> TypeError:
+    """The error for the first cell (r, c, x) whose entry x is not an int or a Fraction."""
+    r, c, x = next(cell for cell in cells if not isinstance(cell[2], (int, Fraction)))
+    return TypeError(f"entry ({r},{c}) is {type(x).__name__}, not int or Fraction")
+
+
 def congruence_diagonalize(entries: Sequence[Sequence[Scalar]]) -> list[Fraction]:
     """Diagonal d of a congruence P^T * M * P = diag(d) with P invertible.
 
@@ -133,8 +139,7 @@ def congruence_diagonalize(entries: Sequence[Sequence[Scalar]]) -> list[Fraction
         try:
             rows.append(vector(upper))
         except AttributeError:
-            c, x = next((c, x) for c, x in upper.items() if not isinstance(x, (int, Fraction)))
-            raise TypeError(f"entry ({r},{c}) is {type(x).__name__}, not int or Fraction") from None
+            raise _inexact((r, c, x) for c, x in upper.items()) from None
     for k, (nums_k, den_k) in enumerate(rows):
         p = nums_k.pop(k, 0)
         if not p and nums_k:
@@ -203,8 +208,15 @@ def inertia_via_charpoly(entries: Sequence[Sequence[Scalar]]) -> InertiaResult:
     denominators), which has the eigenvalues of M scaled by D and so the same
     inertia.  The zero count is the multiplicity of the root 0; the positive
     count is the number of sign variations of the remaining coefficients.
+    An entry that is not an int or a Fraction raises TypeError, naming the
+    first in row-major order.
     """
-    coeffs = _berkowitz(_integer_matrix(check_symmetric(entries))[0])[::-1]  # ascending, top == 1
+    check_symmetric(entries)
+    try:
+        integer = _integer_matrix(entries)[0]
+    except AttributeError:
+        raise _inexact((r, c, x) for r, row in enumerate(entries) for c, x in enumerate(row)) from None
+    coeffs = _berkowitz(integer)[::-1]  # ascending, top == 1
     zero = 0
     while zero < len(coeffs) and not coeffs[zero]:
         zero += 1

@@ -1,15 +1,16 @@
 """The quotient ring on its standard-monomial basis, built once.
 
-`standard_monomials` walks the staircase of a reduced basis and, in the same
-pass, builds the ring's one linear-algebra representation: the border
-multiplication matrices M_{x_v}, column by column with sparse matrix-vector
-products (FGLM-style border normal forms), and the parent chain that writes
-each basis element after 1 as b_i = x_v * b_p for a standard parent b_p.  The
-returned `QuotientBasis` carries them, and every consumer reads them: one
-product per element along the chain gives `multiplication_matrix`; on the
-transposed matrices it gives the trace functional and the trace form, whose
-rank and signature count distinct complex and real solutions.  Coordinates
-stay `linalg.Vector`s until the returned `Fraction`s.
+`standard_monomials` walks the staircase of a reduced basis and its border
+in increasing order and builds the ring's one linear-algebra representation:
+the border multiplication matrices M_{x_v}, column by column with sparse
+matrix-vector products (FGLM-style border normal forms), and the parent
+chain that writes each basis element after 1 as b_i = x_v * b_p for a
+standard parent b_p.  The returned `QuotientBasis` carries them, and every
+consumer reads them: one product per element along the chain gives
+`multiplication_matrix`; on the transposed matrices it gives the trace
+functional and the trace form, whose rank and signature count distinct
+complex and real solutions.  Coordinates stay `linalg.Vector`s until the
+returned `Fraction`s.
 
 The same matrices serve `solve --check`, which `separating` holds whole:
 its `audit_basis` certifies the basis by checking that they commute, and its
@@ -21,11 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import le
+from heapq import heappop, heappush
 
 from . import linalg
 from .groebner import GroebnerBasis, NotZeroDimensionalError, is_zero_dimensional, normal_form
-from .linalg import Vector, apply, transpose, vector
+from .linalg import Scalar, Vector, apply, transpose, vector
 from .poly import Monomial, MonomialOrder, Polynomial
 
 # The parent chain: steps[i] = (v, p) for b_i = x_v * b_p, None for b_0 = 1.
@@ -70,9 +71,10 @@ class QuotientBasis:
 @dataclass(frozen=True)
 class MultiplicationMatrix:
     """Matrix of h -> element*h on the quotient basis; column k holds the
-    coordinates of the reduced product element * basis[k]."""
+    coordinates of the reduced product element * basis[k], a zero one as
+    the int 0."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[tuple[Scalar, ...], ...]
     element: Polynomial
     basis: QuotientBasis
 
@@ -82,12 +84,13 @@ class MultiplicationMatrix:
 
 @dataclass(frozen=True)
 class HermiteForm:
-    """Gram matrix of the trace form on the standard-monomial basis."""
+    """Gram matrix of the trace form on the standard-monomial basis; its
+    zero entries are the int 0, the others `Fraction`s."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[tuple[Scalar, ...], ...]
     basis: QuotientBasis
 
-    def rows(self) -> list[list[Fraction]]:
+    def rows(self) -> list[list[Scalar]]:
         return [list(row) for row in self.entries]
 
 
@@ -113,60 +116,55 @@ def standard_monomials(basis: GroebnerBasis) -> QuotientBasis:
     ascending by the order, carrying the ring they span; they form a linear
     basis of the quotient ring.
 
-    The staircase is an order ideal, so it is the closure of {1} under
-    multiplication by single variables within the standard monomials: each
-    found monomial is multiplied by each variable, and a product is kept if
-    no leading monomial divides it.  That examines dim * nvars candidates,
-    never the exponent box bounded by the pure-power caps.  A staircase
-    that grows past MAX_DIMENSION raises DimensionLimitError at once.
+    One heap walk pops monomials in increasing order, from 1, and pushes
+    x_v * b_k for each standard b_k it admits, recording the parents (v, k).
+    A popped m is in the leading ideal iff it leads a generator or some
+    smaller m / x_u is, so m is standard iff it leads none and every m / x_u
+    is already admitted: dim * nvars lookups, never the pure-power box.  Past
+    MAX_DIMENSION standard monomials, DimensionLimitError is raised at once,
+    before any quotient work.
 
-    The same products fill the border matrices.  A standard product x_v * b_k
-    = b_i is a unit column; the first found, from the smallest parent b_k, is
-    the step of b_i.  The others form the border and are reduced in ascending
-    order: a border monomial that leads a generator g has normal form
-    -tail(g) (the basis is reduced and monic), and any other is x_u * m' for
-    a smaller border monomial m', so its normal form is M_{x_u} * NF(m'),
-    built only from columns already filled.  A tail term outside the
-    staircase raises ValueError: the basis is not reduced.
+    An admitted b_i is a unit column for each parent (v, k); the first, the
+    smallest k and then v, is its step.  The other popped monomials form the
+    border, in ascending order, and their normal forms fill their parents'
+    columns: a border monomial that leads a generator g has -tail(g) (the
+    basis is reduced and monic), and any other is x_u * m' for a smaller
+    border monomial m', so it has M_{x_u} * NF(m'), built only from columns
+    already filled.  A tail term outside the staircase raises ValueError: the
+    basis is not reduced.
     """
     if not is_zero_dimensional(basis):
         raise NotZeroDimensionalError("the ideal is not zero-dimensional")
-    order = basis.order
+    order, key = basis.order, basis.order.exponent_key
     leading = {g.leading_monomial().exponents: g for g in basis.generators}
-
-    def standard(exps: tuple[int, ...]) -> bool:
-        return not any(all(map(le, lm, exps)) for lm in leading)
-
-    unit = (0,) * order.nvars
-    found = {unit} if standard(unit) else set()
-    frontier = list(found)
-    while frontier:
-        exps = frontier.pop()
-        for var in range(order.nvars):
+    one = (0,) * order.nvars
+    heap, parents = [(key(one), one)], {one: []}
+    index: dict[tuple[int, ...], int] = {}
+    columns: list[list[Vector]] = [[] for _ in range(order.nvars)]
+    steps: Steps = []
+    border: list[tuple[tuple[int, ...], list[tuple[int, int]]]] = []
+    while heap:
+        exps = heappop(heap)[1]
+        pairs = parents.pop(exps)
+        if exps in leading or any(e and _shift(exps, u, -1) not in index for u, e in enumerate(exps)):
+            border.append((exps, pairs))
+            continue
+        if len(index) == MAX_DIMENSION:
+            raise DimensionLimitError(f"the quotient has over {MAX_DIMENSION} standard monomials")
+        k = index[exps] = len(index)
+        unit = {k: 1}, 1
+        for var, p in pairs:
+            columns[var][p] = unit
+        steps.append(pairs[0] if pairs else None)
+        for var, column in enumerate(columns):
+            column.append(None)
             product = _shift(exps, var, 1)
-            if product not in found and standard(product):
-                if len(found) == MAX_DIMENSION:
-                    raise DimensionLimitError(f"the quotient has over {MAX_DIMENSION} standard monomials")
-                found.add(product)
-                frontier.append(product)
-    staircase = sorted(found, key=order.exponent_key)
-
-    index = {exps: k for k, exps in enumerate(staircase)}
-    columns: list[list[Vector]] = [[None] * len(staircase) for _ in range(order.nvars)]
-    steps: Steps = [None] * len(staircase)
-    border: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for k, exps in enumerate(staircase):
-        for var in range(order.nvars):
-            product = _shift(exps, var, 1)
-            if product in index:
-                i = index[product]
-                columns[var][k] = {i: 1}, 1
-                steps[i] = steps[i] or (var, k)
-            else:
-                border.setdefault(product, []).append((var, k))
+            if product not in parents:
+                heappush(heap, (key(product), product))
+            parents.setdefault(product, []).append((var, k))
 
     reduced: dict[tuple[int, ...], Vector] = {}
-    for exps in sorted(border, key=order.exponent_key):
+    for exps, pairs in border:
         g = leading.get(exps)
         if g is not None:
             try:
@@ -177,10 +175,10 @@ def standard_monomials(basis: GroebnerBasis) -> QuotientBasis:
             var = next(v for v, e in enumerate(exps) if e and _shift(exps, v, -1) in reduced)
             form = apply(columns[var], reduced[_shift(exps, var, -1)])
         reduced[exps] = form
-        for var, k in border[exps]:
+        for var, k in pairs:
             columns[var][k] = form
 
-    return QuotientBasis(tuple(map(Monomial, staircase)), order, basis, columns, steps)
+    return QuotientBasis(tuple(map(Monomial, index)), order, basis, columns, steps)
 
 
 def _ring(basis: GroebnerBasis, quotient: QuotientBasis) -> QuotientBasis:
@@ -240,8 +238,7 @@ def multiplication_matrix(
     coords = vector({index[m]: c for m, c in element.terms})
     chained = _chain(quotient.columns, quotient.steps, coords)
     products = [{r: Fraction(x, den) for r, x in nums.items()} for nums, den in chained]
-    zero = Fraction(0)
-    rows = tuple(tuple(column.get(r, zero) for column in products) for r in range(quotient.dimension))
+    rows = tuple(tuple(column.get(r, 0) for column in products) for r in range(quotient.dimension))
     return MultiplicationMatrix(rows, element, quotient)
 
 
@@ -265,8 +262,7 @@ def hermite_form(basis: GroebnerBasis, quotient: QuotientBasis) -> HermiteForm:
     """
     transposed, steps = _transposed(_ring(basis, quotient)), quotient.steps
     dim = quotient.dimension
-    zero = Fraction(0)
-    entries = [[zero] * dim for _ in range(dim)]
+    entries: list[list[Scalar]] = [[0] * dim for _ in range(dim)]
     for i, (nums, den) in enumerate(_chain(transposed, steps, _traces(transposed, steps))):
         for r, x in nums.items():
             if r <= i:

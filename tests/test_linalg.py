@@ -166,7 +166,7 @@ def test_congruence_rejects_asymmetric_input():
     ids=["float", "decimal", "float-past-a-zero-pivot"],
 )
 def test_entries_that_are_not_int_or_fraction_raise_type_error(entries, message):
-    for function in (congruence_diagonalize, inertia):
+    for function in (congruence_diagonalize, inertia, inertia_via_charpoly):
         with pytest.raises(TypeError, match=message):
             function(entries)
 

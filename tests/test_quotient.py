@@ -28,7 +28,8 @@ from hermitecount import (
     standard_monomials,
     trace_functional,
 )
-from hermitecount.quotient import _transposed
+from hermitecount import quotient
+from hermitecount.quotient import DimensionLimitError, _transposed
 from hermitecount.separating import audit_basis
 
 from support import (
@@ -318,6 +319,37 @@ def test_long_staircase_chains_match_division_route():
     assert_matches_division_route(basis, Random(21))
     report = hermite_report(basis)
     assert (report.complex_count, report.real_count) == (61, 7)
+
+
+@pytest.mark.parametrize("kind", ORDER_KINDS)
+def test_random_monomial_ideals_match_box_route(kind):
+    # Monomials in 3 to 6 variables, a pure power of each among them: their
+    # reduced basis is the minimal generating set, and the origin is the only
+    # solution, of multiplicity the whole staircase.
+    rng = Random(f"monomial ideals:{kind}")
+    for nvars, cap in ((3, 5), (4, 4), (5, 3), (6, 3)):
+        order = MonomialOrder(kind, nvars)
+        for _ in range(6):
+            exponents = [tuple(rng.randint(1, cap) * (j == i) for j in range(nvars)) for i in range(nvars)]
+            exponents += [tuple(rng.randint(0, cap - 1) for _ in range(nvars)) for _ in range(rng.randint(0, 5))]
+            basis = buchberger([Polynomial(order, {Monomial(e): 1}) for e in exponents if any(e)], order)
+            assert standard_monomials(basis) == box_standard_monomials(basis)
+            assert_parent_chain(basis)
+            report = hermite_report(basis)
+            assert (report.complex_count, report.real_count) == (1, 1)
+
+
+def test_dimension_cap_comes_before_any_border_work(monkeypatch):
+    # x1^70 - x2, x2^70 - x1 is a reduced basis of dimension 4900; the walk
+    # must refuse it before the first border normal form.
+    def border_work(*args):
+        raise AssertionError("border work before the dimension cap")
+
+    basis = system_basis("x1^70-x2\nx2^70-x1")
+    monkeypatch.setattr(quotient, "apply", border_work)
+    monkeypatch.setattr(quotient, "vector", border_work)
+    with pytest.raises(DimensionLimitError):
+        standard_monomials(basis)
 
 
 # Every consumer of a quotient basis reads the ring it carries, so it accepts
