@@ -29,6 +29,7 @@ from .quotient import (
     HermiteReport,
     MultiplicationMatrix,
     QuotientBasis,
+    fglm,
     hermite_form,
     hermite_report,
     multiplication_matrix,
@@ -62,6 +63,7 @@ __all__ = [
     "HermiteReport",
     "MultiplicationMatrix",
     "QuotientBasis",
+    "fglm",
     "hermite_form",
     "hermite_report",
     "multiplication_matrix",

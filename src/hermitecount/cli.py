@@ -1,6 +1,11 @@
 """Command-line front end: solve a system and report solution counts, or run
 the scaling benchmark families.
 
+A solve runs Buchberger in the requested order, except under lex: there
+Buchberger runs in grevlex and `quotient.fglm` converts the basis on the
+grevlex ring, so exits 3 and 6 come from that ring.  The report is then
+built on the lex basis as for any order.
+
 Exit codes: 0 success, 2 parse/usage error (an integer literal longer than
 the interpreter's int conversion limit included), 3 ideal not zero-dimensional,
 4 internal error or oracle mismatch (a bug, never expected), 5 an exact number
@@ -21,8 +26,8 @@ from typing import Sequence, TextIO
 
 from .groebner import GroebnerBasis, NotZeroDimensionalError, buchberger
 from .parsing import ParseError, format_monomial, parse_system
-from .poly import GREVLEX, ORDER_KINDS
-from .quotient import DimensionLimitError, HermiteReport, hermite_report
+from .poly import GREVLEX, LEX, ORDER_KINDS, MonomialOrder
+from .quotient import DimensionLimitError, HermiteReport, fglm, hermite_report, standard_monomials
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -61,7 +66,12 @@ class RunConfiguration:
 
 def _solve_text(text: str, kind: str) -> tuple[list[str], GroebnerBasis, HermiteReport]:
     variables, polys = parse_system(text, kind)
-    basis = buchberger(polys, polys[0].order)
+    order = polys[0].order
+    if kind == LEX:
+        ring = buchberger(polys, MonomialOrder(GREVLEX, order.nvars))
+        basis = fglm(ring, standard_monomials(ring), order)
+    else:
+        basis = buchberger(polys, order)
     return variables, basis, hermite_report(basis)
 
 

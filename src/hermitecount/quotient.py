@@ -12,6 +12,11 @@ functional and the trace form, whose rank and signature count distinct
 complex and real solutions.  Coordinates stay `linalg.Vector`s until the
 returned `Fraction`s.
 
+They also change the order of the basis: `fglm` walks the target
+order's staircase and finds its generators as linear relations among the
+normal forms M_{x_v} * NF(m), which is how a lex solve gets its basis
+without running Buchberger in lex.
+
 The same matrices serve `solve --check`, which `separating` holds whole:
 its `audit_basis` certifies the basis by checking that they commute, and its
 oracle re-derives the counts from the characteristic polynomial of a linear
@@ -23,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
+from math import gcd
+from operator import le
 
 from . import linalg
 from .groebner import GroebnerBasis, NotZeroDimensionalError, is_zero_dimensional, normal_form
@@ -179,6 +186,81 @@ def standard_monomials(basis: GroebnerBasis) -> QuotientBasis:
             columns[var][k] = form
 
     return QuotientBasis(tuple(map(Monomial, index)), order, basis, columns, steps)
+
+
+def _eliminate(x: dict[int, int], a: int, y: dict[int, int], b: int) -> dict[int, int]:
+    """a * x - b * y without its zero entries, divided by its content."""
+    out = {k: a * c for k, c in x.items()}
+    for k, c in y.items():
+        out[k] = out.get(k, 0) - b * c
+    g = gcd(*out.values())
+    return {k: c // g for k, c in out.items() if c}
+
+
+def fglm(basis: GroebnerBasis, quotient: QuotientBasis, order: MonomialOrder) -> GroebnerBasis:
+    """The reduced Groebner basis of the same ideal under `order`, by change
+    of order on the ring that `quotient` carries (Faugere, Gianni, Lazard and
+    Mora 1993), without S-pairs or polynomial division.
+
+    One heap walk pops monomials in increasing target order, from 1,
+    skipping the multiples of the target leading monomials found so far.  A
+    popped m = x_v * s_k, s_k the k-th target standard monomial, has NF(m) =
+    M_{x_v} * NF(s_k), one product on `columns`.  With m as s_j, j the
+    staircase's length, its numerators and denominator form an integer row w
+    with sum of w[i] * e_i = sum of w[~k] * NF(s_k): w[i] on the coordinates,
+    w[~k] on the slots.  w is reduced against the echelon, one fraction-free
+    step per pivot coordinate, its content removed each time.  With no
+    coordinate left, m + sum of w[~k] / w[~j] * s_k over k < j is the next
+    monic generator; otherwise w joins the echelon and the products x_u * m
+    are pushed.  At most dim * nvars + 1 monomials are popped, each reduced
+    in O(dim^2).
+
+    The generators are found ascending, and the input polynomials come along
+    re-sorted under `order`: the result is `==` to `buchberger(basis.original,
+    order)`.
+    """
+    columns = _ring(basis, quotient).columns
+    if order.nvars != basis.order.nvars:
+        raise ValueError(f"order has {order.nvars} variables, the basis has {basis.order.nvars}")
+    key, one = order.exponent_key, (0,) * order.nvars
+    heap, seen = [(key(one), one, None)], {one}
+    stair: list[tuple[int, ...]] = []
+    forms: list[Vector] = []
+    rows: list[tuple[int, dict[int, int]]] = []
+    leads: list[tuple[int, ...]] = []
+    generators: list[Polynomial] = []
+    while heap:
+        _, exps, parent = heappop(heap)
+        if any(all(map(le, lead, exps)) for lead in leads):
+            continue
+        if parent is None:
+            form = ({0: 1}, 1) if quotient.dimension else ({}, 1)
+        else:
+            form = apply(columns[parent[0]], forms[parent[1]])
+        j = len(stair)
+        w = {**form[0], ~j: form[1]}
+        for pivot, row in rows:
+            b = w.get(pivot)
+            if b:
+                g = gcd(row[pivot], b)
+                w = _eliminate(w, row[pivot] // g, row, b // g)
+        pivot = max(w)
+        if pivot < 0:
+            scale = w.pop(~j)
+            tail = [(stair[~k], Fraction(c, scale)) for k, c in sorted(w.items())]
+            generators.append(Polynomial._from_sorted(order, [(exps, Fraction(1)), *tail]))
+            leads.append(exps)
+            continue
+        rows.append((pivot, w))
+        stair.append(exps)
+        forms.append(form)
+        for var in range(order.nvars):
+            product = _shift(exps, var, 1)
+            if product not in seen:
+                seen.add(product)
+                heappush(heap, (key(product), product, (var, j)))
+    original = tuple(p if p.order == order else p.with_order(order) for p in basis.original)
+    return GroebnerBasis(tuple(generators), order, original)
 
 
 def _ring(basis: GroebnerBasis, quotient: QuotientBasis) -> QuotientBasis:

@@ -9,9 +9,22 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+from random import Random
+
 import pytest
 
-from hermitecount import GroebnerBasis, Polynomial, buchberger, format_monomial, hermite_report, inertia, parse_system
+from hermitecount import (
+    LEX,
+    GroebnerBasis,
+    MonomialOrder,
+    Polynomial,
+    buchberger,
+    format_monomial,
+    format_polynomial,
+    hermite_report,
+    inertia,
+    parse_system,
+)
 from hermitecount import cli, quotient
 from hermitecount.cli import (
     EXIT_DIMENSION_LIMIT,
@@ -28,7 +41,7 @@ from hermitecount.cli import (
     sphere_family,
 )
 
-from support import FIXTURE_SYSTEMS, int_str_limit
+from support import FIXTURE_SYSTEMS, int_str_limit, rand_dense_system, rational_systems
 
 
 def test_solve_circle_hyperbola_counts(capsys):
@@ -305,6 +318,58 @@ def test_order_flag_changes_basis_not_counts(capsys):
     assert lex_payload["basis"] != grevlex_payload["basis"]
     for key in ("rank", "signature", "quotient_dimension"):
         assert lex_payload[key] == grevlex_payload[key]
+
+
+def direct_solve_text(text, kind):
+    """The solve route before FGLM: Buchberger in the requested order."""
+    variables, polys = parse_system(text, kind)
+    basis = buchberger(polys, polys[0].order)
+    return variables, basis, hermite_report(basis)
+
+
+def lex_texts():
+    def as_text(polys):
+        names = [f"x{i + 1}" for i in range(polys[0].nvars)]
+        return "\n".join(format_polynomial(p, names) for p in polys)
+
+    texts = [text for _, text in FIXTURE_SYSTEMS]
+    texts += ["x1^2\nx2^3-x2", "x1^5-3*x1^2+1/2", "0", "5"]
+    texts += [as_text(polys) for _, _, polys in rational_systems(LEX)][::6]
+    order = MonomialOrder(LEX, 3)
+    texts += [as_text(rand_dense_system(Random(seed), order, 2)) for seed in range(2)]
+    return texts
+
+
+@pytest.mark.parametrize("flags", [["--json"], ["--print-matrix"], ["--json", "--check"]])
+def test_lex_solve_prints_what_lex_buchberger_gives(monkeypatch, capsys, flags):
+    # The lex basis comes from FGLM on the grevlex ring; the output and the
+    # exit code are those of the basis that Buchberger computes in lex.
+    orders = []
+    true_buchberger = cli.buchberger
+
+    def recorded(polys, order):
+        orders.append(order.kind)
+        return true_buchberger(polys, order)
+
+    for text in lex_texts():
+        argv = ["solve", *(f"--poly={line}" for line in text.split("\n")), "--order", "lex", *flags]
+        monkeypatch.setattr(cli, "buchberger", recorded)
+        got = main(argv), capsys.readouterr()
+        monkeypatch.setattr(cli, "_solve_text", direct_solve_text)
+        expected = main(argv), capsys.readouterr()
+        monkeypatch.undo()
+        assert got == expected, text
+        assert got[0] == EXIT_OK
+    assert set(orders) == {"grevlex"}
+
+
+def test_lex_solve_exit_codes_come_from_the_grevlex_ring(capsys):
+    assert main(["solve", "--poly", "x1*x2", "--order", "lex"]) == EXIT_NOT_ZERO_DIMENSIONAL
+    assert "the ideal is not zero-dimensional" in capsys.readouterr().err
+    start = time.perf_counter()
+    assert main(["solve", "--poly", "x1^1000000000", "--order", "lex"]) == EXIT_DIMENSION_LIMIT
+    assert time.perf_counter() - start < 1
+    assert f"over {quotient.MAX_DIMENSION} standard monomials" in capsys.readouterr().err
 
 
 def test_output_is_deterministic(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from hermitecount import (
     GREVLEX,
+    GRLEX,
     LEX,
     ORDER_KINDS,
     Monomial,
@@ -14,6 +15,7 @@ from hermitecount import (
     NotZeroDimensionalError,
     Polynomial,
     buchberger,
+    fglm,
     is_zero_dimensional,
     normal_form,
     parse_polynomial,
@@ -339,3 +341,70 @@ def test_bases_match_sympy(kind):
         ours = [{m.exponents: c for m, c in g.terms} for g in buchberger(polys, order)]
         theirs = _sympy_basis(sympy, polys, order)
         assert ours == sorted(theirs, key=lambda g: order.exponent_key(max(g, key=order.exponent_key)))
+
+
+# Differential oracle for the change of order: FGLM on the grevlex ring must
+# return the whole basis that Buchberger computes in the target order, the
+# input polynomials included, term for term.
+
+
+def assert_fglm_matches_buchberger(polys, order):
+    ring = buchberger(polys, MonomialOrder(GREVLEX, order.nvars))
+    basis = fglm(ring, standard_monomials(ring), order)
+    expected = buchberger(polys, order)
+    assert basis == expected
+    # Polynomial equality ignores the order its terms are sorted in
+    assert [g.terms for g in basis] == [g.terms for g in expected]
+    assert [p.terms for p in basis.original] == [p.terms for p in expected.original]
+    return basis
+
+
+@pytest.mark.parametrize("kind", ORDER_KINDS)
+def test_fglm_on_fixture_systems(kind):
+    for _, text in FIXTURE_SYSTEMS:
+        _, polys = parse_system(text, kind)
+        assert_fglm_matches_buchberger(polys, polys[0].order)
+
+
+@pytest.mark.parametrize("kind", [LEX, GRLEX])
+def test_fglm_on_random_systems(kind):
+    for _, order, polys in random_systems(kind):
+        assert_fglm_matches_buchberger(polys, order)
+
+
+@pytest.mark.parametrize("kind", [LEX, GRLEX])
+def test_fglm_on_rational_systems(kind):
+    for _, order, polys in rational_systems(kind):
+        assert_fglm_matches_buchberger(polys, order)
+
+
+def test_fglm_on_lex_dense_systems():
+    # the systems of test_lex_dense_systems_match_naive_buchberger: shape
+    # position, with lex coefficients far larger than grevlex ones
+    order = MonomialOrder(LEX, 3)
+    for seed in range(3):
+        basis = assert_fglm_matches_buchberger(rand_dense_system(Random(seed), order, 2), order)
+        assert basis.generators[0].leading_monomial() == Monomial((0, 0, 8))
+
+
+def test_fglm_edge_ideals():
+    order = MonomialOrder(LEX, 2)
+    unit = assert_fglm_matches_buchberger([p2("x1"), p2("x1+1")], order)
+    assert list(unit) == [Polynomial.constant(order, 1)]
+    # not radical: dimension 6 with three points
+    nilpotent = assert_fglm_matches_buchberger([p2("x1^2"), p2("x2^3-x2")], order)
+    assert standard_monomials(nilpotent).dimension == 6
+    one = MonomialOrder(LEX, 1)
+    assert_fglm_matches_buchberger([parse_polynomial("x1^5-3*x1^2+1/2", ["x1"], "lex")], one)
+    none = MonomialOrder(LEX, 0)
+    for polys in ([Polynomial.zero(none)], [], [Polynomial.constant(none, 5)]):
+        assert_fglm_matches_buchberger(polys, none)
+
+
+def test_fglm_rejects_a_foreign_ring():
+    ring = buchberger([p2("x1-1"), p2("x2^2-2")], ORDER2)
+    other = buchberger([p2("x1-1"), p2("x2^2-3")], ORDER2)
+    with pytest.raises(ValueError, match="does not belong"):
+        fglm(ring, standard_monomials(other), MonomialOrder(LEX, 2))
+    with pytest.raises(ValueError, match="variables"):
+        fglm(ring, standard_monomials(ring), MonomialOrder(LEX, 3))
