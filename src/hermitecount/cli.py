@@ -1,10 +1,14 @@
 """Command-line front end: solve a system and report solution counts, or run
 the scaling benchmark families.
 
-A solve runs Buchberger in the requested order, except under lex: there
-Buchberger runs in grevlex and `quotient.fglm` converts the basis on the
-grevlex ring, so exits 3 and 6 come from that ring.  The report is then
-built on the lex basis as for any order.
+A solve runs Buchberger in the requested order, except under lex: there the
+input is parsed and Buchberger runs in grevlex, so exits 3 and 6 come from
+that ring.  The counts come from the trace form on the ring Buchberger ran
+in, whatever the order.  Under lex, the printed staircase and Hermite matrix
+are then read off that ring when `quotient.shape_position` certifies the
+ideal in shape position: the staircase is 1, x_n, ..., x_n^(D-1) and the
+matrix the Hankel matrix of the traces of the powers of x_n.  Otherwise
+`quotient.fglm` converts the basis to lex, and they come from the lex ring.
 
 Exit codes: 0 success, 2 parse/usage error (an integer literal longer than
 the interpreter's int conversion limit included), 3 ideal not zero-dimensional,
@@ -27,7 +31,8 @@ from typing import Sequence, TextIO
 from .groebner import GroebnerBasis, NotZeroDimensionalError, buchberger
 from .parsing import ParseError, format_monomial, parse_system
 from .poly import GREVLEX, LEX, ORDER_KINDS, MonomialOrder
-from .quotient import DimensionLimitError, HermiteReport, fglm, hermite_report, standard_monomials
+from .quotient import DimensionLimitError, HermiteForm, HermiteReport, QuotientBasis, fglm, hankel_form
+from .quotient import hermite_form, hermite_report, shape_position, standard_monomials
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -64,28 +69,46 @@ class RunConfiguration:
         return "\n".join(self.inline_polynomials)
 
 
-def _solve_text(text: str, kind: str) -> tuple[list[str], GroebnerBasis, HermiteReport]:
-    variables, polys = parse_system(text, kind)
-    order = polys[0].order
-    if kind == LEX:
-        ring = buchberger(polys, MonomialOrder(GREVLEX, order.nvars))
-        basis = fglm(ring, standard_monomials(ring), order)
-    else:
-        basis = buchberger(polys, order)
-    return variables, basis, hermite_report(basis)
+@dataclass(frozen=True)
+class SolveResult:
+    """Buchberger's basis and the report on its ring, which holds the counts,
+    with the staircase and form printed in the requested order.  Under lex,
+    `form` is None unless the matrix was asked for, and `lex` is the lex ring
+    that FGLM built when shape position was not certified."""
+
+    variables: list[str]
+    basis: GroebnerBasis
+    report: HermiteReport
+    staircase: QuotientBasis
+    form: HermiteForm | None
+    lex: QuotientBasis | None = None
 
 
-def _matrix_strings(report: HermiteReport) -> list[list[str]]:
-    return [[str(value) if value else "0" for value in row] for row in report.form.entries]
+def _solve_text(text: str, kind: str, matrix: bool = False) -> SolveResult:
+    variables, polys = parse_system(text, GREVLEX if kind == LEX else kind)
+    basis = buchberger(polys, polys[0].order)
+    report = hermite_report(basis)
+    if kind != LEX:
+        return SolveResult(variables, basis, report, report.form.basis, report.form)
+    ring = report.form.basis
+    shape = shape_position(ring)
+    if shape is not None:
+        form = hankel_form(report.form, *shape) if matrix else None
+        return SolveResult(variables, basis, report, shape[0], form)
+    lex = standard_monomials(fglm(basis, ring, MonomialOrder(LEX, basis.order.nvars)))
+    form = hermite_form(lex.source, lex) if matrix else None
+    return SolveResult(variables, basis, report, lex, form, lex)
 
 
-def _emit_text(
-    variables: Sequence[str], report: HermiteReport, matrix: list[list[str]] | None, out: TextIO
-) -> None:
-    names = list(variables)
-    basis_names = [format_monomial(m, names) for m in report.form.basis.monomials]
+def _matrix_strings(form: HermiteForm) -> list[list[str]]:
+    return [[str(value) if value else "0" for value in row] for row in form.entries]
+
+
+def _emit_text(solved: SolveResult, matrix: list[list[str]] | None, out: TextIO) -> None:
+    names, report = solved.variables, solved.report
+    basis_names = [format_monomial(m, names) for m in solved.staircase.monomials]
     print(f"variables: {', '.join(names)}", file=out)
-    print(f"order: {report.form.basis.order.kind}", file=out)
+    print(f"order: {solved.staircase.order.kind}", file=out)
     print(f"quotient dimension: {report.quotient_dimension}", file=out)
     print(f"basis: {', '.join(basis_names) if basis_names else '(empty)'}", file=out)
     if matrix is not None:
@@ -96,15 +119,13 @@ def _emit_text(
     print(f"number of real solutions: {report.real_count}", file=out)
 
 
-def _emit_json(
-    variables: Sequence[str], report: HermiteReport, matrix: list[list[str]], out: TextIO
-) -> None:
-    names = list(variables)
+def _emit_json(solved: SolveResult, matrix: list[list[str]], out: TextIO) -> None:
+    names, report = solved.variables, solved.report
     payload = {
         "variables": names,
-        "order": report.form.basis.order.kind,
+        "order": solved.staircase.order.kind,
         "quotient_dimension": report.quotient_dimension,
-        "basis": [format_monomial(m, names) for m in report.form.basis.monomials],
+        "basis": [format_monomial(m, names) for m in solved.staircase.monomials],
         "hermite_matrix": matrix,
         "rank": report.rank,
         "signature": report.signature,
@@ -131,8 +152,9 @@ def run_solve(config: RunConfiguration, out: TextIO | None = None, err: TextIO |
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_PARSE
+    with_matrix = config.json_output or config.print_matrix
     try:
-        variables, basis, report = _solve_text(text, config.order_kind)
+        solved = _solve_text(text, config.order_kind, with_matrix)
     except ParseError as exc:
         print(f"parse error: {exc}", file=err)
         return EXIT_PARSE
@@ -148,19 +170,16 @@ def run_solve(config: RunConfiguration, out: TextIO | None = None, err: TextIO |
     if config.cross_check:
         from .separating import mismatch  # loaded only when --check runs
 
-        found = mismatch(basis, report)
+        found = mismatch(solved.basis, solved.report, solved.lex)
         if found is not None:
             print(f"oracle mismatch: {found}", file=err)
             return EXIT_ORACLE_MISMATCH
     try:
-        matrix = _matrix_strings(report) if config.json_output or config.print_matrix else None
+        matrix = _matrix_strings(solved.form) if with_matrix else None
     except ValueError as exc:
         print(f"error: the Hermite matrix cannot be printed exactly: {exc}", file=err)
         return EXIT_OUTPUT_LIMIT
-    if config.json_output:
-        _emit_json(variables, report, matrix, out)
-    else:
-        _emit_text(variables, report, matrix, out)
+    (_emit_json if config.json_output else _emit_text)(solved, matrix, out)
     return EXIT_OK
 
 
@@ -198,7 +217,7 @@ def _timed_solve(texts: list[str], repeats: int) -> tuple[HermiteReport, float]:
     report = None
     for _ in range(max(1, repeats)):
         start = time.perf_counter()
-        _, _, report = _solve_text("\n".join(texts), GREVLEX)
+        report = _solve_text("\n".join(texts), GREVLEX).report
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
     return report, best

@@ -312,10 +312,11 @@ class Polynomial:
         return self if lc == 1 else self.scale(Fraction(1) / lc)
 
     def with_order(self, order: MonomialOrder) -> "Polynomial":
-        """The same polynomial, re-sorted under another order."""
+        """The same polynomial, re-sorted under another order; its terms are
+        already canonical, so they are taken as they are."""
         if order.nvars != self.nvars:
             raise ValueError(f"order has {order.nvars} variables, polynomial has {self.nvars}")
-        return Polynomial(order, self.terms)
+        return Polynomial._from_terms(order, self._term_dict())
 
     def __iter__(self) -> Iterator[tuple[Monomial, Fraction]]:
         return iter(self.terms)

@@ -12,10 +12,14 @@ functional and the trace form, whose rank and signature count distinct
 complex and real solutions.  Coordinates stay `linalg.Vector`s until the
 returned `Fraction`s.
 
-They also change the order of the basis: `fglm` walks the target
-order's staircase and finds its generators as linear relations among the
-normal forms M_{x_v} * NF(m), which is how a lex solve gets its basis
-without running Buchberger in lex.
+A lex solve reads its counts off the grevlex ring that Buchberger ran in,
+and needs the lex staircase and H only to print them.  `shape_position`
+certifies, by a Krylov rank modulo PRIME, that the lex staircase is 1, x_n,
+..., x_n^(D-1) (Rouillier 1999), and `hankel_form` then gives the lex H as
+the Hankel matrix of the traces Tr(x_n^k), from the grevlex trace functional.
+Otherwise `fglm` changes the order on the same matrices: it walks the lex
+staircase and finds the generators as linear relations among the normal
+forms M_{x_v} * NF(m), so Buchberger never runs in lex.
 
 The same matrices serve `solve --check`, which `separating` holds whole:
 its `audit_basis` certifies the basis by checking that they commute, and its
@@ -34,13 +38,17 @@ from operator import le
 from . import linalg
 from .groebner import GroebnerBasis, NotZeroDimensionalError, is_zero_dimensional, normal_form
 from .linalg import Scalar, Vector, apply, transpose, vector
-from .poly import Monomial, MonomialOrder, Polynomial
+from .poly import LEX, Monomial, MonomialOrder, Polynomial
 
 # The parent chain: steps[i] = (v, p) for b_i = x_v * b_p, None for b_0 = 1.
 Steps = list[tuple[int, int] | None]
 
 # Refused past this: x1^2000, x2^2000, x1*x2 (dimension 3 999) took 2.7 s and 271 MiB on 2 x86-64 vCPUs.
 MAX_DIMENSION = 4096
+
+# A rank or a squarefree test modulo this prime proves the fact over Q when it
+# passes, and nothing when it fails: `shape_position` and `separating` use it.
+PRIME = 2**61 - 1
 
 
 class DimensionLimitError(ValueError):
@@ -92,10 +100,13 @@ class MultiplicationMatrix:
 @dataclass(frozen=True)
 class HermiteForm:
     """Gram matrix of the trace form on the standard-monomial basis; its
-    zero entries are the int 0, the others `Fraction`s."""
+    zero entries are the int 0, the others `Fraction`s.  One built by
+    `hermite_form` also carries `traces`, the trace functional it was built
+    from: tau[k] = Tr(b_k), as a `Vector`."""
 
     entries: tuple[tuple[Scalar, ...], ...]
     basis: QuotientBasis
+    traces: Vector | None = field(default=None, compare=False, repr=False)
 
     def rows(self) -> list[list[Scalar]]:
         return [list(row) for row in self.entries]
@@ -345,11 +356,65 @@ def hermite_form(basis: GroebnerBasis, quotient: QuotientBasis) -> HermiteForm:
     transposed, steps = _transposed(_ring(basis, quotient)), quotient.steps
     dim = quotient.dimension
     entries: list[list[Scalar]] = [[0] * dim for _ in range(dim)]
-    for i, (nums, den) in enumerate(_chain(transposed, steps, _traces(transposed, steps))):
+    tau = _traces(transposed, steps)
+    for i, (nums, den) in enumerate(_chain(transposed, steps, tau)):
         for r, x in nums.items():
             if r <= i:
                 entries[r][i] = entries[i][r] = Fraction(x, den)
-    return HermiteForm(tuple(tuple(row) for row in entries), quotient)
+    return HermiteForm(tuple(tuple(row) for row in entries), quotient, tau)
+
+
+def shape_position(quotient: QuotientBasis) -> tuple[QuotientBasis, list[Vector]] | None:
+    """The lex staircase 1, x_n, ..., x_n^(D-1) of the ring that `quotient`
+    carries, with the Krylov vectors v_j = M_{x_n}^j * e_1, the coordinates
+    of x_n^j, for j < D; or None, which proves nothing.
+
+    If the integer numerators of the v_j have rank D modulo PRIME, the v_j
+    are independent over Q, so no nonzero polynomial in x_n of degree < D
+    lies in the ideal.  Under lex those powers are the D smallest monomials,
+    so none of them leads an element of the ideal: they are the whole lex
+    staircase, and the ideal is in shape position.  Each v_j is one product
+    on the columns of M_{x_n}, and its numerators are reduced mod PRIME
+    against the echelon of the earlier ones at once: the walk stops at the
+    first that reduces to zero.
+    """
+    n, dim = quotient.order.nvars, quotient.dimension
+    krylov: list[Vector] = []
+    rows: list[tuple[int, dict[int, int]]] = []
+    for _ in range(dim):
+        v = apply(quotient.columns[-1], krylov[-1]) if krylov else ({0: 1}, 1)
+        w = {k: x % PRIME for k, x in v[0].items()}
+        for pivot, row in rows:
+            c = w.get(pivot)
+            if c:
+                for k, x in row.items():
+                    w[k] = (w.get(k, 0) - c * x) % PRIME
+        pivot = next((k for k, x in w.items() if x), None)
+        if pivot is None:
+            return None
+        unit = pow(w[pivot], -1, PRIME)
+        rows.append((pivot, {k: x * unit % PRIME for k, x in w.items() if x}))
+        krylov.append(v)
+    powers = (Monomial(tuple(j if u == n - 1 else 0 for u in range(n))) for j in range(dim))
+    return QuotientBasis(tuple(powers), MonomialOrder(LEX, n)), krylov
+
+
+def hankel_form(form: HermiteForm, staircase: QuotientBasis, krylov: list[Vector]) -> HermiteForm:
+    """The trace form on the lex staircase that `shape_position` certified on
+    the ring of `form`, from its Krylov vectors: H[i][j] = Tr(x_n^(i+j)) =
+    s_(i+j), a Hankel matrix.  s_k = tau . v_k, with tau the trace
+    functional that `form` carries and the v_k continued to k = 2D - 2.  It
+    is `==` to `hermite_form` on the lex basis and its ring."""
+    (tau, tau_den), columns = form.traces, form.basis.columns
+    vectors = list(krylov)
+    while len(vectors) < 2 * len(krylov) - 1:
+        vectors.append(apply(columns[-1], vectors[-1]))
+    sums: list[Scalar] = []
+    for nums, den in vectors:
+        x = sum(tau.get(k, 0) * y for k, y in nums.items())
+        sums.append(Fraction(x, den * tau_den) if x else 0)
+    dim = staircase.dimension
+    return HermiteForm(tuple(tuple(sums[i : i + dim]) for i in range(dim)), staircase)
 
 
 def hermite_report(basis: GroebnerBasis) -> HermiteReport:

@@ -32,9 +32,7 @@ from typing import Sequence
 from .groebner import GroebnerBasis, _generator, _reduce
 from .linalg import apply, vector
 from .poly import Monomial
-from .quotient import HermiteReport, QuotientBasis, _ring, trace_functional
-
-PRIME = 2**61 - 1
+from .quotient import PRIME, HermiteReport, QuotientBasis, _ring, trace_functional
 
 
 def audit_basis(basis: GroebnerBasis, quotient: QuotientBasis) -> None:
@@ -287,13 +285,16 @@ def separating_form_mismatch(
     return f"no linear form l_1 .. l_{k} separates {rank} solutions: the rank is too high"
 
 
-def mismatch(basis: GroebnerBasis, report: HermiteReport) -> str | None:
-    """Audits `basis` on the quotient of `report`, checks the trace
-    functional, then the rank and signature of `report` against the
-    separating linear form; a description of the first mismatch, or None."""
+def mismatch(basis: GroebnerBasis, report: HermiteReport, lex: QuotientBasis | None = None) -> str | None:
+    """Audits `basis` on the quotient of `report`, and `lex`, a ring built
+    from a converted basis, on that basis; checks the trace functional, then
+    the rank and signature of `report` against the separating linear form; a
+    description of the first mismatch, or None."""
     quotient = report.form.basis
     try:
         audit_basis(basis, quotient)
+        if lex is not None:
+            audit_basis(lex.source, lex)
     except ValueError as exc:
         return f"Groebner basis audit: {exc}"
     tau = trace_functional(basis, quotient)

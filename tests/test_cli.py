@@ -25,7 +25,7 @@ from hermitecount import (
     inertia,
     parse_system,
 )
-from hermitecount import cli, quotient
+from hermitecount import cli, quotient, separating
 from hermitecount.cli import (
     EXIT_DIMENSION_LIMIT,
     EXIT_NOT_ZERO_DIMENSIONAL,
@@ -320,11 +320,13 @@ def test_order_flag_changes_basis_not_counts(capsys):
         assert lex_payload[key] == grevlex_payload[key]
 
 
-def direct_solve_text(text, kind):
-    """The solve route before FGLM: Buchberger in the requested order."""
+def direct_solve_text(text, kind, matrix=False):
+    """The solve route before FGLM: Buchberger in the requested order, and
+    the counts, the staircase and the form all on its ring."""
     variables, polys = parse_system(text, kind)
     basis = buchberger(polys, polys[0].order)
-    return variables, basis, hermite_report(basis)
+    report = hermite_report(basis)
+    return cli.SolveResult(variables, basis, report, report.form.basis, report.form)
 
 
 def lex_texts():
@@ -333,17 +335,23 @@ def lex_texts():
         return "\n".join(format_polynomial(p, names) for p in polys)
 
     texts = [text for _, text in FIXTURE_SYSTEMS]
-    texts += ["x1^2\nx2^3-x2", "x1^5-3*x1^2+1/2", "0", "5"]
+    texts += ["x1^2\nx2^3-x2", "x1^5-3*x1^2+1/2", "0", "5", "x1-1\nx2+2"]
+    # not in shape position: squares(3), and four points on two lines x2 = +-1
+    texts += ["x1^2-1\nx2^2-2\nx3^2-3", "x1^2-1\nx2^2-1"]
     texts += [as_text(polys) for _, _, polys in rational_systems(LEX)][::6]
     order = MonomialOrder(LEX, 3)
     texts += [as_text(rand_dense_system(Random(seed), order, 2)) for seed in range(2)]
     return texts
 
 
-@pytest.mark.parametrize("flags", [["--json"], ["--print-matrix"], ["--json", "--check"]])
+LEX_FLAGS = [["--json"], ["--print-matrix"], ["--json", "--check"], [], ["--check"]]
+
+
+@pytest.mark.parametrize("flags", LEX_FLAGS)
 def test_lex_solve_prints_what_lex_buchberger_gives(monkeypatch, capsys, flags):
-    # The lex basis comes from FGLM on the grevlex ring; the output and the
-    # exit code are those of the basis that Buchberger computes in lex.
+    # The counts come from the grevlex ring, and the lex staircase and H from
+    # it in shape position or from FGLM's lex ring otherwise; the output and
+    # the exit code are those of the basis that Buchberger computes in lex.
     orders = []
     true_buchberger = cli.buchberger
 
@@ -361,6 +369,35 @@ def test_lex_solve_prints_what_lex_buchberger_gives(monkeypatch, capsys, flags):
         assert got == expected, text
         assert got[0] == EXIT_OK
     assert set(orders) == {"grevlex"}
+
+
+@pytest.mark.parametrize("flags", LEX_FLAGS)
+def test_lex_solve_falls_back_to_fglm_on_an_unlucky_prime(monkeypatch, capsys, flags):
+    # Three points with x1 = x2^2/3 are in shape position, but the grevlex
+    # coordinates of x2^2 are 3*x1: their numerators drop rank modulo 3, so
+    # the certificate fails and the solve converts by FGLM instead.  --check
+    # audits the grevlex basis, and in the fallback the lex basis as well.
+    argv = ["solve", "--poly", "3*x1-x2^2", "--poly", "x2^3-x2", "--order", "lex", *flags]
+    expected = main(argv), capsys.readouterr()
+    converted, audited = [], []
+    true_fglm, true_audit = cli.fglm, separating.audit_basis
+
+    def recorded(basis, ring, order):
+        converted.append(order.kind)
+        return true_fglm(basis, ring, order)
+
+    def recorded_audit(basis, ring):
+        audited.append(basis.order.kind)
+        return true_audit(basis, ring)
+
+    monkeypatch.setattr(cli, "fglm", recorded)
+    monkeypatch.setattr(separating, "audit_basis", recorded_audit)
+    assert (main(argv), capsys.readouterr()) == expected and converted == []
+    assert audited == (["grevlex"] if "--check" in flags else [])
+    monkeypatch.setattr(quotient, "PRIME", 3)
+    assert (main(argv), capsys.readouterr()) == expected and converted == ["lex"]
+    assert audited == (["grevlex", "grevlex", "lex"] if "--check" in flags else [])
+    assert expected[0] == EXIT_OK and "x2^2" in expected[1].out
 
 
 def test_lex_solve_exit_codes_come_from_the_grevlex_ring(capsys):

@@ -23,6 +23,7 @@ from hermitecount import (
     s_polynomial,
     standard_monomials,
 )
+from hermitecount.quotient import hankel_form, hermite_form, shape_position
 from hermitecount.separating import audit_basis
 
 from support import (
@@ -408,3 +409,43 @@ def test_fglm_rejects_a_foreign_ring():
         fglm(ring, standard_monomials(other), MonomialOrder(LEX, 2))
     with pytest.raises(ValueError, match="variables"):
         fglm(ring, standard_monomials(ring), MonomialOrder(LEX, 3))
+
+
+# The shape certificate against FGLM on the same systems: when it passes,
+# FGLM's lex staircase is 1, x_n, ..., x_n^(D-1), and the Hankel matrix of
+# the traces is the lex H, entry for entry and type for type.
+
+
+def shape_certificate_against_fglm(polys):
+    nvars = polys[0].nvars
+    ring = buchberger(polys, MonomialOrder(GREVLEX, nvars))
+    quotient = standard_monomials(ring)
+    lex = fglm(ring, quotient, MonomialOrder(LEX, nvars))
+    lex_ring = standard_monomials(lex)
+    powers = [tuple(j if u == nvars - 1 else 0 for u in range(nvars)) for j in range(len(lex_ring))]
+    shape = shape_position(quotient)
+    if shape is None:
+        # 2^61 - 1 is never unlucky here: a failure means another staircase
+        assert [m.exponents for m in lex_ring] != powers
+        return False
+    staircase, krylov = shape
+    assert [m.exponents for m in lex_ring] == powers
+    assert staircase == lex_ring
+    index = {m: k for k, m in enumerate(quotient.monomials)}
+    for exps, (nums, den) in zip(powers, krylov):
+        power = normal_form(Polynomial(ring.order, {Monomial(exps): 1}), ring)
+        assert {index[m]: c for m, c in power.terms} == {k: Fraction(x, den) for k, x in nums.items()}
+    got, expected = hankel_form(hermite_form(ring, quotient), staircase, krylov), hermite_form(lex, lex_ring)
+    assert got == expected
+    assert [list(map(type, row)) for row in got.entries] == [list(map(type, row)) for row in expected.entries]
+    return True
+
+
+def test_shape_certificate_on_the_fglm_test_sets():
+    systems = [parse_system(text)[1] for _, text in FIXTURE_SYSTEMS]
+    systems += [polys for _, _, polys in random_systems(GREVLEX)]
+    systems += [polys for _, _, polys in rational_systems(GREVLEX)]
+    dense = [rand_dense_system(Random(seed), MonomialOrder(GREVLEX, 3), 2) for seed in range(3)]
+    certified = [shape_certificate_against_fglm(polys) for polys in systems + dense]
+    assert certified[-3:] == [True] * 3
+    assert 0 < certified.count(False) < certified.count(True)

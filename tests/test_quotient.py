@@ -18,6 +18,7 @@ from hermitecount import (
     Polynomial,
     QuotientBasis,
     buchberger,
+    format_monomial,
     hermite_form,
     hermite_report,
     is_zero_dimensional,
@@ -29,7 +30,7 @@ from hermitecount import (
     trace_functional,
 )
 from hermitecount import quotient
-from hermitecount.quotient import DimensionLimitError, _transposed
+from hermitecount.quotient import DimensionLimitError, _transposed, hankel_form, shape_position
 from hermitecount.separating import audit_basis
 
 from support import (
@@ -497,3 +498,31 @@ def test_audits_agree_on_perturbed_tails(kind):
             verdicts[expected] += 1
     assert verdicts[None] > 50
     assert verdicts[ValueError] > 300 or kind == LEX
+
+
+@pytest.mark.parametrize(
+    "text, dimension",
+    [("0", 1), ("5", 0), ("x1\nx1+1", 0), ("x1-1\nx2+2", 1), ("x1^3-2", 3)],
+)
+def test_shape_position_edge_ideals(text, dimension):
+    # no variables, the unit ideal, and D = 1 pass at once with an empty or
+    # unit Krylov basis; in one variable every ideal is in shape position
+    basis = system_basis(text)
+    form = hermite_form(basis, standard_monomials(basis))
+    staircase, krylov = shape_position(form.basis)
+    nvars = basis.order.nvars
+    assert staircase.order == MonomialOrder(LEX, nvars) and staircase.dimension == dimension
+    assert len(krylov) == dimension and krylov[:1] in ([], [({0: 1}, 1)])
+    lex = standard_monomials(system_basis(text, LEX))
+    assert hankel_form(form, staircase, krylov) == hermite_form(lex.source, lex)
+
+
+def test_shape_position_fails_on_an_unlucky_prime(monkeypatch):
+    # x1 = x2^2/3 on three points: the grevlex coordinates of x2^2 are 3*x1
+    ring = standard_monomials(system_basis("3*x1-x2^2\nx2^3-x2"))
+    staircase, _ = shape_position(ring)
+    assert [format_monomial(m, VARS2) for m in staircase] == ["1", "x2", "x2^2"]
+    monkeypatch.setattr(quotient, "PRIME", 3)
+    assert shape_position(ring) is None
+    monkeypatch.setattr(quotient, "PRIME", 5)
+    assert shape_position(ring) is not None
