@@ -101,7 +101,9 @@ def _solve_text(text: str, kind: str, matrix: bool = False) -> SolveResult:
 
 
 def _matrix_strings(form: HermiteForm) -> list[list[str]]:
-    return [[str(value) if value else "0" for value in row] for row in form.entries]
+    """H is symmetric: each entry is stringified for r <= c and mirrored."""
+    rows = [[str(value) if value else "0" for value in row[r:]] for r, row in enumerate(form.entries)]
+    return [[rows[c][r - c] for c in range(r)] + row for r, row in enumerate(rows)]
 
 
 def _emit_text(solved: SolveResult, matrix: list[list[str]] | None, out: TextIO) -> None:

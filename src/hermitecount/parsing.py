@@ -15,8 +15,8 @@ header, identifiers must look like `x<digits>` and are declared in numeric
 order; with a header, any identifiers are accepted in the declared order.
 
 The variables are fixed from the tokens before any line is parsed, so each
-line is evaluated directly as `{exponent tuple: Fraction}` terms with the
-sparse arithmetic of `poly` and becomes a `Polynomial` once.
+line is evaluated directly, in one linear pass, and becomes a `Polynomial`
+once.
 """
 
 from __future__ import annotations
@@ -25,20 +25,10 @@ import re
 from fractions import Fraction
 from itertools import groupby
 from math import comb
+from operator import add
 from typing import Sequence
 
-from .poly import (
-    GREVLEX,
-    Monomial,
-    MonomialOrder,
-    Polynomial,
-    TermDict,
-    add_terms,
-    mul_terms,
-    neg_terms,
-    pow_terms,
-    sub_terms,
-)
+from .poly import GREVLEX, Monomial, MonomialOrder, Polynomial, TermDict, mul_terms, neg_terms, pow_terms
 
 _MAX_NESTING = 200
 # Products of two terms that one `*` or `^` may expand into: about 2 s at the
@@ -119,7 +109,10 @@ def _power_products(a: TermDict, nvars: int, exponent: int, bits: int = 0) -> in
     """A bound on the term products of `pow_terms(a, exponent, nvars)`, each of
     a^i by a^j weighted by `_weight((i + j) * bits, nvars)`, counted along its repeated
     squaring until it passes _MAX_PRODUCTS: a^k has at most C(len(a) + k - 1, k)
-    terms (k-multisets of a's terms) and C(nvars + k*d, nvars) (d = deg a)."""
+    terms (k-multisets of a's terms) and C(nvars + k*d, nvars) (d = deg a);
+    in O(1) for one term, whose products are left to _MAX_BITS."""
+    if len(a) == 1:
+        return _weight(0, nvars) * (exponent.bit_count() + exponent.bit_length() - 1) if exponent else 0
     size, degree = len(a), max(map(sum, a), default=0)
 
     def terms(k: int) -> int:
@@ -137,15 +130,16 @@ def _power_products(a: TermDict, nvars: int, exponent: int, bits: int = 0) -> in
     return total
 
 
+def _size(c: int | Fraction) -> int:
+    """The largest bit_length() - 1 of c's numerator and denominator."""
+    return max(c.numerator.bit_length(), c.denominator.bit_length()) - 1
+
+
 def _bits(a: TermDict) -> int:
     """Coefficient size that a product adds and a power multiplies: the
-    largest bit_length() - 1 of a numerator or denominator, so +-1 costs
-    nothing, plus the bits of the term count, which bounds the multinomial
-    coefficients of a power."""
-    if not a:
-        return 0
-    largest = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in a.values())
-    return largest - 1 + (len(a) - 1).bit_length()
+    largest `_size` of a coefficient, so +-1 costs nothing, plus the bits of
+    the term count, which bounds the multinomial coefficients of a power."""
+    return max(map(_size, a.values())) + (len(a) - 1).bit_length() if a else 0
 
 
 def _bound(tok: _Token, products: int, bits: int) -> None:
@@ -158,29 +152,24 @@ def _bound(tok: _Token, products: int, bits: int) -> None:
         raise ParseError(what, tok.line, tok.column)
 
 
-class _ExprParser:
-    """Recursive-descent parser for a single polynomial token stream,
-    evaluated with `poly`'s sparse arithmetic over the variables in `index`.
-    `auto` says the variables are the `x<digits>` identifiers (no header)."""
+def _terms(value: tuple | TermDict) -> TermDict:
+    return dict([value]) if type(value) is tuple else value
 
-    def __init__(self, tokens: list[_Token], index: dict[str, int], auto: bool):
-        self.tokens = tokens
-        self.pos = 0
+
+class _ExprParser:
+    """Recursive-descent parser of one line per `parse` over the variables
+    in `index`; `auto` says they are the `x<digits>` identifiers (no header).
+    A value is a lone term, an (exponents, nonzero int or Fraction) pair, or a
+    `TermDict` that its receiver owns: lone terms multiply and power on their
+    exponents, a sum accumulates into one dict, and `poly` does the rest."""
+
+    def __init__(self, index: dict[str, int], auto: bool):
         self.index = index
         self.auto = auto
-        self.depth = 0
-
-    def _constant(self, value: Fraction) -> TermDict:
-        return {(0,) * len(self.index): value} if value else {}
+        self.one = (0,) * len(index)
 
     def _peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _next(self) -> _Token | None:
-        tok = self._peek()
-        if tok is not None:
-            self.pos += 1
-        return tok
 
     def _fail(self, message: str) -> ParseError:
         tok = self._peek()
@@ -191,84 +180,97 @@ class _ExprParser:
             return ParseError(f"{message} at end of input", line, col)
         return ParseError(message, tok.line, tok.column)
 
-    def parse(self) -> TermDict:
+    def parse(self, tokens: list[_Token]) -> TermDict:
+        self.tokens, self.pos, self.depth = tokens, 0, 0
         value = self.polynomial()
         tok = self._peek()
         if tok is not None:
             raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.column)
-        return value
+        return {e: c if type(c) is Fraction else Fraction(c) for e, c in value.items()}
 
     def polynomial(self) -> TermDict:
-        value = self.term()
-        while True:
-            tok = self._peek()
-            if tok is None or tok.kind not in ("+", "-"):
-                return value
-            self._next()
+        total = _terms(self.term())
+        while (tok := self._peek()) is not None and tok.kind in ("+", "-"):
+            self.pos += 1
             rhs = self.term()
-            value = add_terms(value, rhs) if tok.kind == "+" else sub_terms(value, rhs)
+            for e, c in [rhs] if type(rhs) is tuple else rhs.items():
+                c = total.get(e, 0) + c if tok.kind == "+" else total.get(e, 0) - c
+                if c:
+                    total[e] = c
+                else:
+                    del total[e]
+        return total
 
-    def term(self) -> TermDict:
+    def term(self) -> tuple | TermDict:
         value = self.factor()
-        while True:
-            tok = self._peek()
-            if tok is None or tok.kind != "*":
-                return value
-            self._next()
+        while (tok := self._peek()) is not None and tok.kind == "*":
+            self.pos += 1
             rhs = self.factor()
+            if type(value) is tuple and type(rhs) is tuple:
+                _bound(tok, 1, _size(value[1]) + _size(rhs[1]))
+                value = tuple(map(add, value[0], rhs[0])), value[1] * rhs[1]
+                continue
+            value, rhs = _terms(value), _terms(rhs)
             products, bits = len(value) * len(rhs), _bits(value) + _bits(rhs)
             _bound(tok, products * _weight(bits, len(self.index)) if products > 1 else products, bits)
             value = mul_terms(value, rhs)
+        return value
 
-    def factor(self) -> TermDict:
+    def factor(self) -> tuple | TermDict:
         # "-" factor, counted in a loop: a run of signs costs no recursion.
         negate = False
         while (tok := self._peek()) is not None and tok.kind == "-":
-            self._next()
+            self.pos += 1
             negate = not negate
         value = self.primary()
         if (caret := self._peek()) is not None and caret.kind == "^":
-            self._next()
-            exponent = self.exponent()
-            bits, n = _bits(value), len(self.index)
-            _bound(caret, _power_products(value, n, exponent, bits if len(value) > 1 else 0), exponent * bits)
-            value = pow_terms(value, exponent, n)
-        return neg_terms(value) if negate else value
+            self.pos += 1
+            exponent, n = self.exponent(), len(self.index)
+            bits = _bits(terms := _terms(value))
+            _bound(caret, _power_products(terms, n, exponent, bits), exponent * bits)
+            if type(value) is tuple:
+                value = tuple([k * exponent for k in value[0]]), value[1] ** exponent
+            else:
+                value = pow_terms(value, exponent, n)
+        if not negate:
+            return value
+        return (value[0], -value[1]) if type(value) is tuple else neg_terms(value)
 
-    def primary(self) -> TermDict:
+    def primary(self) -> tuple | TermDict:
         tok = self._peek()
         if tok is None:
             raise self._fail("expected a factor")
         if tok.kind == "nat":
-            self._next()
-            numerator = _natural(tok)
+            self.pos += 1
+            value: int | Fraction = _natural(tok)
             if self._peek() is not None and self._peek().kind == "/":
-                self._next()
-                den = self._next()
+                self.pos += 1
+                den = self._peek()
+                self.pos += 1
                 if den is None or den.kind != "nat":
                     raise self._fail("malformed rational: expected a denominator")
                 denominator = _natural(den)
                 if denominator == 0:
                     raise ParseError("malformed rational: zero denominator", den.line, den.column)
-                return self._constant(Fraction(numerator, denominator))
-            return self._constant(Fraction(numerator))
+                value = Fraction(value, denominator)
+            return (self.one, value) if value else {}
         if tok.kind == "ident":
-            self._next()
+            self.pos += 1
             var = self.index.get(tok.text)
             if var is None:
                 hint = " (use a vars: header for names other than x1, x2, ...)" if self.auto else ""
                 raise ParseError(f"undeclared identifier {tok.text}{hint}", tok.line, tok.column)
-            return {tuple(int(i == var) for i in range(len(self.index))): Fraction(1)}
+            return self.one[:var] + (1,) + self.one[var + 1 :], 1
         if tok.kind == "(":
             self.depth += 1
             if self.depth > _MAX_NESTING:
                 raise ParseError("expression nested too deeply", tok.line, tok.column)
-            self._next()
+            self.pos += 1
             value = self.polynomial()
             closing = self._peek()
             if closing is None or closing.kind != ")":
                 raise self._fail("expected ')'")
-            self._next()
+            self.pos += 1
             self.depth -= 1
             return value
         raise self._fail(f"unexpected {tok.text!r}")
@@ -279,7 +281,7 @@ class _ExprParser:
             if tok is not None and tok.kind == "-":
                 raise ParseError("exponent must be a non-negative integer literal", tok.line, tok.column)
             raise self._fail("exponent must be a non-negative integer literal")
-        self._next()
+        self.pos += 1
         return _natural(tok)
 
 
@@ -289,7 +291,7 @@ def parse_polynomial(text: str, variables: Sequence[str], kind: str = GREVLEX) -
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate variable names in {names}")
     tokens = [t for t in _tokenize(text) if t.kind != "newline"]
-    terms = _ExprParser(tokens, {name: i for i, name in enumerate(names)}, auto=False).parse()
+    terms = _ExprParser({name: i for i, name in enumerate(names)}, auto=False).parse(tokens)
     return Polynomial._from_terms(MonomialOrder(kind, len(names)), terms)
 
 
@@ -335,8 +337,8 @@ def parse_system(text: str, kind: str = GREVLEX) -> tuple[list[str], list[Polyno
         # x<digits> identifiers sort by their numeric suffix.
         found = {t.text for line in lines for t in line if t.kind == "ident" and _AUTO_VAR.match(t.text)}
         names = sorted(found, key=lambda s: (int(_AUTO_VAR.match(s).group(1)), s))
-    index = {name: i for i, name in enumerate(names)}
-    parsed = [_ExprParser(line, index, auto=declared is None).parse() for line in lines]
+    parser = _ExprParser({name: i for i, name in enumerate(names)}, auto=declared is None)
+    parsed = [parser.parse(line) for line in lines]
     order = MonomialOrder(kind, len(names))
     return names, [Polynomial._from_terms(order, terms) for terms in parsed]
 

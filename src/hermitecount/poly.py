@@ -5,7 +5,7 @@ so ranks and signatures computed downstream are never perturbed by rounding.
 Terms are kept in strictly descending order under the polynomial's monomial
 order, with no zero coefficients and no duplicate monomials.  The arithmetic
 itself works on `{exponent tuple: Fraction}` dicts (`add_terms` and its
-siblings), shared by `Polynomial`'s operators and the parser.
+siblings) under `Polynomial`'s operators, and the parser's products of sums.
 """
 
 from __future__ import annotations
@@ -32,6 +32,13 @@ class Monomial:
         if any(e < 0 for e in exps):
             raise ValueError(f"negative exponent in monomial {exps}")
         self.exponents = exps
+
+    @classmethod
+    def _trusted(cls, exponents: tuple[int, ...]) -> "Monomial":
+        """Trusted constructor: a tuple of non-negative ints."""
+        m = object.__new__(cls)
+        m.exponents = exponents
+        return m
 
     @classmethod
     def unit(cls, nvars: int) -> "Monomial":
@@ -143,7 +150,7 @@ class MonomialOrder:
 
 
 # The sparse arithmetic: polynomials as {exponent tuple: Fraction} dicts with
-# no zero coefficients.  `Polynomial`'s operators and the parser both use it.
+# no zero coefficients.
 TermDict = dict[tuple[int, ...], Fraction]
 
 
@@ -223,7 +230,8 @@ class Polynomial:
         they are: no re-wrapping in Fraction, no re-sorting."""
         p = object.__new__(cls)
         p.order = order
-        p.terms = tuple((Monomial(e), c) for e, c in terms)
+        monomial = Monomial._trusted
+        p.terms = tuple([(monomial(e), c) for e, c in terms])
         return p
 
     @classmethod

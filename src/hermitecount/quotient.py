@@ -196,7 +196,7 @@ def standard_monomials(basis: GroebnerBasis) -> QuotientBasis:
         for var, k in pairs:
             columns[var][k] = form
 
-    return QuotientBasis(tuple(map(Monomial, index)), order, basis, columns, steps)
+    return QuotientBasis(tuple(map(Monomial._trusted, index)), order, basis, columns, steps)
 
 
 def _eliminate(x: dict[int, int], a: int, y: dict[int, int], b: int) -> dict[int, int]:
@@ -342,7 +342,12 @@ def trace_functional(basis: GroebnerBasis, quotient: QuotientBasis) -> dict[Mono
     Traces of arbitrary elements follow by linearity: an element with normal
     form sum(c_m * b_m) has multiplication trace sum(c_m * tau(b_m)).
     """
-    tau, den = _traces(_transposed(_ring(basis, quotient)), quotient.steps)
+    return _functional(quotient, _traces(_transposed(_ring(basis, quotient)), quotient.steps))
+
+
+def _functional(quotient: QuotientBasis, traces: Vector) -> dict[Monomial, Fraction]:
+    """A `_traces` vector as {basis monomial: tau}."""
+    tau, den = traces
     return {m: Fraction(tau.get(k, 0), den) for k, m in enumerate(quotient.monomials)}
 
 
@@ -395,7 +400,7 @@ def shape_position(quotient: QuotientBasis) -> tuple[QuotientBasis, list[Vector]
         unit = pow(w[pivot], -1, PRIME)
         rows.append((pivot, {k: x * unit % PRIME for k, x in w.items() if x}))
         krylov.append(v)
-    powers = (Monomial(tuple(j if u == n - 1 else 0 for u in range(n))) for j in range(dim))
+    powers = (Monomial._trusted(tuple(j if u == n - 1 else 0 for u in range(n))) for j in range(dim))
     return QuotientBasis(tuple(powers), MonomialOrder(LEX, n)), krylov
 
 

@@ -32,7 +32,7 @@ from typing import Sequence
 from .groebner import GroebnerBasis, _generator, _reduce
 from .linalg import apply, vector
 from .poly import Monomial
-from .quotient import PRIME, HermiteReport, QuotientBasis, _ring, trace_functional
+from .quotient import PRIME, HermiteReport, QuotientBasis, _functional, _ring, trace_functional
 
 
 def audit_basis(basis: GroebnerBasis, quotient: QuotientBasis) -> None:
@@ -287,9 +287,9 @@ def separating_form_mismatch(
 
 def mismatch(basis: GroebnerBasis, report: HermiteReport, lex: QuotientBasis | None = None) -> str | None:
     """Audits `basis` on the quotient of `report`, and `lex`, a ring built
-    from a converted basis, on that basis; checks the trace functional, then
-    the rank and signature of `report` against the separating linear form; a
-    description of the first mismatch, or None."""
+    from a converted basis, on that basis; checks the trace functional of
+    `report.form`, then the rank and signature of `report` against the
+    separating linear form; a description of the first mismatch, or None."""
     quotient = report.form.basis
     try:
         audit_basis(basis, quotient)
@@ -297,7 +297,8 @@ def mismatch(basis: GroebnerBasis, report: HermiteReport, lex: QuotientBasis | N
             audit_basis(lex.source, lex)
     except ValueError as exc:
         return f"Groebner basis audit: {exc}"
-    tau = trace_functional(basis, quotient)
+    traces = report.form.traces
+    tau = trace_functional(basis, quotient) if traces is None else _functional(quotient, traces)
     try:
         return trace_mismatch(basis, quotient, tau) or separating_form_mismatch(
             basis, quotient, tau, report.rank, report.signature

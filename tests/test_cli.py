@@ -128,6 +128,26 @@ def test_json_has_one_key_and_one_matrix_row_per_line(text, capsys):
     assert next(fields, None) is None
 
 
+def test_matrix_strings_mirror_the_upper_triangle():
+    """Each entry of the symmetric H is stringified once, and the text is
+    that of every entry, under grevlex and of the lex Hankel matrix; an entry
+    past the digit limit raises what the first such entry in row order does."""
+    for _, text in FIXTURE_SYSTEMS:
+        for kind in ("grevlex", LEX):
+            form = cli._solve_text(text, kind, matrix=True).form
+            assert cli._matrix_strings(form) == [[str(x) for x in row] for row in form.entries]
+    limit = int_str_limit()
+    if limit is None or limit >= 7000:
+        pytest.skip("this interpreter prints entries of any length")
+    n = "1" + "0" * 3000
+    form = cli._solve_text(f"x1^2-{n}\nx2^2-{n}*x1", "grevlex", matrix=True).form
+    with pytest.raises(ValueError) as full:
+        [[str(x) for x in row] for row in form.entries]
+    with pytest.raises(ValueError) as mirrored:
+        cli._matrix_strings(form)
+    assert str(mirrored.value) == str(full.value)
+
+
 def test_json_round_trip_consistency(capsys):
     main(["solve", "--poly", "x1^2-1", "--poly", "x2^2-2", "--poly", "x3^2-x1*x2", "--json"])
     payload = json.loads(capsys.readouterr().out)

@@ -24,7 +24,7 @@ from hermitecount import (
 
 from hermitecount import parsing, poly
 
-from support import int_str_limit, rand_expression, rand_polynomial
+from support import int_str_limit, rand_expression, rand_fraction, rand_polynomial
 
 
 def test_parse_system_two_polynomials():
@@ -344,6 +344,77 @@ def test_power_product_bound_covers_pow_terms(monkeypatch):
         assert sum(spent) <= parsing._power_products(terms, len(names), exponent)
 
 
+def one_term_power_loop(nvars: int, degree: int, exponent: int) -> int:
+    """The count that `_power_products` summed along the repeated squaring of
+    a one-term base of degree `degree` before its closed form: each a^k has
+    min(C(1 + k - 1, k), ...) = 1 term, and each product weighs _weight(0, n)."""
+
+    def terms(k: int) -> int:
+        return min(comb(k, k), comb(nvars + k * degree, nvars)) if k else 1
+
+    total, result, power = 0, 0, 1
+    while exponent and total <= parsing._MAX_PRODUCTS:
+        if exponent & 1:
+            total += terms(result) * terms(power) * parsing._weight(0, nvars)
+            result += power
+        exponent >>= 1
+        if exponent:
+            total += terms(power) ** 2 * parsing._weight(0, nvars)
+            power *= 2
+    return total
+
+
+@pytest.mark.parametrize("nvars", [1, 3, 96, 200, 1000])
+def test_one_term_power_bound_is_the_loop_in_closed_form(nvars):
+    for degree in (0, 1, 3):
+        base = {(degree,) + (0,) * (nvars - 1): Fraction(7, 5)}
+        for exponent in [*range(70), 255, 256, 1000, 12345]:
+            expected = one_term_power_loop(nvars, degree, exponent)
+            assert parsing._power_products(base, nvars, exponent, bits=3) == expected, (degree, exponent)
+
+
+@pytest.mark.parametrize("count, digits", [(100, 300), (200, 1000)])
+def test_one_term_powers_in_many_variables_decide_at_once(count, digits):
+    # counting the squarings in a loop took 2.2 s on (100, 300); (200, 1000) ran over 90 s
+    names = [f"x{i}" for i in range(1, count + 1)]
+    start = time.perf_counter()
+    _, (p,) = parse_system(f"vars: {', '.join(names)}\n{names[-1]}^{'9' * digits}")
+    assert time.perf_counter() - start < 1
+    assert p.terms == ((Monomial((0,) * (count - 1) + (10**digits - 1,)), 1),)
+
+
+def test_long_sums_parse_in_linear_time():
+    # adding each summand to a copy of the running sum took 13.9 s on this line
+    terms = {(i % 200, i // 200): (i % 17 - 8) or 9 for i in range(32_000)}
+    text = "+".join(f"{c}*x1^{a}*x2^{b}" for (a, b), c in terms.items()).replace("+-", "-")
+    start = time.perf_counter()
+    _, (p,) = parse_system(text)
+    assert time.perf_counter() - start < 5
+    assert p == Polynomial(MonomialOrder(GREVLEX, 2), {Monomial(e): c for e, c in terms.items()})
+
+
+def test_flat_sums_parse_to_their_terms():
+    """Sums shaped like the benchmark's dense systems (`-7*x1^2*x2`, `1*x2`),
+    terms in any order, with rationals and repeated or cancelling monomials,
+    parse to the sum of their terms with Fraction coefficients only."""
+    rng = Random(22)
+    for _ in range(300):
+        nvars, degree = rng.randint(1, 4), rng.randint(1, 4)
+        names = [f"x{i + 1}" for i in range(nvars)]
+        summands, expected = [], {}
+        for _ in range(rng.randint(1, 40)):
+            e = tuple(rng.randint(0, degree) for _ in range(nvars))
+            c = Fraction(rng.randint(-9, 9)) if rng.random() < 0.7 else rand_fraction(rng)
+            factors = [f"{n}^{k}" if k > 1 else n for n, k in zip(names, e) if k]
+            summands.append("*".join([str(c), *factors]))
+            expected[e] = expected.get(e, 0) + c
+        text = "+".join(summands).replace("+-", "-")
+        p = parse_polynomial(text, names)
+        order = MonomialOrder(GREVLEX, nvars)
+        assert p == Polynomial(order, {Monomial(e): c for e, c in expected.items()}), text
+        assert all(type(c) is Fraction for _, c in p.terms), text
+
+
 def test_parse_with_lex_order_sorts_with_lex():
     p = parse_polynomial("x2^3+x1", ["x1", "x2"], LEX)
     assert p.leading_monomial() == Monomial((1, 0))
@@ -362,10 +433,10 @@ def test_random_expressions_match_sympy_expand(kind):
     """Seeded expression texts parse to the terms of sympy's expansion, both
     through parse_polynomial over declared names and through parse_system,
     which finds the variables in the text; terms come out strictly
-    descending under the order."""
+    descending under the order, with Fraction coefficients."""
     sympy = pytest.importorskip("sympy")
     rng = Random(f"expressions:{kind}")
-    for _ in range(80):
+    for _ in range(334):
         names = [f"x{i + 1}" for i in range(rng.randint(1, 3))]
         text = rand_expression(rng, names)
         symbols = {name: sympy.Symbol(name) for name in names}
@@ -375,5 +446,6 @@ def test_random_expressions_match_sympy_expand(kind):
         for variables, p in ((names, parse_polynomial(text, names, kind)), (found, auto)):
             expected = _sympy_terms(sympy, expanded, [symbols[v] for v in variables])
             assert {m.exponents: c for m, c in p.terms} == expected, text
+            assert all(type(c) is Fraction for _, c in p.terms), text
             keys = [p.order.descending_key(m.exponents) for m, _ in p.terms]
             assert all(a < b for a, b in zip(keys, keys[1:])), text

@@ -45,6 +45,18 @@ def test_monomial_rejects_negative_exponents():
         Monomial((1, -1))
 
 
+def test_trusted_monomials_equal_validated_ones():
+    rng = Random(5)
+    for kind in ORDER_KINDS:
+        order = MonomialOrder(kind, 3)
+        p = rand_polynomial(rng, order)
+        rebuilt = Polynomial._from_sorted(order, [(m.exponents, c) for m, c in p.terms])
+        assert rebuilt.terms == p.terms
+        assert all(type(m) is Monomial for m, _ in rebuilt.terms)
+    assert Monomial._trusted((2, 0, 1)) == Monomial([2, 0, 1])
+    assert hash(Monomial._trusted((2, 0, 1))) == hash(Monomial((2, 0, 1)))
+
+
 def test_add_cancellation():
     p = poly(GREVLEX2, {(1, 0): 1, (0, 0): 1})
     q = poly(GREVLEX2, {(1, 0): -1})

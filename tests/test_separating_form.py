@@ -196,6 +196,25 @@ def test_unit_ideal_passes(capsys):
     assert "number of complex solutions: 0" in capsys.readouterr().out
 
 
+def test_check_reads_tau_off_the_hermite_form(monkeypatch):
+    """`mismatch` takes tau from the `_traces` pass that `hermite_form` ran,
+    which equals `trace_functional` on the same ring."""
+    for kind in ORDER_KINDS:
+        for seed, order, polys in chain(random_systems(kind), rational_systems(kind)):
+            basis = buchberger(polys, order)
+            report = hermite_report(basis)
+            q = report.form.basis
+            assert quotient._functional(q, report.form.traces) == trace_functional(basis, q), seed
+
+    def forbidden(*args):
+        raise AssertionError("the check computed tau again")
+
+    _, polys = parse_system("\n".join(CIRCLE_HYPERBOLA))
+    basis = buchberger(polys, polys[0].order)
+    monkeypatch.setattr(separating, "trace_functional", forbidden)
+    assert separating.mismatch(basis, hermite_report(basis)) is None
+
+
 def test_oracle_never_reads_h_or_berkowitz(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the oracle ran Berkowitz")
