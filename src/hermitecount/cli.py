@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, TextIO
 
-from .groebner import GroebnerBasis, NotZeroDimensionalError, buchberger
+from .groebner import NotZeroDimensionalError, buchberger
 from .parsing import ParseError, format_monomial, parse_system
 from .poly import GREVLEX, LEX, ORDER_KINDS, MonomialOrder
 from .quotient import DimensionLimitError, HermiteForm, HermiteReport, QuotientBasis, fglm, hankel_form
@@ -71,13 +71,12 @@ class RunConfiguration:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Buchberger's basis and the report on its ring, which holds the counts,
+    """The report on the ring of Buchberger's basis, which holds the counts,
     with the staircase and form printed in the requested order.  Under lex,
     `form` is None unless the matrix was asked for, and `lex` is the lex ring
     that FGLM built when shape position was not certified."""
 
     variables: list[str]
-    basis: GroebnerBasis
     report: HermiteReport
     staircase: QuotientBasis
     form: HermiteForm | None
@@ -89,15 +88,15 @@ def _solve_text(text: str, kind: str, matrix: bool = False) -> SolveResult:
     basis = buchberger(polys, polys[0].order)
     report = hermite_report(basis)
     if kind != LEX:
-        return SolveResult(variables, basis, report, report.form.basis, report.form)
+        return SolveResult(variables, report, report.form.basis, report.form)
     ring = report.form.basis
     shape = shape_position(ring)
     if shape is not None:
         form = hankel_form(report.form, *shape) if matrix else None
-        return SolveResult(variables, basis, report, shape[0], form)
+        return SolveResult(variables, report, shape[0], form)
     lex = standard_monomials(fglm(basis, ring, MonomialOrder(LEX, basis.order.nvars)))
     form = hermite_form(lex.source, lex) if matrix else None
-    return SolveResult(variables, basis, report, lex, form, lex)
+    return SolveResult(variables, report, lex, form, lex)
 
 
 def _matrix_strings(form: HermiteForm) -> list[list[str]]:
@@ -172,7 +171,7 @@ def run_solve(config: RunConfiguration, out: TextIO | None = None, err: TextIO |
     if config.cross_check:
         from .separating import mismatch  # loaded only when --check runs
 
-        found = mismatch(solved.basis, solved.report, solved.lex)
+        found = mismatch(solved.report, solved.lex)
         if found is not None:
             print(f"oracle mismatch: {found}", file=err)
             return EXIT_ORACLE_MISMATCH

@@ -308,11 +308,11 @@ def parse_system(text: str, kind: str = GREVLEX) -> tuple[list[str], list[Polyno
         if not newline
     ]
 
-    declared: list[str] | None = None
+    declared: dict[str, None] | None = None  # ordered, with O(1) duplicate lookups
     if lines and lines[0][0].kind == "ident" and lines[0][0].text == "vars" \
             and len(lines[0]) > 1 and lines[0][1].kind == ":":
         colon, *header = lines.pop(0)[1:]
-        declared = []
+        declared = {}
         expect_name = True
         for tok in header:
             if expect_name:
@@ -320,7 +320,7 @@ def parse_system(text: str, kind: str = GREVLEX) -> tuple[list[str], list[Polyno
                     raise ParseError("expected a variable name", tok.line, tok.column)
                 if tok.text in declared:
                     raise ParseError(f"duplicate variable {tok.text}", tok.line, tok.column)
-                declared.append(tok.text)
+                declared[tok.text] = None
             elif tok.kind != ",":
                 raise ParseError("expected ','", tok.line, tok.column)
             expect_name = not expect_name
@@ -332,7 +332,7 @@ def parse_system(text: str, kind: str = GREVLEX) -> tuple[list[str], list[Polyno
         raise ParseError("empty system: no polynomials", 1, 1)
 
     if declared is not None:
-        names = declared
+        names = list(declared)
     else:
         # x<digits> identifiers sort by their numeric suffix.
         found = {t.text for line in lines for t in line if t.kind == "ident" and _AUTO_VAR.match(t.text)}

@@ -21,10 +21,9 @@ Otherwise `fglm` changes the order on the same matrices: it walks the lex
 staircase and finds the generators as linear relations among the normal
 forms M_{x_v} * NF(m), so Buchberger never runs in lex.
 
-The same matrices serve `solve --check`, which `separating` holds whole:
-its `audit_basis` certifies the basis by checking that they commute, and its
-oracle re-derives the counts from the characteristic polynomial of a linear
-form, built from Newton sums on them without the trace form.
+`traces_of` pairs tau with coordinate vectors, for the lex Hankel sums and
+for the Newton sums Tr(M_l^j) of `separating`, which holds all of `solve
+--check` and reads only a ring and its tau.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd
 from operator import le
+from typing import Iterable
 
 from . import linalg
 from .groebner import GroebnerBasis, NotZeroDimensionalError, is_zero_dimensional, normal_form
@@ -293,8 +293,7 @@ def _chain(matrices, steps: Steps, start: Vector) -> list[Vector]:
 
 
 def _transposed(quotient: QuotientBasis) -> dict[int, list[Vector]]:
-    """M_{x_v}^T for each variable x_v of the parent chain; under lex in
-    shape position only the last variable."""
+    """M_{x_v}^T for each variable x_v that steps along the parent chain."""
     return {v: transpose(quotient.columns[v]) for v in {s[0] for s in quotient.steps if s}}
 
 
@@ -342,13 +341,16 @@ def trace_functional(basis: GroebnerBasis, quotient: QuotientBasis) -> dict[Mono
     Traces of arbitrary elements follow by linearity: an element with normal
     form sum(c_m * b_m) has multiplication trace sum(c_m * tau(b_m)).
     """
-    return _functional(quotient, _traces(_transposed(_ring(basis, quotient)), quotient.steps))
-
-
-def _functional(quotient: QuotientBasis, traces: Vector) -> dict[Monomial, Fraction]:
-    """A `_traces` vector as {basis monomial: tau}."""
-    tau, den = traces
+    tau, den = _traces(_transposed(_ring(basis, quotient)), quotient.steps)
     return {m: Fraction(tau.get(k, 0), den) for k, m in enumerate(quotient.monomials)}
+
+
+def traces_of(tau: Vector, vectors: Iterable[Vector]) -> list[Scalar]:
+    """Tr(f) = tau . NF(f) for each f given by its coordinates, with tau the
+    trace functional as a `Vector`; exact, a zero as the int 0."""
+    tau_nums, tau_den = tau
+    pairs = ((sum(tau_nums.get(k, 0) * y for k, y in nums.items()), den) for nums, den in vectors)
+    return [Fraction(x, den * tau_den) if x else 0 for x, den in pairs]
 
 
 def hermite_form(basis: GroebnerBasis, quotient: QuotientBasis) -> HermiteForm:
@@ -410,15 +412,10 @@ def hankel_form(form: HermiteForm, staircase: QuotientBasis, krylov: list[Vector
     s_(i+j), a Hankel matrix.  s_k = tau . v_k, with tau the trace
     functional that `form` carries and the v_k continued to k = 2D - 2.  It
     is `==` to `hermite_form` on the lex basis and its ring."""
-    (tau, tau_den), columns = form.traces, form.basis.columns
-    vectors = list(krylov)
+    vectors, columns = list(krylov), form.basis.columns
     while len(vectors) < 2 * len(krylov) - 1:
         vectors.append(apply(columns[-1], vectors[-1]))
-    sums: list[Scalar] = []
-    for nums, den in vectors:
-        x = sum(tau.get(k, 0) * y for k, y in nums.items())
-        sums.append(Fraction(x, den * tau_den) if x else 0)
-    dim = staircase.dimension
+    sums, dim = traces_of(form.traces, vectors), staircase.dimension
     return HermiteForm(tuple(tuple(sums[i : i + dim]) for i in range(dim)), staircase)
 
 

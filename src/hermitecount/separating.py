@@ -1,7 +1,8 @@
 """All of `solve --check`: the basis audit, the trace-functional checks, and
 the separating-form oracle, which re-derives the rank and signature of the
 trace form without reading it.  Only `--check` loads this module, through
-`mismatch`, which runs them in that order.
+`mismatch`, which runs them in that order on the ring of the report (its
+`source` is the basis) and on tau, the `Vector` that `hermite_form` left.
 
 `audit_basis` certifies the Groebner basis on the border matrices that the
 quotient carries: they commute (the border-basis criterion), and every
@@ -12,7 +13,8 @@ characteristic polynomial chi on the quotient ring whose roots are the values
 of l_k at the solutions (Rouillier 1999, "Solving zero-dimensional systems
 through the rational univariate representation").  Its Newton sums
 Tr(M_l^j) = tau . M_l^j * e_1 take one sparse product each on the border
-matrices, and the oracle never reads the Hermite matrix.  Once l_k separates
+matrices, paired with tau by `quotient.traces_of` as the lex Hankel sums
+are, and the oracle never reads the Hermite matrix.  Once l_k separates
 the solutions, chi's distinct roots count the complex ones and its real roots
 the real ones (Hermite's univariate theorem; Basu, Pollack and Roy, ch. 4).
 
@@ -24,21 +26,21 @@ exact squarefree part over Z, and a Descartes bisection counts the real roots.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations, repeat
 from math import comb, gcd, lcm
 from operator import le
 from typing import Sequence
 
-from .groebner import GroebnerBasis, _generator, _reduce
-from .linalg import apply, vector
-from .poly import Monomial
-from .quotient import PRIME, HermiteReport, QuotientBasis, _functional, _ring, trace_functional
+from .groebner import _generator, _reduce
+from .linalg import Vector, apply, vector
+from .quotient import PRIME, HermiteReport, QuotientBasis, traces_of
 
 
-def audit_basis(basis: GroebnerBasis, quotient: QuotientBasis) -> None:
-    """Certify a zero-dimensional `basis` G as a reduced Groebner basis of an
-    ideal that holds every original generator, on the border matrices that
-    `quotient`, its staircase, carries; raises ValueError on a violation.
+def audit_basis(ring: QuotientBasis) -> None:
+    """Certify `ring.source`, the zero-dimensional basis G that `ring` was
+    built from, as a reduced Groebner basis of an ideal that holds every
+    original generator, on the border matrices of `ring`; raises ValueError
+    on a violation, or for a hand-built `QuotientBasis`, which carries none.
     It proves <F> in <G> for the original generators F, not <G> = <F>: a
     Groebner basis of a larger ideal passes.
 
@@ -50,7 +52,9 @@ def audit_basis(basis: GroebnerBasis, quotient: QuotientBasis) -> None:
     because the column of LM(g) is -tail(g).  So dim Q[x]/<G> >= |O|, which
     forces LT(<G>) = <LM(G)>.
     """
-    columns = _ring(basis, quotient).columns
+    basis, columns = ring.source, ring.columns
+    if basis is None:
+        raise ValueError("quotient basis does not belong to a Groebner basis")
     gens, order = basis.generators, basis.order
     leads = [g.leading_monomial().exponents for g in gens]
     for g in gens:
@@ -66,7 +70,7 @@ def audit_basis(basis: GroebnerBasis, quotient: QuotientBasis) -> None:
         if f.order != order or _reduce(vector(f._term_dict())[0], divisors, order.descending_key)[0]:
             raise ValueError(f"original generator does not reduce to zero: {f!r}")
     for u, v in combinations(range(len(columns)), 2):
-        for k in range(quotient.dimension):
+        for k in range(ring.dimension):
             if apply(columns[u], columns[v][k]) != apply(columns[v], columns[u][k]):
                 raise ValueError(f"multiplication by variables {u} and {v} does not commute")
 
@@ -181,9 +185,7 @@ def real_root_count(coefficients: Sequence[int]) -> int:
     return count
 
 
-def separating_charpoly(
-    basis: GroebnerBasis, quotient: QuotientBasis, tau: dict[Monomial, Fraction], k: int
-) -> list[int]:
+def separating_charpoly(ring: QuotientBasis, tau: Vector, k: int) -> list[int]:
     """Characteristic polynomial of multiplication by l = sum of k^i * x_{i+1},
     as primitive integer coefficients, ascending.  Its roots are the values
     of l at the solutions, each with the solution's multiplicity.
@@ -198,21 +200,17 @@ def separating_charpoly(
     is not integral raises ValueError: `tau` is not the trace functional.
     det(tI - M_l) = sum over m of (-1)^m * (e_m / c^m) * t^(D-m).
     """
-    columns = _ring(basis, quotient).columns
-    dim = quotient.dimension
+    columns, dim = ring.columns, ring.dimension
     weights = ({v: k**v for v in range(len(columns))}, 1)
     summed = [apply([column[j] for column in columns], weights) for j in range(dim)]
     scale = lcm(*(den for _, den in summed))
-    tau_nums, tau_den = vector({i: tau[m] for i, m in enumerate(quotient.monomials)})
+    krylov = accumulate(repeat(summed, dim), lambda v, matrix: apply(matrix, v), initial=({0: 1}, 1))
     sums = []
-    power, krylov = 1, ({0: 1}, 1)
-    for _ in range(dim):
-        krylov = nums, den = apply(summed, krylov)
-        power *= scale
-        total, remainder = divmod(power * sum(x * tau_nums.get(r, 0) for r, x in nums.items()), den * tau_den)
-        if remainder:
-            raise ValueError(f"Newton sum {len(sums) + 1} of a linear form is not an integer")
-        sums.append(total)
+    for j, trace in enumerate(traces_of(tau, krylov)[1:], 1):
+        total = trace * scale**j
+        if total.denominator != 1:
+            raise ValueError(f"Newton sum {j} of a linear form is not an integer")
+        sums.append(total.numerator)
     elementary = [1]
     for m in range(1, dim + 1):
         total = sum((-1 if i % 2 == 0 else 1) * elementary[m - i] * sums[i - 1] for i in range(1, m + 1))
@@ -225,30 +223,23 @@ def separating_charpoly(
     return [c // content for c in coefficients]
 
 
-def trace_mismatch(
-    basis: GroebnerBasis, quotient: QuotientBasis, tau: dict[Monomial, Fraction]
-) -> str | None:
-    """tau(1) must be the quotient dimension, and tau(x_v), for each variable
-    that is a standard monomial, the diagonal sum of M_{x_v}, read off the
-    border columns without going through tau."""
-    nvars = basis.order.nvars
-    if quotient.dimension and tau[Monomial.unit(nvars)] != quotient.dimension:
-        return f"trace functional: tau(1) = {tau[Monomial.unit(nvars)]} != dimension {quotient.dimension}"
-    for v, matrix in enumerate(_ring(basis, quotient).columns):
-        trace = sum((Fraction(nums.get(j, 0), den) for j, (nums, den) in enumerate(matrix)), Fraction(0))
-        value = tau.get(Monomial.variable(v, nvars), trace)
-        if value != trace:
+def trace_mismatch(ring: QuotientBasis, tau: Vector) -> str | None:
+    """tau(1), entry 0 of `tau`, must be the quotient dimension, and tau(x_v),
+    for each variable that is a standard monomial, the diagonal sum of
+    M_{x_v}, read off the border columns without going through tau.  x_v is
+    b_i for the i with steps[i] == (v, 0), whatever its place in the order."""
+    (nums, den), dim = tau, ring.dimension
+    if dim and (one := Fraction(nums.get(0, 0), den)) != dim:
+        return f"trace functional: tau(1) = {one} != dimension {dim}"
+    index = {step: i for i, step in enumerate(ring.steps)}
+    for v, matrix in enumerate(ring.columns):
+        trace = sum((Fraction(x.get(j, 0), d) for j, (x, d) in enumerate(matrix)), Fraction(0))
+        if (v, 0) in index and (value := Fraction(nums.get(index[v, 0], 0), den)) != trace:
             return f"trace functional: tau(x{v + 1}) = {value} != trace of its matrix {trace}"
     return None
 
 
-def separating_form_mismatch(
-    basis: GroebnerBasis,
-    quotient: QuotientBasis,
-    tau: dict[Monomial, Fraction],
-    rank: int,
-    signature: int,
-) -> str | None:
+def separating_form_mismatch(ring: QuotientBasis, tau: Vector, rank: int, signature: int) -> str | None:
     """Rank and signature against the charpoly chi of l_k = sum of k^i * x_{i+1}.
 
     The roots of chi are the values of l_k at the solutions, so d, the degree
@@ -265,12 +256,13 @@ def separating_form_mismatch(
     In one variable l_1 = x1 is the only form tried, and chi must be the lone
     generator g of the basis, primitive: a wrong tau can keep the counts.
     """
-    if rank > quotient.dimension:
-        return f"rank {rank} exceeds the quotient dimension {quotient.dimension}"
-    for k in range(1, comb(rank, 2) * max(basis.order.nvars - 1, 0) + 2):
-        chi = separating_charpoly(basis, quotient, tau, k)
-        if basis.order.nvars == 1:
-            lead, lc, tail = _generator(basis.generators[0])
+    nvars = ring.order.nvars
+    if rank > ring.dimension:
+        return f"rank {rank} exceeds the quotient dimension {ring.dimension}"
+    for k in range(1, comb(rank, 2) * max(nvars - 1, 0) + 2):
+        chi = separating_charpoly(ring, tau, k)
+        if nvars == 1:
+            lead, lc, tail = _generator(ring.source.generators[0])
             if dict([(lead, lc), *tail]) != {(e,): c for e, c in enumerate(chi) if c}:
                 return "chi of x1 is not the primitive generator of the basis"
         part = chi if squarefree_mod_p(chi) else integer_squarefree_part(chi)
@@ -285,23 +277,19 @@ def separating_form_mismatch(
     return f"no linear form l_1 .. l_{k} separates {rank} solutions: the rank is too high"
 
 
-def mismatch(basis: GroebnerBasis, report: HermiteReport, lex: QuotientBasis | None = None) -> str | None:
-    """Audits `basis` on the quotient of `report`, and `lex`, a ring built
-    from a converted basis, on that basis; checks the trace functional of
-    `report.form`, then the rank and signature of `report` against the
-    separating linear form; a description of the first mismatch, or None."""
-    quotient = report.form.basis
+def mismatch(report: HermiteReport, lex: QuotientBasis | None = None) -> str | None:
+    """Audits the ring of `report` and `lex`, a ring built from a converted
+    basis, each on its own basis; checks the trace functional that
+    `report.form` carries, then the rank and signature of `report` against
+    the separating linear form; a description of the first mismatch, or None."""
+    ring, tau = report.form.basis, report.form.traces
     try:
-        audit_basis(basis, quotient)
+        audit_basis(ring)
         if lex is not None:
-            audit_basis(lex.source, lex)
+            audit_basis(lex)
     except ValueError as exc:
         return f"Groebner basis audit: {exc}"
-    traces = report.form.traces
-    tau = trace_functional(basis, quotient) if traces is None else _functional(quotient, traces)
     try:
-        return trace_mismatch(basis, quotient, tau) or separating_form_mismatch(
-            basis, quotient, tau, report.rank, report.signature
-        )
+        return trace_mismatch(ring, tau) or separating_form_mismatch(ring, tau, report.rank, report.signature)
     except ValueError as exc:
         return f"trace functional: {exc}"

@@ -346,7 +346,7 @@ def direct_solve_text(text, kind, matrix=False):
     variables, polys = parse_system(text, kind)
     basis = buchberger(polys, polys[0].order)
     report = hermite_report(basis)
-    return cli.SolveResult(variables, basis, report, report.form.basis, report.form)
+    return cli.SolveResult(variables, report, report.form.basis, report.form)
 
 
 def lex_texts():
@@ -406,9 +406,9 @@ def test_lex_solve_falls_back_to_fglm_on_an_unlucky_prime(monkeypatch, capsys, f
         converted.append(order.kind)
         return true_fglm(basis, ring, order)
 
-    def recorded_audit(basis, ring):
-        audited.append(basis.order.kind)
-        return true_audit(basis, ring)
+    def recorded_audit(ring):
+        audited.append(ring.source.order.kind)
+        return true_audit(ring)
 
     monkeypatch.setattr(cli, "fglm", recorded)
     monkeypatch.setattr(separating, "audit_basis", recorded_audit)

@@ -169,7 +169,7 @@ def test_basis_generators_are_monic_and_reduced():
     for _, text in FIXTURE_SYSTEMS:
         variables, polys = parse_system(text)
         basis = buchberger(polys, polys[0].order)
-        audit_basis(basis, standard_monomials(basis))  # monic, reduced, originals to zero, commuting
+        audit_basis(standard_monomials(basis))  # monic, reduced, originals to zero, commuting
 
 
 def test_normal_form_is_linear_and_idempotent():

@@ -356,10 +356,11 @@ def test_dimension_cap_comes_before_any_border_work(monkeypatch):
 # Every consumer of a quotient basis reads the ring it carries, so it accepts
 # only a quotient that `standard_monomials` built from an equal basis: a
 # hand-built one carries no ring, and one built from another basis carries
-# the wrong one.
+# the wrong one.  `audit_basis` takes no basis: it audits the one its ring
+# was built from, so only a hand-built quotient can be wrong for it.
 
 QUOTIENT_CONSUMERS = {
-    "audit_basis": audit_basis,
+    "audit_basis": lambda basis, quotient: audit_basis(quotient),
     "hermite_form": hermite_form,
     "trace_functional": trace_functional,
     "multiplication_matrix": lambda basis, quotient: multiplication_matrix(
@@ -407,6 +408,8 @@ def test_quotient_basis_mismatch_is_rejected(consumer, mismatch):
         quotient = standard_monomials(basis)
         call(basis, quotient)
         for wrong in mismatch(text, basis, quotient):
+            if consumer == "audit_basis" and wrong.source is not None:
+                continue
             with pytest.raises(ValueError, match="does not belong"):
                 call(basis, wrong)
 
@@ -430,7 +433,7 @@ def audit_systems(kind):
 
 
 def commuting_audit(basis):
-    audit_basis(basis, standard_monomials(basis))
+    audit_basis(standard_monomials(basis))
 
 
 def verdict(audit, basis):

@@ -79,10 +79,14 @@ def linear_form(order, k):
     return Polynomial(order, {Monomial.variable(i, n): k**i for i in range(n)})
 
 
+def ring_and_tau(basis):
+    """The ring of `basis` and the trace functional that its Hermite form carries."""
+    form = hermite_report(basis).form
+    return form.basis, form.traces
+
+
 def oracle(basis, rank, signature):
-    report = hermite_report(basis)
-    q = report.form.basis
-    return separating.separating_form_mismatch(basis, q, trace_functional(basis, q), rank, signature)
+    return separating.separating_form_mismatch(*ring_and_tau(basis), rank, signature)
 
 
 def argv(polys):
@@ -95,9 +99,9 @@ def used_k(monkeypatch):
     calls = []
     original = separating.separating_charpoly
 
-    def spy(basis, q, tau, k):
+    def spy(q, tau, k):
         calls.append(k)
-        return original(basis, q, tau, k)
+        return original(q, tau, k)
 
     monkeypatch.setattr(separating, "separating_charpoly", spy)
     return calls
@@ -106,22 +110,21 @@ def used_k(monkeypatch):
 @pytest.mark.parametrize("kind", ORDER_KINDS)
 def test_charpoly_matches_berkowitz_on_the_multiplication_matrix(kind):
     for name, basis in fixture_bases(kind):
-        q = hermite_report(basis).form.basis
-        tau = trace_functional(basis, q)
+        q, tau = ring_and_tau(basis)
         for k in (1, 2, 5):
             matrix = multiplication_matrix(linear_form(basis.order, k), basis, q)
             expected = primitive(berkowitz_charpoly(matrix.entries))
-            assert separating_charpoly(basis, q, tau, k) == expected, (name, k)
+            assert separating_charpoly(q, tau, k) == expected, (name, k)
 
 
 def test_charpoly_matches_berkowitz_on_a_dense_system():
     _, polys = parse_system("\n".join(DENSE_3_3))
     basis = buchberger(polys, polys[0].order)
-    q = hermite_report(basis).form.basis
+    q, tau = ring_and_tau(basis)
     matrix = multiplication_matrix(linear_form(basis.order, 1), basis, q)
     assert q.dimension == 27
     expected = primitive(berkowitz_charpoly(matrix.entries))
-    assert separating_charpoly(basis, q, trace_functional(basis, q), 1) == expected
+    assert separating_charpoly(q, tau, 1) == expected
 
 
 @pytest.mark.parametrize("kind", ORDER_KINDS)
@@ -159,8 +162,7 @@ def test_symmetric_pair_needs_k_2(used_k, capsys):
 def test_non_radical_pair_takes_the_exact_path(used_k, capsys):
     _, polys = parse_system("\n".join(NON_RADICAL_PAIR))
     basis = buchberger(polys, polys[0].order)
-    q = hermite_report(basis).form.basis
-    assert not squarefree_mod_p(separating_charpoly(basis, q, trace_functional(basis, q), 1))
+    assert not squarefree_mod_p(separating_charpoly(*ring_and_tau(basis), 1))
     assert main(argv(NON_RADICAL_PAIR)) == EXIT_OK
     assert used_k == [1]
     out = capsys.readouterr().out
@@ -203,16 +205,18 @@ def test_check_reads_tau_off_the_hermite_form(monkeypatch):
         for seed, order, polys in chain(random_systems(kind), rational_systems(kind)):
             basis = buchberger(polys, order)
             report = hermite_report(basis)
-            q = report.form.basis
-            assert quotient._functional(q, report.form.traces) == trace_functional(basis, q), seed
+            q, (nums, den) = report.form.basis, report.form.traces
+            tau = {m: Fraction(nums.get(k, 0), den) for k, m in enumerate(q.monomials)}
+            assert tau == trace_functional(basis, q), seed
 
     def forbidden(*args):
         raise AssertionError("the check computed tau again")
 
     _, polys = parse_system("\n".join(CIRCLE_HYPERBOLA))
-    basis = buchberger(polys, polys[0].order)
-    monkeypatch.setattr(separating, "trace_functional", forbidden)
-    assert separating.mismatch(basis, hermite_report(basis)) is None
+    report = hermite_report(buchberger(polys, polys[0].order))
+    monkeypatch.setattr(quotient, "_traces", forbidden)
+    monkeypatch.setattr(quotient, "trace_functional", forbidden)
+    assert separating.mismatch(report) is None
 
 
 def test_oracle_never_reads_h_or_berkowitz(monkeypatch):
@@ -223,9 +227,9 @@ def test_oracle_never_reads_h_or_berkowitz(monkeypatch):
     _, polys = parse_system("\n".join(CIRCLE_HYPERBOLA))
     basis = buchberger(polys, polys[0].order)
     report = hermite_report(basis)
-    blank = HermiteForm((), report.form.basis)
+    blank = HermiteForm((), report.form.basis, report.form.traces)
     blind = HermiteReport(blank, report.rank, report.signature, 4, 2, report.quotient_dimension)
-    assert separating.mismatch(basis, blind) is None
+    assert separating.mismatch(blind) is None
 
 
 @pytest.mark.parametrize(
@@ -261,18 +265,20 @@ def test_check_exits_4_when_the_inertia_is_wrong(monkeypatch, capsys, used_k, po
 
 
 @pytest.mark.parametrize(
-    "entry, message",
+    "polys, entry, message",
     [
-        (0, "tau(1) = 5 != dimension 4"),
-        (1, "tau(x2) = 1 != trace of its matrix 0"),
-        (2, "tau(x1) = -1 != "),
+        # circle-hyperbola has the basis 1, x2, x1, x2^2 under grevlex
+        (CIRCLE_HYPERBOLA, 0, "tau(1) = 5 != dimension 4"),
+        (CIRCLE_HYPERBOLA, 1, "tau(x2) = 1 != trace of its matrix 0"),
+        (CIRCLE_HYPERBOLA, 2, "tau(x1) = -1 != "),
         # no direct check reads tau(x2^2); Newton's identities stop being integral
-        (3, "Newton identity 3 of a linear form is not integral"),
+        (CIRCLE_HYPERBOLA, 3, "Newton identity 3 of a linear form is not integral"),
+        # the basis 1, x2: x1 is no standard monomial, and tau(x2) is entry 1
+        (["x1-2", "x2^2-3"], 1, "tau(x2) = 1 != trace of its matrix 0"),
     ],
-    ids=["tau(1)", "tau(x2)", "tau(x1)", "tau(x2^2)"],
+    ids=["tau(1)", "tau(x2)", "tau(x1)", "tau(x2^2)", "tau(x2)-x1-not-standard"],
 )
-def test_check_exits_4_on_a_wrong_trace_functional(monkeypatch, capsys, entry, message):
-    # circle-hyperbola has the basis 1, x2, x1, x2^2 under grevlex
+def test_check_exits_4_on_a_wrong_trace_functional(monkeypatch, capsys, polys, entry, message):
     true_traces = quotient._traces
 
     def perturbed(transposed, steps):
@@ -281,7 +287,7 @@ def test_check_exits_4_on_a_wrong_trace_functional(monkeypatch, capsys, entry, m
 
     monkeypatch.setattr(quotient, "_traces", perturbed)
     err = io.StringIO()
-    config = RunConfiguration(inline_polynomials=tuple(CIRCLE_HYPERBOLA), cross_check=True)
+    config = RunConfiguration(inline_polynomials=tuple(polys), cross_check=True)
     assert run_solve(config, io.StringIO(), err) == EXIT_ORACLE_MISMATCH
     assert message in err.getvalue()
 
@@ -289,12 +295,12 @@ def test_check_exits_4_on_a_wrong_trace_functional(monkeypatch, capsys, entry, m
 def test_a_fractional_trace_gives_a_fractional_newton_sum():
     _, polys = parse_system("\n".join(CIRCLE_HYPERBOLA))
     basis = buchberger(polys, polys[0].order)
-    q = hermite_report(basis).form.basis
-    tau = trace_functional(basis, q)
-    assert separating_charpoly(basis, q, tau, 1) == [7, -6, -4, 2, 1]
-    tau[q.monomials[3]] += Fraction(1, 3)
+    q, (nums, den) = ring_and_tau(basis)
+    assert separating_charpoly(q, (nums, den), 1) == [7, -6, -4, 2, 1]
+    tau = {k: Fraction(nums.get(k, 0), den) for k in range(q.dimension)}
+    tau[3] += Fraction(1, 3)
     with pytest.raises(ValueError, match="Newton sum 3 of a linear form is not an integer"):
-        separating_charpoly(basis, q, tau, 1)
+        separating_charpoly(q, linalg.vector(tau), 1)
 
 
 @pytest.mark.parametrize("kind", ["lex", "grevlex"])
@@ -306,9 +312,8 @@ def test_chi_of_x1_is_the_primitive_generator(kind):
         f = rand_monic_univariate(rng, 6)
         a, b = rand_monic_univariate(rng, 3), rand_monic_univariate(rng, 3)
         basis = buchberger([to_multivariate(f * a, order), to_multivariate(f * b, order)], order)
-        q = hermite_report(basis).form.basis
         expected = primitive(poly_gcd(f * a, f * b))
-        assert separating_charpoly(basis, q, trace_functional(basis, q), 1) == expected, (f, a, b)
+        assert separating_charpoly(*ring_and_tau(basis), 1) == expected, (f, a, b)
 
 
 @pytest.mark.parametrize("delta, chi", [(-2, [0, -1, 0, 1]), (2, [0, -3, 0, 1])], ids=["-2", "+2"])
@@ -329,8 +334,7 @@ def test_check_exits_4_when_chi_of_x1_is_not_the_generator(monkeypatch, delta, c
     _, polys = parse_system("x1^3-2*x1")
     basis = buchberger(polys, polys[0].order)
     report = hermite_report(basis)
-    q = report.form.basis
-    assert separating_charpoly(basis, q, trace_functional(basis, q), 1) == chi
+    assert separating_charpoly(report.form.basis, report.form.traces, 1) == chi
     if delta < 0:
         assert squarefree_mod_p(chi)
         assert (report.rank, report.signature) == (len(chi) - 1, real_root_count(chi)) == (3, 3)
