@@ -1,56 +1,30 @@
 """Exact counting of distinct complex and real solutions of zero-dimensional
 polynomial systems, through the rank and signature of the trace bilinear form
 on the quotient ring.  All arithmetic is over exact rationals.
+
+The root exports the pipeline's entry points and the types, errors and order
+constants they take, return or raise; everything else is imported from its
+module.
 """
 
-from .groebner import (
-    GroebnerBasis,
-    NotZeroDimensionalError,
-    buchberger,
-    is_zero_dimensional,
-    normal_form,
-    s_polynomial,
-)
-from .linalg import (
-    InertiaResult,
-    congruence_diagonalize,
-    inertia,
-)
-from .parsing import (
-    ParseError,
-    format_monomial,
-    format_polynomial,
-    parse_polynomial,
-    parse_system,
-)
+from .groebner import GroebnerBasis, NotZeroDimensionalError, buchberger
+from .parsing import ParseError, parse_system
 from .poly import GREVLEX, GRLEX, LEX, ORDER_KINDS, Monomial, MonomialOrder, Polynomial
 from .quotient import (
     HermiteForm,
     HermiteReport,
-    MultiplicationMatrix,
     QuotientBasis,
     fglm,
     hermite_form,
     hermite_report,
-    multiplication_matrix,
     standard_monomials,
-    trace_functional,
 )
 
 __all__ = [
     "GroebnerBasis",
     "NotZeroDimensionalError",
     "buchberger",
-    "is_zero_dimensional",
-    "normal_form",
-    "s_polynomial",
-    "InertiaResult",
-    "congruence_diagonalize",
-    "inertia",
     "ParseError",
-    "format_monomial",
-    "format_polynomial",
-    "parse_polynomial",
     "parse_system",
     "GREVLEX",
     "GRLEX",
@@ -61,12 +35,9 @@ __all__ = [
     "Polynomial",
     "HermiteForm",
     "HermiteReport",
-    "MultiplicationMatrix",
     "QuotientBasis",
     "fglm",
     "hermite_form",
     "hermite_report",
-    "multiplication_matrix",
     "standard_monomials",
-    "trace_functional",
 ]

@@ -334,17 +334,6 @@ def multiplication_matrix(
     return MultiplicationMatrix(rows, element, quotient)
 
 
-def trace_functional(basis: GroebnerBasis, quotient: QuotientBasis) -> dict[Monomial, Fraction]:
-    """tau(b) = trace of multiplication by b, for every basis monomial b,
-    summed up the parent chain on the transposed border matrices.
-
-    Traces of arbitrary elements follow by linearity: an element with normal
-    form sum(c_m * b_m) has multiplication trace sum(c_m * tau(b_m)).
-    """
-    tau, den = _traces(_transposed(_ring(basis, quotient)), quotient.steps)
-    return {m: Fraction(tau.get(k, 0), den) for k, m in enumerate(quotient.monomials)}
-
-
 def traces_of(tau: Vector, vectors: Iterable[Vector]) -> list[Scalar]:
     """Tr(f) = tau . NF(f) for each f given by its coordinates, with tau the
     trace functional as a `Vector`; exact, a zero as the int 0."""

@@ -16,14 +16,19 @@ from hermitecount import (
     HermiteForm,
     Monomial,
     MonomialOrder,
-    MultiplicationMatrix,
     NotZeroDimensionalError,
     Polynomial,
     QuotientBasis,
-    congruence_diagonalize,
-    normal_form,
 )
-from hermitecount.linalg import Scalar, _berkowitz, _integer_matrix, check_symmetric
+from hermitecount.groebner import normal_form
+from hermitecount.linalg import (
+    Scalar,
+    _berkowitz,
+    _integer_matrix,
+    check_symmetric,
+    congruence_diagonalize,
+)
+from hermitecount.quotient import MultiplicationMatrix
 from hermitecount.univariate import UnivariatePolynomial
 
 
@@ -473,6 +478,13 @@ def _division_traces(
         )
         for i, mono in enumerate(monos)
     }
+
+
+def tau_by_monomial(form: HermiteForm) -> dict[Monomial, Fraction]:
+    """tau(b) = Tr(b) for each basis monomial b, read off the `Vector`
+    `form.traces` that `hermite_form` left on the form."""
+    nums, den = form.traces
+    return {m: Fraction(nums.get(k, 0), den) for k, m in enumerate(form.basis.monomials)}
 
 
 def division_trace_functional(

@@ -17,14 +17,13 @@ from hermitecount import (
     buchberger,
     hermite_form,
     hermite_report,
-    inertia,
-    multiplication_matrix,
-    normal_form,
     parse_system,
     standard_monomials,
 )
 from hermitecount.cli import EXIT_NOT_ZERO_DIMENSIONAL, main, run_bench
-from hermitecount.linalg import inertia_via_charpoly
+from hermitecount.groebner import normal_form
+from hermitecount.linalg import inertia, inertia_via_charpoly
+from hermitecount.quotient import multiplication_matrix
 from hermitecount.univariate import UnivariatePolynomial, squarefree_part, sturm_count
 
 from support import (

@@ -19,10 +19,7 @@ from hermitecount import (
     MonomialOrder,
     Polynomial,
     buchberger,
-    format_monomial,
-    format_polynomial,
     hermite_report,
-    inertia,
     parse_system,
 )
 from hermitecount import cli, quotient, separating
@@ -33,6 +30,7 @@ from hermitecount.cli import (
     EXIT_ORACLE_MISMATCH,
     EXIT_OUTPUT_LIMIT,
     EXIT_PARSE,
+    OracleMismatchError,
     RunConfiguration,
     degree_family,
     main,
@@ -40,6 +38,8 @@ from hermitecount.cli import (
     run_solve,
     sphere_family,
 )
+from hermitecount.linalg import inertia
+from hermitecount.parsing import format_monomial, format_polynomial
 
 from support import FIXTURE_SYSTEMS, int_str_limit, rand_dense_system, rational_systems
 
@@ -307,6 +307,18 @@ def test_solve_from_file(tmp_path, capsys):
     assert "number of complex solutions: 1" in out
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [("vars: a b", "1:9: expected ','"), ("vars: a, , b", "1:10: expected a variable name")],
+    ids=["missing-comma", "empty-name"],
+)
+def test_malformed_vars_header_exits_2(tmp_path, capsys, header, message):
+    path = tmp_path / "system.txt"
+    path.write_text(f"{header}\na-1\n", encoding="utf-8")
+    assert main(["solve", str(path)]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"parse error: {message}\n"
+
+
 def test_solve_missing_file(capsys):
     code = main(["solve", "no-such-file.txt"])
     assert code == EXIT_PARSE
@@ -477,6 +489,15 @@ def test_run_bench_counts(capsys):
 def test_bench_cli_exit_ok(capsys):
     assert main(["bench", "--spheres", "2", "--degrees", "2"]) == EXIT_OK
     assert capsys.readouterr().out
+
+
+def test_bench_exits_4_on_a_count_mismatch(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_degree_family_expected", lambda d: (d + 1, d))
+    with pytest.raises(OracleMismatchError):
+        run_bench(max_spheres=2, max_degree=2, out=io.StringIO())
+    assert main(["bench", "--spheres", "2", "--degrees", "2"]) == EXIT_ORACLE_MISMATCH
+    err = capsys.readouterr().err
+    assert err == "oracle mismatch: degree family d=2: expected counts (3, 2), got (2, 2)\n"
 
 
 def test_bench_rejects_too_small_families(capsys):

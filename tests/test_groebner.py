@@ -16,13 +16,11 @@ from hermitecount import (
     Polynomial,
     buchberger,
     fglm,
-    is_zero_dimensional,
-    normal_form,
-    parse_polynomial,
     parse_system,
-    s_polynomial,
     standard_monomials,
 )
+from hermitecount.groebner import is_zero_dimensional, normal_form, s_polynomial
+from hermitecount.parsing import parse_polynomial
 from hermitecount.quotient import hankel_form, hermite_form, shape_position
 from hermitecount.separating import audit_basis
 

@@ -11,16 +11,13 @@ import pytest
 
 from hermitecount import (
     ORDER_KINDS,
-    InertiaResult,
     buchberger,
-    congruence_diagonalize,
     hermite_form,
-    inertia,
     linalg,
     parse_system,
     standard_monomials,
 )
-from hermitecount.linalg import inertia_via_charpoly
+from hermitecount.linalg import InertiaResult, congruence_diagonalize, inertia, inertia_via_charpoly
 
 from support import (
     DENSE_2_5,

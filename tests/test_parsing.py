@@ -16,13 +16,11 @@ from hermitecount import (
     MonomialOrder,
     ParseError,
     Polynomial,
-    format_monomial,
-    format_polynomial,
-    parse_polynomial,
     parse_system,
 )
 
 from hermitecount import parsing, poly
+from hermitecount.parsing import format_monomial, format_polynomial, parse_polynomial
 
 from support import int_str_limit, rand_expression, rand_fraction, rand_polynomial
 

@@ -18,19 +18,21 @@ from hermitecount import (
     Polynomial,
     QuotientBasis,
     buchberger,
-    format_monomial,
     hermite_form,
     hermite_report,
-    is_zero_dimensional,
-    multiplication_matrix,
-    normal_form,
-    parse_polynomial,
     parse_system,
     standard_monomials,
-    trace_functional,
 )
-from hermitecount import quotient
-from hermitecount.quotient import DimensionLimitError, _transposed, hankel_form, shape_position
+from hermitecount import quotient, separating
+from hermitecount.groebner import is_zero_dimensional, normal_form
+from hermitecount.parsing import format_monomial, parse_polynomial
+from hermitecount.quotient import (
+    DimensionLimitError,
+    _transposed,
+    hankel_form,
+    multiplication_matrix,
+    shape_position,
+)
 from hermitecount.separating import audit_basis
 
 from support import (
@@ -45,6 +47,7 @@ from support import (
     rand_polynomial,
     random_systems,
     s_pair_audit,
+    tau_by_monomial,
 )
 
 ORDER2 = MonomialOrder(GREVLEX, 2)
@@ -102,7 +105,7 @@ def test_multiplication_matrix_basis_mismatch(nilpotent_basis):
 
 def test_trace_functional_values(nilpotent_basis):
     quotient = standard_monomials(nilpotent_basis)
-    tau = trace_functional(nilpotent_basis, quotient)
+    tau = tau_by_monomial(hermite_form(nilpotent_basis, quotient))
     assert tau[Monomial((0, 0))] == 2  # trace of the identity = dim A
     assert tau[Monomial((0, 1))] == 0  # nilpotent multiplier
 
@@ -111,7 +114,7 @@ def test_trace_functional_is_linear_in_the_element():
     rng = Random(20240816)
     basis = system_basis("x1*x2+x2-1\nx1^2+x2^2-1")
     quotient = standard_monomials(basis)
-    tau = trace_functional(basis, quotient)
+    tau = tau_by_monomial(hermite_form(basis, quotient))
     for _ in range(20):
         g = rand_polynomial(rng, ORDER2, max_terms=5, max_exponent=3, bound=9)
         by_table = sum(
@@ -258,8 +261,9 @@ def test_twisted_cubic_slice():
 def assert_matches_division_route(basis, rng):
     quotient = standard_monomials(basis)
     assert quotient == box_standard_monomials(basis)
-    assert hermite_form(basis, quotient) == division_hermite_form(basis, quotient)
-    assert trace_functional(basis, quotient) == division_trace_functional(basis, quotient)
+    form = hermite_form(basis, quotient)
+    assert form == division_hermite_form(basis, quotient)
+    assert tau_by_monomial(form) == division_trace_functional(basis, quotient)
     g = rand_polynomial(rng, basis.order, max_terms=4, max_exponent=3, bound=9)
     assert multiplication_matrix(g, basis, quotient) == division_multiplication_matrix(
         g, basis, quotient
@@ -362,7 +366,6 @@ def test_dimension_cap_comes_before_any_border_work(monkeypatch):
 QUOTIENT_CONSUMERS = {
     "audit_basis": lambda basis, quotient: audit_basis(quotient),
     "hermite_form": hermite_form,
-    "trace_functional": trace_functional,
     "multiplication_matrix": lambda basis, quotient: multiplication_matrix(
         Polynomial.variable(basis.order, 0), basis, quotient
     ),
@@ -501,6 +504,22 @@ def test_audits_agree_on_perturbed_tails(kind):
             verdicts[expected] += 1
     assert verdicts[None] > 50
     assert verdicts[ValueError] > 300 or kind == LEX
+
+
+@pytest.mark.parametrize(
+    "texts, refusal",
+    [
+        (["2*x1-2", "x2^2-1"], "generator is not monic: "),
+        (["x1-1", "x1*x2-x2", "x2^2-1"], "basis is not reduced at "),
+    ],
+    ids=["not-monic", "not-reduced"],
+)
+def test_check_refuses_a_basis_that_is_not_monic_or_not_reduced(texts, refusal):
+    # buchberger returns only monic reduced bases, so these are built by hand;
+    # each still has a staircase and a trace form for the audit to read.
+    gens = tuple(map(p2, texts))
+    report = hermite_report(GroebnerBasis(gens, ORDER2, gens))
+    assert separating.mismatch(report).startswith("Groebner basis audit: " + refusal)
 
 
 @pytest.mark.parametrize(

@@ -15,20 +15,19 @@ from hermitecount import (
     ORDER_KINDS,
     HermiteForm,
     HermiteReport,
-    InertiaResult,
     Monomial,
     MonomialOrder,
     Polynomial,
     buchberger,
     hermite_report,
     linalg,
-    multiplication_matrix,
     parse_system,
     quotient,
-    trace_functional,
 )
 from hermitecount import separating
 from hermitecount.cli import EXIT_OK, EXIT_ORACLE_MISMATCH, RunConfiguration, main, run_solve
+from hermitecount.linalg import InertiaResult
+from hermitecount.quotient import multiplication_matrix
 from hermitecount.separating import real_root_count, separating_charpoly, squarefree_mod_p
 from hermitecount.univariate import poly_gcd
 
@@ -36,10 +35,12 @@ from support import (
     DENSE_2_5,
     FIXTURE_SYSTEMS,
     berkowitz_charpoly,
+    division_trace_functional,
     primitive,
     rand_monic_univariate,
     random_systems,
     rational_systems,
+    tau_by_monomial,
     to_multivariate,
 )
 
@@ -200,14 +201,13 @@ def test_unit_ideal_passes(capsys):
 
 def test_check_reads_tau_off_the_hermite_form(monkeypatch):
     """`mismatch` takes tau from the `_traces` pass that `hermite_form` ran,
-    which equals `trace_functional` on the same ring."""
+    which equals the trace functional of the division route on the same
+    ring."""
     for kind in ORDER_KINDS:
         for seed, order, polys in chain(random_systems(kind), rational_systems(kind)):
             basis = buchberger(polys, order)
-            report = hermite_report(basis)
-            q, (nums, den) = report.form.basis, report.form.traces
-            tau = {m: Fraction(nums.get(k, 0), den) for k, m in enumerate(q.monomials)}
-            assert tau == trace_functional(basis, q), seed
+            form = hermite_report(basis).form
+            assert tau_by_monomial(form) == division_trace_functional(basis, form.basis), seed
 
     def forbidden(*args):
         raise AssertionError("the check computed tau again")
@@ -215,7 +215,6 @@ def test_check_reads_tau_off_the_hermite_form(monkeypatch):
     _, polys = parse_system("\n".join(CIRCLE_HYPERBOLA))
     report = hermite_report(buchberger(polys, polys[0].order))
     monkeypatch.setattr(quotient, "_traces", forbidden)
-    monkeypatch.setattr(quotient, "trace_functional", forbidden)
     assert separating.mismatch(report) is None
 
 

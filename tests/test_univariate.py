@@ -7,7 +7,8 @@ from random import Random
 
 import pytest
 
-from hermitecount import GREVLEX, MonomialOrder, buchberger, hermite_report, inertia
+from hermitecount import GREVLEX, MonomialOrder, buchberger, hermite_report
+from hermitecount.linalg import inertia
 from hermitecount.separating import PRIME, integer_squarefree_part, real_root_count, squarefree_mod_p
 from hermitecount.univariate import UnivariatePolynomial, poly_gcd, squarefree_part, sturm_count
 
