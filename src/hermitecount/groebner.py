@@ -1,7 +1,16 @@
-"""Reduced Groebner bases via Buchberger's algorithm with the Gebauer-Moeller
-pair criteria, normal forms by fraction-free heap division, and the
-zero-dimensionality test.  The staircase of a basis and the quotient ring it
-spans are built in `quotient`.
+"""Reduced Groebner bases by an incremental signature engine, normal forms by
+fraction-free heap division, and the zero-dimensionality test.  The staircase
+of a basis and the quotient ring it spans are built in `quotient`.
+
+The engine follows Faugere's F5 (ISSAC 2002), with the lead-ratio rewrite
+criterion of Gao, Volny and Wang (Math. Comp. 85, 2016).  Round i adds the
+i-th input to B, the basis of the earlier ones; its elements carry
+signatures t*e_i, kept as exponent tuples t.  A J-pair u*h of signature
+sigma is dropped when sigma is divisible by a leading monomial of B or by
+the signature of a syzygy, or when a round element e has t_e | sigma and
+(sigma/t_e)*lm(e) < u*lm(h).  Reduction is regular: B divides freely, a
+round element e cancels x^m only when (m/lm(e))*t_e < sigma.  On a regular
+sequence no pair reduces to zero.
 
 The engine computes in integers: generators are primitive integer
 polynomials, and reduction scales the accumulator rather than divide by a
@@ -79,10 +88,12 @@ def _generator(p: Polynomial) -> Generator:
     return _primitive(list(vector(p._term_dict())[0].items()))
 
 
-def _reduce(acc: dict[Exponents, int], divisors: Sequence[Generator], key) -> tuple[Terms, int]:
+def _reduce(acc: dict[Exponents, int], divisors: Sequence[Generator], key, admits=None) -> tuple[Terms, int]:
     """(s * r, s): r the remainder of the polynomial `acc` (consumed) on
     division by the primitive `divisors`, tried in list order, and s > 0 the
-    integer it was scaled by; `key` is the order's descending key.
+    integer it was scaled by; `key` is the order's descending key.  A divisor
+    of leading exponents l cancels a term x^m only if `admits(m, l)`, when
+    that predicate is given.
 
     Heap division with a dict accumulator (Monagan and Pearce 2007): pop the
     largest pending monomial, then either move it to the remainder or cancel
@@ -103,7 +114,7 @@ def _reduce(acc: dict[Exponents, int], divisors: Sequence[Generator], key) -> tu
         if not c:
             continue
         for lead, lc, tail in divisors:
-            if all(map(le, lead, m)):
+            if all(map(le, lead, m)) and (admits is None or admits(m, lead)):
                 q = gcd(lc, c)
                 if q != lc:
                     a = lc // q
@@ -169,71 +180,113 @@ def normal_form(p: Polynomial, basis: GroebnerBasis) -> Polynomial:
 def buchberger(polys: Iterable[Polynomial], order: MonomialOrder) -> GroebnerBasis:
     """Reduced monic Groebner basis of the ideal generated by `polys`.
 
-    Pairs are processed smallest-lcm-first and pruned by the Gebauer-Moeller
-    criteria (the UPDATE of Becker-Weispfenning): a new pair (g, h) is dropped
-    if another new pair's lcm divides its lcm (criteria M and F) or if lm(g)
-    and lm(h) are coprime; an old pair (g1, g2) is dropped if lm(h) divides
-    its lcm L while lcm(g1, h) != L != lcm(g2, h) (criterion B).  With no
-    variables, all-zero input is the zero ideal: the empty basis.
-
-    Inputs are cleared of denominators once, every new generator is stored
-    primitive (its content removed once per finished remainder), and the
-    basis is made monic in `Fraction` only when it is returned.
+    The nonzero inputs are taken in ascending order of leading monomial and
+    reduced by B; one that reduces to zero starts no round.  After a round, B
+    keeps the elements with minimal leading monomials; it is interreduced
+    once, at the end.  With no variables, all-zero input is the zero ideal:
+    the empty basis.
     """
     original = tuple(p if p.order == order else p.with_order(order) for p in polys)
     if order.nvars and not any(original):
         raise NotZeroDimensionalError(
             "the ideal is not zero-dimensional: all generators are zero"
         )
-    key = order.descending_key
-    gens: list[Generator] = []
-    active: list[int] = []  # generators no newer leading monomial divides
-    pairs: list[tuple] = []  # heap of (ascending key of lcm, i, j, lcm)
+    key, ascending = order.descending_key, order.exponent_key
+    basis: list[Generator] = []
+    for p in sorted(filter(None, original), key=lambda p: ascending(p.terms[0][0].exponents)):
+        remainder = _reduce(vector(p._term_dict())[0], basis, key)[0]
+        if remainder:
+            new = _round(_primitive(remainder), basis, order)
+            basis = [g for g in basis + new if not any(h is not g and all(map(le, h[0], g[0])) for h in new)]
 
-    def add_generator(acc: dict[Exponents, int]) -> None:
-        nonlocal active, pairs
-        remainder = _reduce(acc, [gens[s] for s in active], key)[0]
-        if not remainder:
-            return
-        h = _primitive(remainder)
-        lead, t = h[0], len(gens)
-        gens.append(h)
-
-        def lcm_with(s: int) -> Exponents:
-            return tuple(map(max, gens[s][0], lead))
-
-        new = [(lcm_with(s), s) for s in active]
-        kept = []
-        for k, (lcm_exps, s) in enumerate(new):
-            coprime = lcm_exps == tuple(map(add, gens[s][0], lead))
-            if coprime or not any(all(map(le, q[0], lcm_exps)) for q in chain(new[k + 1 :], kept)):
-                kept.append((lcm_exps, s, coprime))
-        pairs = [
-            q for q in pairs
-            if not all(map(le, lead, q[3])) or q[3] in (lcm_with(q[1]), lcm_with(q[2]))
-        ]
-        pairs += [(order.exponent_key(e), s, t, e) for e, s, coprime in kept if not coprime]
-        heapq.heapify(pairs)
-        active = [s for s in active if not all(map(le, lead, gens[s][0]))] + [t]
-
-    for p in original:
-        add_generator(vector(p._term_dict())[0])
-    while pairs:
-        _, i, j, _ = heapq.heappop(pairs)
-        add_generator(_s_accumulator(gens[i], gens[j]))
-
-    # The active leading monomials are minimal, so only smaller generators,
+    # The leading monomials of B are minimal, so only smaller generators,
     # already tail-reduced, can divide a tail term; a scaled remainder s*r of
     # the tail belongs after the leading term s*lc.
     reduced: list[Generator] = []
-    for lead, lc, tail in sorted((gens[s] for s in active), key=lambda g: order.exponent_key(g[0])):
+    for lead, lc, tail in sorted(basis, key=lambda g: ascending(g[0])):
         remainder, scale = _reduce(dict(tail), reduced, key)
         reduced.append(_primitive([(lead, lc * scale), *remainder]))
-    basis = [
+    generators = [
         Polynomial._from_sorted(order, [(lead, Fraction(1)), *((e, Fraction(c, lc)) for e, c in tail)])
         for lead, lc, tail in reduced
     ]
-    return GroebnerBasis(tuple(basis), order, original)
+    return GroebnerBasis(tuple(generators), order, original)
+
+
+def _round(f: Generator, basis: list[Generator], order: MonomialOrder) -> list[Generator]:
+    """The elements of the round that adds f, already reduced by B = `basis`.
+
+    J-pairs are the multiples u*h whose leading monomial is the lcm with an
+    element of B, or with one of the round when that side has the larger
+    signature, reduced one per signature, smallest first.  A zero result
+    records sigma as a syzygy; a nonzero one joins unless its leading term is
+    singular, with (m/lm(e))*t_e = sigma.
+    """
+    key, ascending = order.descending_key, order.exponent_key
+    elements: list[tuple[Exponents, Generator]] = []  # (t, h), in the order they join
+    divisors = list(basis)  # B, then the round's elements
+    signatures: dict[Exponents, Exponents] = {}  # lm(h) -> t
+    syzygies = [g[0] for g in basis]  # leading monomials of B, then signatures of syzygies
+    pairs: list[tuple] = []  # heap of (key of sigma, key of u*lm(h), sigma, u, index of h)
+
+    def pair(u: Exponents, j: int, g: Generator) -> None:
+        # u*h for the j-th element h and g, whose lead cancels u*lm(h).  When
+        # g is a monomial that divides every term of u*h, u*h is a multiple of
+        # g: its signature is recorded as a syzygy, with no reduction.
+        t, (lead, _, tail) = elements[j]
+        sigma = tuple(map(add, u, t))
+        if g[2] or not all(all(map(le, g[0], map(add, e, u))) for e, _ in tail):
+            heapq.heappush(pairs, (ascending(sigma), ascending(tuple(map(add, u, lead))), sigma, u, j))
+        else:
+            syzygies.append(sigma)
+
+    def join(t: Exponents, h: Generator) -> None:
+        j, lead = len(elements), h[0]
+        elements.append((t, h))
+        divisors.append(h)
+        signatures[lead] = t
+        for g in basis:
+            lcm_exps = tuple(map(max, lead, g[0]))
+            if lcm_exps != tuple(map(add, lead, g[0])):  # a coprime pair's sigma is divisible by lm(g)
+                pair(tuple(map(sub, lcm_exps, lead)), j, g)
+        for i, (s, g) in enumerate(elements[:j]):
+            lcm_exps = tuple(map(max, lead, g[0]))
+            u, v = tuple(map(sub, lcm_exps, lead)), tuple(map(sub, lcm_exps, g[0]))
+            mine, theirs = ascending(tuple(map(add, u, t))), ascending(tuple(map(add, v, s)))
+            if mine > theirs:
+                pair(u, j, g)
+            elif theirs > mine:
+                pair(v, i, h)
+
+    join((0,) * order.nvars, f)
+    last = None
+    while pairs:
+        sigma_key, lead_key, sigma, u, j = heapq.heappop(pairs)
+        if sigma == last:
+            continue
+        last = sigma
+        if any(all(map(le, s, sigma)) for s in syzygies) or any(
+            all(map(le, s, sigma)) and ascending(tuple(map(add, map(sub, sigma, s), e[0]))) < lead_key
+            for s, e in elements
+        ):
+            continue
+
+        def admits(m: Exponents, lead: Exponents) -> bool:
+            s = signatures.get(lead)
+            return s is None or ascending(tuple(map(add, s, map(sub, m, lead)))) < sigma_key
+
+        lead, lc, tail = elements[j][1]
+        acc = {tuple(map(add, e, u)): c for e, c in chain(((lead, lc),), tail)}
+        remainder = _reduce(acc, divisors, key, admits)[0]
+        if not remainder:
+            syzygies.append(sigma)
+            continue
+        m = remainder[0][0]
+        if not any(  # a singular leading term
+            all(map(le, e[0], m)) and tuple(map(add, s, map(sub, m, e[0]))) == sigma for s, e in elements
+        ):
+            join(sigma, _primitive(remainder))
+    return divisors[len(basis):]
 
 
 def is_zero_dimensional(basis: GroebnerBasis) -> bool:

@@ -8,6 +8,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le
 from random import Random
 from typing import Sequence
 
@@ -20,13 +21,14 @@ from hermitecount import (
     Polynomial,
     QuotientBasis,
 )
-from hermitecount.groebner import normal_form
+from hermitecount.groebner import Generator, _primitive, _reduce, _s_accumulator, normal_form
 from hermitecount.linalg import (
     Scalar,
     _berkowitz,
     _integer_matrix,
     check_symmetric,
     congruence_diagonalize,
+    vector,
 )
 from hermitecount.quotient import MultiplicationMatrix
 from hermitecount.univariate import UnivariatePolynomial
@@ -258,6 +260,22 @@ def rand_sparse_system(rng: Random, order: MonomialOrder) -> list[Polynomial]:
     return polys
 
 
+def katsura(n: int, order_kind: str = "grevlex") -> list[Polynomial]:
+    """Katsura-n in x1..x(n+1), u_i = x(|i|+1) for |i| <= n and 0 beyond:
+    sum_i u_i = 1 and sum_i u_i*u_(m-i) = u_m for m = 0..n-1, with 2^n
+    solutions."""
+    order = MonomialOrder(order_kind, n + 1)
+
+    def u(i: int) -> Monomial | None:
+        return Monomial.variable(abs(i), n + 1) if abs(i) <= n else None
+
+    polys = [Polynomial(order, [(u(i), 1) for i in range(-n, n + 1)] + [(Monomial.unit(n + 1), -1)])]
+    for m in range(n):
+        terms = [(u(i) * u(m - i), 1) for i in range(-n, n + 1) if u(m - i) is not None]
+        polys.append(Polynomial(order, terms + [(u(m), -1)]))
+    return polys
+
+
 RANDOM_SYSTEM_SHAPES = [
     # (how many, variables, generator)
     (6, 2, lambda rng, order: rand_dense_system(rng, order, 2)),
@@ -330,9 +348,9 @@ def rand_expression(rng: Random, names: Sequence[str], depth: int = 3) -> str:
     return "-" + operand()
 
 
-# The Buchberger engine that heap division and the Gebauer-Moeller criteria
-# replaced, kept as a differential oracle: only the coprime criterion, and
-# every division step rebuilds the remainder as a Polynomial.
+# The first Buchberger engine, kept as a differential oracle: only the
+# coprime criterion, and every division step rebuilds the remainder as a
+# Polynomial.
 
 
 def _monomial_quotient(a: Monomial, b: Monomial) -> Monomial:
@@ -397,6 +415,68 @@ def naive_buchberger(polys: Sequence[Polynomial], order: MonomialOrder) -> Groeb
     for i, g in enumerate(minimal):
         minimal[i] = _naive_reduce(g, minimal[:i] + minimal[i + 1 :]).monic()
     return GroebnerBasis(tuple(minimal), order, original)
+
+
+# The Gebauer-Moeller pair loop that the signature engine replaced, kept as
+# its differential oracle: the engine's generators and heap division, with
+# the pairs of the whole basis instead of rounds.
+
+
+def gebauer_moeller_buchberger(polys: Sequence[Polynomial], order: MonomialOrder) -> GroebnerBasis:
+    """Pairs smallest-lcm-first, pruned by the Gebauer-Moeller criteria (the
+    UPDATE of Becker-Weispfenning): a new pair (g, h) is dropped if another
+    new pair's lcm divides its lcm (criteria M and F) or if lm(g) and lm(h)
+    are coprime; an old pair (g1, g2) is dropped if lm(h) divides its lcm L
+    while lcm(g1, h) != L != lcm(g2, h) (criterion B)."""
+    original = tuple(p if p.order == order else p.with_order(order) for p in polys)
+    if order.nvars and not any(original):
+        raise NotZeroDimensionalError("all generators are zero")
+    key = order.descending_key
+    gens: list[Generator] = []
+    active: list[int] = []  # generators no newer leading monomial divides
+    pairs: list[tuple] = []  # heap of (ascending key of lcm, i, j, lcm)
+
+    def add_generator(acc: dict) -> None:
+        nonlocal active, pairs
+        remainder = _reduce(acc, [gens[s] for s in active], key)[0]
+        if not remainder:
+            return
+        h = _primitive(remainder)
+        lead, t = h[0], len(gens)
+        gens.append(h)
+
+        def lcm_with(s: int) -> tuple:
+            return tuple(map(max, gens[s][0], lead))
+
+        new = [(lcm_with(s), s) for s in active]
+        kept = []
+        for k, (lcm_exps, s) in enumerate(new):
+            coprime = lcm_exps == tuple(map(add, gens[s][0], lead))
+            if coprime or not any(all(map(le, q[0], lcm_exps)) for q in itertools.chain(new[k + 1 :], kept)):
+                kept.append((lcm_exps, s, coprime))
+        pairs = [
+            q for q in pairs
+            if not all(map(le, lead, q[3])) or q[3] in (lcm_with(q[1]), lcm_with(q[2]))
+        ]
+        pairs += [(order.exponent_key(e), s, t, e) for e, s, coprime in kept if not coprime]
+        heapq.heapify(pairs)
+        active = [s for s in active if not all(map(le, lead, gens[s][0]))] + [t]
+
+    for p in original:
+        add_generator(vector(p._term_dict())[0])
+    while pairs:
+        _, i, j, _ = heapq.heappop(pairs)
+        add_generator(_s_accumulator(gens[i], gens[j]))
+
+    reduced: list[Generator] = []
+    for lead, lc, tail in sorted((gens[s] for s in active), key=lambda g: order.exponent_key(g[0])):
+        remainder, scale = _reduce(dict(tail), reduced, key)
+        reduced.append(_primitive([(lead, lc * scale), *remainder]))
+    basis = [
+        Polynomial._from_sorted(order, [(lead, Fraction(1)), *((e, Fraction(c, lc)) for e, c in tail)])
+        for lead, lc, tail in reduced
+    ]
+    return GroebnerBasis(tuple(basis), order, original)
 
 
 # The division-based quotient route that the border multiplication matrices

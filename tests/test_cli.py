@@ -14,6 +14,7 @@ from random import Random
 import pytest
 
 from hermitecount import (
+    GRLEX,
     LEX,
     GroebnerBasis,
     MonomialOrder,
@@ -379,11 +380,7 @@ def lex_texts():
 LEX_FLAGS = [["--json"], ["--print-matrix"], ["--json", "--check"], [], ["--check"]]
 
 
-@pytest.mark.parametrize("flags", LEX_FLAGS)
-def test_lex_solve_prints_what_lex_buchberger_gives(monkeypatch, capsys, flags):
-    # The counts come from the grevlex ring, and the lex staircase and H from
-    # it in shape position or from FGLM's lex ring otherwise; the output and
-    # the exit code are those of the basis that Buchberger computes in lex.
+def assert_solve_prints_what_buchberger_gives(monkeypatch, capsys, kind, flags):
     orders = []
     true_buchberger = cli.buchberger
 
@@ -392,7 +389,7 @@ def test_lex_solve_prints_what_lex_buchberger_gives(monkeypatch, capsys, flags):
         return true_buchberger(polys, order)
 
     for text in lex_texts():
-        argv = ["solve", *(f"--poly={line}" for line in text.split("\n")), "--order", "lex", *flags]
+        argv = ["solve", *(f"--poly={line}" for line in text.split("\n")), "--order", kind, *flags]
         monkeypatch.setattr(cli, "buchberger", recorded)
         got = main(argv), capsys.readouterr()
         monkeypatch.setattr(cli, "_solve_text", direct_solve_text)
@@ -401,6 +398,22 @@ def test_lex_solve_prints_what_lex_buchberger_gives(monkeypatch, capsys, flags):
         assert got == expected, text
         assert got[0] == EXIT_OK
     assert set(orders) == {"grevlex"}
+
+
+@pytest.mark.parametrize("flags", LEX_FLAGS)
+def test_lex_solve_prints_what_lex_buchberger_gives(monkeypatch, capsys, flags):
+    # The counts come from the grevlex ring, and the lex staircase and H from
+    # it in shape position or from FGLM's lex ring otherwise; the output and
+    # the exit code are those of the basis that Buchberger computes in lex.
+    assert_solve_prints_what_buchberger_gives(monkeypatch, capsys, LEX, flags)
+
+
+@pytest.mark.parametrize("flags", LEX_FLAGS)
+def test_grlex_solve_prints_what_grlex_buchberger_gives(monkeypatch, capsys, flags):
+    # The counts come from the grevlex ring, and the grlex staircase and H
+    # from FGLM's grlex ring, with the output and the exit code of the basis
+    # that Buchberger computes in grlex.
+    assert_solve_prints_what_buchberger_gives(monkeypatch, capsys, GRLEX, flags)
 
 
 @pytest.mark.parametrize("flags", LEX_FLAGS)

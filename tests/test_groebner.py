@@ -1,6 +1,7 @@
 """Buchberger's algorithm, normal forms, and the staircase of standard monomials."""
 
 from fractions import Fraction
+from itertools import permutations
 from random import Random
 
 import pytest
@@ -19,16 +20,20 @@ from hermitecount import (
     parse_system,
     standard_monomials,
 )
+from hermitecount import groebner
 from hermitecount.groebner import is_zero_dimensional, normal_form, s_polynomial
 from hermitecount.parsing import parse_polynomial
 from hermitecount.quotient import hankel_form, hermite_form, shape_position
 from hermitecount.separating import audit_basis
 
+import support
 from support import (
     FIXTURE_SYSTEMS,
     _naive_reduce,
     _naive_s_polynomial,
+    gebauer_moeller_buchberger,
     integer_content,
+    katsura,
     naive_buchberger,
     rand_dense_system,
     rand_polynomial,
@@ -245,9 +250,9 @@ def test_wide_staircase_is_enumerated_by_closure():
     assert keys == sorted(set(keys))
 
 
-# Differential oracle: the heap-division engine with the Gebauer-Moeller
-# criteria must return exactly the basis of the coprime-only engine with
-# Polynomial division that it replaced, term for term and in the same order.
+# Differential oracle: the signature engine must return exactly the basis of
+# the coprime-only engine with Polynomial division, term for term and in the
+# same order.
 
 
 def assert_matches_naive_buchberger(polys, order):
@@ -304,10 +309,112 @@ def test_sparse_systems_match_naive_buchberger(kind):
 
 
 def test_lex_dense_systems_match_naive_buchberger():
-    # dense(3,2) under lex: the shape where the pair criteria skip the most
+    # dense(3,2) under lex: lex coefficients far larger than grevlex ones
     order = MonomialOrder(LEX, 3)
     for seed in range(3):
         assert_matches_naive_buchberger(rand_dense_system(Random(seed), order, 2), order)
+
+
+# Differential oracle: the Gebauer-Moeller pair loop that the signature
+# engine replaced, on the same primitive generators and heap division.
+
+
+def assert_matches_gebauer_moeller(polys, order):
+    basis = buchberger(polys, order)
+    expected = gebauer_moeller_buchberger(polys, order)
+    assert basis == expected
+    assert [g.terms for g in basis] == [g.terms for g in expected]
+    return basis
+
+
+@pytest.mark.parametrize("kind", ORDER_KINDS)
+def test_fixture_systems_match_gebauer_moeller(kind):
+    for _, text in FIXTURE_SYSTEMS:
+        _, polys = parse_system(text, kind)
+        assert_matches_gebauer_moeller(polys, polys[0].order)
+
+
+@pytest.mark.parametrize("kind", ORDER_KINDS)
+def test_random_and_rational_systems_match_gebauer_moeller(kind):
+    for _, order, polys in [*random_systems(kind), *rational_systems(kind)]:
+        assert_matches_gebauer_moeller(polys, order)
+
+
+@pytest.mark.parametrize("kind", ORDER_KINDS)
+def test_sparse_systems_match_gebauer_moeller(kind):
+    order = MonomialOrder(kind, 3)
+    for seed in range(60):
+        assert_matches_gebauer_moeller(rand_sparse_system(Random(seed), order), order)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_katsura_matches_gebauer_moeller(n):
+    basis = assert_matches_gebauer_moeller(katsura(n), MonomialOrder(GREVLEX, n + 1))
+    assert standard_monomials(basis).dimension == 2**n
+
+
+def test_every_input_order_gives_the_same_basis():
+    # The engine sorts its inputs; the fourth input lies in the ideal of the
+    # first two, so some orders reduce it to zero before its round.
+    order = MonomialOrder(GREVLEX, 3)
+    for seed in range(3):
+        polys = rand_dense_system(Random(seed), order, 2)
+        polys.append(polys[0] * Polynomial.variable(order, 2) + polys[1])
+        expected = gebauer_moeller_buchberger(polys, order)
+        for shuffled in permutations(polys):
+            basis = buchberger(shuffled, order)
+            assert [g.terms for g in basis] == [g.terms for g in expected]
+
+
+def test_signature_criteria_regressions():
+    # Sparse seed 11 under grevlex needs x1^4, which a rewrite criterion
+    # that drops one J-pair too many misses; lex seeds 19 and 37 end in the
+    # unit ideal and in {x3, x1*x2}.
+    order = MonomialOrder(GREVLEX, 3)
+    basis = assert_matches_gebauer_moeller(rand_sparse_system(Random(11), order), order)
+    assert Monomial((4, 0, 0)) in basis.leading_monomials()
+    lex = MonomialOrder(LEX, 3)
+    for seed in (19, 37):
+        assert_matches_gebauer_moeller(rand_sparse_system(Random(seed), lex), lex)
+    f, g = p2("x1^2+x2^2-5"), p2("x1*x2-2")
+    circle = assert_matches_gebauer_moeller([f, g], ORDER2)
+    # an input in the ideal of the earlier ones, and repeated inputs
+    in_ideal = f * p2("x2+3") - g * p2("x1")
+    assert assert_matches_gebauer_moeller([f, g, in_ideal], ORDER2).generators == circle.generators
+    assert assert_matches_gebauer_moeller([g, f, g, f, f], ORDER2).generators == circle.generators
+    # an input whose leading monomial an earlier one divides
+    assert_matches_gebauer_moeller([p2("x1^3-x2"), p2("x1-x2^2+1")], ORDER2)
+    # the unit ideal, from an input and from a J-pair
+    assert list(assert_matches_gebauer_moeller([p2("x1^2-1"), p2("x1^2-2")], ORDER2)) == [p2("1")]
+    assert list(assert_matches_gebauer_moeller([p2("x1*x2-1"), p2("x1^2")], ORDER2)) == [p2("1")]
+    with pytest.raises(NotZeroDimensionalError):
+        buchberger([Polynomial.zero(ORDER2), Polynomial.zero(ORDER2)], ORDER2)
+
+
+def count_zero_reductions(monkeypatch, module, engine, polys, order):
+    """How many nonzero polynomials `engine` reduces to zero, counted on the
+    `_reduce` that `module` calls."""
+    true_reduce, zeros = module._reduce, [0]
+
+    def counted(acc, *args):
+        nonzero = bool(acc)
+        result = true_reduce(acc, *args)
+        zeros[0] += nonzero and not result[0]
+        return result
+
+    with monkeypatch.context() as patched:
+        patched.setattr(module, "_reduce", counted)
+        engine(polys, order)
+    return zeros[0]
+
+
+def test_no_reductions_to_zero_on_regular_sequences(monkeypatch):
+    cases = [(katsura(n), MonomialOrder(GREVLEX, n + 1), old) for n, old in ((4, 18), (5, 48))]
+    order = MonomialOrder(GREVLEX, 3)
+    cases += [(rand_dense_system(Random(seed), order, 2), order, 5) for seed in range(4)]
+    for polys, order, old in cases:
+        assert count_zero_reductions(monkeypatch, groebner, buchberger, polys, order) == 0
+        assert count_zero_reductions(monkeypatch, support, gebauer_moeller_buchberger, polys, order) == old
 
 
 def _sympy_basis(sympy, polys, order):
