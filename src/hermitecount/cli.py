@@ -2,16 +2,18 @@
 the scaling benchmark families.
 
 A solve parses the input and runs Buchberger in grevlex, whatever the
-order, so exits 3 and 6 come from that ring, and so do the counts, off its
-trace form.  Under lex, the printed staircase and Hermite matrix are then
-read off that ring when `quotient.shape_position` certifies the ideal in
-shape position: the staircase is 1, x_n, ..., x_n^(D-1) and the matrix the
-Hankel matrix of the traces of the powers of x_n.  Otherwise, and always
-under grlex, `quotient.fglm` converts the basis to the requested order, and
-they come from the converted ring.  The signature engine computes the
-basis of each input in turn, and under grlex those intermediate bases can be
-far larger than the final one: katsura-5 took 44 s in grlex and 0.04 s in
-grevlex (2 x86-64 vCPUs).
+order, so exits 3 and 6 come from that ring: the signature engine computes
+the basis of each input in turn, and in grlex those intermediate bases can
+be far larger than the final one (katsura-5: 44 s in grlex, 0.04 s in
+grevlex, on 2 x86-64 vCPUs).  Under grlex, `quotient.change_order` turns the
+basis into the grlex one, and the report (the staircase, the Hermite matrix
+and the counts) is built once, on the grlex ring.  Under grevlex and lex,
+the counts come from the grevlex trace form.  Under lex, the printed
+staircase and Hermite matrix are then read off that ring when
+`quotient.shape_position` certifies the ideal in shape position: the
+staircase is 1, x_n, ..., x_n^(D-1) and the matrix the Hankel matrix of the
+traces of the powers of x_n.  Otherwise `quotient.fglm` converts the basis
+to lex, and they come from the lex ring.
 
 Exit codes: 0 success, 2 parse/usage error (an integer literal longer than
 the interpreter's int conversion limit included), 3 ideal not zero-dimensional,
@@ -33,9 +35,9 @@ from typing import Sequence, TextIO
 
 from .groebner import NotZeroDimensionalError, buchberger
 from .parsing import ParseError, format_monomial, parse_system
-from .poly import GREVLEX, LEX, ORDER_KINDS, MonomialOrder
-from .quotient import DimensionLimitError, HermiteForm, HermiteReport, QuotientBasis, fglm, hankel_form
-from .quotient import hermite_form, hermite_report, shape_position, standard_monomials
+from .poly import GREVLEX, GRLEX, LEX, ORDER_KINDS, MonomialOrder
+from .quotient import DimensionLimitError, HermiteForm, HermiteReport, QuotientBasis, change_order, fglm
+from .quotient import hankel_form, hermite_form, hermite_report, shape_position, standard_monomials
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -74,33 +76,34 @@ class RunConfiguration:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """The report on the ring of Buchberger's basis, which holds the counts,
-    with the staircase and form printed in the requested order.  Under lex
-    and grlex, `form` is None unless the matrix was asked for, and
-    `converted` is the ring that FGLM built (under lex, only when shape
-    position was not certified)."""
+    """The report that holds the counts, with the staircase and form printed
+    in the requested order.  Under lex, the report is on the grevlex ring,
+    `form` is None unless the matrix was asked for, and `lex` is the
+    lex ring that FGLM built when shape position was not certified."""
 
     variables: list[str]
     report: HermiteReport
     staircase: QuotientBasis
     form: HermiteForm | None
-    converted: QuotientBasis | None = None
+    lex: QuotientBasis | None = None
 
 
 def _solve_text(text: str, kind: str, matrix: bool = False) -> SolveResult:
     variables, polys = parse_system(text, GREVLEX)
     basis = buchberger(polys, polys[0].order)
+    if kind == GRLEX:
+        basis = change_order(basis, MonomialOrder(GRLEX, basis.order.nvars))
     report = hermite_report(basis)
-    if kind == GREVLEX:
+    if kind != LEX:
         return SolveResult(variables, report, report.form.basis, report.form)
     ring = report.form.basis
-    shape = shape_position(ring) if kind == LEX else None
+    shape = shape_position(ring)
     if shape is not None:
         form = hankel_form(report.form, *shape) if matrix else None
         return SolveResult(variables, report, shape[0], form)
-    converted = standard_monomials(fglm(basis, ring, MonomialOrder(kind, basis.order.nvars)))
-    form = hermite_form(converted.source, converted) if matrix else None
-    return SolveResult(variables, report, converted, form, converted)
+    lex = standard_monomials(fglm(basis, ring, MonomialOrder(LEX, basis.order.nvars)))
+    form = hermite_form(lex.source, lex) if matrix else None
+    return SolveResult(variables, report, lex, form, lex)
 
 
 def _matrix_strings(form: HermiteForm) -> list[list[str]]:
@@ -175,7 +178,7 @@ def run_solve(config: RunConfiguration, out: TextIO | None = None, err: TextIO |
     if config.cross_check:
         from .separating import mismatch  # loaded only when --check runs
 
-        found = mismatch(solved.report, solved.converted)
+        found = mismatch(solved.report, solved.lex)
         if found is not None:
             print(f"oracle mismatch: {found}", file=err)
             return EXIT_ORACLE_MISMATCH

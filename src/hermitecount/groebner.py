@@ -185,6 +185,12 @@ def buchberger(polys: Iterable[Polynomial], order: MonomialOrder) -> GroebnerBas
     keeps the elements with minimal leading monomials; it is interreduced
     once, at the end.  With no variables, all-zero input is the zero ideal:
     the empty basis.
+
+    In grlex the basis of an input prefix can be far larger than the final
+    one (katsura-5: 44-67 s, against 0.3 s by a Gebauer-Moeller pair loop):
+    compute in grevlex and convert by `quotient.change_order`.  Inputs that
+    are not regular sequences can be slower too (a 4-variable sparse system:
+    0.29 s against 0.01 s, on 2 x86-64 vCPUs).
     """
     original = tuple(p if p.order == order else p.with_order(order) for p in polys)
     if order.nvars and not any(original):

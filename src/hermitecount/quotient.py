@@ -19,7 +19,9 @@ certifies, by a Krylov rank modulo PRIME, that the lex staircase is 1, x_n,
 the Hankel matrix of the traces Tr(x_n^k), from the grevlex trace functional.
 Otherwise `fglm` changes the order on the same matrices: it walks the lex
 staircase and finds the generators as linear relations among the normal
-forms M_{x_v} * NF(m), so Buchberger never runs in lex.
+forms M_{x_v} * NF(m), so Buchberger never runs in lex.  A grlex solve
+converts by `change_order`, which needs no ring when no generator changes
+its leading monomial.
 
 `traces_of` pairs tau with coordinate vectors, for the lex Hankel sums and
 for the Newton sums Tr(M_l^j) of `separating`, which holds all of `solve
@@ -270,6 +272,22 @@ def fglm(basis: GroebnerBasis, quotient: QuotientBasis, order: MonomialOrder) ->
             if product not in seen:
                 seen.add(product)
                 heappush(heap, (key(product), product, (var, j)))
+    original = tuple(p if p.order == order else p.with_order(order) for p in basis.original)
+    return GroebnerBasis(tuple(generators), order, original)
+
+
+def change_order(basis: GroebnerBasis, order: MonomialOrder) -> GroebnerBasis:
+    """`fglm(basis, standard_monomials(basis), order)`, without building a
+    ring when no generator changes its leading monomial under `order`.  In
+    a zero-dimensional ideal, those leading monomials then span a staircase
+    of the ideal's dimension under either order, so they generate its
+    leading ideal under `order` too: the generators, re-sorted, are the
+    reduced basis there.  Raises NotZeroDimensionalError as
+    `standard_monomials` does."""
+    generators = [g.with_order(order) for g in basis.generators]
+    if not is_zero_dimensional(basis) or any(g.terms[0][0] != h.terms[0][0] for g, h in zip(generators, basis)):
+        return fglm(basis, standard_monomials(basis), order)
+    generators.sort(key=lambda g: order.exponent_key(g.terms[0][0].exponents))
     original = tuple(p if p.order == order else p.with_order(order) for p in basis.original)
     return GroebnerBasis(tuple(generators), order, original)
 

@@ -277,17 +277,16 @@ def separating_form_mismatch(ring: QuotientBasis, tau: Vector, rank: int, signat
     return f"no linear form l_1 .. l_{k} separates {rank} solutions: the rank is too high"
 
 
-def mismatch(report: HermiteReport, converted: QuotientBasis | None = None) -> str | None:
-    """Audits the ring of `report` and `converted`, the ring of its basis
-    converted to another order, each on its own basis; checks the trace
-    functional that `report.form` carries, then the rank and signature of
-    `report` against the separating linear form; a description of the first
-    mismatch, or None."""
+def mismatch(report: HermiteReport, lex: QuotientBasis | None = None) -> str | None:
+    """Audits the ring of `report` and `lex`, a ring built from a converted
+    basis, each on its own basis; checks the trace functional that
+    `report.form` carries, then the rank and signature of `report` against
+    the separating linear form; a description of the first mismatch, or None."""
     ring, tau = report.form.basis, report.form.traces
     try:
         audit_basis(ring)
-        if converted is not None:
-            audit_basis(converted)
+        if lex is not None:
+            audit_basis(lex)
     except ValueError as exc:
         return f"Groebner basis audit: {exc}"
     try:

@@ -410,10 +410,28 @@ def test_lex_solve_prints_what_lex_buchberger_gives(monkeypatch, capsys, flags):
 
 @pytest.mark.parametrize("flags", LEX_FLAGS)
 def test_grlex_solve_prints_what_grlex_buchberger_gives(monkeypatch, capsys, flags):
-    # The counts come from the grevlex ring, and the grlex staircase and H
-    # from FGLM's grlex ring, with the output and the exit code of the basis
-    # that Buchberger computes in grlex.
+    # The counts, the grlex staircase and H come from FGLM's grlex ring, with
+    # the output and the exit code of the basis that Buchberger computes in
+    # grlex.
     assert_solve_prints_what_buchberger_gives(monkeypatch, capsys, GRLEX, flags)
+
+
+@pytest.mark.parametrize("flags", LEX_FLAGS)
+def test_grlex_solve_builds_one_hermite_matrix(monkeypatch, capsys, flags):
+    # The grevlex basis only gives FGLM its staircase: H is built once, on
+    # the grlex ring.
+    orders = []
+    build = quotient.hermite_form
+
+    def counted(basis, ring):
+        orders.append(ring.order.kind)
+        return build(basis, ring)
+
+    monkeypatch.setattr(quotient, "hermite_form", counted)
+    monkeypatch.setattr(cli, "hermite_form", counted)
+    argv = ["solve", "--poly", "x1*x2+x2-1", "--poly", "x1^2+x2^2-1", "--order", "grlex", *flags]
+    assert main(argv) == EXIT_OK
+    assert orders == ["grlex"]
 
 
 @pytest.mark.parametrize("flags", LEX_FLAGS)

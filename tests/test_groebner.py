@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import permutations
 from random import Random
+from time import perf_counter
 
 import pytest
 
@@ -20,10 +21,10 @@ from hermitecount import (
     parse_system,
     standard_monomials,
 )
-from hermitecount import groebner
+from hermitecount import groebner, quotient
 from hermitecount.groebner import is_zero_dimensional, normal_form, s_polynomial
 from hermitecount.parsing import parse_polynomial
-from hermitecount.quotient import hankel_form, hermite_form, shape_position
+from hermitecount.quotient import change_order, hankel_form, hermite_form, shape_position
 from hermitecount.separating import audit_basis
 
 import support
@@ -417,6 +418,30 @@ def test_no_reductions_to_zero_on_regular_sequences(monkeypatch):
         assert count_zero_reductions(monkeypatch, support, gebauer_moeller_buchberger, polys, order) == old
 
 
+def test_work_on_the_inputs_the_engine_is_slow_on(monkeypatch):
+    # In grlex the engine completes the basis of each input prefix, which
+    # can be far larger than the final one: katsura-5 takes 44 s against
+    # 0.3 s by the pair loop, too long to run here, and katsura-4 twice as
+    # long.  On inputs that are not regular sequences it keeps elements
+    # whose leads are not minimal: sparse seed 17 takes 25 times as long.
+    # Each case is bounded in divisions (69, 202 and 192 now) and in
+    # seconds (0.05, 0.26 and 0.29 on 2 x86-64 vCPUs), with headroom.
+    true_reduce, divisions = groebner._reduce, [0]
+
+    def counted(*args):
+        divisions[0] += 1
+        return true_reduce(*args)
+
+    monkeypatch.setattr(groebner, "_reduce", counted)
+    sparse = [rand_sparse_system(Random(17), MonomialOrder(kind, 4)) for kind in (GRLEX, GREVLEX)]
+    for polys, most, seconds in ((katsura(4, GRLEX), 80, 1), (sparse[0], 230, 3), (sparse[1], 220, 3)):
+        divisions[0], start = 0, perf_counter()
+        basis = buchberger(polys, polys[0].order)
+        assert perf_counter() - start < seconds
+        assert divisions[0] <= most
+        assert basis == gebauer_moeller_buchberger(polys, polys[0].order)
+
+
 def _sympy_basis(sympy, polys, order):
     """sympy's reduced basis as {exponents: Fraction} dicts, each divided by
     its leading coefficient under the same order."""
@@ -449,19 +474,20 @@ def test_bases_match_sympy(kind):
         assert ours == sorted(theirs, key=lambda g: order.exponent_key(max(g, key=order.exponent_key)))
 
 
-# Differential oracle for the change of order: FGLM on the grevlex ring must
-# return the whole basis that Buchberger computes in the target order, the
-# input polynomials included, term for term.
+# Differential oracle for the change of order: FGLM on the grevlex ring, and
+# `change_order`, must return the whole basis that Buchberger computes in the
+# target order, the input polynomials included, term for term.
 
 
 def assert_fglm_matches_buchberger(polys, order):
     ring = buchberger(polys, MonomialOrder(GREVLEX, order.nvars))
     basis = fglm(ring, standard_monomials(ring), order)
     expected = buchberger(polys, order)
-    assert basis == expected
-    # Polynomial equality ignores the order its terms are sorted in
-    assert [g.terms for g in basis] == [g.terms for g in expected]
-    assert [p.terms for p in basis.original] == [p.terms for p in expected.original]
+    for got in (basis, change_order(ring, order)):
+        assert got == expected
+        # Polynomial equality ignores the order its terms are sorted in
+        assert [g.terms for g in got] == [g.terms for g in expected]
+        assert [p.terms for p in got.original] == [p.terms for p in expected.original]
     return basis
 
 
@@ -505,6 +531,29 @@ def test_fglm_edge_ideals():
     none = MonomialOrder(LEX, 0)
     for polys in ([Polynomial.zero(none)], [], [Polynomial.constant(none, 5)]):
         assert_fglm_matches_buchberger(polys, none)
+
+
+def test_change_order_builds_a_ring_only_when_a_leading_monomial_changes(monkeypatch):
+    built = []
+    build = quotient.standard_monomials
+
+    def counted(basis):
+        built.append(basis.order.kind)
+        return build(basis)
+
+    monkeypatch.setattr(quotient, "standard_monomials", counted)
+    grlex = MonomialOrder(GRLEX, 3)
+    # x1^2 - x3 leads by x1^2 under either order: the grevlex basis is the grlex one
+    kept = [parse_polynomial(s, ["x1", "x2", "x3"], GREVLEX) for s in ("x1^2-x3", "x2^2-x1", "x3^2-x2")]
+    assert change_order(buchberger(kept, kept[0].order), grlex) == buchberger(kept, grlex)
+    assert built == []
+    # x1*x3 - x2^2 leads by x2^2 under grevlex and by x1*x3 under grlex
+    moved = [parse_polynomial(s, ["x1", "x2", "x3"], GREVLEX) for s in ("x2^2-x1*x3", "x1^3-1", "x3^3-2")]
+    assert change_order(buchberger(moved, moved[0].order), grlex) == buchberger(moved, grlex)
+    assert built == [GREVLEX]
+    # leads kept, but the staircase is infinite
+    with pytest.raises(NotZeroDimensionalError):
+        change_order(buchberger([p2("x1*x2")], ORDER2), MonomialOrder(GRLEX, 2))
 
 
 def test_fglm_rejects_a_foreign_ring():
