@@ -101,7 +101,7 @@ def _solve_text(text: str, kind: str, matrix: bool = False) -> SolveResult:
     if shape is not None:
         form = hankel_form(report.form, *shape) if matrix else None
         return SolveResult(variables, report, shape[0], form)
-    lex = standard_monomials(fglm(basis, ring, MonomialOrder(LEX, basis.order.nvars)))
+    lex = standard_monomials(fglm(ring, MonomialOrder(LEX, basis.order.nvars)))
     form = hermite_form(lex.source, lex) if matrix else None
     return SolveResult(variables, report, lex, form, lex)
 

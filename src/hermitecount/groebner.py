@@ -1,6 +1,6 @@
-"""Reduced Groebner bases by an incremental signature engine, normal forms by
-fraction-free heap division, and the zero-dimensionality test.  The staircase
-of a basis and the quotient ring it spans are built in `quotient`.
+"""Reduced Groebner bases by an incremental signature engine on fraction-free
+heap division, and the zero-dimensionality test.  The staircase of a basis
+and the quotient ring it spans are built in `quotient`.
 
 The engine follows Faugere's F5 (ISSAC 2002), with the lead-ratio rewrite
 criterion of Gao, Volny and Wang (Math. Comp. 85, 2016).  Round i adds the
@@ -27,7 +27,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 from operator import add, le, sub
 from typing import Iterable, Sequence
 
@@ -135,46 +135,6 @@ def _reduce(acc: dict[Exponents, int], divisors: Sequence[Generator], key, admit
         else:
             remainder.append((m, c))
     return remainder, scale
-
-
-def _s_accumulator(f: Generator, g: Generator) -> dict[Exponents, int]:
-    """lcm(lc(f), lc(g)) * S(f, g) for primitive generators, without its
-    cancelled leading term."""
-    lcm_exps = tuple(map(max, f[0], g[0]))
-    q = gcd(f[1], g[1])
-    a, b = g[1] // q, f[1] // q
-    shift = tuple(map(sub, lcm_exps, f[0]))
-    acc = {tuple(map(add, e, shift)): a * c for e, c in f[2]}
-    shift = tuple(map(sub, lcm_exps, g[0]))
-    for e, c in g[2]:
-        t = tuple(map(add, e, shift))
-        acc[t] = acc.get(t, 0) - b * c
-    return acc
-
-
-def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    """S(f, g) = (L/lt(f))*f - (L/lt(g))*g with L the lcm of leading monomials."""
-    if f.is_zero() or g.is_zero():
-        raise ValueError("S-polynomial of a zero polynomial is undefined")
-    if f.order != g.order:
-        raise ValueError(f"polynomial ring mismatch: {f.order!r} vs {g.order!r}")
-    f_gen, g_gen = _generator(f), _generator(g)
-    den = lcm(f_gen[1], g_gen[1])
-    acc = _s_accumulator(f_gen, g_gen)
-    return Polynomial(f.order, [(Monomial(e), Fraction(c, den)) for e, c in acc.items()])
-
-
-def normal_form(p: Polynomial, basis: GroebnerBasis) -> Polynomial:
-    """Unique remainder of p modulo the basis: no term of the result is
-    divisible by any leading monomial, and p minus the result lies in the ideal.
-    """
-    if p.order != basis.order:
-        raise ValueError(f"polynomial ring mismatch: {p.order!r} vs {basis.order!r}")
-    divisors = [_generator(g) for g in basis.generators]
-    acc, den = vector(p._term_dict())
-    remainder, scale = _reduce(acc, divisors, p.order.descending_key)
-    den *= scale
-    return Polynomial._from_sorted(p.order, [(e, Fraction(c, den)) for e, c in remainder])
 
 
 def buchberger(polys: Iterable[Polynomial], order: MonomialOrder) -> GroebnerBasis:

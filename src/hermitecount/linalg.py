@@ -12,8 +12,8 @@ diagonalization on `Vector` rows, which never swaps (rebuilt with its
 transform P by `tests/support.py::congruence_certificate`).
 `inertia_via_charpoly` reads them off the characteristic polynomial by
 Descartes' rule, exact for a symmetric matrix: Berkowitz's division-free
-scheme on D*M, D the lcm of the denominators; only the benchmark's `--check`
-workload runs it.  No floating point anywhere.
+scheme on D*M, D the lcm of the denominators; no solve runs it, only the
+benchmark's traced route and the tests.  No floating point anywhere.
 """
 
 from __future__ import annotations

@@ -5,23 +5,23 @@ in increasing order and builds the ring's one linear-algebra representation:
 the border multiplication matrices M_{x_v}, column by column with sparse
 matrix-vector products (FGLM-style border normal forms), and the parent
 chain that writes each basis element after 1 as b_i = x_v * b_p for a
-standard parent b_p.  The returned `QuotientBasis` carries them, and every
-consumer reads them: one product per element along the chain gives
-`multiplication_matrix`; on the transposed matrices it gives the trace
-functional and the trace form, whose rank and signature count distinct
-complex and real solutions.  Coordinates stay `linalg.Vector`s until the
-returned `Fraction`s.
+standard parent b_p.  The returned `QuotientBasis` carries them, with the
+basis they came from as its `source`, and every consumer reads them: one
+transposed product per element along the chain gives the trace functional
+and the trace form, whose rank and signature count distinct complex and
+real solutions.  Coordinates stay `linalg.Vector`s until the returned
+`Fraction`s.
 
 A lex solve reads its counts off the grevlex ring that Buchberger ran in,
 and needs the lex staircase and H only to print them.  `shape_position`
 certifies, by a Krylov rank modulo PRIME, that the lex staircase is 1, x_n,
 ..., x_n^(D-1) (Rouillier 1999), and `hankel_form` then gives the lex H as
 the Hankel matrix of the traces Tr(x_n^k), from the grevlex trace functional.
-Otherwise `fglm` changes the order on the same matrices: it walks the lex
-staircase and finds the generators as linear relations among the normal
-forms M_{x_v} * NF(m), so Buchberger never runs in lex.  A grlex solve
-converts by `change_order`, which needs no ring when no generator changes
-its leading monomial.
+Otherwise `fglm(ring, order)` changes the order of the ring's basis on the
+same matrices: it walks the lex staircase and finds the generators as linear
+relations among the normal forms M_{x_v} * NF(m), so Buchberger never runs
+in lex.  A grlex solve converts by `change_order`, which needs no ring when
+no generator changes its leading monomial.
 
 `traces_of` pairs tau with coordinate vectors, for the lex Hankel sums and
 for the Newton sums Tr(M_l^j) of `separating`, which holds all of `solve
@@ -38,7 +38,7 @@ from operator import le
 from typing import Iterable
 
 from . import linalg
-from .groebner import GroebnerBasis, NotZeroDimensionalError, is_zero_dimensional, normal_form
+from .groebner import GroebnerBasis, NotZeroDimensionalError, is_zero_dimensional
 from .linalg import Scalar, Vector, apply, transpose, vector
 from .poly import LEX, Monomial, MonomialOrder, Polynomial
 
@@ -83,20 +83,6 @@ class QuotientBasis:
 
     def __len__(self) -> int:
         return len(self.monomials)
-
-
-@dataclass(frozen=True)
-class MultiplicationMatrix:
-    """Matrix of h -> element*h on the quotient basis; column k holds the
-    coordinates of the reduced product element * basis[k], a zero one as
-    the int 0."""
-
-    entries: tuple[tuple[Scalar, ...], ...]
-    element: Polynomial
-    basis: QuotientBasis
-
-    def trace(self) -> Fraction:
-        return sum((row[i] for i, row in enumerate(self.entries)), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -210,10 +196,19 @@ def _eliminate(x: dict[int, int], a: int, y: dict[int, int], b: int) -> dict[int
     return {k: c // g for k, c in out.items() if c}
 
 
-def fglm(basis: GroebnerBasis, quotient: QuotientBasis, order: MonomialOrder) -> GroebnerBasis:
-    """The reduced Groebner basis of the same ideal under `order`, by change
-    of order on the ring that `quotient` carries (Faugere, Gianni, Lazard and
-    Mora 1993), without S-pairs or polynomial division.
+def _source(ring: QuotientBasis) -> GroebnerBasis:
+    """The Groebner basis that `standard_monomials` built `ring` from; raises
+    ValueError for a hand-built `QuotientBasis`, which carries no ring."""
+    if ring.source is None:
+        raise ValueError("quotient basis does not belong to a Groebner basis")
+    return ring.source
+
+
+def fglm(ring: QuotientBasis, order: MonomialOrder) -> GroebnerBasis:
+    """The reduced Groebner basis of the ideal of `ring.source` under
+    `order`, by change of order on the border matrices that `ring` carries
+    (Faugere, Gianni, Lazard and Mora 1993), without S-pairs or polynomial
+    division.  Raises ValueError for a hand-built `QuotientBasis`.
 
     One heap walk pops monomials in increasing target order, from 1,
     skipping the multiples of the target leading monomials found so far.  A
@@ -229,10 +224,10 @@ def fglm(basis: GroebnerBasis, quotient: QuotientBasis, order: MonomialOrder) ->
     in O(dim^2).
 
     The generators are found ascending, and the input polynomials come along
-    re-sorted under `order`: the result is `==` to `buchberger(basis.original,
-    order)`.
+    re-sorted under `order`: the result is `==` to
+    `buchberger(ring.source.original, order)`.
     """
-    columns = _ring(basis, quotient).columns
+    basis, columns = _source(ring), ring.columns
     if order.nvars != basis.order.nvars:
         raise ValueError(f"order has {order.nvars} variables, the basis has {basis.order.nvars}")
     key, one = order.exponent_key, (0,) * order.nvars
@@ -247,7 +242,7 @@ def fglm(basis: GroebnerBasis, quotient: QuotientBasis, order: MonomialOrder) ->
         if any(all(map(le, lead, exps)) for lead in leads):
             continue
         if parent is None:
-            form = ({0: 1}, 1) if quotient.dimension else ({}, 1)
+            form = ({0: 1}, 1) if ring.dimension else ({}, 1)
         else:
             form = apply(columns[parent[0]], forms[parent[1]])
         j = len(stair)
@@ -277,7 +272,7 @@ def fglm(basis: GroebnerBasis, quotient: QuotientBasis, order: MonomialOrder) ->
 
 
 def change_order(basis: GroebnerBasis, order: MonomialOrder) -> GroebnerBasis:
-    """`fglm(basis, standard_monomials(basis), order)`, without building a
+    """`fglm(standard_monomials(basis), order)`, without building a
     ring when no generator changes its leading monomial under `order`.  In
     a zero-dimensional ideal, those leading monomials then span a staircase
     of the ideal's dimension under either order, so they generate its
@@ -286,19 +281,10 @@ def change_order(basis: GroebnerBasis, order: MonomialOrder) -> GroebnerBasis:
     `standard_monomials` does."""
     generators = [g.with_order(order) for g in basis.generators]
     if not is_zero_dimensional(basis) or any(g.terms[0][0] != h.terms[0][0] for g, h in zip(generators, basis)):
-        return fglm(basis, standard_monomials(basis), order)
+        return fglm(standard_monomials(basis), order)
     generators.sort(key=lambda g: order.exponent_key(g.terms[0][0].exponents))
     original = tuple(p if p.order == order else p.with_order(order) for p in basis.original)
     return GroebnerBasis(tuple(generators), order, original)
-
-
-def _ring(basis: GroebnerBasis, quotient: QuotientBasis) -> QuotientBasis:
-    """`quotient`, if `standard_monomials` built it from a basis equal to
-    `basis`, so that it carries that basis's ring; raises ValueError
-    otherwise."""
-    if quotient.source != basis:
-        raise ValueError("quotient basis does not belong to this Groebner basis")
-    return quotient
 
 
 def _chain(matrices, steps: Steps, start: Vector) -> list[Vector]:
@@ -333,25 +319,6 @@ def _traces(transposed: dict[int, list[Vector]], steps: Steps) -> Vector:
     return _sum(pending[0]) if steps else ({}, 1)
 
 
-def multiplication_matrix(
-    g: Polynomial, basis: GroebnerBasis, quotient: QuotientBasis
-) -> MultiplicationMatrix:
-    """Matrix of multiplication by g on the quotient basis.
-
-    Column 0 is NF(g), and column k, NF(g * b_k) = M_{x_v} * NF(g * b_p), is
-    one border-matrix product from its parent's column.  Only NF(g) itself
-    needs a polynomial division.
-    """
-    _ring(basis, quotient)
-    element = normal_form(g, basis)
-    index = {m: k for k, m in enumerate(quotient.monomials)}
-    coords = vector({index[m]: c for m, c in element.terms})
-    chained = _chain(quotient.columns, quotient.steps, coords)
-    products = [{r: Fraction(x, den) for r, x in nums.items()} for nums, den in chained]
-    rows = tuple(tuple(column.get(r, 0) for column in products) for r in range(quotient.dimension))
-    return MultiplicationMatrix(rows, element, quotient)
-
-
 def traces_of(tau: Vector, vectors: Iterable[Vector]) -> list[Scalar]:
     """Tr(f) = tau . NF(f) for each f given by its coordinates, with tau the
     trace functional as a `Vector`; exact, a zero as the int 0."""
@@ -365,9 +332,12 @@ def hermite_form(basis: GroebnerBasis, quotient: QuotientBasis) -> HermiteForm:
 
     H * e_i = M_{b_i}^T * tau, and the border matrices commute, so column i
     is M_{x_v}^T times its parent's column, starting from tau.  Each Fraction
-    is built once, for r <= i, and mirrored.
+    is built once, for r <= i, and mirrored.  Raises ValueError unless
+    `standard_monomials` built `quotient` from a basis equal to `basis`.
     """
-    transposed, steps = _transposed(_ring(basis, quotient)), quotient.steps
+    if quotient.source != basis:
+        raise ValueError("quotient basis does not belong to this Groebner basis")
+    transposed, steps = _transposed(quotient), quotient.steps
     dim = quotient.dimension
     entries: list[list[Scalar]] = [[0] * dim for _ in range(dim)]
     tau = _traces(transposed, steps)

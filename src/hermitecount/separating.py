@@ -33,7 +33,7 @@ from typing import Sequence
 
 from .groebner import _generator, _reduce
 from .linalg import Vector, apply, vector
-from .quotient import PRIME, HermiteReport, QuotientBasis, traces_of
+from .quotient import PRIME, HermiteReport, QuotientBasis, _source, traces_of
 
 
 def audit_basis(ring: QuotientBasis) -> None:
@@ -52,9 +52,7 @@ def audit_basis(ring: QuotientBasis) -> None:
     because the column of LM(g) is -tail(g).  So dim Q[x]/<G> >= |O|, which
     forces LT(<G>) = <LM(G)>.
     """
-    basis, columns = ring.source, ring.columns
-    if basis is None:
-        raise ValueError("quotient basis does not belong to a Groebner basis")
+    basis, columns = _source(ring), ring.columns
     gens, order = basis.generators, basis.order
     leads = [g.leading_monomial().exponents for g in gens]
     for g in gens:

@@ -8,7 +8,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, le
+from operator import add, le, sub
 from random import Random
 from typing import Sequence
 
@@ -21,7 +21,7 @@ from hermitecount import (
     Polynomial,
     QuotientBasis,
 )
-from hermitecount.groebner import Generator, _primitive, _reduce, _s_accumulator, normal_form
+from hermitecount.groebner import Generator, _generator, _primitive, _reduce
 from hermitecount.linalg import (
     Scalar,
     _berkowitz,
@@ -30,7 +30,6 @@ from hermitecount.linalg import (
     congruence_diagonalize,
     vector,
 )
-from hermitecount.quotient import MultiplicationMatrix
 from hermitecount.univariate import UnivariatePolynomial
 
 
@@ -422,6 +421,21 @@ def naive_buchberger(polys: Sequence[Polynomial], order: MonomialOrder) -> Groeb
 # the pairs of the whole basis instead of rounds.
 
 
+def _s_accumulator(f: Generator, g: Generator) -> dict:
+    """lcm(lc(f), lc(g)) * S(f, g) for primitive generators, without its
+    cancelled leading term."""
+    lcm_exps = tuple(map(max, f[0], g[0]))
+    q = math.gcd(f[1], g[1])
+    a, b = g[1] // q, f[1] // q
+    shift = tuple(map(sub, lcm_exps, f[0]))
+    acc = {tuple(map(add, e, shift)): a * c for e, c in f[2]}
+    shift = tuple(map(sub, lcm_exps, g[0]))
+    for e, c in g[2]:
+        t = tuple(map(add, e, shift))
+        acc[t] = acc.get(t, 0) - b * c
+    return acc
+
+
 def gebauer_moeller_buchberger(polys: Sequence[Polynomial], order: MonomialOrder) -> GroebnerBasis:
     """Pairs smallest-lcm-first, pruned by the Gebauer-Moeller criteria (the
     UPDATE of Becker-Weispfenning): a new pair (g, h) is dropped if another
@@ -510,6 +524,32 @@ def box_standard_monomials(basis: GroebnerBasis) -> QuotientBasis:
 def basis_index(quotient: QuotientBasis) -> dict[Monomial, int]:
     """Position of each standard monomial in the quotient basis."""
     return {m: i for i, m in enumerate(quotient.monomials)}
+
+
+def normal_form(p: Polynomial, basis: GroebnerBasis) -> Polynomial:
+    """Unique remainder of p modulo the basis: no term of the result is
+    divisible by any leading monomial, and p minus the result lies in the
+    ideal.  The engine's own division, `groebner._reduce`, on the basis."""
+    if p.order != basis.order:
+        raise ValueError(f"polynomial ring mismatch: {p.order!r} vs {basis.order!r}")
+    divisors = [_generator(g) for g in basis.generators]
+    acc, den = vector(p._term_dict())
+    remainder, scale = _reduce(acc, divisors, p.order.descending_key)
+    den *= scale
+    return Polynomial._from_sorted(p.order, [(e, Fraction(c, den)) for e, c in remainder])
+
+
+@dataclass(frozen=True)
+class MultiplicationMatrix:
+    """Matrix of h -> element*h on the quotient basis; column k holds the
+    coordinates of the reduced product element * basis[k]."""
+
+    entries: tuple[tuple[Fraction, ...], ...]
+    element: Polynomial
+    basis: QuotientBasis
+
+    def trace(self) -> Fraction:
+        return sum((row[i] for i, row in enumerate(self.entries)), Fraction(0))
 
 
 def _division_coordinates(p: Polynomial, quotient: QuotientBasis) -> list[Fraction]:

@@ -7,10 +7,12 @@ all assertions are exact except the explicit wall-clock bounds.
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 from hermitecount import (
     GREVLEX,
+    LEX,
     Monomial,
     MonomialOrder,
     Polynomial,
@@ -21,9 +23,7 @@ from hermitecount import (
     standard_monomials,
 )
 from hermitecount.cli import EXIT_NOT_ZERO_DIMENSIONAL, main, run_bench
-from hermitecount.groebner import normal_form
 from hermitecount.linalg import inertia, inertia_via_charpoly
-from hermitecount.quotient import multiplication_matrix
 from hermitecount.univariate import UnivariatePolynomial, squarefree_part, sturm_count
 
 from support import (
@@ -31,7 +31,9 @@ from support import (
     basis_index,
     certified_diagonal,
     classic_hermite_matrix,
+    division_multiplication_matrix,
     mul_term,
+    normal_form,
     permutation_equal,
     rand_monic_univariate,
     rand_symmetric,
@@ -201,9 +203,20 @@ def test_criterion_9_nilpotent_annihilation():
         assert power.is_zero()  # x2^m = 0 with m = 2 <= dim A + 1
         for mono in quotient.monomials:
             product = mul_term(x2_poly, 1, mono)
-            assert multiplication_matrix(product, basis, quotient).trace() == 0
+            assert division_multiplication_matrix(product, basis, quotient).trace() == 0
         form = hermite_form(basis, quotient)
         row = basis_index(quotient)[x2]
         dim = quotient.dimension
         assert all(form.entries[row][j] == 0 for j in range(dim))
         assert all(form.entries[i][row] == 0 for i in range(dim))
+
+
+def test_readme_library_example_runs():
+    # the python block under "## Library" in README.md, run as written
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("\n```", 1)[0]
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    report, polys = scope["report"], scope["polys"]
+    assert (report.complex_count, report.real_count) == (4, 2)
+    assert scope["lex"] == buchberger(polys, MonomialOrder(LEX, len(scope["variables"])))

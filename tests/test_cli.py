@@ -445,9 +445,9 @@ def test_lex_solve_falls_back_to_fglm_on_an_unlucky_prime(monkeypatch, capsys, f
     converted, audited = [], []
     true_fglm, true_audit = cli.fglm, separating.audit_basis
 
-    def recorded(basis, ring, order):
+    def recorded(ring, order):
         converted.append(order.kind)
-        return true_fglm(basis, ring, order)
+        return true_fglm(ring, order)
 
     def recorded_audit(ring):
         audited.append(ring.source.order.kind)

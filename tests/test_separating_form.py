@@ -27,7 +27,6 @@ from hermitecount import (
 from hermitecount import separating
 from hermitecount.cli import EXIT_OK, EXIT_ORACLE_MISMATCH, RunConfiguration, main, run_solve
 from hermitecount.linalg import InertiaResult
-from hermitecount.quotient import multiplication_matrix
 from hermitecount.separating import real_root_count, separating_charpoly, squarefree_mod_p
 from hermitecount.univariate import poly_gcd
 
@@ -35,6 +34,7 @@ from support import (
     DENSE_2_5,
     FIXTURE_SYSTEMS,
     berkowitz_charpoly,
+    division_multiplication_matrix,
     division_trace_functional,
     primitive,
     rand_monic_univariate,
@@ -113,7 +113,7 @@ def test_charpoly_matches_berkowitz_on_the_multiplication_matrix(kind):
     for name, basis in fixture_bases(kind):
         q, tau = ring_and_tau(basis)
         for k in (1, 2, 5):
-            matrix = multiplication_matrix(linear_form(basis.order, k), basis, q)
+            matrix = division_multiplication_matrix(linear_form(basis.order, k), basis, q)
             expected = primitive(berkowitz_charpoly(matrix.entries))
             assert separating_charpoly(q, tau, k) == expected, (name, k)
 
@@ -122,7 +122,7 @@ def test_charpoly_matches_berkowitz_on_a_dense_system():
     _, polys = parse_system("\n".join(DENSE_3_3))
     basis = buchberger(polys, polys[0].order)
     q, tau = ring_and_tau(basis)
-    matrix = multiplication_matrix(linear_form(basis.order, 1), basis, q)
+    matrix = division_multiplication_matrix(linear_form(basis.order, 1), basis, q)
     assert q.dimension == 27
     expected = primitive(berkowitz_charpoly(matrix.entries))
     assert separating_charpoly(q, tau, 1) == expected
