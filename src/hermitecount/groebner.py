@@ -57,9 +57,6 @@ class GroebnerBasis:
     def __iter__(self):
         return iter(self.generators)
 
-    def __len__(self) -> int:
-        return len(self.generators)
-
 
 # The engine works on exponent tuples and integers.  A polynomial under
 # reduction is a dict {exponents: int}.  A generator is a primitive integer
@@ -82,10 +79,6 @@ def _primitive(terms: Terms) -> Generator:
     if content == 1:
         return lead, lc, tail
     return lead, lc // content, [(e, c // content) for e, c in tail]
-
-
-def _generator(p: Polynomial) -> Generator:
-    return _primitive(list(vector(p._term_dict())[0].items()))
 
 
 def _reduce(acc: dict[Exponents, int], divisors: Sequence[Generator], key, admits=None) -> tuple[Terms, int]:

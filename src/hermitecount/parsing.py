@@ -1,4 +1,4 @@
-"""Text form of polynomial systems.
+"""Polynomial systems from text.
 
 Grammar (UTF-8, `#` starts a comment running to end of line):
 
@@ -16,7 +16,7 @@ order; with a header, any identifiers are accepted in the declared order.
 
 The variables are fixed from the tokens before any line is parsed, so each
 line is evaluated directly, in one linear pass, and becomes a `Polynomial`
-once.
+once.  `format_monomial` writes a standard monomial back as text for output.
 """
 
 from __future__ import annotations
@@ -285,16 +285,6 @@ class _ExprParser:
         return _natural(tok)
 
 
-def parse_polynomial(text: str, variables: Sequence[str], kind: str = GREVLEX) -> Polynomial:
-    """Parse one polynomial over the declared variables, in canonical form."""
-    names = list(variables)
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate variable names in {names}")
-    tokens = [t for t in _tokenize(text) if t.kind != "newline"]
-    terms = _ExprParser({name: i for i, name in enumerate(names)}, auto=False).parse(tokens)
-    return Polynomial._from_terms(MonomialOrder(kind, len(names)), terms)
-
-
 def parse_system(text: str, kind: str = GREVLEX) -> tuple[list[str], list[Polynomial]]:
     """Parse a polynomial system: optional `vars:` header, one polynomial per line.
 
@@ -355,25 +345,3 @@ def format_monomial(m: Monomial, variables: Sequence[str]) -> str:
             parts.append(f"{name}^{e}")
     return "*".join(parts) if parts else "1"
 
-
-def format_polynomial(p: Polynomial, variables: Sequence[str]) -> str:
-    """Canonical text with terms descending under the polynomial's order.
-
-    `parse_polynomial(format_polynomial(p, v), v, p.order.kind)` returns `p`.
-    """
-    if len(variables) != p.nvars:
-        raise ValueError(f"{len(variables)} names for a polynomial in {p.nvars} variables")
-    if p.is_zero():
-        return "0"
-    pieces = []
-    for i, (mono, coeff) in enumerate(p.terms):
-        sign = "-" if coeff < 0 else ("" if i == 0 else "+")
-        magnitude = -coeff if coeff < 0 else coeff
-        if mono.is_unit():
-            body = str(magnitude)
-        elif magnitude == 1:
-            body = format_monomial(mono, variables)
-        else:
-            body = f"{magnitude}*{format_monomial(mono, variables)}"
-        pieces.append(sign + body)
-    return "".join(pieces)

@@ -1,11 +1,12 @@
 """Sparse multivariate polynomials over exact rationals.
 
-Coefficients are `fractions.Fraction` throughout: every operation is exact,
-so ranks and signatures computed downstream are never perturbed by rounding.
-Terms are kept in strictly descending order under the polynomial's monomial
-order, with no zero coefficients and no duplicate monomials.  The arithmetic
-itself works on `{exponent tuple: Fraction}` dicts (`add_terms` and its
-siblings) under `Polynomial`'s operators, and the parser's products of sums.
+Coefficients are `fractions.Fraction` throughout, so ranks and signatures
+computed downstream are never perturbed by rounding.  Terms are kept in
+strictly descending order under the polynomial's monomial order, with no zero
+coefficients and no duplicate monomials.  A `Polynomial` is a value: it is
+built, compared, hashed and re-sorted under another order, and the engine
+computes on its terms, not with it.  The only arithmetic here is the parser's
+products, negations and powers of `{exponent tuple: Fraction}` dicts.
 """
 
 from __future__ import annotations
@@ -40,40 +41,9 @@ class Monomial:
         m.exponents = exponents
         return m
 
-    @classmethod
-    def unit(cls, nvars: int) -> "Monomial":
-        return cls((0,) * nvars)
-
-    @classmethod
-    def variable(cls, index: int, nvars: int) -> "Monomial":
-        if not 0 <= index < nvars:
-            raise ValueError(f"variable index {index} out of range for {nvars} variables")
-        return cls(tuple(1 if i == index else 0 for i in range(nvars)))
-
     @property
     def nvars(self) -> int:
         return len(self.exponents)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    def is_unit(self) -> bool:
-        return not any(self.exponents)
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        self._check_same_nvars(other)
-        return Monomial(a + b for a, b in zip(self.exponents, other.exponents))
-
-    def divides(self, other: "Monomial") -> bool:
-        self._check_same_nvars(other)
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
-
-    def _check_same_nvars(self, other: "Monomial") -> None:
-        if len(self.exponents) != len(other.exponents):
-            raise ValueError(
-                f"monomial dimension mismatch: {len(self.exponents)} vs {len(other.exponents)}"
-            )
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Monomial) and self.exponents == other.exponents
@@ -120,21 +90,6 @@ class MonomialOrder:
         self.nvars = nvars
         self.exponent_key, self.descending_key = _KEYS[kind]
 
-    def key(self, m: Monomial):
-        """Sort key: key(a) < key(b) iff a < b under this order."""
-        if m.nvars != self.nvars:
-            raise ValueError(f"monomial has {m.nvars} variables, order expects {self.nvars}")
-        return self.exponent_key(m.exponents)
-
-    def compare(self, a: Monomial, b: Monomial) -> int:
-        """-1, 0 or 1 as a <, =, > b."""
-        ka, kb = self.key(a), self.key(b)
-        if ka < kb:
-            return -1
-        if ka > kb:
-            return 1
-        return 0
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, MonomialOrder)
@@ -149,28 +104,13 @@ class MonomialOrder:
         return f"MonomialOrder({self.kind!r}, {self.nvars})"
 
 
-# The sparse arithmetic: polynomials as {exponent tuple: Fraction} dicts with
-# no zero coefficients.
+# The parser's arithmetic: polynomials as {exponent tuple: Fraction} dicts
+# with no zero coefficients.
 TermDict = dict[tuple[int, ...], Fraction]
-
-
-def add_terms(a: TermDict, b: TermDict) -> TermDict:
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, 0) + c
-        if s:
-            out[e] = s
-        else:
-            del out[e]
-    return out
 
 
 def neg_terms(a: TermDict) -> TermDict:
     return {e: -c for e, c in a.items()}
-
-
-def sub_terms(a: TermDict, b: TermDict) -> TermDict:
-    return add_terms(a, neg_terms(b))
 
 
 def mul_terms(a: TermDict, b: TermDict) -> TermDict:
@@ -244,32 +184,12 @@ class Polynomial:
     def _term_dict(self) -> TermDict:
         return {m.exponents: c for m, c in self.terms}
 
-    @classmethod
-    def zero(cls, order: MonomialOrder) -> "Polynomial":
-        return cls(order)
-
-    @classmethod
-    def constant(cls, order: MonomialOrder, value: Scalar) -> "Polynomial":
-        return cls(order, {Monomial.unit(order.nvars): value})
-
-    @classmethod
-    def variable(cls, order: MonomialOrder, index: int) -> "Polynomial":
-        return cls(order, {Monomial.variable(index, order.nvars): 1})
-
     @property
     def nvars(self) -> int:
         return self.order.nvars
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    @property
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((m.degree for m, _ in self.terms), default=-1)
 
     def leading_monomial(self) -> Monomial:
         if not self.terms:
@@ -280,44 +200,6 @@ class Polynomial:
         if not self.terms:
             raise ValueError("the zero polynomial has no leading term")
         return self.terms[0][1]
-
-    def _check_compatible(self, other: "Polynomial") -> None:
-        if self.order != other.order:
-            raise ValueError(
-                f"polynomial ring mismatch: {self.order!r} vs {other.order!r}"
-            )
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check_compatible(other)
-        return Polynomial._from_terms(self.order, add_terms(self._term_dict(), other._term_dict()))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check_compatible(other)
-        return Polynomial._from_terms(self.order, sub_terms(self._term_dict(), other._term_dict()))
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial._from_terms(self.order, neg_terms(self._term_dict()))
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        self._check_compatible(other)
-        return Polynomial._from_terms(self.order, mul_terms(self._term_dict(), other._term_dict()))
-
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if exponent < 0:
-            raise ValueError("polynomial powers must be non-negative")
-        return Polynomial._from_terms(self.order, pow_terms(self._term_dict(), exponent, self.nvars))
-
-    def scale(self, coeff: Scalar) -> "Polynomial":
-        c = Fraction(coeff)
-        if not c:
-            return Polynomial.zero(self.order)
-        return Polynomial(self.order, [(m, c * v) for m, v in self.terms])
-
-    def monic(self) -> "Polynomial":
-        if not self.terms:
-            raise ValueError("cannot normalize the zero polynomial")
-        lc = self.terms[0][1]
-        return self if lc == 1 else self.scale(Fraction(1) / lc)
 
     def with_order(self, order: MonomialOrder) -> "Polynomial":
         """The same polynomial, re-sorted under another order; its terms are

@@ -78,12 +78,6 @@ class QuotientBasis:
     def dimension(self) -> int:
         return len(self.monomials)
 
-    def __iter__(self):
-        return iter(self.monomials)
-
-    def __len__(self) -> int:
-        return len(self.monomials)
-
 
 @dataclass(frozen=True)
 class HermiteForm:

@@ -5,8 +5,8 @@ trace form without reading it.  Only `--check` loads this module, through
 `source` is the basis) and on tau, the `Vector` that `hermite_form` left.
 
 `audit_basis` certifies the Groebner basis on the border matrices that the
-quotient carries: they commute (the border-basis criterion), and every
-original generator reduces to zero.
+quotient carries: they commute (the border-basis criterion), and f(M) * e_1
+is 0 for every original generator f, without division by the basis.
 
 For k = 1, 2, ... the linear form l_k = x1 + k*x2 + k^2*x3 + ... has a
 characteristic polynomial chi on the quotient ring whose roots are the values
@@ -31,26 +31,27 @@ from math import comb, gcd, lcm
 from operator import le
 from typing import Sequence
 
-from .groebner import _generator, _reduce
 from .linalg import Vector, apply, vector
-from .quotient import PRIME, HermiteReport, QuotientBasis, _source, traces_of
+from .quotient import PRIME, HermiteReport, QuotientBasis, _shift, _source, traces_of
 
 
 def audit_basis(ring: QuotientBasis) -> None:
     """Certify `ring.source`, the zero-dimensional basis G that `ring` was
     built from, as a reduced Groebner basis of an ideal that holds every
-    original generator, on the border matrices of `ring`; raises ValueError
-    on a violation, or for a hand-built `QuotientBasis`, which carries none.
-    It proves <F> in <G> for the original generators F, not <G> = <F>: a
-    Groebner basis of a larger ideal passes.
+    original generator, on the border matrices of `ring` alone; raises
+    ValueError on a violation, or for a hand-built `QuotientBasis`, which
+    carries none.  It proves <F> in <G> for the original generators F, not
+    <G> = <F>: a Groebner basis of a larger ideal passes.
 
-    G must be monic and reduced, and every original generator must reduce to
-    zero, so the original ideal lies in <G>.  G is a Groebner basis when the
-    border matrices commute, M_{x_u} * M_{x_v} = M_{x_v} * M_{x_u} for u < v
-    (Mourrain 1999): then f -> f(M) * e_1, with e_1 the coordinates of 1, maps
-    Q[x] onto Q^|O| (O the staircase of LM(G)) and sends each g in G to 0,
-    because the column of LM(g) is -tail(g).  So dim Q[x]/<G> >= |O|, which
-    forces LT(<G>) = <LM(G)>.
+    G must be monic and reduced, and f(M) * e_1 must be 0 for every original
+    generator f, e_1 the coordinates of 1, each x^a of f taken as M^a * e_1
+    by a chain of products.  G is a Groebner basis when the border matrices
+    commute, M_{x_u} * M_{x_v} = M_{x_v} * M_{x_u} for u < v (Mourrain 1999):
+    then f -> f(M) * e_1 maps Q[x] onto Q^|O| (O the staircase of LM(G)),
+    each g in G to 0 (the column of LM(g) is -tail(g)) and each b_k in O to
+    e_k.  So dim Q[x]/<G> >= |O|, which forces LT(<G>) = <LM(G)>, and f(M) *
+    e_1 holds the coordinates of NF(f).  No division by G is used: the audit
+    shares no code with the engine that built G.
     """
     basis, columns = _source(ring), ring.columns
     gens, order = basis.generators, basis.order
@@ -63,14 +64,33 @@ def audit_basis(ring: QuotientBasis) -> None:
             for h, lead in zip(gens, leads):
                 if h is not g and all(map(le, lead, exps)):
                     raise ValueError(f"basis is not reduced at {g!r}")
-    divisors = [_generator(g) for g in gens]
+    images = {(0,) * order.nvars: ({0: 1} if ring.dimension else {}, 1)}  # x^a -> M^a * e_1; 1 = 0 if G = {1}
     for f in basis.original:
-        if f.order != order or _reduce(vector(f._term_dict())[0], divisors, order.descending_key)[0]:
+        if f.order != order or apply(
+            [_image(m.exponents, images, columns) for m, _ in f.terms],
+            vector({k: c for k, (_, c) in enumerate(f.terms)}),
+        )[0]:
             raise ValueError(f"original generator does not reduce to zero: {f!r}")
     for u, v in combinations(range(len(columns)), 2):
         for k in range(ring.dimension):
             if apply(columns[u], columns[v][k]) != apply(columns[v], columns[u][k]):
                 raise ValueError(f"multiplication by variables {u} and {v} does not commute")
+
+
+def _image(exps: tuple[int, ...], images: dict[tuple[int, ...], Vector], columns: list[list[Vector]]) -> Vector:
+    """M^exps * e_1: down from x^exps, one first nonzero exponent at a time,
+    to a monomial in `images`, then back up, one product by M_{x_v} per step,
+    each added to `images`."""
+    path = []
+    while exps not in images:
+        v = next(v for v, e in enumerate(exps) if e)
+        path.append(v)
+        exps = _shift(exps, v, -1)
+    image = images[exps]
+    for v in reversed(path):
+        exps = _shift(exps, v, 1)
+        image = images[exps] = apply(columns[v], image)
+    return image
 
 
 def _gcd(f: list[int], g: list[int], p: int) -> list[int]:
@@ -260,8 +280,7 @@ def separating_form_mismatch(ring: QuotientBasis, tau: Vector, rank: int, signat
     for k in range(1, comb(rank, 2) * max(nvars - 1, 0) + 2):
         chi = separating_charpoly(ring, tau, k)
         if nvars == 1:
-            lead, lc, tail = _generator(ring.source.generators[0])
-            if dict([(lead, lc), *tail]) != {(e,): c for e, c in enumerate(chi) if c}:
+            if vector(ring.source.generators[0]._term_dict())[0] != {(e,): c for e, c in enumerate(chi) if c}:
                 return "chi of x1 is not the primitive generator of the basis"
         part = chi if squarefree_mod_p(chi) else integer_squarefree_part(chi)
         distinct = len(part) - 1

@@ -13,6 +13,7 @@ from random import Random
 from typing import Sequence
 
 from hermitecount import (
+    GREVLEX,
     GroebnerBasis,
     HermiteForm,
     Monomial,
@@ -20,8 +21,9 @@ from hermitecount import (
     NotZeroDimensionalError,
     Polynomial,
     QuotientBasis,
+    parse_system,
 )
-from hermitecount.groebner import Generator, _generator, _primitive, _reduce
+from hermitecount.groebner import Generator, _primitive, _reduce
 from hermitecount.linalg import (
     Scalar,
     _berkowitz,
@@ -30,6 +32,7 @@ from hermitecount.linalg import (
     congruence_diagonalize,
     vector,
 )
+from hermitecount.parsing import format_monomial
 from hermitecount.univariate import UnivariatePolynomial
 
 
@@ -112,9 +115,68 @@ def rand_monic_univariate(rng: Random, max_degree: int = 8) -> UnivariatePolynom
     return f
 
 
+# Polynomial arithmetic for the reference oracles below, on exponent tuples
+# and the validating constructor: it shares no code with the parser's
+# products in `poly` or with the engine's division in `groebner`.
+
+
+def divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Whether x^a divides x^b."""
+    return all(map(le, a, b))
+
+
+def times(a: Monomial, b: Monomial) -> Monomial:
+    return Monomial(map(add, a.exponents, b.exponents))
+
+
 def mul_term(p: Polynomial, coeff: Scalar, mono: Monomial) -> Polynomial:
     """p times the single term coeff*mono."""
-    return Polynomial(p.order, [(m * mono, coeff * c) for m, c in p.terms])
+    return Polynomial(p.order, [(times(m, mono), coeff * c) for m, c in p.terms])
+
+
+def subtract(p: Polynomial, q: Polynomial) -> Polynomial:
+    """p - q, in p's ring."""
+    return Polynomial(p.order, [*p.terms, *((m, -c) for m, c in q.terms)])
+
+
+def monic(p: Polynomial) -> Polynomial:
+    """p divided by its leading coefficient."""
+    lc = p.leading_coefficient()
+    return Polynomial(p.order, [(m, c / lc) for m, c in p.terms])
+
+
+# The text form of one polynomial: a second parse entry point over declared
+# names, and its inverse.
+
+
+def parse_polynomial(text: str, variables: Sequence[str], kind: str = GREVLEX) -> Polynomial:
+    """One polynomial over the declared variables, by `parse_system` under a
+    `vars:` header."""
+    _, (p,) = parse_system(f"vars: {', '.join(variables)}\n{text}", kind)
+    return p
+
+
+def format_polynomial(p: Polynomial, variables: Sequence[str]) -> str:
+    """Canonical text with terms descending under the polynomial's order.
+
+    `parse_polynomial(format_polynomial(p, v), v, p.order.kind)` returns `p`.
+    """
+    if len(variables) != p.nvars:
+        raise ValueError(f"{len(variables)} names for a polynomial in {p.nvars} variables")
+    if not p:
+        return "0"
+    pieces = []
+    for i, (mono, coeff) in enumerate(p.terms):
+        sign = "-" if coeff < 0 else ("" if i == 0 else "+")
+        magnitude = -coeff if coeff < 0 else coeff
+        if not any(mono.exponents):
+            body = str(magnitude)
+        elif magnitude == 1:
+            body = format_monomial(mono, variables)
+        else:
+            body = f"{magnitude}*{format_monomial(mono, variables)}"
+        pieces.append(sign + body)
+    return "".join(pieces)
 
 
 def all_monomials(nvars: int, max_degree: int) -> list[Monomial]:
@@ -204,7 +266,7 @@ def rand_dense_system(rng: Random, order: MonomialOrder, degree: int) -> list[Po
     return [
         Polynomial(
             order,
-            {m: rng.choice(nonzero) if m.degree == degree else rng.randint(-9, 9) for m in monos},
+            {m: rng.choice(nonzero) if sum(m.exponents) == degree else rng.randint(-9, 9) for m in monos},
         )
         for _ in range(order.nvars)
     ]
@@ -266,11 +328,11 @@ def katsura(n: int, order_kind: str = "grevlex") -> list[Polynomial]:
     order = MonomialOrder(order_kind, n + 1)
 
     def u(i: int) -> Monomial | None:
-        return Monomial.variable(abs(i), n + 1) if abs(i) <= n else None
+        return Monomial(int(v == abs(i)) for v in range(n + 1)) if abs(i) <= n else None
 
-    polys = [Polynomial(order, [(u(i), 1) for i in range(-n, n + 1)] + [(Monomial.unit(n + 1), -1)])]
+    polys = [Polynomial(order, [(u(i), 1) for i in range(-n, n + 1)] + [(Monomial((0,) * (n + 1)), -1)])]
     for m in range(n):
-        terms = [(u(i) * u(m - i), 1) for i in range(-n, n + 1) if u(m - i) is not None]
+        terms = [(times(u(i), u(m - i)), 1) for i in range(-n, n + 1) if u(m - i) is not None]
         polys.append(Polynomial(order, terms + [(u(m), -1)]))
     return polys
 
@@ -308,8 +370,9 @@ def rational_systems(kind: str):
         rng = Random(f"rational:{seed}")
         scaled = []
         for k, p in enumerate(polys):
-            q = Polynomial(order, [(m, c * rand_nonzero_fraction(rng)) for m, c in p.terms])
-            scaled.append(q.scale(rng.choice((-1, 1)) * rng.randint(2, 6)) if k % 2 else q)
+            terms = [(m, c * rand_nonzero_fraction(rng)) for m, c in p.terms]
+            factor = rng.choice((-1, 1)) * rng.randint(2, 6) if k % 2 else 1
+            scaled.append(Polynomial(order, [(m, c * factor) for m, c in terms]))
         yield seed, order, scaled
 
 
@@ -360,7 +423,7 @@ def _naive_s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     lcm = Monomial(map(max, f.leading_monomial().exponents, g.leading_monomial().exponents))
     left = mul_term(f, 1 / f.leading_coefficient(), _monomial_quotient(lcm, f.leading_monomial()))
     right = mul_term(g, 1 / g.leading_coefficient(), _monomial_quotient(lcm, g.leading_monomial()))
-    return left - right
+    return subtract(left, right)
 
 
 def _naive_reduce(p: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
@@ -372,8 +435,8 @@ def _naive_reduce(p: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
         lc = work.leading_coefficient()
         for g in divisors:
             glm = g.leading_monomial()
-            if glm.divides(lm):
-                work = work - mul_term(g, lc / g.leading_coefficient(), _monomial_quotient(lm, glm))
+            if divides(glm.exponents, lm.exponents):
+                work = subtract(work, mul_term(g, lc / g.leading_coefficient(), _monomial_quotient(lm, glm)))
                 break
         else:
             remainder.append((lm, lc))
@@ -386,7 +449,7 @@ def naive_buchberger(polys: Sequence[Polynomial], order: MonomialOrder) -> Groeb
     monomials is reduced, smallest lcm first, then the basis is minimalized
     and tail-reduced."""
     original = tuple(p if p.order == order else p.with_order(order) for p in polys)
-    basis = [p.monic() for p in original if p]
+    basis = [monic(p) for p in original if p]
     if not basis:
         raise NotZeroDimensionalError("all generators are zero")
     pairs = []
@@ -396,7 +459,7 @@ def naive_buchberger(polys: Sequence[Polynomial], order: MonomialOrder) -> Groeb
         for s in range(t):
             lm_s = basis[s].leading_monomial().exponents
             if any(a and b for a, b in zip(lm_s, lm_t)):
-                heapq.heappush(pairs, (order.key(Monomial(map(max, lm_s, lm_t))), s, t))
+                heapq.heappush(pairs, (order.exponent_key(tuple(map(max, lm_s, lm_t))), s, t))
 
     for t in range(1, len(basis)):
         push_pairs(t)
@@ -404,15 +467,15 @@ def naive_buchberger(polys: Sequence[Polynomial], order: MonomialOrder) -> Groeb
         _, i, j = heapq.heappop(pairs)
         candidate = _naive_reduce(_naive_s_polynomial(basis[i], basis[j]), basis)
         if candidate:
-            basis.append(candidate.monic())
+            basis.append(monic(candidate))
             push_pairs(len(basis) - 1)
 
     minimal = []
-    for g in sorted(basis, key=lambda g: order.key(g.leading_monomial())):
-        if not any(h.leading_monomial().divides(g.leading_monomial()) for h in minimal):
+    for g in sorted(basis, key=lambda g: order.exponent_key(g.leading_monomial().exponents)):
+        if not any(divides(h.leading_monomial().exponents, g.leading_monomial().exponents) for h in minimal):
             minimal.append(g)
     for i, g in enumerate(minimal):
-        minimal[i] = _naive_reduce(g, minimal[:i] + minimal[i + 1 :]).monic()
+        minimal[i] = monic(_naive_reduce(g, minimal[:i] + minimal[i + 1 :]))
     return GroebnerBasis(tuple(minimal), order, original)
 
 
@@ -515,15 +578,20 @@ def box_standard_monomials(basis: GroebnerBasis) -> QuotientBasis:
     found = []
     for exps in itertools.product(*(range(c) for c in caps)):
         mono = Monomial(exps)
-        if not any(lm.divides(mono) for lm in lms):
+        if not any(divides(lm.exponents, exps) for lm in lms):
             found.append(mono)
-    found.sort(key=basis.order.key)
+    found.sort(key=lambda m: basis.order.exponent_key(m.exponents))
     return QuotientBasis(tuple(found), basis.order)
 
 
 def basis_index(quotient: QuotientBasis) -> dict[Monomial, int]:
     """Position of each standard monomial in the quotient basis."""
     return {m: i for i, m in enumerate(quotient.monomials)}
+
+
+def _generator(p: Polynomial) -> Generator:
+    """p as the engine's primitive integer generator."""
+    return _primitive(list(vector(p._term_dict())[0].items()))
 
 
 def normal_form(p: Polynomial, basis: GroebnerBasis) -> Polynomial:
@@ -582,7 +650,7 @@ def division_product_table(
     table = {}
     for i in range(len(monos)):
         for j in range(i, len(monos)):
-            product = Polynomial(basis.order, [(monos[i] * monos[j], 1)])
+            product = Polynomial(basis.order, [(times(monos[i], monos[j]), 1)])
             table[(i, j)] = dict(normal_form(product, basis).terms)
     return table
 
@@ -762,7 +830,7 @@ def s_pair_audit(basis: GroebnerBasis) -> None:
             raise ValueError(f"generator is not monic: {g!r}")
         for mono, _ in g.terms:
             for h in gens:
-                if h is not g and h.leading_monomial().divides(mono):
+                if h is not g and divides(h.leading_monomial().exponents, mono.exponents):
                     raise ValueError(f"basis is not reduced at {g!r}")
     for f in basis.original:
         if _naive_reduce(f, gens):

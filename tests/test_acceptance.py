@@ -4,15 +4,21 @@ Every test prints one PASS/FAIL line (run with `pytest -s` to see them all);
 all assertions are exact except the explicit wall-clock bounds.
 """
 
+import importlib
+import pkgutil
+import sys
 import time
+import types
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 from random import Random
 
+import hermitecount
 from hermitecount import (
     GREVLEX,
     LEX,
+    ORDER_KINDS,
     Monomial,
     MonomialOrder,
     Polynomial,
@@ -199,8 +205,8 @@ def test_criterion_9_nilpotent_annihilation():
         x2 = Monomial((0, 1))
         assert x2 in quotient.monomials
         x2_poly = Polynomial(basis.order, {x2: 1})
-        power = normal_form(x2_poly * x2_poly, basis)
-        assert power.is_zero()  # x2^m = 0 with m = 2 <= dim A + 1
+        power = normal_form(mul_term(x2_poly, 1, x2), basis)
+        assert not power  # x2^m = 0 with m = 2 <= dim A + 1
         for mono in quotient.monomials:
             product = mul_term(x2_poly, 1, mono)
             assert division_multiplication_matrix(product, basis, quotient).trace() == 0
@@ -220,3 +226,111 @@ def test_readme_library_example_runs():
     report, polys = scope["report"], scope["polys"]
     assert (report.complex_count, report.real_count) == (4, 2)
     assert scope["lex"] == buchberger(polys, MonomialOrder(LEX, len(scope["variables"])))
+
+
+# Functions in src/hermitecount that no solve and no bench run enters, each
+# with the reason it stays.  A name stands for everything defined in it: a
+# module for its functions, a function for the functions nested in it.
+PINNED = "perfbench imports or calls it, and it goes with the benchmark refresh (ROADMAP item 2)"
+VALIDATING = "a validating constructor, for input from outside the program"
+VALUE = "the value protocol, ==, hash and repr"
+NOT_ENTERED_BY_A_SOLVE = {
+    "univariate": PINNED,
+    "linalg._integer_matrix": PINNED,
+    "linalg._berkowitz": PINNED,
+    "linalg.inertia_via_charpoly": PINNED,
+    "quotient.HermiteForm.rows": PINNED,
+    "poly.Polynomial.__iter__": PINNED,
+    "poly.Monomial.__init__": VALIDATING,
+    "poly.Polynomial.__init__": VALIDATING,
+    **{
+        f"poly.{cls}.{method}": VALUE
+        for cls in ("Monomial", "MonomialOrder", "Polynomial")
+        for method in ("__eq__", "__hash__", "__repr__")
+    },
+    "linalg._inexact": "the error for a matrix entry that is not exact, which no solve builds",
+    "cli.entry": "the console script, which only calls main",
+}
+COMPREHENSIONS = {"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"}
+
+
+def defined_functions(module):
+    """{code object: name} of every def and lambda in `module`: its functions,
+    the methods and properties of its classes, the lambdas in its tables, and
+    the functions nested in any of them.  Code objects are matched by
+    identity, since Python 3.10 gives them no qualified name: a name is the
+    function's __qualname__, or its parent's name and its own."""
+    found, seen, stack = {}, set(), list(vars(module).items())
+    prefix = module.__name__.rpartition(".")[2]
+    while stack:
+        key, obj = stack.pop()
+        if id(obj) in seen or key == "__builtins__":
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (classmethod, staticmethod)):
+            obj = obj.__func__
+        if isinstance(obj, property):
+            stack += [(key, f) for f in (obj.fget, obj.fset, obj.fdel)]
+        elif isinstance(obj, type) and obj.__module__ == module.__name__:
+            stack += vars(obj).items()
+        elif isinstance(obj, dict):
+            stack += obj.items()
+        elif isinstance(obj, tuple):
+            stack += [(key, x) for x in obj]
+        elif isinstance(obj, types.FunctionType) and obj.__code__.co_filename == module.__file__:
+            codes = [(obj.__code__, f"{prefix}.{obj.__qualname__}")]
+            while codes:
+                code, name = codes.pop()
+                found[code] = name
+                codes += [
+                    (c, f"{name}.<locals>.{c.co_name}")
+                    for c in code.co_consts
+                    if isinstance(c, types.CodeType) and c.co_name not in COMPREHENSIONS
+                ]
+    return found
+
+
+def test_src_holds_what_a_solve_runs(tmp_path, capsys):
+    """Every function in src/hermitecount is entered by a small corpus of
+    solves and a bench run through `cli.main`, or is listed with its reason."""
+    names = [hermitecount.__name__] + [f"hermitecount.{m.name}" for m in pkgutil.iter_modules(hermitecount.__path__)]
+    defined = {}
+    for name in names:
+        defined.update(defined_functions(importlib.import_module(name)))
+    header = tmp_path / "header.txt"
+    # a power and a product of sums, a negated sum and a rational, under a vars: header
+    header.write_text("vars: a, b\n# two points on a = 1, two on b = -2, none real\n(a+b)^2-3*a*b-1/2\n-(a-1)*(b+2)\n")
+    systems = [
+        [str(header)],
+        ["--poly", "x2^2-x1*x3", "--poly", "x1^3-1", "--poly", "x3^3-2"],  # FGLM under grlex and lex
+        ["--poly", "x1^3-x1"],  # chi of x1 is the generator
+        ["--poly", "(x1^2-2)^2*(x1+1)"],  # chi of x1 is not squarefree
+    ]
+    corpus = [
+        ["solve", "--order", kind, *flags, *system]
+        for kind in ORDER_KINDS
+        for flags in ([], ["--json"], ["--print-matrix"], ["--check"])
+        for system in systems
+    ]
+    corpus += [["solve", "--poly", "x1+"], ["bench", "--spheres", "2", "--degrees", "2"]]
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        codes = [main(argv) for argv in corpus]
+    finally:
+        sys.setprofile(previous)
+    capsys.readouterr()
+    assert codes == [0] * (len(corpus) - 2) + [2, 0]
+
+    def listed(name):
+        return any(name == key or name.startswith(key + ".") for key in NOT_ENTERED_BY_A_SOLVE)
+
+    assert sorted(name for code, name in defined.items() if code not in entered and not listed(name)) == []
+    known = {name.partition(".")[0] for name in defined.values()} | set(defined.values())
+    assert set(NOT_ENTERED_BY_A_SOLVE) <= known

@@ -40,9 +40,9 @@ from hermitecount.cli import (
     sphere_family,
 )
 from hermitecount.linalg import inertia
-from hermitecount.parsing import format_monomial, format_polynomial
+from hermitecount.parsing import format_monomial
 
-from support import FIXTURE_SYSTEMS, int_str_limit, rand_dense_system, rational_systems
+from support import FIXTURE_SYSTEMS, format_polynomial, int_str_limit, rand_dense_system, rational_systems
 
 
 def test_solve_circle_hyperbola_counts(capsys):

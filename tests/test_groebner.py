@@ -23,7 +23,6 @@ from hermitecount import (
 )
 from hermitecount import groebner, quotient
 from hermitecount.groebner import is_zero_dimensional
-from hermitecount.parsing import parse_polynomial
 from hermitecount.quotient import change_order, hankel_form, hermite_form, shape_position
 from hermitecount.separating import audit_basis
 
@@ -34,8 +33,10 @@ from support import (
     gebauer_moeller_buchberger,
     integer_content,
     katsura,
+    mul_term,
     naive_buchberger,
     normal_form,
+    parse_polynomial,
     rand_dense_system,
     rand_polynomial,
     rand_sparse_system,
@@ -73,23 +74,23 @@ def test_buchberger_unit_ideal():
 
 def test_buchberger_rejects_all_zero_input():
     with pytest.raises(NotZeroDimensionalError):
-        buchberger([Polynomial.zero(ORDER2)], ORDER2)
+        buchberger([Polynomial(ORDER2)], ORDER2)
     with pytest.raises(NotZeroDimensionalError):
         buchberger([], ORDER2)
 
 
 def test_buchberger_zero_ideal_without_variables():
     order = MonomialOrder(GREVLEX, 0)
-    for polys in ([Polynomial.zero(order)], []):
+    for polys in ([Polynomial(order)], []):
         basis = buchberger(polys, order)
         assert basis.generators == ()
         assert standard_monomials(basis).monomials == (Monomial(()),)
-    assert list(buchberger([Polynomial.constant(order, 5)], order)) == [Polynomial.constant(order, 1)]
+    assert list(buchberger([Polynomial(order, {Monomial(()): 5})], order)) == [Polynomial(order, {Monomial(()): 1})]
 
 
 def test_buchberger_drops_zero_generators(line_circle_basis):
     with_zero = buchberger(
-        [p2("x1-1"), Polynomial.zero(ORDER2), p2("x1^2+x2^2-1")], ORDER2
+        [p2("x1-1"), Polynomial(ORDER2), p2("x1^2+x2^2-1")], ORDER2
     )
     assert with_zero.generators == line_circle_basis.generators
 
@@ -99,7 +100,7 @@ def test_buchberger_drops_zero_generators(line_circle_basis):
 
 
 def test_normal_form_of_circle_modulo_basis(line_circle_basis):
-    assert normal_form(p2("x1^2+x2^2-1"), line_circle_basis).is_zero()
+    assert not normal_form(p2("x1^2+x2^2-1"), line_circle_basis)
 
 
 def test_normal_form_keeps_standard_support(line_circle_basis):
@@ -125,7 +126,7 @@ def test_is_zero_dimensional_cases(line_circle_basis):
     assert is_zero_dimensional(buchberger([p2("x1^2"), p2("x1*x2"), p2("x2^3")], ORDER2))
     order = MonomialOrder(GREVLEX, 0)
     assert is_zero_dimensional(buchberger([], order))
-    assert is_zero_dimensional(buchberger([Polynomial.constant(order, 5)], order))
+    assert is_zero_dimensional(buchberger([Polynomial(order, {Monomial(()): 5})], order))
 
 
 def test_standard_monomials_line_circle(line_circle_basis):
@@ -167,10 +168,10 @@ def test_normal_form_is_linear_and_idempotent():
         p = rand_polynomial(rng, ORDER2, max_terms=5, max_exponent=3, bound=20)
         q = rand_polynomial(rng, ORDER2, max_terms=5, max_exponent=3, bound=20)
         a, b = rng.randint(-5, 5), rng.randint(-5, 5)
-        combo = p.scale(a) + q.scale(b)
-        assert normal_form(combo, basis) == (
-            normal_form(p, basis).scale(a) + normal_form(q, basis).scale(b)
-        )
+        def combination(p, q):
+            return Polynomial(ORDER2, [*((m, a * c) for m, c in p.terms), *((m, b * c) for m, c in q.terms)])
+
+        assert normal_form(combination(p, q), basis) == combination(normal_form(p, basis), normal_form(q, basis))
         nf = normal_form(p, basis)
         assert normal_form(nf, basis) == nf
 
@@ -180,7 +181,7 @@ def test_membership_of_original_generators():
         _, polys = parse_system(text)
         basis = buchberger(polys, polys[0].order)
         for f in polys:
-            assert normal_form(f, basis).is_zero()
+            assert not normal_form(f, basis)
 
 
 def test_canonicity_under_generator_permutation():
@@ -209,7 +210,7 @@ def test_standard_monomials_sorted_ascending():
         _, polys = parse_system("x1*x2+x2-1\nx1^2+x2^2-1", kind)
         order = polys[0].order
         quotient = standard_monomials(buchberger(polys, order))
-        keys = [order.key(m) for m in quotient.monomials]
+        keys = [order.exponent_key(m.exponents) for m in quotient.monomials]
         assert keys == sorted(keys)
 
 
@@ -221,7 +222,7 @@ def test_lex_staircase_can_exceed_generator_degree():
     basis = buchberger(polys, polys[0].order)
     quotient = standard_monomials(basis)
     assert quotient.dimension == 4
-    assert max(m.degree for m in quotient.monomials) == 3
+    assert max(sum(m.exponents) for m in quotient.monomials) == 3
 
 
 def test_wide_staircase_is_enumerated_by_closure():
@@ -230,7 +231,7 @@ def test_wide_staircase_is_enumerated_by_closure():
     order = polys[0].order
     quotient = standard_monomials(buchberger(polys, order))
     assert quotient.dimension == 898
-    keys = [order.key(m) for m in quotient.monomials]
+    keys = [order.exponent_key(m.exponents) for m in quotient.monomials]
     assert keys == sorted(set(keys))
 
 
@@ -336,7 +337,7 @@ def test_every_input_order_gives_the_same_basis():
     order = MonomialOrder(GREVLEX, 3)
     for seed in range(3):
         polys = rand_dense_system(Random(seed), order, 2)
-        polys.append(polys[0] * Polynomial.variable(order, 2) + polys[1])
+        polys.append(Polynomial(order, [*mul_term(polys[0], 1, Monomial((0, 0, 1))).terms, *polys[1].terms]))
         expected = gebauer_moeller_buchberger(polys, order)
         for shuffled in permutations(polys):
             basis = buchberger(shuffled, order)
@@ -356,7 +357,7 @@ def test_signature_criteria_regressions():
     f, g = p2("x1^2+x2^2-5"), p2("x1*x2-2")
     circle = assert_matches_gebauer_moeller([f, g], ORDER2)
     # an input in the ideal of the earlier ones, and repeated inputs
-    in_ideal = f * p2("x2+3") - g * p2("x1")
+    in_ideal = p2("(x1^2+x2^2-5)*(x2+3) - (x1*x2-2)*x1")
     assert assert_matches_gebauer_moeller([f, g, in_ideal], ORDER2).generators == circle.generators
     assert assert_matches_gebauer_moeller([g, f, g, f, f], ORDER2).generators == circle.generators
     # an input whose leading monomial an earlier one divides
@@ -365,7 +366,7 @@ def test_signature_criteria_regressions():
     assert list(assert_matches_gebauer_moeller([p2("x1^2-1"), p2("x1^2-2")], ORDER2)) == [p2("1")]
     assert list(assert_matches_gebauer_moeller([p2("x1*x2-1"), p2("x1^2")], ORDER2)) == [p2("1")]
     with pytest.raises(NotZeroDimensionalError):
-        buchberger([Polynomial.zero(ORDER2), Polynomial.zero(ORDER2)], ORDER2)
+        buchberger([Polynomial(ORDER2), Polynomial(ORDER2)], ORDER2)
 
 
 def count_zero_reductions(monkeypatch, module, engine, polys, order):
@@ -498,14 +499,14 @@ def test_fglm_on_lex_dense_systems():
 def test_fglm_edge_ideals():
     order = MonomialOrder(LEX, 2)
     unit = assert_fglm_matches_buchberger([p2("x1"), p2("x1+1")], order)
-    assert list(unit) == [Polynomial.constant(order, 1)]
+    assert list(unit) == [Polynomial(order, {Monomial((0, 0)): 1})]
     # not radical: dimension 6 with three points
     nilpotent = assert_fglm_matches_buchberger([p2("x1^2"), p2("x2^3-x2")], order)
     assert standard_monomials(nilpotent).dimension == 6
     one = MonomialOrder(LEX, 1)
     assert_fglm_matches_buchberger([parse_polynomial("x1^5-3*x1^2+1/2", ["x1"], "lex")], one)
     none = MonomialOrder(LEX, 0)
-    for polys in ([Polynomial.zero(none)], [], [Polynomial.constant(none, 5)]):
+    for polys in ([Polynomial(none)], [], [Polynomial(none, {Monomial(()): 5})]):
         assert_fglm_matches_buchberger(polys, none)
 
 
@@ -550,14 +551,14 @@ def shape_certificate_against_fglm(polys):
     quotient = standard_monomials(ring)
     lex = fglm(quotient, MonomialOrder(LEX, nvars))
     lex_ring = standard_monomials(lex)
-    powers = [tuple(j if u == nvars - 1 else 0 for u in range(nvars)) for j in range(len(lex_ring))]
+    powers = [tuple(j if u == nvars - 1 else 0 for u in range(nvars)) for j in range(lex_ring.dimension)]
     shape = shape_position(quotient)
     if shape is None:
         # 2^61 - 1 is never unlucky here: a failure means another staircase
-        assert [m.exponents for m in lex_ring] != powers
+        assert [m.exponents for m in lex_ring.monomials] != powers
         return False
     staircase, krylov = shape
-    assert [m.exponents for m in lex_ring] == powers
+    assert [m.exponents for m in lex_ring.monomials] == powers
     assert staircase == lex_ring
     index = {m: k for k, m in enumerate(quotient.monomials)}
     for exps, (nums, den) in zip(powers, krylov):

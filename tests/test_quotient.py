@@ -1,8 +1,10 @@
 """The trace form on the quotient ring: the border multiplication matrices,
 the trace functional, and solution counts."""
 
+import ast
 from fractions import Fraction
 from operator import le
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -24,11 +26,12 @@ from hermitecount import (
     parse_system,
     standard_monomials,
 )
-from hermitecount import quotient, separating
+from hermitecount import groebner, quotient, separating
 from hermitecount.groebner import is_zero_dimensional
-from hermitecount.parsing import format_monomial, parse_polynomial
+from hermitecount.parsing import format_monomial
 from hermitecount.quotient import (
     DimensionLimitError,
+    _shift,
     _transposed,
     hankel_form,
     shape_position,
@@ -44,11 +47,13 @@ from support import (
     division_trace_functional,
     mul_term,
     normal_form,
+    parse_polynomial,
     permutation_equal,
     rand_polynomial,
     random_systems,
     s_pair_audit,
     tau_by_monomial,
+    times,
 )
 
 ORDER2 = MonomialOrder(GREVLEX, 2)
@@ -182,7 +187,7 @@ def test_symmetry_by_recomputation():
     monos = quotient.monomials
     for i, bi in enumerate(monos):
         for j, bj in enumerate(monos):
-            product = mul_term(p2("1"), 1, bi * bj)
+            product = mul_term(p2("1"), 1, times(bi, bj))
             trace = division_multiplication_matrix(product, basis, quotient).trace()
             assert form.entries[i][j] == trace
             assert form.entries[j][i] == trace
@@ -192,7 +197,7 @@ def test_nilpotent_annihilation(nilpotent_basis):
     # x2 squares to zero in the quotient, so every trace against it vanishes
     quotient = standard_monomials(nilpotent_basis)
     x2 = p2("x2")
-    assert normal_form(x2 * x2, nilpotent_basis).is_zero()
+    assert not normal_form(mul_term(x2, 1, Monomial((0, 1))), nilpotent_basis)
     for mono in quotient.monomials:
         product = mul_term(x2, 1, mono)
         assert division_multiplication_matrix(product, nilpotent_basis, quotient).trace() == 0
@@ -217,7 +222,7 @@ def test_form_entry_0_0_is_quotient_dimension():
     for _, text in FIXTURE_SYSTEMS:
         report = hermite_report(system_basis(text))
         if report.quotient_dimension:
-            assert report.form.basis.monomials[0].is_unit()
+            assert not any(report.form.basis.monomials[0].exponents)
             assert report.form.entries[0][0] == report.quotient_dimension
 
 
@@ -263,7 +268,7 @@ def assert_matches_division_route(basis):
     quotient = standard_monomials(basis)
     assert quotient == box_standard_monomials(basis)
     for v in range(basis.order.nvars):
-        x_v = Polynomial.variable(basis.order, v)
+        x_v = Polynomial(basis.order, {Monomial(int(u == v) for u in range(basis.order.nvars)): 1})
         assert border_matrix(quotient, v) == division_multiplication_matrix(x_v, basis, quotient).entries
     form = hermite_form(basis, quotient)
     assert form == division_hermite_form(basis, quotient)
@@ -378,12 +383,11 @@ def missing_one(text, basis, quotient):
 
 def extra_one(text, basis, quotient):
     monos = quotient.monomials
-    border = {
-        m * Monomial.variable(v, basis.order.nvars) for m in monos for v in range(basis.order.nvars)
-    } - set(monos)
+    border = {Monomial(_shift(m.exponents, v, 1)) for m in monos for v in range(basis.order.nvars)} - set(monos)
     assert set(basis.leading_monomials()) <= border
+    key = basis.order.exponent_key
     for extra in border:
-        yield QuotientBasis(tuple(sorted(monos + (extra,), key=basis.order.key)), quotient.order)
+        yield QuotientBasis(tuple(sorted(monos + (extra,), key=lambda m: key(m.exponents))), quotient.order)
 
 
 def out_of_order(text, basis, quotient):
@@ -460,7 +464,7 @@ def test_audits_reject_a_dropped_generator(kind):
     dropped = 0
     for polys in audit_systems(kind):
         basis = buchberger(polys, polys[0].order)
-        for k in range(len(basis)):
+        for k in range(len(basis.generators)):
             wrong = GroebnerBasis(basis.generators[:k] + basis.generators[k + 1 :], basis.order, basis.original)
             for audit in (s_pair_audit, commuting_audit):
                 with pytest.raises(ValueError):
@@ -519,6 +523,27 @@ def test_check_refuses_a_basis_that_is_not_monic_or_not_reduced(texts, refusal):
     assert separating.mismatch(report).startswith("Groebner basis audit: " + refusal)
 
 
+def test_audit_refuses_a_foreign_original_without_the_engines_division(monkeypatch):
+    # x1 - 5 is not in <x1^2 - 1, x2^2 - 2>.  With the engine's division made to
+    # find no remainder wherever it is bound, the audit must still refuse it:
+    # it evaluates f(M) * e_1 on the border matrices and imports nothing from
+    # the engine.
+    basis = system_basis("x1^2-1\nx2^2-2")
+    wrong = GroebnerBasis(basis.generators, basis.order, basis.original + (p2("x1-5"),))
+    ring = standard_monomials(wrong)
+
+    def no_remainder(acc, divisors, key, admits=None):
+        return [], 1
+
+    monkeypatch.setattr(groebner, "_reduce", no_remainder)
+    monkeypatch.setattr(separating, "_reduce", no_remainder, raising=False)
+    with pytest.raises(ValueError, match=r"does not reduce to zero: Polynomial\(1\*Monomial\(1, 0\) \+ -5\*"):
+        audit_basis(ring)
+    audit_basis(standard_monomials(basis))
+    tree = ast.parse(Path(separating.__file__).read_text(encoding="utf-8"))
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "groebner"]
+
+
 @pytest.mark.parametrize(
     "text, dimension",
     [("0", 1), ("5", 0), ("x1\nx1+1", 0), ("x1-1\nx2+2", 1), ("x1^3-2", 3)],
@@ -540,7 +565,7 @@ def test_shape_position_fails_on_an_unlucky_prime(monkeypatch):
     # x1 = x2^2/3 on three points: the grevlex coordinates of x2^2 are 3*x1
     ring = standard_monomials(system_basis("3*x1-x2^2\nx2^3-x2"))
     staircase, _ = shape_position(ring)
-    assert [format_monomial(m, VARS2) for m in staircase] == ["1", "x2", "x2^2"]
+    assert [format_monomial(m, VARS2) for m in staircase.monomials] == ["1", "x2", "x2^2"]
     monkeypatch.setattr(quotient, "PRIME", 3)
     assert shape_position(ring) is None
     monkeypatch.setattr(quotient, "PRIME", 5)

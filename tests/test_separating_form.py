@@ -77,7 +77,7 @@ def all_bases(kind):
 
 def linear_form(order, k):
     n = order.nvars
-    return Polynomial(order, {Monomial.variable(i, n): k**i for i in range(n)})
+    return Polynomial(order, {Monomial(int(v == i) for v in range(n)): k**i for i in range(n)})
 
 
 def ring_and_tau(basis):
