@@ -7,13 +7,21 @@ the basis of each input in turn, and in grlex those intermediate bases can
 be far larger than the final one (katsura-5: 44 s in grlex, 0.04 s in
 grevlex, on 2 x86-64 vCPUs).  Under grlex, `quotient.change_order` turns the
 basis into the grlex one, and the report (the staircase, the Hermite matrix
-and the counts) is built once, on the grlex ring.  Under grevlex and lex,
-the counts come from the grevlex trace form.  Under lex, the printed
-staircase and Hermite matrix are then read off that ring when
-`quotient.shape_position` certifies the ideal in shape position: the
-staircase is 1, x_n, ..., x_n^(D-1) and the matrix the Hankel matrix of the
-traces of the powers of x_n.  Otherwise `quotient.fglm` converts the basis
-to lex, and they come from the lex ring.
+and the counts) is built once, on the grlex ring.  Under grevlex, the counts
+are the inertia of the grevlex trace form.  Under lex, they are read off the
+grevlex ring, whose ring, tau and Krylov vectors of x_n are built once.
+When `quotient.shape_position` certifies the ideal in shape position, the
+staircase is 1, x_n, ..., x_n^(D-1), and the printed matrix is the Hankel
+matrix of the traces of the powers of x_n.  There, for D up to
+`quotient.MAX_CHARPOLY_DIMENSION` (64), `quotient.charpoly_report` takes
+the counts from chi, the characteristic polynomial of x_n: D and its real
+roots, when chi is squarefree modulo a prime; neither the grevlex H nor its
+inertia is computed.  The cap bounds the real-root count, whose cost grows
+as D^3 times the bits of chi when all roots are real.  Otherwise (chi not
+squarefree, D above the cap, or no shape position) the counts are the
+inertia of the grevlex H, and out of shape position `quotient.fglm`
+converts the basis to lex, and the staircase and matrix come from the lex
+ring.
 
 Exit codes: 0 success, 2 parse/usage error (an integer literal longer than
 the interpreter's int conversion limit included), 3 ideal not zero-dimensional,
@@ -36,8 +44,9 @@ from typing import Sequence, TextIO
 from .groebner import NotZeroDimensionalError, buchberger
 from .parsing import ParseError, format_monomial, parse_system
 from .poly import GREVLEX, GRLEX, LEX, ORDER_KINDS, MonomialOrder
-from .quotient import DimensionLimitError, HermiteForm, HermiteReport, QuotientBasis, change_order, fglm
-from .quotient import hankel_form, hermite_form, hermite_report, shape_position, standard_monomials
+from .quotient import MAX_CHARPOLY_DIMENSION, DimensionLimitError, HermiteForm, HermiteReport, QuotientBasis
+from .quotient import change_order, charpoly_report, fglm, hankel_form, hermite_form, hermite_report, inertia_report
+from .quotient import shape_position, standard_monomials, trace_functional
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -78,8 +87,9 @@ class RunConfiguration:
 class SolveResult:
     """The report that holds the counts, with the staircase and form printed
     in the requested order.  Under lex, the report is on the grevlex ring,
-    `form` is None unless the matrix was asked for, and `lex` is the
-    lex ring that FGLM built when shape position was not certified."""
+    with no entries when its counts came from chi of x_n, `form` is None
+    unless the matrix was asked for, and `lex` is the lex ring that FGLM
+    built when shape position was not certified."""
 
     variables: list[str]
     report: HermiteReport
@@ -93,11 +103,16 @@ def _solve_text(text: str, kind: str, matrix: bool = False) -> SolveResult:
     basis = buchberger(polys, polys[0].order)
     if kind == GRLEX:
         basis = change_order(basis, MonomialOrder(GRLEX, basis.order.nvars))
-    report = hermite_report(basis)
     if kind != LEX:
+        report = hermite_report(basis)
         return SolveResult(variables, report, report.form.basis, report.form)
-    ring = report.form.basis
+    ring = standard_monomials(basis)
     shape = shape_position(ring)
+    if shape is not None and ring.dimension <= MAX_CHARPOLY_DIMENSION:
+        tau = trace_functional(ring)
+        report = charpoly_report(ring, tau, shape[1]) or inertia_report(hermite_form(basis, ring, tau))
+    else:
+        report = inertia_report(hermite_form(basis, ring))
     if shape is not None:
         form = hankel_form(report.form, *shape) if matrix else None
         return SolveResult(variables, report, shape[0], form)

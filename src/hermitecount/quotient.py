@@ -12,20 +12,29 @@ and the trace form, whose rank and signature count distinct complex and
 real solutions.  Coordinates stay `linalg.Vector`s until the returned
 `Fraction`s.
 
-A lex solve reads its counts off the grevlex ring that Buchberger ran in,
-and needs the lex staircase and H only to print them.  `shape_position`
-certifies, by a Krylov rank modulo PRIME, that the lex staircase is 1, x_n,
-..., x_n^(D-1) (Rouillier 1999), and `hankel_form` then gives the lex H as
-the Hankel matrix of the traces Tr(x_n^k), from the grevlex trace functional.
-Otherwise `fglm(ring, order)` changes the order of the ring's basis on the
-same matrices: it walks the lex staircase and finds the generators as linear
-relations among the normal forms M_{x_v} * NF(m), so Buchberger never runs
-in lex.  A grlex solve converts by `change_order`, which needs no ring when
-no generator changes its leading monomial.
+A lex solve reads its counts off the grevlex ring that Buchberger ran in.
+`shape_position` certifies, by a Krylov rank modulo PRIME, that the lex
+staircase is 1, x_n, ..., x_n^(D-1) (Rouillier 1999).  Then, for D up to
+MAX_CHARPOLY_DIMENSION, `charpoly_report` reads the counts off chi, the
+characteristic polynomial of x_n, from its Newton sums Tr(x_n^j) on the same
+Krylov vectors and one more: when chi is squarefree modulo PRIME, the complex
+count is D and the real count the number of real roots of chi, and neither H
+nor its inertia is needed.  Otherwise the counts are the inertia of the
+grevlex H (`inertia_report`).  `hankel_form` gives the lex H, to print it,
+as the Hankel matrix of the traces Tr(x_n^k) on the same vectors.  Out of
+shape position, `fglm(ring, order)` changes the order of the ring's basis
+on the same matrices: it walks the lex staircase and finds the generators as
+linear relations among the normal forms M_{x_v} * NF(m), so Buchberger never
+runs in lex.  A grlex solve converts by `change_order`, which needs no ring
+when no generator changes its leading monomial.
 
-`traces_of` pairs tau with coordinate vectors, for the lex Hankel sums and
-for the Newton sums Tr(M_l^j) of `separating`, which holds all of `solve
---check` and reads only a ring and its tau.
+`traces_of` pairs tau with coordinate vectors, for the power sums of x_n and
+the lex Hankel sums, and for the Newton sums Tr(M_l^j) of `separating`,
+which holds all of `solve --check` and reads only a ring and its tau.
+Univariate polynomials are integer coefficient lists, ascending, with a
+nonzero leading coefficient: one Euclid gives the squarefree test modulo
+PRIME, and a Descartes bisection counts the real roots; the oracle uses them
+too.
 """
 
 from __future__ import annotations
@@ -33,9 +42,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import gcd
+from math import gcd, lcm
 from operator import le
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from . import linalg
 from .groebner import GroebnerBasis, NotZeroDimensionalError, is_zero_dimensional
@@ -48,8 +57,16 @@ Steps = list[tuple[int, int] | None]
 # Refused past this: x1^2000, x2^2000, x1*x2 (dimension 3 999) took 2.7 s and 271 MiB on 2 x86-64 vCPUs.
 MAX_DIMENSION = 4096
 
+# Lex solves in shape position take their counts from chi of x_n up to this
+# dimension, and from H past it: `real_root_count` takes about four Taylor
+# shifts of degree D per real root, so D^3 times the bits of chi when all are
+# real.  On {x_i^2 - i, x_(n+1) - sum of 2^(i-1) * x_i}, all D = 2^n roots
+# real, they took 0.42 s at D = 128 and 6-7.5 s at D = 256, against 0.12-0.16
+# and 1.2-1.5 s for H and its inertia (2 x86-64 vCPUs).
+MAX_CHARPOLY_DIMENSION = 64
+
 # A rank or a squarefree test modulo this prime proves the fact over Q when it
-# passes, and nothing when it fails: `shape_position` and `separating` use it.
+# passes, and nothing when it fails: `shape_position` and `squarefree_mod_p` use it.
 PRIME = 2**61 - 1
 
 
@@ -84,9 +101,10 @@ class HermiteForm:
     """Gram matrix of the trace form on the standard-monomial basis; its
     zero entries are the int 0, the others `Fraction`s.  One built by
     `hermite_form` also carries `traces`, the trace functional it was built
-    from: tau[k] = Tr(b_k), as a `Vector`."""
+    from: tau[k] = Tr(b_k), as a `Vector`.  The entries are None in the
+    report of `charpoly_report`, whose counts need no matrix."""
 
-    entries: tuple[tuple[Scalar, ...], ...]
+    entries: tuple[tuple[Scalar, ...], ...] | None
     basis: QuotientBasis
     traces: Vector | None = field(default=None, compare=False, repr=False)
 
@@ -321,20 +339,27 @@ def traces_of(tau: Vector, vectors: Iterable[Vector]) -> list[Scalar]:
     return [Fraction(x, den * tau_den) if x else 0 for x, den in pairs]
 
 
-def hermite_form(basis: GroebnerBasis, quotient: QuotientBasis) -> HermiteForm:
+def trace_functional(quotient: QuotientBasis) -> Vector:
+    """tau[k] = Tr(b_k) on the ring that `quotient` carries, as a `Vector`:
+    the pass that `hermite_form` runs when it is not given tau."""
+    return _traces(_transposed(quotient), quotient.steps)
+
+
+def hermite_form(basis: GroebnerBasis, quotient: QuotientBasis, traces: Vector | None = None) -> HermiteForm:
     """Gram matrix H[i][j] = trace of multiplication by b_i*b_j, by columns.
 
     H * e_i = M_{b_i}^T * tau, and the border matrices commute, so column i
-    is M_{x_v}^T times its parent's column, starting from tau.  Each Fraction
-    is built once, for r <= i, and mirrored.  Raises ValueError unless
-    `standard_monomials` built `quotient` from a basis equal to `basis`.
+    is M_{x_v}^T times its parent's column, starting from tau: `traces`, or
+    else computed here.  Each Fraction is built once, for r <= i, and
+    mirrored.  Raises ValueError unless `standard_monomials` built `quotient`
+    from a basis equal to `basis`.
     """
     if quotient.source != basis:
         raise ValueError("quotient basis does not belong to this Groebner basis")
     transposed, steps = _transposed(quotient), quotient.steps
     dim = quotient.dimension
     entries: list[list[Scalar]] = [[0] * dim for _ in range(dim)]
-    tau = _traces(transposed, steps)
+    tau = _traces(transposed, steps) if traces is None else traces
     for i, (nums, den) in enumerate(_chain(transposed, steps, tau)):
         for r, x in nums.items():
             if r <= i:
@@ -381,24 +406,50 @@ def hankel_form(form: HermiteForm, staircase: QuotientBasis, krylov: list[Vector
     """The trace form on the lex staircase that `shape_position` certified on
     the ring of `form`, from its Krylov vectors: H[i][j] = Tr(x_n^(i+j)) =
     s_(i+j), a Hankel matrix.  s_k = tau . v_k, with tau the trace
-    functional that `form` carries and the v_k continued to k = 2D - 2.  It
-    is `==` to `hermite_form` on the lex basis and its ring."""
-    vectors, columns = list(krylov), form.basis.columns
-    while len(vectors) < 2 * len(krylov) - 1:
+    functional that `form` carries and the v_k continued to k = 2D - 2,
+    after any that `charpoly_report` appended.  It is `==` to `hermite_form`
+    on the lex basis and its ring."""
+    vectors, columns, dim = list(krylov), form.basis.columns, staircase.dimension
+    while len(vectors) < 2 * dim - 1:
         vectors.append(apply(columns[-1], vectors[-1]))
-    sums, dim = traces_of(form.traces, vectors), staircase.dimension
+    sums = traces_of(form.traces, vectors)
     return HermiteForm(tuple(tuple(sums[i : i + dim]) for i in range(dim)), staircase)
 
 
-def hermite_report(basis: GroebnerBasis) -> HermiteReport:
-    """Full pipeline tail: basis of the quotient, trace form, exact inertia.
+def charpoly_report(ring: QuotientBasis, tau: Vector, krylov: list[Vector]) -> HermiteReport | None:
+    """The counts of a ring that `shape_position` certified in shape
+    position, read off chi, the characteristic polynomial of M_{x_n}, from
+    tau and `krylov`, the vectors v_j = M_{x_n}^j * e_1 for j < D; or None
+    when the ring has no variable or chi is not squarefree modulo PRIME (a
+    non-radical ideal or an unlucky prime).  The report's form carries the
+    ring and tau, and no entries.  A solve calls it for D up to
+    MAX_CHARPOLY_DIMENSION only.
 
-    The rank of the form is the number of distinct complex solutions and its
-    signature the number of distinct real solutions; an empty variety (unit
-    ideal) yields the 0x0 form with both counts zero.
+    chi comes from its Newton sums Tr(x_n^j) = tau . v_j for j = 1..D, with
+    v_D one more product, appended to `krylov`, and the lcm of the
+    denominators of M_{x_n} as the scale.  Squarefree, chi has D distinct
+    roots, the values of x_n at the solutions, so the ideal is radical with
+    D points: the rank of H is D.  A non-real point shares no value with its
+    conjugate, so the real roots of chi are the values at the real points,
+    and their number is the signature of H (Hermite's univariate theorem).
     """
-    quotient = standard_monomials(basis)
-    form = hermite_form(basis, quotient)
+    dim, columns = ring.dimension, ring.columns
+    if not columns:
+        return None
+    if dim:
+        krylov.append(apply(columns[-1], krylov[-1]))
+    chi = newton_charpoly(traces_of(tau, krylov[1 : dim + 1]), lcm(*(den for _, den in columns[-1])))
+    if not squarefree_mod_p(chi):
+        return None
+    real = real_root_count(chi)
+    return HermiteReport(HermiteForm(None, ring, tau), dim, real, dim, real, dim)
+
+
+def inertia_report(form: HermiteForm) -> HermiteReport:
+    """The counts of the ring of `form` from the exact inertia of its
+    entries: the rank of the trace form is the number of distinct complex
+    solutions and its signature the number of distinct real solutions; an
+    empty variety (unit ideal) yields the 0x0 form with both counts zero."""
     result = linalg.inertia(form.entries)
     return HermiteReport(
         form=form,
@@ -406,5 +457,138 @@ def hermite_report(basis: GroebnerBasis) -> HermiteReport:
         signature=result.signature,
         complex_count=result.rank,
         real_count=result.signature,
-        quotient_dimension=quotient.dimension,
+        quotient_dimension=form.basis.dimension,
     )
+
+
+def hermite_report(basis: GroebnerBasis) -> HermiteReport:
+    """Full pipeline tail: basis of the quotient, trace form, exact inertia."""
+    return inertia_report(hermite_form(basis, standard_monomials(basis)))
+
+
+def newton_charpoly(traces: Sequence[Scalar], scale: int) -> list[int]:
+    """The characteristic polynomial of a D x D matrix M, as primitive
+    integer coefficients, ascending, from traces[j - 1] = Tr(M^j) for j = 1..D
+    and a scale c with c * M an integer matrix.
+
+    The Newton sums of A = c * M are P_j = c^j * Tr(M^j), and Newton's
+    identities m * e_m = sum over i of (-1)^(i-1) * e_(m-i) * P_i give the
+    elementary symmetric functions of A's eigenvalues.  All of them are
+    integers, and every division is exact.  A Newton sum or identity that is
+    not integral raises ValueError: the traces are not those of such an M.
+    det(tI - M) = sum over m of (-1)^m * (e_m / c^m) * t^(D-m).
+    """
+    sums = []
+    for j, trace in enumerate(traces, 1):
+        total, remainder = divmod(trace.numerator * scale**j, trace.denominator)
+        if remainder:
+            raise ValueError(f"Newton sum {j} of a linear form is not an integer")
+        sums.append(total)
+    elementary = [1]
+    for m in range(1, len(sums) + 1):
+        total = sum((-1 if i % 2 == 0 else 1) * elementary[m - i] * sums[i - 1] for i in range(1, m + 1))
+        value, remainder = divmod(total, m)
+        if remainder:
+            raise ValueError(f"Newton identity {m} of a linear form is not integral")
+        elementary.append(value)
+    coefficients = [(-1) ** m * e * scale ** (len(sums) - m) for m, e in enumerate(elementary)][::-1]
+    content = gcd(*coefficients)
+    return [c // content for c in coefficients]
+
+
+def _gcd(f: list[int], g: list[int], p: int) -> list[int]:
+    """gcd(f, g) by Euclid, for f and g with nonzero leading coefficients: over
+    GF(p) for p > 0, on f and g reduced mod p, with monic remainders; over Z
+    for p = 0, with primitive pseudo-remainders lc(g)^k * f mod g."""
+    while g:  # g made monic mod p, primitive over Z
+        unit = pow(g[-1], -1, p) if p else gcd(*g)
+        g = [c * unit % p for c in g] if p else [c // unit for c in g]
+        f, n, lead = f[:], len(g), g[-1]
+        for shift in range(len(f) - n, -1, -1):
+            factor = f[shift + n - 1]
+            if factor and p:
+                f[shift : shift + n] = [(a - factor * c) % p for a, c in zip(f[shift : shift + n], g)]
+            elif factor:
+                f = [a * lead for a in f]
+                f[shift : shift + n] = [a - factor * c for a, c in zip(f[shift : shift + n], g)]
+        while f and not f[-1]:  # the loop zeroed f from degree n - 1 up
+            f.pop()
+        f, g = g, f
+    return f
+
+
+def squarefree_mod_p(coefficients: Sequence[int]) -> bool:
+    """True when f keeps its degree and is squarefree modulo PRIME = 2^61 - 1.
+
+    Then f is squarefree over Q: a square factor g^2 of f in Z[t] reduces to
+    a square factor of f mod PRIME of the same degree, because PRIME divides
+    neither lc(g) nor lc(f).  False says nothing: the prime may be unlucky.
+    """
+    f = [c % PRIME for c in coefficients]
+    derivative = [i * c % PRIME for i, c in enumerate(f) if i]
+    return bool(f and f[-1]) and len(_gcd(f, derivative, PRIME)) == 1
+
+
+def _variations(coefficients: Sequence[int]) -> int:
+    signs = [c > 0 for c in coefficients if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _taylor_shift(coefficients: Sequence[int]) -> list[int]:
+    """f(t + 1), by repeated synthetic division."""
+    a = list(coefficients)
+    n = len(a) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            a[j] += a[j + 1]
+    return a
+
+
+def _unit_interval_roots(f: list[int]) -> int:
+    """Roots in (0, 1) of a squarefree f, by Vincent-Collins-Akritas
+    bisection: (t + 1)^n * f(1/(t + 1)) maps (0, 1) onto (0, inf), where
+    Descartes' rule bounds the root count by its sign variations, exactly
+    when they are 0 or 1 and always once the interval is small enough
+    (Vincent's theorem).  Otherwise halve: 2^n * f(t/2) and 2^n * f((t+1)/2)
+    carry the two halves to (0, 1), and the midpoint is checked alone."""
+    count = 0
+    stack = [f]
+    while stack:
+        f = stack.pop()
+        variations = _variations(_taylor_shift(f[::-1]))
+        if variations < 2:
+            count += variations
+            continue
+        n = len(f) - 1
+        left = [c << (n - i) for i, c in enumerate(f)]
+        content = gcd(*left)
+        left = [c // content for c in left]
+        right = _taylor_shift(left)
+        if not right[0]:
+            count += 1
+            del right[0]
+        stack += [left, right]
+    return count
+
+
+def real_root_count(coefficients: Sequence[int]) -> int:
+    """Number of real roots of a squarefree integer polynomial.
+
+    Zero and +-1 are tested directly.  The positive roots of f(t) and of
+    f(-t) are counted by Descartes' rule when it is exact (0 or 1 sign
+    variations), and otherwise by bisection on (0, 1) for f and for its
+    reversal t^n * f(1/t), whose roots in (0, 1) are those of f in (1, inf).
+    Without a square factor, bisection ends (Vincent's theorem).
+    """
+    f = list(coefficients)
+    count = 0
+    if not f[0]:
+        count += 1
+        del f[0]
+    for g in (f, [-c if i % 2 else c for i, c in enumerate(f)]):
+        variations = _variations(g)
+        if variations < 2:
+            count += variations
+        else:
+            count += (not sum(g)) + _unit_interval_roots(g) + _unit_interval_roots(g[::-1])
+    return count

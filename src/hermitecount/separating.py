@@ -2,7 +2,10 @@
 the separating-form oracle, which re-derives the rank and signature of the
 trace form without reading it.  Only `--check` loads this module, through
 `mismatch`, which runs them in that order on the ring of the report (its
-`source` is the basis) and on tau, the `Vector` that `hermite_form` left.
+`source` is the basis) and on tau, the `Vector` that the solve computed.
+When a lex solve read its counts off chi of x_n (`quotient.charpoly_report`),
+the inertia of the trace form on that ring joins them, before the
+separating form: the two share `real_root_count`.
 
 `audit_basis` certifies the Groebner basis on the border matrices that the
 quotient carries: they commute (the border-basis criterion), and f(M) * e_1
@@ -19,20 +22,22 @@ the solutions, chi's distinct roots count the complex ones and its real roots
 the real ones (Hermite's univariate theorem; Basu, Pollack and Roy, ch. 4).
 
 Univariate polynomials are integer coefficient lists, ascending, with a nonzero
-leading coefficient: one Euclid gives the squarefree test modulo a prime and the
-exact squarefree part over Z, and a Descartes bisection counts the real roots.
+leading coefficient.  The squarefree test modulo a prime, the Descartes
+bisection that counts the real roots and Newton's identities are those of
+`quotient`, which a lex solve runs; the exact squarefree part over Z is here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, combinations, repeat
-from math import comb, gcd, lcm
+from math import comb, lcm
 from operator import le
 from typing import Sequence
 
-from .linalg import Vector, apply, vector
-from .quotient import PRIME, HermiteReport, QuotientBasis, _shift, _source, traces_of
+from .linalg import Vector, apply, inertia, vector
+from .quotient import HermiteReport, QuotientBasis, _gcd, _shift, _source, hermite_form, newton_charpoly
+from .quotient import real_root_count, squarefree_mod_p, traces_of
 
 
 def audit_basis(ring: QuotientBasis) -> None:
@@ -93,39 +98,6 @@ def _image(exps: tuple[int, ...], images: dict[tuple[int, ...], Vector], columns
     return image
 
 
-def _gcd(f: list[int], g: list[int], p: int) -> list[int]:
-    """gcd(f, g) by Euclid, for f and g with nonzero leading coefficients: over
-    GF(p) for p > 0, on f and g reduced mod p, with monic remainders; over Z
-    for p = 0, with primitive pseudo-remainders lc(g)^k * f mod g."""
-    while g:  # g made monic mod p, primitive over Z
-        unit = pow(g[-1], -1, p) if p else gcd(*g)
-        g = [c * unit % p for c in g] if p else [c // unit for c in g]
-        f, n, lead = f[:], len(g), g[-1]
-        for shift in range(len(f) - n, -1, -1):
-            factor = f[shift + n - 1]
-            if factor and p:
-                f[shift : shift + n] = [(a - factor * c) % p for a, c in zip(f[shift : shift + n], g)]
-            elif factor:
-                f = [a * lead for a in f]
-                f[shift : shift + n] = [a - factor * c for a, c in zip(f[shift : shift + n], g)]
-        while f and not f[-1]:  # the loop zeroed f from degree n - 1 up
-            f.pop()
-        f, g = g, f
-    return f
-
-
-def squarefree_mod_p(coefficients: Sequence[int]) -> bool:
-    """True when f keeps its degree and is squarefree modulo PRIME = 2^61 - 1.
-
-    Then f is squarefree over Q: a square factor g^2 of f in Z[t] reduces to
-    a square factor of f mod PRIME of the same degree, because PRIME divides
-    neither lc(g) nor lc(f).  False says nothing: the prime may be unlucky.
-    """
-    f = [c % PRIME for c in coefficients]
-    derivative = [i * c % PRIME for i, c in enumerate(f) if i]
-    return bool(f and f[-1]) and len(_gcd(f, derivative, PRIME)) == 1
-
-
 def integer_squarefree_part(coefficients: Sequence[int]) -> list[int]:
     """f / gcd(f, f') for a primitive f, with a positive leading coefficient.  The
     gcd is primitive, so by Gauss's lemma the quotient is integral and primitive."""
@@ -138,107 +110,24 @@ def integer_squarefree_part(coefficients: Sequence[int]) -> list[int]:
     return quotient if quotient[-1] > 0 else [-c for c in quotient]
 
 
-def _variations(coefficients: Sequence[int]) -> int:
-    signs = [c > 0 for c in coefficients if c]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
-def _taylor_shift(coefficients: Sequence[int]) -> list[int]:
-    """f(t + 1), by repeated synthetic division."""
-    a = list(coefficients)
-    n = len(a) - 1
-    for i in range(n):
-        for j in range(n - 1, i - 1, -1):
-            a[j] += a[j + 1]
-    return a
-
-
-def _unit_interval_roots(f: list[int]) -> int:
-    """Roots in (0, 1) of a squarefree f, by Vincent-Collins-Akritas
-    bisection: (t + 1)^n * f(1/(t + 1)) maps (0, 1) onto (0, inf), where
-    Descartes' rule bounds the root count by its sign variations, exactly
-    when they are 0 or 1 and always once the interval is small enough
-    (Vincent's theorem).  Otherwise halve: 2^n * f(t/2) and 2^n * f((t+1)/2)
-    carry the two halves to (0, 1), and the midpoint is checked alone."""
-    count = 0
-    stack = [f]
-    while stack:
-        f = stack.pop()
-        variations = _variations(_taylor_shift(f[::-1]))
-        if variations < 2:
-            count += variations
-            continue
-        n = len(f) - 1
-        left = [c << (n - i) for i, c in enumerate(f)]
-        content = gcd(*left)
-        left = [c // content for c in left]
-        right = _taylor_shift(left)
-        if not right[0]:
-            count += 1
-            del right[0]
-        stack += [left, right]
-    return count
-
-
-def real_root_count(coefficients: Sequence[int]) -> int:
-    """Number of real roots of a squarefree integer polynomial.
-
-    Zero and +-1 are tested directly.  The positive roots of f(t) and of
-    f(-t) are counted by Descartes' rule when it is exact (0 or 1 sign
-    variations), and otherwise by bisection on (0, 1) for f and for its
-    reversal t^n * f(1/t), whose roots in (0, 1) are those of f in (1, inf).
-    Without a square factor, bisection ends (Vincent's theorem).
-    """
-    f = list(coefficients)
-    count = 0
-    if not f[0]:
-        count += 1
-        del f[0]
-    for g in (f, [-c if i % 2 else c for i, c in enumerate(f)]):
-        variations = _variations(g)
-        if variations < 2:
-            count += variations
-        else:
-            count += (not sum(g)) + _unit_interval_roots(g) + _unit_interval_roots(g[::-1])
-    return count
-
-
 def separating_charpoly(ring: QuotientBasis, tau: Vector, k: int) -> list[int]:
     """Characteristic polynomial of multiplication by l = sum of k^i * x_{i+1},
     as primitive integer coefficients, ascending.  Its roots are the values
     of l at the solutions, each with the solution's multiplicity.
 
     The columns of M_l are summed from the border columns, with c the lcm of
-    their denominators.  The Newton sums of A = c * M_l, an integer matrix,
-    are P_j = c^j * tau . M_l^j * e_1, one sparse product on M_l each (e_1
-    holds the coordinates of 1, and `tau` is the trace functional), and
-    Newton's identities m * e_m = sum over i of (-1)^(i-1) * e_(m-i) * P_i
-    give the elementary symmetric functions of A's eigenvalues.  All of them
-    are integers, and every division is exact.  A Newton sum or identity that
-    is not integral raises ValueError: `tau` is not the trace functional.
-    det(tI - M_l) = sum over m of (-1)^m * (e_m / c^m) * t^(D-m).
+    their denominators.  The traces Tr(M_l^j) = tau . M_l^j * e_1 take one
+    sparse product on M_l each (e_1 holds the coordinates of 1, and `tau` is
+    the trace functional), and `quotient.newton_charpoly` turns them into
+    chi; a Newton sum or identity that is not integral raises ValueError:
+    `tau` is not the trace functional.
     """
     columns, dim = ring.columns, ring.dimension
     weights = ({v: k**v for v in range(len(columns))}, 1)
     summed = [apply([column[j] for column in columns], weights) for j in range(dim)]
     scale = lcm(*(den for _, den in summed))
     krylov = accumulate(repeat(summed, dim), lambda v, matrix: apply(matrix, v), initial=({0: 1}, 1))
-    sums = []
-    for j, trace in enumerate(traces_of(tau, krylov)[1:], 1):
-        total = trace * scale**j
-        if total.denominator != 1:
-            raise ValueError(f"Newton sum {j} of a linear form is not an integer")
-        sums.append(total.numerator)
-    elementary = [1]
-    for m in range(1, dim + 1):
-        total = sum((-1 if i % 2 == 0 else 1) * elementary[m - i] * sums[i - 1] for i in range(1, m + 1))
-        value, remainder = divmod(total, m)
-        if remainder:
-            raise ValueError(f"Newton identity {m} of a linear form is not integral")
-        elementary.append(value)
-    coefficients = [(-1) ** m * e * scale ** (dim - m) for m, e in enumerate(elementary)][::-1]
-    content = gcd(*coefficients)
-    return [c // content for c in coefficients]
+    return newton_charpoly(traces_of(tau, krylov)[1:], scale)
 
 
 def trace_mismatch(ring: QuotientBasis, tau: Vector) -> str | None:
@@ -294,11 +183,26 @@ def separating_form_mismatch(ring: QuotientBasis, tau: Vector, rank: int, signat
     return f"no linear form l_1 .. l_{k} separates {rank} solutions: the rank is too high"
 
 
+def inertia_mismatch(report: HermiteReport) -> str | None:
+    """The rank and signature of `report`, read off chi of x_n, against the
+    inertia of the trace form that `quotient.hermite_form` builds on its ring
+    from its tau."""
+    ring = report.form.basis
+    result = inertia(hermite_form(ring.source, ring, report.form.traces).entries)
+    if (result.rank, result.signature) != (report.rank, report.signature):
+        return (
+            f"chi of x_n gives rank {report.rank} and signature {report.signature}, "
+            f"the trace form {result.rank} and {result.signature}"
+        )
+    return None
+
+
 def mismatch(report: HermiteReport, lex: QuotientBasis | None = None) -> str | None:
     """Audits the ring of `report` and `lex`, a ring built from a converted
     basis, each on its own basis; checks the trace functional that
-    `report.form` carries, then the rank and signature of `report` against
-    the separating linear form; a description of the first mismatch, or None."""
+    `report.form` carries, then, when the form has no entries, the counts
+    against its inertia, and the rank and signature of `report` against the
+    separating linear form; a description of the first mismatch, or None."""
     ring, tau = report.form.basis, report.form.traces
     try:
         audit_basis(ring)
@@ -307,6 +211,9 @@ def mismatch(report: HermiteReport, lex: QuotientBasis | None = None) -> str | N
     except ValueError as exc:
         return f"Groebner basis audit: {exc}"
     try:
-        return trace_mismatch(ring, tau) or separating_form_mismatch(ring, tau, report.rank, report.signature)
+        found = trace_mismatch(ring, tau)
+        if found is None and report.form.entries is None:
+            found = inertia_mismatch(report)
+        return found or separating_form_mismatch(ring, tau, report.rank, report.signature)
     except ValueError as exc:
         return f"trace functional: {exc}"

@@ -225,6 +225,7 @@ def test_readme_library_example_runs():
     exec(compile(block, "README.md", "exec"), scope)
     report, polys = scope["report"], scope["polys"]
     assert (report.complex_count, report.real_count) == (4, 2)
+    assert (scope["counted"].complex_count, scope["counted"].real_count) == (4, 2)
     assert scope["lex"] == buchberger(polys, MonomialOrder(LEX, len(scope["variables"])))
 
 

@@ -23,7 +23,7 @@ from hermitecount import (
     hermite_report,
     parse_system,
 )
-from hermitecount import cli, quotient, separating
+from hermitecount import cli, linalg, quotient, separating
 from hermitecount.cli import (
     EXIT_DIMENSION_LIMIT,
     EXIT_NOT_ZERO_DIMENSIONAL,
@@ -455,12 +455,113 @@ def test_lex_solve_falls_back_to_fglm_on_an_unlucky_prime(monkeypatch, capsys, f
 
     monkeypatch.setattr(cli, "fglm", recorded)
     monkeypatch.setattr(separating, "audit_basis", recorded_audit)
+    calls = count_hermite_and_inertia(monkeypatch)
     assert (main(argv), capsys.readouterr()) == expected and converted == []
     assert audited == (["grevlex"] if "--check" in flags else [])
+    assert calls == []  # counts from chi of x2 = t^3 - t
     monkeypatch.setattr(quotient, "PRIME", 3)
     assert (main(argv), capsys.readouterr()) == expected and converted == ["lex"]
     assert audited == (["grevlex", "grevlex", "lex"] if "--check" in flags else [])
+    assert calls[:2] == ["hermite_form", "inertia"]  # the grevlex H, then the lex H if printed
     assert expected[0] == EXIT_OK and "x2^2" in expected[1].out
+
+
+def count_hermite_and_inertia(monkeypatch):
+    """The calls that the solve route makes to `hermite_form` and to
+    `linalg.inertia`, in order; the --check oracles import their own."""
+    calls = []
+    build, invert = quotient.hermite_form, linalg.inertia
+
+    def counted_form(*args):
+        calls.append("hermite_form")
+        return build(*args)
+
+    def counted_inertia(entries):
+        calls.append("inertia")
+        return invert(entries)
+
+    monkeypatch.setattr(quotient, "hermite_form", counted_form)
+    monkeypatch.setattr(cli, "hermite_form", counted_form)
+    monkeypatch.setattr(linalg, "inertia", counted_inertia)
+    return calls
+
+
+def all_real(n):
+    """x_i^2 = i and x_(n+1) = sum of 2^(i-1) * x_i: 2^n points, all real, in
+    shape position, with distinct values of x_(n+1)."""
+    return [f"x{i}^2-{i}" for i in range(1, n + 1)] + [
+        f"x{n + 1}-" + "-".join(f"{2 ** (i - 1)}*x{i}" for i in range(1, n + 1))
+    ]
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"], ["--print-matrix"]])
+def test_lex_counts_in_shape_position_come_from_chi(monkeypatch, capsys, flags):
+    # katsura-3 (D = 8) and all-real(6) (D = 64, at the cap): certified in
+    # shape position with chi of x_n squarefree, so neither the grevlex H nor
+    # its inertia is computed, and only the lex H is printed
+    katsura_3 = ["x1+2*x2+2*x3+2*x4-1", "x1^2+2*x2^2+2*x3^2+2*x4^2-x1",
+                 "2*x1*x2+2*x2*x3+2*x3*x4-x2", "x2^2+2*x1*x3+2*x2*x4-x3"]
+    for polys, counts in [(katsura_3, (8, 6)), (all_real(6), (64, 64))]:
+        calls = count_hermite_and_inertia(monkeypatch)
+        assert main(["solve", *(f"--poly={p}" for p in polys), "--order", "lex", *flags]) == EXIT_OK
+        assert calls == []
+        out = capsys.readouterr().out
+        if "--json" in flags:
+            payload = json.loads(out)
+            assert (payload["distinct_complex_solutions"], payload["distinct_real_solutions"]) == counts
+        else:
+            assert f"number of complex solutions: {counts[0]}" in out
+            assert f"number of real solutions: {counts[1]}" in out
+        monkeypatch.undo()
+    assert quotient.MAX_CHARPOLY_DIMENSION == 64
+
+
+@pytest.mark.parametrize(
+    "polys, prime, dimension, counts",
+    [
+        (["x1-x2", "x2^2"], None, 2, (1, 1)),  # chi = t^2: the ideal is not radical
+        (all_real(7), None, 128, (128, 128)),  # D above the cap
+        (["x1-x2", "x2^2-3*x2"], 3, 2, (2, 2)),  # chi = t^2 - 3t is t^2 modulo 3: an unlucky prime
+    ],
+    ids=["not-squarefree", "above-the-cap", "unlucky-prime"],
+)
+def test_lex_counts_fall_back_to_the_inertia_of_h(monkeypatch, capsys, polys, prime, dimension, counts):
+    # each in shape position, so FGLM does not run
+    if prime is not None:
+        monkeypatch.setattr(quotient, "PRIME", prime)
+    calls = count_hermite_and_inertia(monkeypatch)
+    converted = []
+    monkeypatch.setattr(cli, "fglm", lambda ring, order: converted.append(order))
+    assert main(["solve", *(f"--poly={p}" for p in polys), "--order", "lex"]) == EXIT_OK
+    assert calls == ["hermite_form", "inertia"] and converted == []
+    out = capsys.readouterr().out
+    assert f"quotient dimension: {dimension}" in out
+    assert f"number of complex solutions: {counts[0]}" in out
+    assert f"number of real solutions: {counts[1]}" in out
+    assert quotient.MAX_CHARPOLY_DIMENSION < 128
+
+
+def test_check_catches_a_wrong_real_count_from_chi(monkeypatch, capsys):
+    # circle-hyperbola: 4 points in shape position under lex, 2 of them real.
+    # One more real root from `real_root_count` reaches the separating-form
+    # oracle as well, which then agrees with the wrong count: only the
+    # inertia of the grevlex H can refuse it.
+    true_count = quotient.real_root_count
+
+    def one_more(chi):
+        return true_count(chi) + 1
+
+    monkeypatch.setattr(quotient, "real_root_count", one_more)
+    monkeypatch.setattr(separating, "real_root_count", one_more)
+    argv = ["solve", "--poly", "x1*x2+x2-1", "--poly", "x1^2+x2^2-1", "--order", "lex"]
+    assert main(argv) == EXIT_OK
+    assert "number of real solutions: 3" in capsys.readouterr().out
+    assert main(argv + ["--check"]) == EXIT_ORACLE_MISMATCH
+    assert "chi of x_n gives rank 4 and signature 3, the trace form 4 and 2" in capsys.readouterr().err
+    report = cli._solve_text("x1*x2+x2-1\nx1^2+x2^2-1", LEX).report
+    assert report.form.entries is None and (report.rank, report.signature) == (4, 3)
+    ring, tau = report.form.basis, report.form.traces
+    assert separating.separating_form_mismatch(ring, tau, report.rank, report.signature) is None
 
 
 def test_lex_solve_exit_codes_come_from_the_grevlex_ring(capsys):
@@ -540,17 +641,18 @@ def test_bench_rejects_too_small_families(capsys):
 def test_importing_the_cli_loads_no_oracle_module():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    # the modules after the import, after an unchecked solve, after a checked one
+    # the modules after the import, after an unchecked solve, after an
+    # unchecked lex solve whose counts come from chi, after a checked one
     script = """
 import io, sys
 from hermitecount import cli
 print(*sorted(sys.modules))
-for check in (False, True):
-    config = cli.RunConfiguration(inline_polynomials=("x1^2+x2^2-5", "x1*x2-2"), cross_check=check)
+for order, check in (("grevlex", False), ("lex", False), ("lex", True)):
+    config = cli.RunConfiguration(inline_polynomials=("x1^2+x2^2-5", "x1*x2-2"), order_kind=order, cross_check=check)
     assert cli.run_solve(config, io.StringIO(), io.StringIO()) == cli.EXIT_OK
     print(*sorted(sys.modules))
 """
-    loaded, unchecked, checked = (
+    loaded, unchecked, lex, checked = (
         line.split()
         for line in subprocess.run(
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
@@ -560,6 +662,7 @@ for check in (False, True):
     assert "hermitecount.univariate" not in loaded
     assert "hermitecount.separating" not in loaded
     assert "hermitecount.separating" not in unchecked
+    assert "hermitecount.separating" not in lex
     assert "hermitecount.separating" in checked
     assert "hermitecount.univariate" not in checked
 

@@ -27,7 +27,8 @@ from hermitecount import (
 from hermitecount import separating
 from hermitecount.cli import EXIT_OK, EXIT_ORACLE_MISMATCH, RunConfiguration, main, run_solve
 from hermitecount.linalg import InertiaResult
-from hermitecount.separating import real_root_count, separating_charpoly, squarefree_mod_p
+from hermitecount.quotient import real_root_count, squarefree_mod_p
+from hermitecount.separating import separating_charpoly
 from hermitecount.univariate import poly_gcd
 
 from support import (
