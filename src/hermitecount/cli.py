@@ -38,6 +38,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import Sequence, TextIO
 
@@ -122,9 +123,16 @@ def _solve_text(text: str, kind: str, matrix: bool = False) -> SolveResult:
 
 
 def _matrix_strings(form: HermiteForm) -> list[list[str]]:
-    """H is symmetric: each entry is stringified for r <= c and mirrored."""
-    rows = [[str(value) if value else "0" for value in row[r:]] for r, row in enumerate(form.entries)]
-    return [[rows[c][r - c] for c in range(r)] + row for r, row in enumerate(rows)]
+    """H is symmetric and mostly zero on sparse rings: each row starts as
+    "0"s, and each nonzero entry is stringified once, for r <= c, and
+    written to both mirror positions."""
+    n = len(form.entries)
+    rows = [["0"] * n for _ in range(n)]
+    for r, row in enumerate(form.entries):
+        strings = rows[r]
+        for c in compress(range(r, n), row[r:]):
+            strings[c] = rows[c][r] = str(row[c])
+    return rows
 
 
 def _emit_text(solved: SolveResult, matrix: list[list[str]] | None, out: TextIO) -> None:
@@ -155,12 +163,14 @@ def _emit_json(solved: SolveResult, matrix: list[list[str]], out: TextIO) -> Non
         "distinct_complex_solutions": report.complex_count,
         "distinct_real_solutions": report.real_count,
     }
-    # One key per line and one matrix row per line, each dumped by the C
-    # encoder: `indent` would switch json to its pure-Python encoder.
+    # One key per line and one matrix row per line: `indent` would switch
+    # json to its pure-Python encoder.  A row is joined by hand, as
+    # json.dumps would write it: the str of an int or a Fraction holds only
+    # digits, "-" and "/", which JSON strings take unescaped.
     fields = []
     for key, value in payload.items():
         if key == "hermite_matrix" and value:
-            text = "[\n" + ",\n".join(f"    {json.dumps(row)}" for row in value) + "\n  ]"
+            text = "[\n" + ",\n".join('    ["' + '", "'.join(row) + '"]' for row in value) + "\n  ]"
         else:
             text = json.dumps(value)
         fields.append(f"  {json.dumps(key)}: {text}")

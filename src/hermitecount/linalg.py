@@ -71,12 +71,25 @@ def _combination(terms: Sequence[tuple[int, int, int]]) -> Vector:
 
 
 def transpose(matrix: Sequence[Vector]) -> list[Vector]:
-    """M^T for a square M, both given by their sparse columns."""
+    """M^T for a square M, both given by their sparse columns.  Short rows
+    are taken directly: a row with no term is ({}, 1), and one with a single
+    term x/d is that term over one gcd; only rows with two or more terms are
+    combined over the lcm of their denominators."""
     rows: list[list[tuple[int, int, int]]] = [[] for _ in matrix]
     for k, (nums, den) in enumerate(matrix):
         for r, x in nums.items():
             rows[r].append((k, x, den))
-    return list(map(_combination, rows))
+    transposed: list[Vector] = []
+    for terms in rows:
+        if len(terms) > 1:
+            transposed.append(_combination(terms))
+        elif terms:
+            ((k, x, den),) = terms
+            g = gcd(x, den)
+            transposed.append(({k: x // g}, den // g))
+        else:
+            transposed.append(({}, 1))
+    return transposed
 
 
 def check_symmetric(entries: Sequence[Sequence[Scalar]]) -> Sequence[Sequence[Scalar]]:

@@ -138,9 +138,12 @@ def standard_monomials(basis: GroebnerBasis) -> QuotientBasis:
     x_v * b_k for each standard b_k it admits, recording the parents (v, k).
     A popped m is in the leading ideal iff it leads a generator or some
     smaller m / x_u is, so m is standard iff it leads none and every m / x_u
-    is already admitted: dim * nvars lookups, never the pure-power box.  Past
-    MAX_DIMENSION standard monomials, DimensionLimitError is raised at once,
-    before any quotient work.
+    is already admitted.  The heap is ascending, so each admitted m / x_u has
+    recorded its pair (u, k) before m is popped, one pair per variable: m is
+    standard iff it leads none and its parents number its nonzero exponents.
+    That is one count per popped monomial, never a probe per variable nor
+    the pure-power box.  Past MAX_DIMENSION standard monomials,
+    DimensionLimitError is raised at once, before any quotient work.
 
     An admitted b_i is a unit column for each parent (v, k); the first, the
     smallest k and then v, is its step.  The other popped monomials form the
@@ -164,7 +167,7 @@ def standard_monomials(basis: GroebnerBasis) -> QuotientBasis:
     while heap:
         exps = heappop(heap)[1]
         pairs = parents.pop(exps)
-        if exps in leading or any(e and _shift(exps, u, -1) not in index for u, e in enumerate(exps)):
+        if exps in leading or len(pairs) != len(exps) - exps.count(0):
             border.append((exps, pairs))
             continue
         if len(index) == MAX_DIMENSION:
@@ -177,9 +180,12 @@ def standard_monomials(basis: GroebnerBasis) -> QuotientBasis:
         for var, column in enumerate(columns):
             column.append(None)
             product = _shift(exps, var, 1)
-            if product not in parents:
+            pending = parents.get(product)
+            if pending is None:
+                parents[product] = [(var, k)]
                 heappush(heap, (key(product), product))
-            parents.setdefault(product, []).append((var, k))
+            else:
+                pending.append((var, k))
 
     reduced: dict[tuple[int, ...], Vector] = {}
     for exps, pairs in border:

@@ -23,16 +23,19 @@ from hermitecount import (
     QuotientBasis,
     parse_system,
 )
-from hermitecount.groebner import Generator, _primitive, _reduce
+from hermitecount.groebner import Generator, _primitive, _reduce, is_zero_dimensional
 from hermitecount.linalg import (
     Scalar,
+    Vector,
     _berkowitz,
     _integer_matrix,
+    apply,
     check_symmetric,
     congruence_diagonalize,
     vector,
 )
 from hermitecount.parsing import format_monomial
+from hermitecount.quotient import MAX_DIMENSION, DimensionLimitError, Steps, _shift
 from hermitecount.univariate import UnivariatePolynomial
 
 
@@ -256,6 +259,20 @@ DENSE_2_5 = [
     "-9-9*x2-9*x2^2+8*x2^3-9*x2^4+4*x2^5-3*x1+4*x1*x2-9*x1*x2^2+7*x1*x2^3-2*x1*x2^4+5*x1^2+6*x1^2*x2"
     "+8*x1^2*x2^2-2*x1^2*x2^3+2*x1^3-2*x1^3*x2-2*x1^3*x2^2+5*x1^4+1*x1^4*x2-9*x1^5",
 ]
+
+
+def staircase_pool(seed: int) -> list[str]:
+    """The 64 systems of perfbench's `staircase` workload under `seed`, as
+    text: x_i^20 - c_i*x_i for i = 1..4, with c_i in 1..9 drawn from each
+    instance's own stream, and x_i*x_j for i < j.  Each is a reduced grevlex
+    basis, and its quotient has dimension 77."""
+    pool = []
+    for k in range(64):
+        rng = Random(f"staircase:{seed}:{k}")
+        lines = [f"x{i}^20-{rng.randint(1, 9)}*x{i}" for i in range(1, 5)]
+        lines += [f"x{i}*x{j}" for i, j in itertools.combinations(range(1, 5), 2)]
+        pool.append("\n".join(lines))
+    return pool
 
 
 def rand_dense_system(rng: Random, order: MonomialOrder, degree: int) -> list[Polynomial]:
@@ -582,6 +599,59 @@ def box_standard_monomials(basis: GroebnerBasis) -> QuotientBasis:
             found.append(mono)
     found.sort(key=lambda m: basis.order.exponent_key(m.exponents))
     return QuotientBasis(tuple(found), basis.order)
+
+
+def probe_standard_monomials(basis: GroebnerBasis) -> QuotientBasis:
+    """The staircase walk of `quotient.standard_monomials` with the admission
+    it had before the parent count, kept as its differential oracle: a popped
+    monomial is admitted when it leads no generator and a set lookup finds
+    each m / x_u among the admitted monomials, one probe per variable."""
+    if not is_zero_dimensional(basis):
+        raise NotZeroDimensionalError("the ideal is not zero-dimensional")
+    order, key = basis.order, basis.order.exponent_key
+    leading = {g.leading_monomial().exponents: g for g in basis.generators}
+    one = (0,) * order.nvars
+    heap, parents = [(key(one), one)], {one: []}
+    index: dict[tuple[int, ...], int] = {}
+    columns: list[list[Vector]] = [[] for _ in range(order.nvars)]
+    steps: Steps = []
+    border: list[tuple[tuple[int, ...], list[tuple[int, int]]]] = []
+    while heap:
+        exps = heapq.heappop(heap)[1]
+        pairs = parents.pop(exps)
+        if exps in leading or any(e and _shift(exps, u, -1) not in index for u, e in enumerate(exps)):
+            border.append((exps, pairs))
+            continue
+        if len(index) == MAX_DIMENSION:
+            raise DimensionLimitError(f"the quotient has over {MAX_DIMENSION} standard monomials")
+        k = index[exps] = len(index)
+        unit = {k: 1}, 1
+        for var, p in pairs:
+            columns[var][p] = unit
+        steps.append(pairs[0] if pairs else None)
+        for var, column in enumerate(columns):
+            column.append(None)
+            product = _shift(exps, var, 1)
+            if product not in parents:
+                heapq.heappush(heap, (key(product), product))
+            parents.setdefault(product, []).append((var, k))
+
+    reduced: dict[tuple[int, ...], Vector] = {}
+    for exps, pairs in border:
+        g = leading.get(exps)
+        if g is not None:
+            try:
+                form = vector({index[m.exponents]: -c for m, c in g.terms[1:]})
+            except KeyError:
+                raise ValueError(f"basis is not reduced at {g!r}") from None
+        else:
+            var = next(v for v, e in enumerate(exps) if e and _shift(exps, v, -1) in reduced)
+            form = apply(columns[var], reduced[_shift(exps, var, -1)])
+        reduced[exps] = form
+        for var, k in pairs:
+            columns[var][k] = form
+
+    return QuotientBasis(tuple(map(Monomial._trusted, index)), order, basis, columns, steps)
 
 
 def basis_index(quotient: QuotientBasis) -> dict[Monomial, int]:

@@ -16,7 +16,9 @@ import pytest
 from hermitecount import (
     GRLEX,
     LEX,
+    ORDER_KINDS,
     GroebnerBasis,
+    HermiteForm,
     MonomialOrder,
     Polynomial,
     buchberger,
@@ -42,7 +44,14 @@ from hermitecount.cli import (
 from hermitecount.linalg import inertia
 from hermitecount.parsing import format_monomial
 
-from support import FIXTURE_SYSTEMS, format_polynomial, int_str_limit, rand_dense_system, rational_systems
+from support import (
+    FIXTURE_SYSTEMS,
+    format_polynomial,
+    int_str_limit,
+    rand_dense_system,
+    rational_systems,
+    staircase_pool,
+)
 
 
 def test_solve_circle_hyperbola_counts(capsys):
@@ -129,14 +138,38 @@ def test_json_has_one_key_and_one_matrix_row_per_line(text, capsys):
     assert next(fields, None) is None
 
 
+# The fixtures under every order (under lex, Hankel matrices), the unit
+# ideal's empty matrix among them, a 77 x 77 staircase with 85 nonzeros, and
+# H = [[2, -1/3], [-1/3, 7/9]] of 3*x1^2 + x1 - 1.
+JSON_MATRIX_SYSTEMS = [(text, kind) for _, text in FIXTURE_SYSTEMS for kind in ORDER_KINDS]
+JSON_MATRIX_SYSTEMS += [(staircase_pool(7)[0], "grevlex"), ("3*x1^2+x1-1", "grevlex")]
+
+
 def test_matrix_strings_mirror_the_upper_triangle():
-    """Each entry of the symmetric H is stringified once, and the text is
-    that of every entry, under grevlex and of the lex Hankel matrix; an entry
-    past the digit limit raises what the first such entry in row order does."""
-    for _, text in FIXTURE_SYSTEMS:
-        for kind in ("grevlex", LEX):
-            form = cli._solve_text(text, kind, matrix=True).form
-            assert cli._matrix_strings(form) == [[str(x) for x in row] for row in form.entries]
+    """Each nonzero entry of the symmetric H is stringified once, and the
+    text is that of every entry; each `--json` matrix line, joined by hand,
+    is `json.dumps` of its row of strings.  An entry past the digit limit
+    raises what the first such entry in row order does."""
+    seen = set()
+    for text, kind in JSON_MATRIX_SYSTEMS:
+        form = cli._solve_text(text, kind, matrix=True).form
+        strings = [[str(x) for x in row] for row in form.entries]
+        assert cli._matrix_strings(form) == strings
+        out = io.StringIO()
+        config = RunConfiguration(inline_polynomials=tuple(text.split("\n")), order_kind=kind, json_output=True)
+        assert run_solve(config, out) == EXIT_OK
+        lines = out.getvalue().splitlines()
+        if not strings:
+            assert '  "hermite_matrix": [],' in lines
+            continue
+        start = lines.index('  "hermite_matrix": [') + 1
+        rows = ["    " + json.dumps(row) for row in strings]
+        assert lines[start : start + len(rows) + 1] == [row + "," for row in rows[:-1]] + [rows[-1], "  ],"]
+        seen |= set("".join(map("".join, strings)))
+    assert {"-", "/"} <= seen
+    big = Fraction(-(10**40), 7)
+    entries = ((Fraction(-1, 3), 0, big), (0, 0, -5), (big, -5, Fraction(2, 9)))
+    assert cli._matrix_strings(HermiteForm(entries, None)) == [[str(x) for x in row] for row in entries]
     limit = int_str_limit()
     if limit is None or limit >= 7000:
         pytest.skip("this interpreter prints entries of any length")

@@ -28,6 +28,7 @@ from support import (
     mat_mul,
     rand_fraction,
     rand_invertible,
+    rand_nonzero_fraction,
     rand_symmetric,
     random_systems,
     reference_characteristic_polynomial,
@@ -329,6 +330,29 @@ def test_vector_kernel_matches_fraction_arithmetic():
             assert linalg.apply(matrix, ({k: 1}, 1)) is column
         scale = rng.randint(1, 10**6)
         assert linalg.lowest({**{r: scale * y for r, y in x[0].items()}, n: 0}, scale * x[1]) == x
+
+
+def test_transpose_takes_short_rows_directly():
+    # Rows of M are the columns of M^T.  Each row gets 0, 1 or several terms,
+    # ints or Fractions over mixed denominators, so every branch of
+    # `transpose` runs: the empty row, the one-term row over one gcd, and the
+    # combination over the lcm.
+    rng = Random(29)
+    kinds = {0: 0, 1: 0, 2: 0}
+    for _ in range(200):
+        n = rng.randint(2, 12)
+        dense = [[Fraction(0)] * n for _ in range(n)]  # by rows
+        for row in dense:
+            size = rng.choice((0, 1, 1, rng.randint(2, n)))
+            kinds[min(size, 2)] += 1
+            for c in rng.sample(range(n), size):
+                row[c] = rng.choice((Fraction(rng.choice((-1, 1)) * rng.randint(1, 9)), rand_nonzero_fraction(rng, 90)))
+        matrix = [linalg.vector(dict(enumerate(column))) for column in zip(*dense)]
+        transposed = linalg.transpose(matrix)
+        assert [_fractions(column, n) for column in transposed] == dense
+        assert all(map(_is_lowest, transposed))
+        assert linalg.transpose(transposed) == matrix
+    assert min(kinds.values()) > 100
 
 
 def test_vector_clears_ints_and_fractions():

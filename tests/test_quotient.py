@@ -49,9 +49,12 @@ from support import (
     normal_form,
     parse_polynomial,
     permutation_equal,
+    probe_standard_monomials,
     rand_polynomial,
     random_systems,
+    rational_systems,
     s_pair_audit,
+    staircase_pool,
     tau_by_monomial,
     times,
 )
@@ -424,6 +427,55 @@ def test_standard_monomials_rejects_a_basis_that_is_not_reduced():
     gens = (p2("x2^2-1"), p2("x1^2-x2^2"))
     with pytest.raises(ValueError, match="not reduced"):
         standard_monomials(GroebnerBasis(gens, ORDER2, gens))
+
+
+# The staircase walk admits a popped monomial by counting its recorded
+# parents; the probe walk in tests/support.py, which looks each m / x_u up,
+# is its differential oracle: the same monomials, columns and parent chain.
+
+
+def assert_walks_agree(basis):
+    walked, probed = standard_monomials(basis), probe_standard_monomials(basis)
+    assert walked == probed
+    assert walked.columns == probed.columns
+    assert walked.steps == probed.steps
+    return walked
+
+
+@pytest.mark.parametrize("kind", ORDER_KINDS)
+def test_staircase_walk_matches_the_probe_walk(kind):
+    bases = [system_basis(text, kind) for _, text in FIXTURE_SYSTEMS]
+    for systems in (random_systems, rational_systems):
+        bases += [buchberger(polys, order) for _, order, polys in systems(kind)]
+    assert len(bases) == 8 + 2 * 42
+    for basis in bases:
+        assert_walks_agree(basis)
+
+
+def test_staircase_walk_matches_the_probe_walk_on_sparse_rings():
+    for text in staircase_pool(7):
+        assert assert_walks_agree(system_basis(text)).dimension == 77
+    wide = system_basis("x1^300\nx2^300\nx3^300\nx1*x2\nx2*x3\nx1*x3")
+    assert assert_walks_agree(wide).dimension == 898
+    # the unit ideal, and no variables with and without a solution
+    for text, dimension in (("x1\nx1+1", 0), ("0", 1), ("5", 0)):
+        assert assert_walks_agree(system_basis(text)).dimension == dimension
+    # lex rings that FGLM built, out of shape position
+    for text in ("x1^2-1\nx2^2-2\nx3^2-3", "x2^2-x1*x3\nx1^3-1\nx3^3-2", "x1-1\nx2^2"):
+        ring = standard_monomials(system_basis(text))
+        assert assert_walks_agree(fglm(ring, MonomialOrder(LEX, ring.order.nvars))).order.kind == LEX
+
+
+def test_staircase_walks_refuse_a_basis_that_is_not_reduced_at_the_same_generator():
+    # Both tails x2^2 lie in the leading ideal; the border reaches x1*x2 first.
+    gens = (p2("x2^2-1"), p2("x1*x2-x2^2"), p2("x1^2-x2^2"))
+    basis = GroebnerBasis(gens, ORDER2, gens)
+    with pytest.raises(ValueError, match="not reduced") as walked:
+        standard_monomials(basis)
+    with pytest.raises(ValueError) as probed:
+        probe_standard_monomials(basis)
+    assert str(walked.value) == str(probed.value)
+    assert repr(p2("x1*x2-x2^2")) in str(walked.value)
 
 
 # The commuting-matrix audit against the all-pairs reference: both certify a
