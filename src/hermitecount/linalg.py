@@ -7,9 +7,10 @@ denominator, in lowest terms, with no stored zero: one gcd per vector, not a
 quotient ring and of the congruence sweep.  `vector` and `lowest` make one;
 `apply` and `transpose` take a matrix as its list of sparse columns.
 
-`inertia` reads rank and signature off the diagonal of a congruence
-diagonalization on `Vector` rows, which never swaps (rebuilt with its
-transform P by `tests/support.py::congruence_certificate`).
+`inertia` reads rank and signature off the signs of the pivots of one
+congruence sweep on `Vector` rows, which never swaps and builds no
+`Fraction` (rebuilt with its transform P by
+`tests/support.py::congruence_certificate`).
 `inertia_via_charpoly` reads them off the characteristic polynomial by
 Descartes' rule, exact for a symmetric matrix: Berkowitz's division-free
 scheme on D*M, D the lcm of the denominators; no solve runs it, only the
@@ -23,7 +24,7 @@ from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
 from operator import mul
-from typing import Hashable, Iterable, Mapping, Sequence, Union
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 Vector = tuple[dict[int, int], int]
@@ -128,25 +129,28 @@ def _inexact(cells: Iterable[tuple[int, int, object]]) -> TypeError:
     return TypeError(f"entry ({r},{c}) is {type(x).__name__}, not int or Fraction")
 
 
-def congruence_diagonalize(entries: Sequence[Sequence[Scalar]]) -> list[Fraction]:
-    """Diagonal d of a congruence P^T * M * P = diag(d) with P invertible.
+def _pivots(entries: Sequence[Sequence[Scalar]]) -> Iterator[tuple[int, int]]:
+    """The diagonal d of a congruence P^T * M * P = diag(d) with P
+    invertible, each entry as (numerator, positive denominator).
 
     By Sylvester's law the signs of d give the inertia of M; tests/support.py
     rebuilds P.  Pivot k takes one symmetric Schur-complement step,
-    M[r][c] -= (M[k][r] / M[k][k]) * M[k][c] for k < r <= c, and skips a row
-    zero past the diagonal.  A zero pivot is rescued within its row: with j > k
-    the first column where M[k][j] != 0, adding t times row and column j to
-    row and column k plants 2*t*M[k][j] + M[j][j], nonzero for t = 1 or -1.
+    M[r][c] -= (M[k][r] / M[k][k]) * M[k][c] for k < r <= c, and a row zero
+    past the diagonal is yielded as it stands, before any rescue or step.  A
+    zero pivot is rescued within its row: with j > k the first column where
+    M[k][j] != 0, adding t times row and column j to row and column k plants
+    2*t*M[k][j] + M[j][j], nonzero for t = 1 or -1.
 
     Row r from its diagonal on is a `Vector` N_r / d_r.  With p = N_k[k],
     a = N_k[r], g = gcd(p*d_k, a*d_r), the step is N_r <- A*N_r - B*N_k,
     d_r <- A*d_r for A = p*d_k/g and B = a*d_r/g, then one gcd per row.
     Bareiss on D*M was 4-30x slower: its minors carry powers of D, the lcm of
     M's denominators.  A nonzero entry on or above the diagonal with no
-    numerator and denominator, such as a float, raises TypeError at once.
+    numerator and denominator, such as a float, raises TypeError before the
+    first pivot.
     """
     check_symmetric(entries)
-    rows, diagonal = [], []
+    rows = []
     for r, row in enumerate(entries):
         upper = {c: row[c] for c in compress(range(r, len(row)), row[r:])}
         try:
@@ -155,7 +159,10 @@ def congruence_diagonalize(entries: Sequence[Sequence[Scalar]]) -> list[Fraction
             raise _inexact((r, c, x) for c, x in upper.items()) from None
     for k, (nums_k, den_k) in enumerate(rows):
         p = nums_k.pop(k, 0)
-        if not p and nums_k:
+        if not nums_k:
+            yield p, den_k
+            continue
+        if not p:
             j = min(nums_k)
             nums_j, den_j = rows[j]
             t = -1 if 2 * nums_k[j] * den_j + nums_j.get(j, 0) * den_k == 0 else 1
@@ -166,7 +173,7 @@ def congruence_diagonalize(entries: Sequence[Sequence[Scalar]]) -> list[Fraction
             terms += [(c, t * x, den_j) for c, x in nums_j.items()] + [(k, nums_j.get(j, 0), den_j)]
             nums_k, den_k = _combination(terms)
             p = nums_k.pop(k)
-        diagonal.append(Fraction(p, den_k))
+        yield p, den_k
         pivot, sign = abs(p) * den_k, (1 if p > 0 else -1)
         support = sorted(nums_k.items())
         for s, (r, a) in enumerate(support):
@@ -177,15 +184,17 @@ def congruence_diagonalize(entries: Sequence[Sequence[Scalar]]) -> list[Fraction
             for c, y in support[s:]:
                 new[c] = new.get(c, 0) - B * y
             rows[r] = lowest(new, A * den_r)
-    return diagonal
 
 
 def inertia(entries: Sequence[Sequence[Scalar]]) -> InertiaResult:
-    """Exact inertia from the congruence diagonal."""
-    diagonal = congruence_diagonalize(entries)
-    pos = sum(1 for d in diagonal if d > 0)
-    neg = sum(1 for d in diagonal if d < 0)
-    return InertiaResult(pos, neg, len(diagonal) - pos - neg)
+    """Exact inertia from the signs of the congruence pivots."""
+    pos = neg = 0
+    for p, _ in _pivots(entries):
+        if p > 0:
+            pos += 1
+        elif p:
+            neg += 1
+    return InertiaResult(pos, neg, len(entries) - pos - neg)
 
 
 def _integer_matrix(m: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], int]:

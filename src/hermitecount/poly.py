@@ -57,11 +57,12 @@ class Monomial:
 
 # Sort keys on exponent tuples, two per order kind: ascending(a) <
 # ascending(b) iff a < b, and descending reverses that, so a plain sort or a
-# min-heap under it yields the largest monomial first.  grevlex: on a degree
-# tie the last differing exponent decides, smaller exponent meaning the larger
-# monomial.
+# min-heap under it yields the largest monomial first.  The ascending lex key
+# is the tuple itself, which `tuple` returns as it is given.  grevlex: on a
+# degree tie the last differing exponent decides, smaller exponent meaning the
+# larger monomial.
 _KEYS = {
-    LEX: (lambda e: e, lambda e: tuple(map(neg, e))),
+    LEX: (tuple, lambda e: tuple(map(neg, e))),
     GRLEX: (lambda e: (sum(e), e), lambda e: (-sum(e), tuple(map(neg, e)))),
     GREVLEX: (lambda e: (sum(e), tuple(map(neg, reversed(e)))), lambda e: (-sum(e), e[::-1])),
 }

@@ -42,14 +42,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import chain
 from math import gcd, lcm
-from operator import le
+from operator import le, mul
 from typing import Iterable, Sequence
 
 from . import linalg
 from .groebner import GroebnerBasis, NotZeroDimensionalError, is_zero_dimensional
-from .linalg import Scalar, Vector, apply, transpose, vector
-from .poly import LEX, Monomial, MonomialOrder, Polynomial
+from .linalg import Scalar, Vector, apply, lowest, transpose, vector
+from .poly import GRLEX, LEX, Monomial, MonomialOrder, Polynomial
 
 # The parent chain: steps[i] = (v, p) for b_i = x_v * b_p, None for b_0 = 1.
 Steps = list[tuple[int, int] | None]
@@ -129,6 +130,23 @@ def _shift(exps: tuple[int, ...], var: int, step: int) -> tuple[int, ...]:
     return exps[:var] + (exps[var] + step,) + exps[var + 1 :]
 
 
+def _weights(order: MonomialOrder, bound: int) -> list[int]:
+    """Integer weights w_v of the order's linear form: on exponent vectors e
+    with every entry below `bound`, the key sum of e_v * w_v ascends exactly
+    as the order does, and x_v * m has the key of m plus w_v (Bachmann and
+    Schoenemann 1998).  With W = `bound` and n variables, the key is e read
+    in base W, most significant digit first: under lex w_v = W^(n-1-v); under
+    grlex the degree is one more digit, w_v = W^n + W^(n-1-v); under grevlex
+    the digits are reversed and subtracted from it, w_v = W^n - W^v, so that
+    a larger last exponent makes the smaller monomial."""
+    n = order.nvars
+    if order.kind == LEX:
+        return [bound ** (n - 1 - v) for v in range(n)]
+    if order.kind == GRLEX:
+        return [bound**n + bound ** (n - 1 - v) for v in range(n)]
+    return [bound**n - bound**v for v in range(n)]
+
+
 def standard_monomials(basis: GroebnerBasis) -> QuotientBasis:
     """All monomials under the staircase (divisible by no leading monomial),
     ascending by the order, carrying the ring they span; they form a linear
@@ -145,64 +163,78 @@ def standard_monomials(basis: GroebnerBasis) -> QuotientBasis:
     the pure-power box.  Past MAX_DIMENSION standard monomials,
     DimensionLimitError is raised at once, before any quotient work.
 
+    The heap holds one int per monomial, its key under `_weights` with W = 2
+    plus the largest leading exponent: every standard exponent is below the
+    pure power that bounds its variable, and a product exceeds it by one at
+    most, so the int order is the monomial order on every pushed monomial.
+    A product's key is its parent's plus w_v, and a popped monomial's
+    exponents are built once, from its first parent's.
+
     An admitted b_i is a unit column for each parent (v, k); the first, the
     smallest k and then v, is its step.  The other popped monomials form the
     border, in ascending order, and their normal forms fill their parents'
     columns: a border monomial that leads a generator g has -tail(g) (the
-    basis is reduced and monic), and any other is x_u * m' for a smaller
-    border monomial m', so it has M_{x_u} * NF(m'), built only from columns
-    already filled.  A tail term outside the staircase raises ValueError: the
-    basis is not reduced.
+    basis is reduced and monic), and any other is x_u * m' with m' a smaller
+    border monomial for each nonzero exponent u without a parent, so it has
+    M_{x_u} * NF(m') for the first such u, built only from columns already
+    filled.  A tail term outside the staircase raises ValueError: the basis
+    is not reduced.
     """
     if not is_zero_dimensional(basis):
         raise NotZeroDimensionalError("the ideal is not zero-dimensional")
-    order, key = basis.order, basis.order.exponent_key
-    leading = {g.leading_monomial().exponents: g for g in basis.generators}
+    order = basis.order
+    leads = [g.leading_monomial().exponents for g in basis.generators]
+    weights = _weights(order, 2 + max(chain.from_iterable(leads), default=0))
+    leading = {sum(map(mul, e, weights)): g for e, g in zip(leads, basis.generators)}
     one = (0,) * order.nvars
-    heap, parents = [(key(one), one)], {one: []}
-    index: dict[tuple[int, ...], int] = {}
+    heap, parents = [0], {0: []}
+    stair: list[tuple[int, ...]] = []
     columns: list[list[Vector]] = [[] for _ in range(order.nvars)]
     steps: Steps = []
-    border: list[tuple[tuple[int, ...], list[tuple[int, int]]]] = []
+    border: list[tuple[int, tuple[int, ...], list[tuple[int, int]]]] = []
     while heap:
-        exps = heappop(heap)[1]
-        pairs = parents.pop(exps)
-        if exps in leading or len(pairs) != len(exps) - exps.count(0):
-            border.append((exps, pairs))
+        key = heappop(heap)
+        pairs = parents.pop(key)
+        exps = _shift(stair[pairs[0][1]], pairs[0][0], 1) if pairs else one
+        if key in leading or len(pairs) != len(exps) - exps.count(0):
+            border.append((key, exps, pairs))
             continue
-        if len(index) == MAX_DIMENSION:
+        if len(stair) == MAX_DIMENSION:
             raise DimensionLimitError(f"the quotient has over {MAX_DIMENSION} standard monomials")
-        k = index[exps] = len(index)
+        k = len(stair)
+        stair.append(exps)
         unit = {k: 1}, 1
         for var, p in pairs:
             columns[var][p] = unit
         steps.append(pairs[0] if pairs else None)
         for var, column in enumerate(columns):
             column.append(None)
-            product = _shift(exps, var, 1)
+            product = key + weights[var]
             pending = parents.get(product)
             if pending is None:
                 parents[product] = [(var, k)]
-                heappush(heap, (key(product), product))
+                heappush(heap, product)
             else:
                 pending.append((var, k))
 
-    reduced: dict[tuple[int, ...], Vector] = {}
-    for exps, pairs in border:
-        g = leading.get(exps)
+    index = {exps: k for k, exps in enumerate(stair)}
+    reduced: dict[int, Vector] = {}
+    for key, exps, pairs in border:
+        g = leading.get(key)
         if g is not None:
             try:
                 form = vector({index[m.exponents]: -c for m, c in g.terms[1:]})
             except KeyError:
                 raise ValueError(f"basis is not reduced at {g!r}") from None
         else:
-            var = next(v for v, e in enumerate(exps) if e and _shift(exps, v, -1) in reduced)
-            form = apply(columns[var], reduced[_shift(exps, var, -1)])
-        reduced[exps] = form
+            found = [v for v, _ in pairs]
+            var = next(v for v, e in enumerate(exps) if e and v not in found)
+            form = apply(columns[var], reduced[key - weights[var]])
+        reduced[key] = form
         for var, k in pairs:
             columns[var][k] = form
 
-    return QuotientBasis(tuple(map(Monomial._trusted, index)), order, basis, columns, steps)
+    return QuotientBasis(tuple(map(Monomial._trusted, stair)), order, basis, columns, steps)
 
 
 def _eliminate(x: dict[int, int], a: int, y: dict[int, int], b: int) -> dict[int, int]:
@@ -239,7 +271,9 @@ def fglm(ring: QuotientBasis, order: MonomialOrder) -> GroebnerBasis:
     coordinate left, m + sum of w[~k] / w[~j] * s_k over k < j is the next
     monic generator; otherwise w joins the echelon and the products x_u * m
     are pushed.  At most dim * nvars + 1 monomials are popped, each reduced
-    in O(dim^2).
+    in O(dim^2).  The heap is keyed by `_weights` with W = dim + 2: a target
+    standard monomial has dim standard divisors, so each of its exponents
+    is below dim, and a pushed product's is at most dim.
 
     The generators are found ascending, and the input polynomials come along
     re-sorted under `order`: the result is `==` to
@@ -248,15 +282,15 @@ def fglm(ring: QuotientBasis, order: MonomialOrder) -> GroebnerBasis:
     basis, columns = _source(ring), ring.columns
     if order.nvars != basis.order.nvars:
         raise ValueError(f"order has {order.nvars} variables, the basis has {basis.order.nvars}")
-    key, one = order.exponent_key, (0,) * order.nvars
-    heap, seen = [(key(one), one, None)], {one}
+    weights = _weights(order, ring.dimension + 2)
+    heap, seen = [(0, (0,) * order.nvars, None)], {0}
     stair: list[tuple[int, ...]] = []
     forms: list[Vector] = []
     rows: list[tuple[int, dict[int, int]]] = []
     leads: list[tuple[int, ...]] = []
     generators: list[Polynomial] = []
     while heap:
-        _, exps, parent = heappop(heap)
+        key, exps, parent = heappop(heap)
         if any(all(map(le, lead, exps)) for lead in leads):
             continue
         if parent is None:
@@ -280,11 +314,10 @@ def fglm(ring: QuotientBasis, order: MonomialOrder) -> GroebnerBasis:
         rows.append((pivot, w))
         stair.append(exps)
         forms.append(form)
-        for var in range(order.nvars):
-            product = _shift(exps, var, 1)
-            if product not in seen:
-                seen.add(product)
-                heappush(heap, (key(product), product, (var, j)))
+        for var, weight in enumerate(weights):
+            if key + weight not in seen:
+                seen.add(key + weight)
+                heappush(heap, (key + weight, _shift(exps, var, 1), (var, j)))
     original = tuple(p if p.order == order else p.with_order(order) for p in basis.original)
     return GroebnerBasis(tuple(generators), order, original)
 
@@ -329,12 +362,27 @@ def _traces(transposed: dict[int, list[Vector]], steps: Steps) -> Vector:
     coordinate of NF(b_j * b_k), so tau = sum_j M_{b_j}^T * e_j.  Grouped
     along the parent chain as in Horner's rule, that is S_0 with S_i = e_i
     + sum of M_{x_v}^T * S_c over the children b_c = x_v * b_i: one backward
-    pass, one transposed product per element."""
-    pending = [[({j: 1}, 1)] for j in range(len(steps))]
-    for j in reversed(range(1, len(steps))):
+    pass, one transposed product per element.  An element with no child has
+    S_i = e_i, and one with one child that child's vector plus its
+    denominator at i, still in lowest terms unless that entry cancels; only
+    the sum over several children is combined anew."""
+    children: list[list[Vector]] = [[] for _ in steps]
+    for j in reversed(range(len(steps))):
+        below = children[j]
+        if not below:
+            total = {j: 1}, 1
+        elif len(below) == 1:
+            nums, den = below[0]
+            nums = dict(nums)
+            nums[j] = nums.get(j, 0) + den
+            total = (nums, den) if nums[j] else lowest(nums, den)
+        else:
+            total = _sum([({j: 1}, 1), *below])
+        if not j:
+            return total
         v, p = steps[j]
-        pending[p].append(apply(transposed[v], _sum(pending[j])))
-    return _sum(pending[0]) if steps else ({}, 1)
+        children[p].append(apply(transposed[v], total))
+    return {}, 1
 
 
 def traces_of(tau: Vector, vectors: Iterable[Vector]) -> list[Scalar]:

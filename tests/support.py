@@ -30,12 +30,12 @@ from hermitecount.linalg import (
     _berkowitz,
     _integer_matrix,
     apply,
+    _pivots,
     check_symmetric,
-    congruence_diagonalize,
     vector,
 )
 from hermitecount.parsing import format_monomial
-from hermitecount.quotient import MAX_DIMENSION, DimensionLimitError, Steps, _shift
+from hermitecount.quotient import MAX_DIMENSION, DimensionLimitError, Steps, _shift, _sum
 from hermitecount.univariate import UnivariatePolynomial
 
 
@@ -271,6 +271,24 @@ def staircase_pool(seed: int) -> list[str]:
         rng = Random(f"staircase:{seed}:{k}")
         lines = [f"x{i}^20-{rng.randint(1, 9)}*x{i}" for i in range(1, 5)]
         lines += [f"x{i}*x{j}" for i, j in itertools.combinations(range(1, 5), 2)]
+        pool.append("\n".join(lines))
+    return pool
+
+
+def trace_form_pool(seed: int) -> list[str]:
+    """The 64 systems of perfbench's `trace-form` workload under `seed`, as
+    text: two dense polynomials of degree 4 in x1, x2 with coefficients in
+    [-9, 9], nonzero on degree 4, drawn from each instance's own stream.
+    Each quotient has dimension 16."""
+    nonzero = [c for c in range(-9, 10) if c]
+    exponents = [e for e in itertools.product(range(5), repeat=2) if sum(e) <= 4]
+    pool = []
+    for k in range(64):
+        rng = Random(f"trace-form:{seed}:{k}")
+        lines = []
+        for _ in range(2):
+            coeffs = {e: rng.choice(nonzero) if sum(e) == 4 else rng.randint(-9, 9) for e in exponents}
+            lines.append("+".join(f"({c})*x1^{a}*x2^{b}" for (a, b), c in coeffs.items() if c))
         pool.append("\n".join(lines))
     return pool
 
@@ -654,6 +672,18 @@ def probe_standard_monomials(basis: GroebnerBasis) -> QuotientBasis:
     return QuotientBasis(tuple(map(Monomial._trusted, index)), order, basis, columns, steps)
 
 
+def pending_traces(transposed: dict[int, list[Vector]], steps: Steps) -> Vector:
+    """The backward pass of `quotient._traces` as it was before its
+    childless and one-child elements were taken directly, kept as its
+    differential oracle: every element starts a pending list with its unit
+    vector, and each list is summed by `quotient._sum`."""
+    pending = [[({j: 1}, 1)] for j in range(len(steps))]
+    for j in reversed(range(1, len(steps))):
+        v, p = steps[j]
+        pending[p].append(apply(transposed[v], _sum(pending[j])))
+    return _sum(pending[0]) if steps else ({}, 1)
+
+
 def basis_index(quotient: QuotientBasis) -> dict[Monomial, int]:
     """Position of each standard monomial in the quotient basis."""
     return {m: i for i, m in enumerate(quotient.monomials)}
@@ -813,8 +843,14 @@ def determinant(entries: Sequence[Sequence[Scalar]]) -> Fraction:
     return det
 
 
+def congruence_diagonalize(entries: Sequence[Sequence[Scalar]]) -> list[Fraction]:
+    """The diagonal of `linalg.inertia`'s congruence sweep as `Fraction`s:
+    d with P^T * M * P = diag(d) for an invertible P."""
+    return [Fraction(p, den) for p, den in _pivots(entries)]
+
+
 # The congruence route that also tracks the transform, kept as the reference
-# for `congruence_diagonalize`: every elimination updates a whole row, then a
+# for the sweep of `linalg.inertia`: every elimination updates a whole row, then a
 # whole column of M, and the same column of P.
 
 

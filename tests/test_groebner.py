@@ -488,6 +488,18 @@ def test_fglm_on_rational_systems(kind):
         assert_fglm_matches_buchberger(polys, order)
 
 
+@pytest.mark.parametrize("kind", [LEX, GRLEX])
+def test_fglm_on_sparse_rings(kind):
+    # mixed exponent widths, squares(4), the unit ideal, no variables, and
+    # staircase instances at seeds 7 and 11: the target walk's integer keys
+    # take W = dim + 2
+    texts = ["x1^200\nx2^3\nx1*x2", "x1^3\nx2^200\nx1*x2", "x1^2-1\nx2^2-2\nx3^2-3\nx4^2-4", "x1\nx1+1", "5", "0"]
+    texts += [text for seed in (7, 11) for text in support.staircase_pool(seed)[:4]]
+    for text in texts:
+        _, polys = parse_system(text, GREVLEX)
+        assert_fglm_matches_buchberger(polys, MonomialOrder(kind, polys[0].order.nvars))
+
+
 def test_fglm_on_lex_dense_systems():
     # the systems of test_lex_dense_systems_match_naive_buchberger: shape
     # position, with lex coefficients far larger than grevlex ones

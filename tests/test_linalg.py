@@ -17,13 +17,15 @@ from hermitecount import (
     parse_system,
     standard_monomials,
 )
-from hermitecount.linalg import InertiaResult, congruence_diagonalize, inertia, inertia_via_charpoly
+from hermitecount.linalg import InertiaResult, inertia, inertia_via_charpoly
 
 from support import (
     DENSE_2_5,
     FIXTURE_SYSTEMS,
     berkowitz_charpoly,
     certified_diagonal,
+    congruence_certificate,
+    congruence_diagonalize,
     gaussian_rank,
     mat_mul,
     rand_fraction,
@@ -32,6 +34,7 @@ from support import (
     rand_symmetric,
     random_systems,
     reference_characteristic_polynomial,
+    staircase_pool,
     transpose,
 )
 
@@ -277,6 +280,34 @@ def test_hermite_matrices_match_congruence_certificate(kind):
         basis = buchberger(polys, polys[0].order)
         form = hermite_form(basis, standard_monomials(basis))
         certified_diagonal(form.entries)
+
+
+def assert_inertia_is_the_signs_of_the_certificate(entries, rescues=None):
+    diagonal, _ = congruence_certificate(entries, rescues)
+    signs = [(d > 0) - (d < 0) for d in diagonal]
+    assert inertia(entries) == InertiaResult(signs.count(1), signs.count(-1), signs.count(0))
+    assert congruence_diagonalize(entries) == diagonal
+
+
+@pytest.mark.parametrize("kind", ORDER_KINDS)
+def test_inertia_is_the_signs_of_the_certificate_diagonal(kind):
+    systems = [parse_system(text, kind)[1] for _, text in FIXTURE_SYSTEMS]
+    systems += [polys for _, _, polys in random_systems(kind)]
+    # staircase instances: H is 85 nonzeros of 5 929, most rows empty past the diagonal
+    systems += [parse_system(text, kind)[1] for seed in (7, 11) for text in staircase_pool(seed)[:3]]
+    rescues = []
+    for polys in systems:
+        basis = buchberger(polys, polys[0].order)
+        assert_inertia_is_the_signs_of_the_certificate(hermite_form(basis, standard_monomials(basis)).entries, rescues)
+    # rank-deficient forms, and the pivot branches
+    rng = Random(f"rank-deficient-{kind}")
+    for dim in range(1, 8):
+        rows = [[rand_fraction(rng, 9) for _ in range(dim)] for _ in range(rng.randint(0, dim - 1))]
+        gram = [[sum((a[i] * a[j] for a in rows), Fraction(0)) for j in range(dim)] for i in range(dim)]
+        assert_inertia_is_the_signs_of_the_certificate(gram, rescues)
+    for entries in PIVOT_BRANCHES.values():
+        assert_inertia_is_the_signs_of_the_certificate(entries, rescues)
+    assert rescues
 
 
 def test_gaussian_rank_on_rectangular():

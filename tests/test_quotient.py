@@ -28,6 +28,7 @@ from hermitecount import (
 )
 from hermitecount import groebner, quotient, separating
 from hermitecount.groebner import is_zero_dimensional
+from hermitecount.linalg import lowest
 from hermitecount.parsing import format_monomial
 from hermitecount.quotient import (
     DimensionLimitError,
@@ -49,6 +50,7 @@ from support import (
     normal_form,
     parse_polynomial,
     permutation_equal,
+    pending_traces,
     probe_standard_monomials,
     rand_polynomial,
     random_systems,
@@ -57,6 +59,7 @@ from support import (
     staircase_pool,
     tau_by_monomial,
     times,
+    trace_form_pool,
 )
 
 ORDER2 = MonomialOrder(GREVLEX, 2)
@@ -452,18 +455,57 @@ def test_staircase_walk_matches_the_probe_walk(kind):
         assert_walks_agree(basis)
 
 
+@pytest.mark.parametrize("kind", ORDER_KINDS)
+def test_integer_keys_order_exponent_vectors_as_the_order_does(kind):
+    rng = Random(f"weights-{kind}")
+    for n in range(7):
+        order = MonomialOrder(kind, n)
+        for bound in (2, 3, 5, 17, 402):
+            weights = quotient._weights(order, bound)
+            vectors = [tuple(rng.randrange(bound) for _ in range(n)) for _ in range(60)]
+            vectors += [(bound - 1,) * n, (0,) * n]
+            by_key = sorted(vectors, key=lambda e: sum(x * w for x, w in zip(e, weights)))
+            assert by_key == sorted(vectors, key=order.exponent_key)
+
+
 def test_staircase_walk_matches_the_probe_walk_on_sparse_rings():
-    for text in staircase_pool(7):
-        assert assert_walks_agree(system_basis(text)).dimension == 77
+    for seed in (7, 11):
+        for text in staircase_pool(seed):
+            assert assert_walks_agree(system_basis(text)).dimension == 77
+    # exponent bounds of mixed widths, under every order
+    for kind in ORDER_KINDS:
+        assert assert_walks_agree(system_basis("x1^2000\nx2^3\nx1*x2", kind)).dimension == 2002
+        assert assert_walks_agree(system_basis("x1^3\nx2^2000\nx1*x2", kind)).dimension == 2002
     wide = system_basis("x1^300\nx2^300\nx3^300\nx1*x2\nx2*x3\nx1*x3")
     assert assert_walks_agree(wide).dimension == 898
     # the unit ideal, and no variables with and without a solution
     for text, dimension in (("x1\nx1+1", 0), ("0", 1), ("5", 0)):
         assert assert_walks_agree(system_basis(text)).dimension == dimension
     # lex rings that FGLM built, out of shape position
-    for text in ("x1^2-1\nx2^2-2\nx3^2-3", "x2^2-x1*x3\nx1^3-1\nx3^3-2", "x1-1\nx2^2"):
+    for text in ("x1^2-1\nx2^2-2\nx3^2-3", "x2^2-x1*x3\nx1^3-1\nx3^3-2", "x1-1\nx2^2", "x1^20\nx2^3\nx1*x2"):
         ring = standard_monomials(system_basis(text))
         assert assert_walks_agree(fglm(ring, MonomialOrder(LEX, ring.order.nvars))).order.kind == LEX
+
+
+# The trace pass takes childless and one-child elements directly; the
+# pending-list pass in tests/support.py is its differential oracle.
+
+
+def test_traces_match_the_pending_list_pass():
+    bases = [system_basis(text, kind) for _, text in FIXTURE_SYSTEMS for kind in ORDER_KINDS]
+    for kind in ORDER_KINDS:
+        for systems in (random_systems, rational_systems):
+            bases += [buchberger(polys, order) for _, order, polys in systems(kind)]
+    bases += [system_basis(text) for seed in (7, 11) for text in staircase_pool(seed)]
+    bases += [system_basis(text) for text in trace_form_pool(7)]
+    bases += [system_basis(text) for text in ("x1^400\nx2^400\nx1*x2", "x1\nx1+1", "0", "5", "x1^2\nx2^3-x2")]
+    bases.append(system_basis("\n".join(f"x{i}^2-{i}" for i in range(1, 7))))
+    for basis in bases:
+        ring = standard_monomials(basis)
+        transposed = _transposed(ring)
+        tau = quotient._traces(transposed, ring.steps)
+        assert tau == pending_traces(transposed, ring.steps)
+        assert tau == lowest(*tau)
 
 
 def test_staircase_walks_refuse_a_basis_that_is_not_reduced_at_the_same_generator():
