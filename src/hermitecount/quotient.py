@@ -315,9 +315,10 @@ def fglm(ring: QuotientBasis, order: MonomialOrder) -> GroebnerBasis:
         stair.append(exps)
         forms.append(form)
         for var, weight in enumerate(weights):
-            if key + weight not in seen:
-                seen.add(key + weight)
-                heappush(heap, (key + weight, _shift(exps, var, 1), (var, j)))
+            product = key + weight
+            if product not in seen:
+                seen.add(product)
+                heappush(heap, (product, _shift(exps, var, 1), (var, j)))
     original = tuple(p if p.order == order else p.with_order(order) for p in basis.original)
     return GroebnerBasis(tuple(generators), order, original)
 

@@ -29,8 +29,8 @@ from hermitecount.linalg import (
     Vector,
     _berkowitz,
     _integer_matrix,
-    apply,
     _pivots,
+    apply,
     check_symmetric,
     vector,
 )
