@@ -9,19 +9,19 @@ grevlex, on 2 x86-64 vCPUs).  Under grlex, `quotient.change_order` turns the
 basis into the grlex one, and the report (the staircase, the Hermite matrix
 and the counts) is built once, on the grlex ring.  Under grevlex, the counts
 are the inertia of the grevlex trace form.  Under lex, they are read off the
-grevlex ring, whose ring, tau and Krylov vectors of x_n are built once.
-When `quotient.shape_position` certifies the ideal in shape position, the
-staircase is 1, x_n, ..., x_n^(D-1), and the printed matrix is the Hankel
-matrix of the traces of the powers of x_n.  There, for D up to
-`quotient.MAX_CHARPOLY_DIMENSION` (64), `quotient.charpoly_report` takes
-the counts from chi, the characteristic polynomial of x_n: D and its real
-roots, when chi is squarefree modulo a prime; neither the grevlex H nor its
-inertia is computed.  The cap bounds the real-root count, whose cost grows
-as D^3 times the bits of chi when all roots are real.  Otherwise (chi not
-squarefree, D above the cap, or no shape position) the counts are the
-inertia of the grevlex H, and out of shape position `quotient.fglm`
-converts the basis to lex, and the staircase and matrix come from the lex
-ring.
+grevlex ring, whose Krylov vectors of x_n are built once; the ring builds its
+own trace functional, once, for every reader.  When `quotient.shape_position`
+certifies the ideal in shape position, the staircase is 1, x_n, ...,
+x_n^(D-1), and the printed matrix is the Hankel matrix of the traces of the
+powers of x_n.  There, for D up to `quotient.MAX_CHARPOLY_DIMENSION` (64),
+`quotient.charpoly_report` takes the counts from chi, the characteristic
+polynomial of x_n: the distinct roots and the real roots of its squarefree
+part; neither the grevlex H nor its inertia is computed.  The cap bounds the
+real-root count, whose cost grows as D^3 times the bits of chi when all
+roots are real.  Otherwise (D above the cap, or no shape position) the
+counts are the inertia of the grevlex H, and out of shape position
+`quotient.fglm` converts the basis to lex, and the staircase and matrix come
+from the lex ring.
 
 Exit codes: 0 success, 2 parse/usage error (an integer literal longer than
 the interpreter's int conversion limit included), 3 ideal not zero-dimensional,
@@ -47,7 +47,7 @@ from .parsing import ParseError, format_monomial, parse_system
 from .poly import GREVLEX, GRLEX, LEX, ORDER_KINDS, MonomialOrder
 from .quotient import MAX_CHARPOLY_DIMENSION, DimensionLimitError, HermiteForm, HermiteReport, QuotientBasis
 from .quotient import change_order, charpoly_report, fglm, hankel_form, hermite_form, hermite_report, inertia_report
-from .quotient import shape_position, standard_monomials, trace_functional
+from .quotient import shape_position, standard_monomials
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -110,12 +110,11 @@ def _solve_text(text: str, kind: str, matrix: bool = False) -> SolveResult:
     ring = standard_monomials(basis)
     shape = shape_position(ring)
     if shape is not None and ring.dimension <= MAX_CHARPOLY_DIMENSION:
-        tau = trace_functional(ring)
-        report = charpoly_report(ring, tau, shape[1]) or inertia_report(hermite_form(basis, ring, tau))
+        report = charpoly_report(ring, shape[1])
     else:
         report = inertia_report(hermite_form(basis, ring))
     if shape is not None:
-        form = hankel_form(report.form, *shape) if matrix else None
+        form = hankel_form(ring, *shape) if matrix else None
         return SolveResult(variables, report, shape[0], form)
     lex = standard_monomials(fglm(ring, MonomialOrder(LEX, basis.order.nvars)))
     form = hermite_form(lex.source, lex) if matrix else None

@@ -6,40 +6,42 @@ the border multiplication matrices M_{x_v}, column by column with sparse
 matrix-vector products (FGLM-style border normal forms), and the parent
 chain that writes each basis element after 1 as b_i = x_v * b_p for a
 standard parent b_p.  The returned `QuotientBasis` carries them, with the
-basis they came from as its `source`, and every consumer reads them: one
-transposed product per element along the chain gives the trace functional
-and the trace form, whose rank and signature count distinct complex and
-real solutions.  Coordinates stay `linalg.Vector`s until the returned
-`Fraction`s.
+basis they came from as its `source`, and every consumer reads them.  The
+ring owns the trace functional: `QuotientBasis.traces`, one transposed
+product per element along the chain, built on first use and kept, is the
+one tau that the trace form, the lex counts and `--check` read.  The rank
+and signature of the trace form count distinct complex and real solutions.
+Coordinates stay `linalg.Vector`s until the returned `Fraction`s.
 
 A lex solve reads its counts off the grevlex ring that Buchberger ran in.
 `shape_position` certifies, by a Krylov rank modulo PRIME, that the lex
 staircase is 1, x_n, ..., x_n^(D-1) (Rouillier 1999).  Then, for D up to
 MAX_CHARPOLY_DIMENSION, `charpoly_report` reads the counts off chi, the
 characteristic polynomial of x_n, from its Newton sums Tr(x_n^j) on the same
-Krylov vectors and one more: when chi is squarefree modulo PRIME, the complex
-count is D and the real count the number of real roots of chi, and neither H
-nor its inertia is needed.  Otherwise the counts are the inertia of the
-grevlex H (`inertia_report`).  `hankel_form` gives the lex H, to print it,
-as the Hankel matrix of the traces Tr(x_n^k) on the same vectors.  Out of
-shape position, `fglm(ring, order)` changes the order of the ring's basis
-on the same matrices: it walks the lex staircase and finds the generators as
-linear relations among the normal forms M_{x_v} * NF(m), so Buchberger never
-runs in lex.  A grlex solve converts by `change_order`, which needs no ring
-when no generator changes its leading monomial.
+Krylov vectors and one more: the distinct roots of chi and its real roots,
+on its squarefree part, and neither H nor its inertia is needed.  Past the
+cap, the counts are the inertia of the grevlex H (`inertia_report`).
+`hankel_form` gives the lex H, to print it, as the Hankel matrix of the
+traces Tr(x_n^k) on the same vectors.  Out of shape position, `fglm(ring,
+order)` changes the order of the ring's basis on the same matrices: it walks
+the lex staircase and finds the generators as linear relations among the
+normal forms M_{x_v} * NF(m), so Buchberger never runs in lex.  A grlex
+solve converts by `change_order`, which needs no ring when no generator
+changes its leading monomial.
 
 `traces_of` pairs tau with coordinate vectors, for the power sums of x_n and
 the lex Hankel sums, and for the Newton sums Tr(M_l^j) of `separating`,
-which holds all of `solve --check` and reads only a ring and its tau.
-Univariate polynomials are integer coefficient lists, ascending, with a
-nonzero leading coefficient: one Euclid gives the squarefree test modulo
-PRIME, and a Descartes bisection counts the real roots; the oracle uses them
-too.
+which holds all of `solve --check` and reads only a ring.  Univariate
+polynomials are integer coefficient lists, ascending, with a nonzero leading
+coefficient: one Euclid gives the squarefree test modulo PRIME and the exact
+squarefree part over Z, and a Descartes bisection counts the real roots; the
+oracle uses them too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import chain
@@ -82,8 +84,9 @@ class QuotientBasis:
     One built by `standard_monomials` also carries the ring: `source`, the
     Groebner basis it was built from; `columns`, where columns[v][k] holds
     the coordinates of NF(x_v * b_k), the matrix of multiplication by each
-    variable; and `steps`, the parent chain.  Equality, hash and repr see
-    only the monomials and the order, and the ring is never mutated.
+    variable; and `steps`, the parent chain.  `transposed` and `traces` are
+    built from them on first use and kept.  Equality, hash and repr see only
+    the monomials and the order, and no field is ever mutated.
     """
 
     monomials: tuple[Monomial, ...]
@@ -96,18 +99,26 @@ class QuotientBasis:
     def dimension(self) -> int:
         return len(self.monomials)
 
+    @cached_property
+    def transposed(self) -> dict[int, list[Vector]]:
+        """M_{x_v}^T for each variable x_v that steps along the parent chain."""
+        return {v: transpose(self.columns[v]) for v in {s[0] for s in self.steps if s}}
+
+    @cached_property
+    def traces(self) -> Vector:
+        """The trace functional, tau[k] = Tr(b_k), as a `Vector`: one `_traces`
+        pass on `transposed`, the one tau that every reader takes."""
+        return _traces(self.transposed, self.steps)
+
 
 @dataclass(frozen=True)
 class HermiteForm:
     """Gram matrix of the trace form on the standard-monomial basis; its
-    zero entries are the int 0, the others `Fraction`s.  One built by
-    `hermite_form` also carries `traces`, the trace functional it was built
-    from: tau[k] = Tr(b_k), as a `Vector`.  The entries are None in the
-    report of `charpoly_report`, whose counts need no matrix."""
+    zero entries are the int 0, the others `Fraction`s.  The entries are
+    None in the report of `charpoly_report`, whose counts need no matrix."""
 
     entries: tuple[tuple[Scalar, ...], ...] | None
     basis: QuotientBasis
-    traces: Vector | None = field(default=None, compare=False, repr=False)
 
     def rows(self) -> list[list[Scalar]]:
         return [list(row) for row in self.entries]
@@ -348,11 +359,6 @@ def _chain(matrices, steps: Steps, start: Vector) -> list[Vector]:
     return vectors
 
 
-def _transposed(quotient: QuotientBasis) -> dict[int, list[Vector]]:
-    """M_{x_v}^T for each variable x_v that steps along the parent chain."""
-    return {v: transpose(quotient.columns[v]) for v in {s[0] for s in quotient.steps if s}}
-
-
 def _sum(vectors: list[Vector]) -> Vector:
     """The sum of the vectors: their matrix applied to the all-ones vector."""
     return apply(vectors, (dict.fromkeys(range(len(vectors)), 1), 1))
@@ -394,32 +400,24 @@ def traces_of(tau: Vector, vectors: Iterable[Vector]) -> list[Scalar]:
     return [Fraction(x, den * tau_den) if x else 0 for x, den in pairs]
 
 
-def trace_functional(quotient: QuotientBasis) -> Vector:
-    """tau[k] = Tr(b_k) on the ring that `quotient` carries, as a `Vector`:
-    the pass that `hermite_form` runs when it is not given tau."""
-    return _traces(_transposed(quotient), quotient.steps)
-
-
-def hermite_form(basis: GroebnerBasis, quotient: QuotientBasis, traces: Vector | None = None) -> HermiteForm:
+def hermite_form(basis: GroebnerBasis, quotient: QuotientBasis) -> HermiteForm:
     """Gram matrix H[i][j] = trace of multiplication by b_i*b_j, by columns.
 
     H * e_i = M_{b_i}^T * tau, and the border matrices commute, so column i
-    is M_{x_v}^T times its parent's column, starting from tau: `traces`, or
-    else computed here.  Each Fraction is built once, for r <= i, and
-    mirrored.  Raises ValueError unless `standard_monomials` built `quotient`
-    from a basis equal to `basis`.
+    is M_{x_v}^T times its parent's column, starting from tau, the ring's
+    `traces`.  Each Fraction is built once, for r <= i, and mirrored.
+    Raises ValueError unless `standard_monomials` built `quotient` from a
+    basis equal to `basis`.
     """
     if quotient.source != basis:
         raise ValueError("quotient basis does not belong to this Groebner basis")
-    transposed, steps = _transposed(quotient), quotient.steps
     dim = quotient.dimension
     entries: list[list[Scalar]] = [[0] * dim for _ in range(dim)]
-    tau = _traces(transposed, steps) if traces is None else traces
-    for i, (nums, den) in enumerate(_chain(transposed, steps, tau)):
+    for i, (nums, den) in enumerate(_chain(quotient.transposed, quotient.steps, quotient.traces)):
         for r, x in nums.items():
             if r <= i:
                 entries[r][i] = entries[i][r] = Fraction(x, den)
-    return HermiteForm(tuple(tuple(row) for row in entries), quotient, tau)
+    return HermiteForm(tuple(tuple(row) for row in entries), quotient)
 
 
 def shape_position(quotient: QuotientBasis) -> tuple[QuotientBasis, list[Vector]] | None:
@@ -457,47 +455,45 @@ def shape_position(quotient: QuotientBasis) -> tuple[QuotientBasis, list[Vector]
     return QuotientBasis(tuple(powers), MonomialOrder(LEX, n)), krylov
 
 
-def hankel_form(form: HermiteForm, staircase: QuotientBasis, krylov: list[Vector]) -> HermiteForm:
+def hankel_form(ring: QuotientBasis, staircase: QuotientBasis, krylov: list[Vector]) -> HermiteForm:
     """The trace form on the lex staircase that `shape_position` certified on
-    the ring of `form`, from its Krylov vectors: H[i][j] = Tr(x_n^(i+j)) =
-    s_(i+j), a Hankel matrix.  s_k = tau . v_k, with tau the trace
-    functional that `form` carries and the v_k continued to k = 2D - 2,
-    after any that `charpoly_report` appended.  It is `==` to `hermite_form`
-    on the lex basis and its ring."""
-    vectors, columns, dim = list(krylov), form.basis.columns, staircase.dimension
+    `ring`, from its Krylov vectors: H[i][j] = Tr(x_n^(i+j)) = s_(i+j), a
+    Hankel matrix.  s_k = tau . v_k, with tau the ring's `traces` and the
+    v_k continued to k = 2D - 2, after any that `charpoly_report` appended.
+    It is `==` to `hermite_form` on the lex basis and its ring."""
+    vectors, columns, dim = list(krylov), ring.columns, staircase.dimension
     while len(vectors) < 2 * dim - 1:
         vectors.append(apply(columns[-1], vectors[-1]))
-    sums = traces_of(form.traces, vectors)
+    sums = traces_of(ring.traces, vectors)
     return HermiteForm(tuple(tuple(sums[i : i + dim]) for i in range(dim)), staircase)
 
 
-def charpoly_report(ring: QuotientBasis, tau: Vector, krylov: list[Vector]) -> HermiteReport | None:
+def charpoly_report(ring: QuotientBasis, krylov: list[Vector]) -> HermiteReport:
     """The counts of a ring that `shape_position` certified in shape
     position, read off chi, the characteristic polynomial of M_{x_n}, from
-    tau and `krylov`, the vectors v_j = M_{x_n}^j * e_1 for j < D; or None
-    when the ring has no variable or chi is not squarefree modulo PRIME (a
-    non-radical ideal or an unlucky prime).  The report's form carries the
-    ring and tau, and no entries.  A solve calls it for D up to
-    MAX_CHARPOLY_DIMENSION only.
+    the ring's `traces` and `krylov`, the vectors v_j = M_{x_n}^j * e_1 for
+    j < D.  The report's form carries the ring and no entries.  A solve
+    calls it for D up to MAX_CHARPOLY_DIMENSION only.
 
     chi comes from its Newton sums Tr(x_n^j) = tau . v_j for j = 1..D, with
     v_D one more product, appended to `krylov`, and the lcm of the
-    denominators of M_{x_n} as the scale.  Squarefree, chi has D distinct
-    roots, the values of x_n at the solutions, so the ideal is radical with
-    D points: the rank of H is D.  A non-real point shares no value with its
-    conjugate, so the real roots of chi are the values at the real points,
-    and their number is the signature of H (Hermite's univariate theorem).
+    denominators of M_{x_n} as the scale.  Its roots are the values of x_n
+    at the solutions, and in shape position x_n separates them, each other
+    coordinate being a polynomial in x_n on them: the distinct roots of chi
+    count the solutions, and the real roots the real ones (Hermite's
+    univariate theorem; Rouillier 1999).  Both are read off the squarefree
+    part of chi, chi itself when `squarefree_mod_p` passes.  A ring with no
+    variable has D = 1 point, real, or none.
     """
     dim, columns = ring.dimension, ring.columns
     if not columns:
-        return None
+        return HermiteReport(HermiteForm(None, ring), dim, dim, dim, dim, dim)
     if dim:
         krylov.append(apply(columns[-1], krylov[-1]))
-    chi = newton_charpoly(traces_of(tau, krylov[1 : dim + 1]), lcm(*(den for _, den in columns[-1])))
-    if not squarefree_mod_p(chi):
-        return None
-    real = real_root_count(chi)
-    return HermiteReport(HermiteForm(None, ring, tau), dim, real, dim, real, dim)
+    chi = newton_charpoly(traces_of(ring.traces, krylov[1 : dim + 1]), lcm(*(den for _, den in columns[-1])))
+    part = chi if squarefree_mod_p(chi) else integer_squarefree_part(chi)
+    distinct, real = len(part) - 1, real_root_count(part)
+    return HermiteReport(HermiteForm(None, ring), distinct, real, distinct, real, dim)
 
 
 def inertia_report(form: HermiteForm) -> HermiteReport:
@@ -582,6 +578,18 @@ def squarefree_mod_p(coefficients: Sequence[int]) -> bool:
     f = [c % PRIME for c in coefficients]
     derivative = [i * c % PRIME for i, c in enumerate(f) if i]
     return bool(f and f[-1]) and len(_gcd(f, derivative, PRIME)) == 1
+
+
+def integer_squarefree_part(coefficients: Sequence[int]) -> list[int]:
+    """f / gcd(f, f') for a primitive f, with a positive leading coefficient.  The
+    gcd is primitive, so by Gauss's lemma the quotient is integral and primitive."""
+    f = list(coefficients)
+    g = _gcd(f, [i * c for i, c in enumerate(f) if i], 0)
+    quotient = [0] * (len(f) - len(g) + 1)
+    for shift in range(len(quotient) - 1, -1, -1):
+        quotient[shift] = factor = f[shift + len(g) - 1] // g[-1]
+        f[shift : shift + len(g)] = [a - factor * c for a, c in zip(f[shift : shift + len(g)], g)]
+    return quotient if quotient[-1] > 0 else [-c for c in quotient]
 
 
 def _variations(coefficients: Sequence[int]) -> int:

@@ -2,7 +2,7 @@
 the separating-form oracle, which re-derives the rank and signature of the
 trace form without reading it.  Only `--check` loads this module, through
 `mismatch`, which runs them in that order on the ring of the report (its
-`source` is the basis) and on tau, the `Vector` that the solve computed.
+`source` is the basis), whose `traces` is the tau that the solve read.
 When a lex solve read its counts off chi of x_n (`quotient.charpoly_report`),
 the inertia of the trace form on that ring joins them, before the
 separating form: the two share `real_root_count`.
@@ -22,9 +22,9 @@ the solutions, chi's distinct roots count the complex ones and its real roots
 the real ones (Hermite's univariate theorem; Basu, Pollack and Roy, ch. 4).
 
 Univariate polynomials are integer coefficient lists, ascending, with a nonzero
-leading coefficient.  The squarefree test modulo a prime, the Descartes
-bisection that counts the real roots and Newton's identities are those of
-`quotient`, which a lex solve runs; the exact squarefree part over Z is here.
+leading coefficient.  The squarefree test modulo a prime, the exact
+squarefree part over Z, the Descartes bisection that counts the real roots
+and Newton's identities are those of `quotient`, which a lex solve runs.
 """
 
 from __future__ import annotations
@@ -33,11 +33,10 @@ from fractions import Fraction
 from itertools import accumulate, combinations, repeat
 from math import comb, lcm
 from operator import le
-from typing import Sequence
 
 from .linalg import Vector, apply, inertia, vector
-from .quotient import HermiteReport, QuotientBasis, _gcd, _shift, _source, hermite_form, newton_charpoly
-from .quotient import real_root_count, squarefree_mod_p, traces_of
+from .quotient import HermiteReport, QuotientBasis, _shift, _source, hermite_form, integer_squarefree_part
+from .quotient import newton_charpoly, real_root_count, squarefree_mod_p, traces_of
 
 
 def audit_basis(ring: QuotientBasis) -> None:
@@ -98,44 +97,33 @@ def _image(exps: tuple[int, ...], images: dict[tuple[int, ...], Vector], columns
     return image
 
 
-def integer_squarefree_part(coefficients: Sequence[int]) -> list[int]:
-    """f / gcd(f, f') for a primitive f, with a positive leading coefficient.  The
-    gcd is primitive, so by Gauss's lemma the quotient is integral and primitive."""
-    f = list(coefficients)
-    g = _gcd(f, [i * c for i, c in enumerate(f) if i], 0)
-    quotient = [0] * (len(f) - len(g) + 1)
-    for shift in range(len(quotient) - 1, -1, -1):
-        quotient[shift] = factor = f[shift + len(g) - 1] // g[-1]
-        f[shift : shift + len(g)] = [a - factor * c for a, c in zip(f[shift : shift + len(g)], g)]
-    return quotient if quotient[-1] > 0 else [-c for c in quotient]
-
-
-def separating_charpoly(ring: QuotientBasis, tau: Vector, k: int) -> list[int]:
+def separating_charpoly(ring: QuotientBasis, k: int) -> list[int]:
     """Characteristic polynomial of multiplication by l = sum of k^i * x_{i+1},
     as primitive integer coefficients, ascending.  Its roots are the values
     of l at the solutions, each with the solution's multiplicity.
 
     The columns of M_l are summed from the border columns, with c the lcm of
     their denominators.  The traces Tr(M_l^j) = tau . M_l^j * e_1 take one
-    sparse product on M_l each (e_1 holds the coordinates of 1, and `tau` is
-    the trace functional), and `quotient.newton_charpoly` turns them into
+    sparse product on M_l each (e_1 holds the coordinates of 1, and tau is
+    the ring's `traces`), and `quotient.newton_charpoly` turns them into
     chi; a Newton sum or identity that is not integral raises ValueError:
-    `tau` is not the trace functional.
+    tau is not the trace functional.
     """
     columns, dim = ring.columns, ring.dimension
     weights = ({v: k**v for v in range(len(columns))}, 1)
     summed = [apply([column[j] for column in columns], weights) for j in range(dim)]
     scale = lcm(*(den for _, den in summed))
     krylov = accumulate(repeat(summed, dim), lambda v, matrix: apply(matrix, v), initial=({0: 1}, 1))
-    return newton_charpoly(traces_of(tau, krylov)[1:], scale)
+    return newton_charpoly(traces_of(ring.traces, krylov)[1:], scale)
 
 
-def trace_mismatch(ring: QuotientBasis, tau: Vector) -> str | None:
-    """tau(1), entry 0 of `tau`, must be the quotient dimension, and tau(x_v),
-    for each variable that is a standard monomial, the diagonal sum of
-    M_{x_v}, read off the border columns without going through tau.  x_v is
-    b_i for the i with steps[i] == (v, 0), whatever its place in the order."""
-    (nums, den), dim = tau, ring.dimension
+def trace_mismatch(ring: QuotientBasis) -> str | None:
+    """tau(1), entry 0 of the ring's `traces`, must be the quotient
+    dimension, and tau(x_v), for each variable that is a standard monomial,
+    the diagonal sum of M_{x_v}, read off the border columns without going
+    through tau.  x_v is b_i for the i with steps[i] == (v, 0), whatever its
+    place in the order."""
+    (nums, den), dim = ring.traces, ring.dimension
     if dim and (one := Fraction(nums.get(0, 0), den)) != dim:
         return f"trace functional: tau(1) = {one} != dimension {dim}"
     index = {step: i for i, step in enumerate(ring.steps)}
@@ -146,7 +134,7 @@ def trace_mismatch(ring: QuotientBasis, tau: Vector) -> str | None:
     return None
 
 
-def separating_form_mismatch(ring: QuotientBasis, tau: Vector, rank: int, signature: int) -> str | None:
+def separating_form_mismatch(ring: QuotientBasis, rank: int, signature: int) -> str | None:
     """Rank and signature against the charpoly chi of l_k = sum of k^i * x_{i+1}.
 
     The roots of chi are the values of l_k at the solutions, so d, the degree
@@ -167,7 +155,7 @@ def separating_form_mismatch(ring: QuotientBasis, tau: Vector, rank: int, signat
     if rank > ring.dimension:
         return f"rank {rank} exceeds the quotient dimension {ring.dimension}"
     for k in range(1, comb(rank, 2) * max(nvars - 1, 0) + 2):
-        chi = separating_charpoly(ring, tau, k)
+        chi = separating_charpoly(ring, k)
         if nvars == 1:
             if vector(ring.source.generators[0]._term_dict())[0] != {(e,): c for e, c in enumerate(chi) if c}:
                 return "chi of x1 is not the primitive generator of the basis"
@@ -185,10 +173,9 @@ def separating_form_mismatch(ring: QuotientBasis, tau: Vector, rank: int, signat
 
 def inertia_mismatch(report: HermiteReport) -> str | None:
     """The rank and signature of `report`, read off chi of x_n, against the
-    inertia of the trace form that `quotient.hermite_form` builds on its ring
-    from its tau."""
+    inertia of the trace form that `quotient.hermite_form` builds on its ring."""
     ring = report.form.basis
-    result = inertia(hermite_form(ring.source, ring, report.form.traces).entries)
+    result = inertia(hermite_form(ring.source, ring).entries)
     if (result.rank, result.signature) != (report.rank, report.signature):
         return (
             f"chi of x_n gives rank {report.rank} and signature {report.signature}, "
@@ -199,11 +186,11 @@ def inertia_mismatch(report: HermiteReport) -> str | None:
 
 def mismatch(report: HermiteReport, lex: QuotientBasis | None = None) -> str | None:
     """Audits the ring of `report` and `lex`, a ring built from a converted
-    basis, each on its own basis; checks the trace functional that
-    `report.form` carries, then, when the form has no entries, the counts
-    against its inertia, and the rank and signature of `report` against the
-    separating linear form; a description of the first mismatch, or None."""
-    ring, tau = report.form.basis, report.form.traces
+    basis, each on its own basis; checks the trace functional of the ring,
+    then, when the form has no entries, the counts against its inertia, and
+    the rank and signature of `report` against the separating linear form; a
+    description of the first mismatch, or None."""
+    ring = report.form.basis
     try:
         audit_basis(ring)
         if lex is not None:
@@ -211,9 +198,9 @@ def mismatch(report: HermiteReport, lex: QuotientBasis | None = None) -> str | N
     except ValueError as exc:
         return f"Groebner basis audit: {exc}"
     try:
-        found = trace_mismatch(ring, tau)
+        found = trace_mismatch(ring)
         if found is None and report.form.entries is None:
             found = inertia_mismatch(report)
-        return found or separating_form_mismatch(ring, tau, report.rank, report.signature)
+        return found or separating_form_mismatch(ring, report.rank, report.signature)
     except ValueError as exc:
         return f"trace functional: {exc}"

@@ -275,22 +275,24 @@ def staircase_pool(seed: int) -> list[str]:
     return pool
 
 
+def dense_lines(rng: Random, nvars: int, degree: int) -> list[str]:
+    """perfbench's dense(nvars, degree) drawn from `rng`, as text: nvars
+    polynomials of total degree <= degree in x1..x<nvars>, with coefficients
+    in [-9, 9], nonzero on every top-degree monomial."""
+    nonzero = [c for c in range(-9, 10) if c]
+    exponents = [e for e in itertools.product(range(degree + 1), repeat=nvars) if sum(e) <= degree]
+    lines = []
+    for _ in range(nvars):
+        coeffs = {e: rng.choice(nonzero) if sum(e) == degree else rng.randint(-9, 9) for e in exponents}
+        lines.append("+".join(f"({c})" + "".join(f"*x{v + 1}^{a}" for v, a in enumerate(e)) for e, c in coeffs.items() if c))
+    return lines
+
+
 def trace_form_pool(seed: int) -> list[str]:
     """The 64 systems of perfbench's `trace-form` workload under `seed`, as
-    text: two dense polynomials of degree 4 in x1, x2 with coefficients in
-    [-9, 9], nonzero on degree 4, drawn from each instance's own stream.
-    Each quotient has dimension 16."""
-    nonzero = [c for c in range(-9, 10) if c]
-    exponents = [e for e in itertools.product(range(5), repeat=2) if sum(e) <= 4]
-    pool = []
-    for k in range(64):
-        rng = Random(f"trace-form:{seed}:{k}")
-        lines = []
-        for _ in range(2):
-            coeffs = {e: rng.choice(nonzero) if sum(e) == 4 else rng.randint(-9, 9) for e in exponents}
-            lines.append("+".join(f"({c})*x1^{a}*x2^{b}" for (a, b), c in coeffs.items() if c))
-        pool.append("\n".join(lines))
-    return pool
+    text: dense(2, 4), drawn from each instance's own stream.  Each quotient
+    has dimension 16."""
+    return ["\n".join(dense_lines(Random(f"trace-form:{seed}:{k}"), 2, 4)) for k in range(64)]
 
 
 def rand_dense_system(rng: Random, order: MonomialOrder, degree: int) -> list[Polynomial]:
@@ -768,11 +770,11 @@ def _division_traces(
     }
 
 
-def tau_by_monomial(form: HermiteForm) -> dict[Monomial, Fraction]:
+def tau_by_monomial(ring: QuotientBasis) -> dict[Monomial, Fraction]:
     """tau(b) = Tr(b) for each basis monomial b, read off the `Vector`
-    `form.traces` that `hermite_form` left on the form."""
-    nums, den = form.traces
-    return {m: Fraction(nums.get(k, 0), den) for k, m in enumerate(form.basis.monomials)}
+    `ring.traces`."""
+    nums, den = ring.traces
+    return {m: Fraction(nums.get(k, 0), den) for k, m in enumerate(ring.monomials)}
 
 
 def division_trace_functional(

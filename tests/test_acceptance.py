@@ -4,6 +4,7 @@ Every test prints one PASS/FAIL line (run with `pytest -s` to see them all);
 all assertions are exact except the explicit wall-clock bounds.
 """
 
+import functools
 import importlib
 import pkgutil
 import sys
@@ -257,7 +258,7 @@ COMPREHENSIONS = {"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"}
 
 def defined_functions(module):
     """{code object: name} of every def and lambda in `module`: its functions,
-    the methods and properties of its classes, the lambdas in its tables, and
+    the methods, properties and cached properties of its classes, the lambdas in its tables, and
     the functions nested in any of them.  Code objects are matched by
     identity, since Python 3.10 gives them no qualified name: a name is the
     function's __qualname__, or its parent's name and its own."""
@@ -272,6 +273,8 @@ def defined_functions(module):
             obj = obj.__func__
         if isinstance(obj, property):
             stack += [(key, f) for f in (obj.fget, obj.fset, obj.fdel)]
+        elif isinstance(obj, functools.cached_property):
+            stack.append((key, obj.func))
         elif isinstance(obj, type) and obj.__module__ == module.__name__:
             stack += vars(obj).items()
         elif isinstance(obj, dict):

@@ -530,14 +530,29 @@ def all_real(n):
 @pytest.mark.parametrize("flags", [[], ["--json"], ["--print-matrix"]])
 def test_lex_counts_in_shape_position_come_from_chi(monkeypatch, capsys, flags):
     # katsura-3 (D = 8) and all-real(6) (D = 64, at the cap): certified in
-    # shape position with chi of x_n squarefree, so neither the grevlex H nor
-    # its inertia is computed, and only the lex H is printed
+    # shape position with chi of x_n squarefree; {x1 - x2, x2^2}, whose chi
+    # t^2 is not, and {x1 - x2, x2^2 - 3*x2}, whose chi t^2 - 3t is t^2
+    # modulo 3, count on the squarefree part of chi over Z.  Neither the
+    # grevlex H nor its inertia is computed, and only the lex H is printed
     katsura_3 = ["x1+2*x2+2*x3+2*x4-1", "x1^2+2*x2^2+2*x3^2+2*x4^2-x1",
                  "2*x1*x2+2*x2*x3+2*x3*x4-x2", "x2^2+2*x1*x3+2*x2*x4-x3"]
-    for polys, counts in [(katsura_3, (8, 6)), (all_real(6), (64, 64))]:
+    cases = [  # the system, PRIME, the counts, and whether chi's exact squarefree part is taken
+        (katsura_3, None, (8, 6), False),
+        (all_real(6), None, (64, 64), False),
+        (["x1-x2", "x2^2"], None, (1, 1), True),
+        (["x1-x2", "x2^2-3*x2"], 3, (2, 2), True),
+    ]
+    for polys, prime, counts, exact in cases:
+        if prime is not None:
+            monkeypatch.setattr(quotient, "PRIME", prime)
         calls = count_hermite_and_inertia(monkeypatch)
+        converted, parts = [], []
+        true_part = quotient.integer_squarefree_part
+        monkeypatch.setattr(cli, "fglm", lambda ring, order: converted.append(order))
+        monkeypatch.setattr(quotient, "integer_squarefree_part", lambda chi: parts.append(chi) or true_part(chi))
         assert main(["solve", *(f"--poly={p}" for p in polys), "--order", "lex", *flags]) == EXIT_OK
-        assert calls == []
+        assert calls == [] and converted == []
+        assert len(parts) == exact
         out = capsys.readouterr().out
         if "--json" in flags:
             payload = json.loads(out)
@@ -550,18 +565,12 @@ def test_lex_counts_in_shape_position_come_from_chi(monkeypatch, capsys, flags):
 
 
 @pytest.mark.parametrize(
-    "polys, prime, dimension, counts",
-    [
-        (["x1-x2", "x2^2"], None, 2, (1, 1)),  # chi = t^2: the ideal is not radical
-        (all_real(7), None, 128, (128, 128)),  # D above the cap
-        (["x1-x2", "x2^2-3*x2"], 3, 2, (2, 2)),  # chi = t^2 - 3t is t^2 modulo 3: an unlucky prime
-    ],
-    ids=["not-squarefree", "above-the-cap", "unlucky-prime"],
+    "polys, dimension, counts",
+    [(all_real(7), 128, (128, 128))],  # in shape position, D above the cap
+    ids=["above-the-cap"],
 )
-def test_lex_counts_fall_back_to_the_inertia_of_h(monkeypatch, capsys, polys, prime, dimension, counts):
-    # each in shape position, so FGLM does not run
-    if prime is not None:
-        monkeypatch.setattr(quotient, "PRIME", prime)
+def test_lex_counts_fall_back_to_the_inertia_of_h(monkeypatch, capsys, polys, dimension, counts):
+    # in shape position, so FGLM does not run
     calls = count_hermite_and_inertia(monkeypatch)
     converted = []
     monkeypatch.setattr(cli, "fglm", lambda ring, order: converted.append(order))
@@ -572,6 +581,56 @@ def test_lex_counts_fall_back_to_the_inertia_of_h(monkeypatch, capsys, polys, pr
     assert f"number of complex solutions: {counts[0]}" in out
     assert f"number of real solutions: {counts[1]}" in out
     assert quotient.MAX_CHARPOLY_DIMENSION < 128
+
+
+def spy_on_tau(monkeypatch):
+    """The parent chain of each `_traces` call and the matrix of each
+    `transpose` call that `quotient` makes.  Both stay referenced, so two
+    entries are the same ring's, or the same variable's, exactly when they
+    are the same object."""
+    traced, transposed = [], []
+    true_traces, true_transpose = quotient._traces, quotient.transpose
+
+    def traces(matrices, steps):
+        traced.append(steps)
+        return true_traces(matrices, steps)
+
+    def transpose(columns):
+        transposed.append(columns)
+        return true_transpose(columns)
+
+    monkeypatch.setattr(quotient, "_traces", traces)
+    monkeypatch.setattr(quotient, "transpose", transpose)
+    return traced, transposed
+
+
+def test_tau_and_the_transposes_are_built_once_per_ring(monkeypatch, capsys):
+    # In and out of shape position, radical or not, through FGLM, change_order
+    # and the lex fallback above the chi cap (all-real(7), D = 128): each ring
+    # runs `_traces` at most once, and transposes each matrix at most once.
+    systems = [
+        ["x1*x2+x2-1", "x1^2+x2^2-1"],
+        ["x1-x2", "x2^2"],
+        ["(x1^2-2)^2*(x1+1)"],
+        ["3*x1-x2^2", "x2^3-x2"],
+        ["x2^2-x1*x3", "x1^3-1", "x3^3-2"],
+        ["x1^2-1", "x2^2-2", "x3^2-3"],
+    ]
+    corpus = [
+        (system, kind, flags)
+        for system in systems
+        for kind in ORDER_KINDS
+        for flags in ([], ["--json"], ["--check"], ["--json", "--check"])
+    ]
+    corpus += [(all_real(7), LEX, flags) for flags in ([], ["--check"])]
+    for polys, kind, flags in corpus:
+        traced, transposed = spy_on_tau(monkeypatch)
+        assert main(["solve", *(f"--poly={p}" for p in polys), "--order", kind, *flags]) == EXIT_OK
+        capsys.readouterr()
+        assert traced, (polys, kind, flags)
+        assert len(set(map(id, traced))) == len(traced), (polys, kind, flags)
+        assert len(set(map(id, transposed))) == len(transposed), (polys, kind, flags)
+        monkeypatch.undo()
 
 
 def test_check_catches_a_wrong_real_count_from_chi(monkeypatch, capsys):
@@ -593,8 +652,7 @@ def test_check_catches_a_wrong_real_count_from_chi(monkeypatch, capsys):
     assert "chi of x_n gives rank 4 and signature 3, the trace form 4 and 2" in capsys.readouterr().err
     report = cli._solve_text("x1*x2+x2-1\nx1^2+x2^2-1", LEX).report
     assert report.form.entries is None and (report.rank, report.signature) == (4, 3)
-    ring, tau = report.form.basis, report.form.traces
-    assert separating.separating_form_mismatch(ring, tau, report.rank, report.signature) is None
+    assert separating.separating_form_mismatch(report.form.basis, report.rank, report.signature) is None
 
 
 def test_lex_solve_exit_codes_come_from_the_grevlex_ring(capsys):

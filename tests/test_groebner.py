@@ -555,11 +555,12 @@ def test_fglm_rejects_a_foreign_ring():
 
 # The shape certificate against FGLM on the same systems: when it passes,
 # FGLM's lex staircase is 1, x_n, ..., x_n^(D-1), and the Hankel matrix of
-# the traces is the lex H, entry for entry and type for type.  When chi of
-# x_n gives the counts, they are the inertia of the grevlex H.
+# the traces is the lex H, entry for entry and type for type.  The counts
+# that chi of x_n gives are the inertia of the grevlex H, on radical and
+# non-radical ideals alike.
 
 
-def shape_certificate_against_fglm(polys, from_chi):
+def shape_certificate_against_fglm(polys, non_radical):
     nvars = polys[0].nvars
     ring = buchberger(polys, MonomialOrder(GREVLEX, nvars))
     quotient = standard_monomials(ring)
@@ -578,15 +579,14 @@ def shape_certificate_against_fglm(polys, from_chi):
     for exps, (nums, den) in zip(powers, krylov):
         power = normal_form(Polynomial(ring.order, {Monomial(exps): 1}), ring)
         assert {index[m]: c for m, c in power.terms} == {k: Fraction(x, den) for k, x in nums.items()}
-    form = hermite_form(ring, quotient)
-    report = charpoly_report(quotient, form.traces, krylov)
-    if report is not None:
-        result = inertia(form.entries)
-        assert (report.rank, report.signature) == (result.rank, result.signature)
-        assert (report.complex_count, report.real_count) == (result.rank, result.signature)
-        assert report.form.basis is quotient and report.form.traces == form.traces
-        from_chi.append(quotient.dimension)
-    got, expected = hankel_form(form, staircase, krylov), hermite_form(lex, lex_ring)
+    report = charpoly_report(quotient, krylov)
+    result = inertia(hermite_form(ring, quotient).entries)
+    assert (report.rank, report.signature) == (result.rank, result.signature)
+    assert (report.complex_count, report.real_count) == (result.rank, result.signature)
+    assert report.form.basis is quotient and report.form.entries is None
+    if report.rank < quotient.dimension:
+        non_radical.append(quotient.dimension)
+    got, expected = hankel_form(quotient, staircase, krylov), hermite_form(lex, lex_ring)
     assert got == expected
     assert [list(map(type, row)) for row in got.entries] == [list(map(type, row)) for row in expected.entries]
     return True
@@ -597,9 +597,9 @@ def test_shape_certificate_on_the_fglm_test_sets():
     systems += [polys for _, _, polys in random_systems(GREVLEX)]
     systems += [polys for _, _, polys in rational_systems(GREVLEX)]
     dense = [rand_dense_system(Random(seed), MonomialOrder(GREVLEX, 3), 2) for seed in range(3)]
-    from_chi = []
-    certified = [shape_certificate_against_fglm(polys, from_chi) for polys in systems + dense]
+    non_radical = []
+    certified = [shape_certificate_against_fglm(polys, non_radical) for polys in systems + dense]
     assert certified[-3:] == [True] * 3
     assert 0 < certified.count(False) < certified.count(True)
-    # the systems that are not radical fall back to the inertia of H
-    assert 0 < len(from_chi) < certified.count(True)
+    # chi counts on its squarefree part where the ideal is not radical
+    assert 0 < len(non_radical) < certified.count(True)

@@ -26,23 +26,25 @@ from hermitecount import (
     parse_system,
     standard_monomials,
 )
-from hermitecount import groebner, quotient, separating
+from hermitecount import groebner, linalg, quotient, separating
 from hermitecount.groebner import is_zero_dimensional
 from hermitecount.linalg import lowest
 from hermitecount.parsing import format_monomial
 from hermitecount.quotient import (
     DimensionLimitError,
     _shift,
-    _transposed,
+    charpoly_report,
     hankel_form,
     shape_position,
 )
 from hermitecount.separating import audit_basis
 
 from support import (
+    DENSE_2_5,
     FIXTURE_SYSTEMS,
     basis_index,
     box_standard_monomials,
+    dense_lines,
     division_hermite_form,
     division_multiplication_matrix,
     division_trace_functional,
@@ -117,7 +119,7 @@ def test_multiplication_by_x1_reduces_to_identity(nilpotent_basis):
 
 def test_trace_functional_values(nilpotent_basis):
     quotient = standard_monomials(nilpotent_basis)
-    tau = tau_by_monomial(hermite_form(nilpotent_basis, quotient))
+    tau = tau_by_monomial(quotient)
     assert tau[Monomial((0, 0))] == 2  # trace of the identity = dim A
     assert tau[Monomial((0, 1))] == 0  # nilpotent multiplier
 
@@ -126,7 +128,7 @@ def test_trace_functional_is_linear_in_the_element():
     rng = Random(20240816)
     basis = system_basis("x1*x2+x2-1\nx1^2+x2^2-1")
     quotient = standard_monomials(basis)
-    tau = tau_by_monomial(hermite_form(basis, quotient))
+    tau = tau_by_monomial(quotient)
     for _ in range(20):
         g = rand_polynomial(rng, ORDER2, max_terms=5, max_exponent=3, bound=9)
         by_table = sum(
@@ -278,7 +280,7 @@ def assert_matches_division_route(basis):
         assert border_matrix(quotient, v) == division_multiplication_matrix(x_v, basis, quotient).entries
     form = hermite_form(basis, quotient)
     assert form == division_hermite_form(basis, quotient)
-    assert tau_by_monomial(form) == division_trace_functional(basis, quotient)
+    assert tau_by_monomial(quotient) == division_trace_functional(basis, quotient)
 
 
 @pytest.mark.parametrize("kind", ORDER_KINDS)
@@ -300,7 +302,7 @@ def test_random_systems_match_division_route(kind):
 def assert_parent_chain(basis):
     """steps[i] = (v, p) writes b_i = x_v * b_p with p the smallest index of
     a standard monomial that b_i is one variable times, and M_{x_v} maps b_p
-    to e_i; `_transposed` holds every variable of the chain."""
+    to e_i; `transposed` holds every variable of the chain."""
     quotient = standard_monomials(basis)
     exps = [m.exponents for m in quotient.monomials]
     steps = quotient.steps
@@ -312,7 +314,7 @@ def assert_parent_chain(basis):
         assert p == min(parents) < i
         assert exps[i] == tuple(e + (u == v) for u, e in enumerate(exps[p]))
         assert quotient.columns[v][p] == ({i: 1}, 1)
-    assert set(_transposed(quotient)) == {v for v, _ in steps[1:]}
+    assert set(quotient.transposed) == {v for v, _ in steps[1:]}
 
 
 @pytest.mark.parametrize("kind", ORDER_KINDS)
@@ -502,9 +504,8 @@ def test_traces_match_the_pending_list_pass():
     bases.append(system_basis("\n".join(f"x{i}^2-{i}" for i in range(1, 7))))
     for basis in bases:
         ring = standard_monomials(basis)
-        transposed = _transposed(ring)
-        tau = quotient._traces(transposed, ring.steps)
-        assert tau == pending_traces(transposed, ring.steps)
+        tau = ring.traces
+        assert tau == pending_traces(ring.transposed, ring.steps)
         assert tau == lowest(*tau)
 
 
@@ -644,15 +645,52 @@ def test_audit_refuses_a_foreign_original_without_the_engines_division(monkeypat
 )
 def test_shape_position_edge_ideals(text, dimension):
     # no variables, the unit ideal, and D = 1 pass at once with an empty or
-    # unit Krylov basis; in one variable every ideal is in shape position
+    # unit Krylov basis; in one variable every ideal is in shape position.
+    # chi counts as the inertia of H, with no variable as well
     basis = system_basis(text)
-    form = hermite_form(basis, standard_monomials(basis))
-    staircase, krylov = shape_position(form.basis)
+    ring = standard_monomials(basis)
+    staircase, krylov = shape_position(ring)
     nvars = basis.order.nvars
     assert staircase.order == MonomialOrder(LEX, nvars) and staircase.dimension == dimension
     assert len(krylov) == dimension and krylov[:1] in ([], [({0: 1}, 1)])
     lex = standard_monomials(system_basis(text, LEX))
-    assert hankel_form(form, staircase, krylov) == hermite_form(lex.source, lex)
+    assert hankel_form(ring, staircase, krylov) == hermite_form(lex.source, lex)
+    report, result = charpoly_report(ring, krylov), linalg.inertia(hermite_form(basis, ring).entries)
+    assert (report.rank, report.signature, report.quotient_dimension) == (result.rank, result.signature, dimension)
+
+
+def test_chi_counts_non_radical_rings_as_the_inertia_of_h(monkeypatch):
+    # In shape position, the distinct and the real roots of chi of x_n, read
+    # off its exact squarefree part, are the rank and the signature of the
+    # grevlex H: on dense systems with a squared first polynomial (every
+    # solution double), a double root, a squared factor in one variable, and
+    # a squarefree chi that an unlucky prime makes look square.
+    def squared(lines):
+        return [f"({lines[0]})^2", *lines[1:]]
+
+    assert parse_system("\n".join(dense_lines(Random(1), 2, 5))) == parse_system("\n".join(DENSE_2_5))
+    systems = [squared(dense_lines(Random(seed), n, d)) for n, d in ((3, 3), (2, 5)) for seed in range(1, 6)]
+    systems += [squared(dense_lines(Random(1), 2, 4)), ["x1-x2", "x2^2"], ["(x1^2-2)^2*(x1+1)"]]
+    parts = []
+    true_part = quotient.integer_squarefree_part
+    monkeypatch.setattr(quotient, "integer_squarefree_part", lambda chi: parts.append(chi) or true_part(chi))
+
+    def chi_against_h(polys):
+        basis = system_basis("\n".join(polys))
+        ring = standard_monomials(basis)
+        _, krylov = shape_position(ring)
+        assert ring.dimension <= quotient.MAX_CHARPOLY_DIMENSION
+        report = charpoly_report(ring, krylov)
+        result = linalg.inertia(hermite_form(basis, ring).entries)
+        assert (report.rank, report.signature) == (result.rank, result.signature), polys
+        assert (report.complex_count, report.real_count) == (result.rank, result.signature), polys
+        return report.rank, ring.dimension
+
+    for count, polys in enumerate(systems, 1):
+        rank, dimension = chi_against_h(polys)
+        assert rank < dimension and len(parts) == count
+    monkeypatch.setattr(quotient, "PRIME", 3)  # chi = t^2 - 3t is t^2 modulo 3
+    assert chi_against_h(["x1-x2", "x2^2-3*x2"]) == (2, 2) and len(parts) == len(systems) + 1
 
 
 def test_shape_position_fails_on_an_unlucky_prime(monkeypatch):

@@ -23,6 +23,7 @@ from hermitecount import (
     linalg,
     parse_system,
     quotient,
+    standard_monomials,
 )
 from hermitecount import separating
 from hermitecount.cli import EXIT_OK, EXIT_ORACLE_MISMATCH, RunConfiguration, main, run_solve
@@ -81,14 +82,8 @@ def linear_form(order, k):
     return Polynomial(order, {Monomial(int(v == i) for v in range(n)): k**i for i in range(n)})
 
 
-def ring_and_tau(basis):
-    """The ring of `basis` and the trace functional that its Hermite form carries."""
-    form = hermite_report(basis).form
-    return form.basis, form.traces
-
-
 def oracle(basis, rank, signature):
-    return separating.separating_form_mismatch(*ring_and_tau(basis), rank, signature)
+    return separating.separating_form_mismatch(standard_monomials(basis), rank, signature)
 
 
 def argv(polys):
@@ -101,9 +96,9 @@ def used_k(monkeypatch):
     calls = []
     original = separating.separating_charpoly
 
-    def spy(q, tau, k):
+    def spy(q, k):
         calls.append(k)
-        return original(q, tau, k)
+        return original(q, k)
 
     monkeypatch.setattr(separating, "separating_charpoly", spy)
     return calls
@@ -112,21 +107,21 @@ def used_k(monkeypatch):
 @pytest.mark.parametrize("kind", ORDER_KINDS)
 def test_charpoly_matches_berkowitz_on_the_multiplication_matrix(kind):
     for name, basis in fixture_bases(kind):
-        q, tau = ring_and_tau(basis)
+        q = standard_monomials(basis)
         for k in (1, 2, 5):
             matrix = division_multiplication_matrix(linear_form(basis.order, k), basis, q)
             expected = primitive(berkowitz_charpoly(matrix.entries))
-            assert separating_charpoly(q, tau, k) == expected, (name, k)
+            assert separating_charpoly(q, k) == expected, (name, k)
 
 
 def test_charpoly_matches_berkowitz_on_a_dense_system():
     _, polys = parse_system("\n".join(DENSE_3_3))
     basis = buchberger(polys, polys[0].order)
-    q, tau = ring_and_tau(basis)
+    q = standard_monomials(basis)
     matrix = division_multiplication_matrix(linear_form(basis.order, 1), basis, q)
     assert q.dimension == 27
     expected = primitive(berkowitz_charpoly(matrix.entries))
-    assert separating_charpoly(q, tau, 1) == expected
+    assert separating_charpoly(q, 1) == expected
 
 
 @pytest.mark.parametrize("kind", ORDER_KINDS)
@@ -164,7 +159,7 @@ def test_symmetric_pair_needs_k_2(used_k, capsys):
 def test_non_radical_pair_takes_the_exact_path(used_k, capsys):
     _, polys = parse_system("\n".join(NON_RADICAL_PAIR))
     basis = buchberger(polys, polys[0].order)
-    assert not squarefree_mod_p(separating_charpoly(*ring_and_tau(basis), 1))
+    assert not squarefree_mod_p(separating_charpoly(standard_monomials(basis), 1))
     assert main(argv(NON_RADICAL_PAIR)) == EXIT_OK
     assert used_k == [1]
     out = capsys.readouterr().out
@@ -200,23 +195,14 @@ def test_unit_ideal_passes(capsys):
     assert "number of complex solutions: 0" in capsys.readouterr().out
 
 
-def test_check_reads_tau_off_the_hermite_form(monkeypatch):
-    """`mismatch` takes tau from the `_traces` pass that `hermite_form` ran,
-    which equals the trace functional of the division route on the same
-    ring."""
+def test_ring_traces_are_the_division_trace_functional():
+    """The tau that a ring owns, which `hermite_form` and `mismatch` read,
+    equals the trace functional of the division route on the same ring."""
     for kind in ORDER_KINDS:
         for seed, order, polys in chain(random_systems(kind), rational_systems(kind)):
             basis = buchberger(polys, order)
-            form = hermite_report(basis).form
-            assert tau_by_monomial(form) == division_trace_functional(basis, form.basis), seed
-
-    def forbidden(*args):
-        raise AssertionError("the check computed tau again")
-
-    _, polys = parse_system("\n".join(CIRCLE_HYPERBOLA))
-    report = hermite_report(buchberger(polys, polys[0].order))
-    monkeypatch.setattr(quotient, "_traces", forbidden)
-    assert separating.mismatch(report) is None
+            ring = standard_monomials(basis)
+            assert tau_by_monomial(ring) == division_trace_functional(basis, ring), seed
 
 
 def test_oracle_never_reads_h_or_berkowitz(monkeypatch):
@@ -227,7 +213,7 @@ def test_oracle_never_reads_h_or_berkowitz(monkeypatch):
     _, polys = parse_system("\n".join(CIRCLE_HYPERBOLA))
     basis = buchberger(polys, polys[0].order)
     report = hermite_report(basis)
-    blank = HermiteForm((), report.form.basis, report.form.traces)
+    blank = HermiteForm((), report.form.basis)
     blind = HermiteReport(blank, report.rank, report.signature, 4, 2, report.quotient_dimension)
     assert separating.mismatch(blind) is None
 
@@ -292,15 +278,21 @@ def test_check_exits_4_on_a_wrong_trace_functional(monkeypatch, capsys, polys, e
     assert message in err.getvalue()
 
 
-def test_a_fractional_trace_gives_a_fractional_newton_sum():
+def test_a_fractional_trace_gives_a_fractional_newton_sum(monkeypatch):
     _, polys = parse_system("\n".join(CIRCLE_HYPERBOLA))
     basis = buchberger(polys, polys[0].order)
-    q, (nums, den) = ring_and_tau(basis)
-    assert separating_charpoly(q, (nums, den), 1) == [7, -6, -4, 2, 1]
-    tau = {k: Fraction(nums.get(k, 0), den) for k in range(q.dimension)}
-    tau[3] += Fraction(1, 3)
+    assert separating_charpoly(standard_monomials(basis), 1) == [7, -6, -4, 2, 1]
+    true_traces = quotient._traces
+
+    def fractional(transposed, steps):
+        nums, den = true_traces(transposed, steps)
+        tau = {k: Fraction(x, den) for k, x in nums.items()}
+        tau[3] = tau.get(3, 0) + Fraction(1, 3)
+        return linalg.vector(tau)
+
+    monkeypatch.setattr(quotient, "_traces", fractional)
     with pytest.raises(ValueError, match="Newton sum 3 of a linear form is not an integer"):
-        separating_charpoly(q, linalg.vector(tau), 1)
+        separating_charpoly(standard_monomials(basis), 1)
 
 
 @pytest.mark.parametrize("kind", ["lex", "grevlex"])
@@ -313,7 +305,7 @@ def test_chi_of_x1_is_the_primitive_generator(kind):
         a, b = rand_monic_univariate(rng, 3), rand_monic_univariate(rng, 3)
         basis = buchberger([to_multivariate(f * a, order), to_multivariate(f * b, order)], order)
         expected = primitive(poly_gcd(f * a, f * b))
-        assert separating_charpoly(*ring_and_tau(basis), 1) == expected, (f, a, b)
+        assert separating_charpoly(standard_monomials(basis), 1) == expected, (f, a, b)
 
 
 @pytest.mark.parametrize("delta, chi", [(-2, [0, -1, 0, 1]), (2, [0, -3, 0, 1])], ids=["-2", "+2"])
@@ -334,7 +326,7 @@ def test_check_exits_4_when_chi_of_x1_is_not_the_generator(monkeypatch, delta, c
     _, polys = parse_system("x1^3-2*x1")
     basis = buchberger(polys, polys[0].order)
     report = hermite_report(basis)
-    assert separating_charpoly(report.form.basis, report.form.traces, 1) == chi
+    assert separating_charpoly(report.form.basis, 1) == chi
     if delta < 0:
         assert squarefree_mod_p(chi)
         assert (report.rank, report.signature) == (len(chi) - 1, real_root_count(chi)) == (3, 3)

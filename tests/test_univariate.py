@@ -9,8 +9,7 @@ import pytest
 
 from hermitecount import GREVLEX, MonomialOrder, buchberger, hermite_report
 from hermitecount.linalg import inertia
-from hermitecount.quotient import PRIME, real_root_count, squarefree_mod_p
-from hermitecount.separating import integer_squarefree_part
+from hermitecount.quotient import PRIME, integer_squarefree_part, real_root_count, squarefree_mod_p
 from hermitecount.univariate import UnivariatePolynomial, poly_gcd, squarefree_part, sturm_count
 
 from support import classic_hermite_matrix, newton_sums, primitive, rand_monic_univariate, to_multivariate
