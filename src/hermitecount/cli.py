@@ -4,7 +4,7 @@ the scaling benchmark families.
 A solve parses the input and runs Buchberger in grevlex, whatever the
 order, so exits 3 and 6 come from that ring: the signature engine computes
 the basis of each input in turn, and in grlex those intermediate bases can
-be far larger than the final one (katsura-5: 44 s in grlex, 0.04 s in
+be far larger than the final one (katsura-5: 44 s in grlex, 0.01 s in
 grevlex, on 2 x86-64 vCPUs).  Under grlex, `quotient.change_order` turns the
 basis into the grlex one, and the report (the staircase, the Hermite matrix
 and the counts) is built once, on the grlex ring.  Under grevlex, the counts

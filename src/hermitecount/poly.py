@@ -55,16 +55,14 @@ class Monomial:
         return f"Monomial{self.exponents}"
 
 
-# Sort keys on exponent tuples, two per order kind: ascending(a) <
-# ascending(b) iff a < b, and descending reverses that, so a plain sort or a
-# min-heap under it yields the largest monomial first.  The ascending lex key
-# is the tuple itself, which `tuple` returns as it is given.  grevlex: on a
-# degree tie the last differing exponent decides, smaller exponent meaning the
-# larger monomial.
+# Descending sort keys on exponent tuples, one per order kind: key(a) < key(b)
+# iff a > b, so a plain sort under it yields the largest monomial first.
+# grevlex: on a degree tie the last differing exponent decides, smaller
+# exponent meaning the larger monomial.
 _KEYS = {
-    LEX: (tuple, lambda e: tuple(map(neg, e))),
-    GRLEX: (lambda e: (sum(e), e), lambda e: (-sum(e), tuple(map(neg, e)))),
-    GREVLEX: (lambda e: (sum(e), tuple(map(neg, reversed(e)))), lambda e: (-sum(e), e[::-1])),
+    LEX: lambda e: tuple(map(neg, e)),
+    GRLEX: lambda e: (-sum(e), tuple(map(neg, e))),
+    GREVLEX: lambda e: (-sum(e), e[::-1]),
 }
 
 
@@ -76,11 +74,12 @@ class MonomialOrder:
     first; `grevlex` breaks degree ties at the last differing exponent, the
     smaller exponent winning.
 
-    `exponent_key` and `descending_key` are the order's sort keys on raw
-    exponent tuples, ascending and descending, without validation.
+    `descending_key` is the order's sort key on raw exponent tuples,
+    largest first, without validation; `weight` gives the integer keys that
+    the Groebner engine and the staircase walks compute with.
     """
 
-    __slots__ = ("kind", "nvars", "exponent_key", "descending_key")
+    __slots__ = ("kind", "nvars", "descending_key")
 
     def __init__(self, kind: str, nvars: int):
         if kind not in ORDER_KINDS:
@@ -89,7 +88,25 @@ class MonomialOrder:
             raise ValueError("variable count must be non-negative")
         self.kind = kind
         self.nvars = nvars
-        self.exponent_key, self.descending_key = _KEYS[kind]
+        self.descending_key = _KEYS[kind]
+
+    def weight(self, var: int, base: int) -> int:
+        """The integer weight w_var of the order's linear form: on exponent
+        vectors e with every entry below `base`, the key sum of e_v * w_v
+        ascends exactly as the order does, and x_v * m has the key of m plus
+        w_v (Bachmann and Schoenemann 1998).  With W = `base` and n variables,
+        the key is e read in base W, most significant digit first: under lex
+        w_v = W^(n-1-v); under grlex the degree is one more digit, w_v = W^n +
+        W^(n-1-v); under grevlex the digits are reversed and subtracted from
+        it, w_v = W^n - W^v, so that a larger last exponent makes the smaller
+        monomial.  One variable at a time, so that a caller pays only for the
+        variables it meets."""
+        n = self.nvars
+        if self.kind == LEX:
+            return base ** (n - 1 - var)
+        if self.kind == GRLEX:
+            return base**n + base ** (n - 1 - var)
+        return base**n - base**var
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -52,7 +52,7 @@ from typing import Iterable, Sequence
 from . import linalg
 from .groebner import GroebnerBasis, NotZeroDimensionalError, is_zero_dimensional
 from .linalg import Scalar, Vector, apply, lowest, transpose, vector
-from .poly import GRLEX, LEX, Monomial, MonomialOrder, Polynomial
+from .poly import LEX, Monomial, MonomialOrder, Polynomial
 
 # The parent chain: steps[i] = (v, p) for b_i = x_v * b_p, None for b_0 = 1.
 Steps = list[tuple[int, int] | None]
@@ -141,23 +141,6 @@ def _shift(exps: tuple[int, ...], var: int, step: int) -> tuple[int, ...]:
     return exps[:var] + (exps[var] + step,) + exps[var + 1 :]
 
 
-def _weights(order: MonomialOrder, bound: int) -> list[int]:
-    """Integer weights w_v of the order's linear form: on exponent vectors e
-    with every entry below `bound`, the key sum of e_v * w_v ascends exactly
-    as the order does, and x_v * m has the key of m plus w_v (Bachmann and
-    Schoenemann 1998).  With W = `bound` and n variables, the key is e read
-    in base W, most significant digit first: under lex w_v = W^(n-1-v); under
-    grlex the degree is one more digit, w_v = W^n + W^(n-1-v); under grevlex
-    the digits are reversed and subtracted from it, w_v = W^n - W^v, so that
-    a larger last exponent makes the smaller monomial."""
-    n = order.nvars
-    if order.kind == LEX:
-        return [bound ** (n - 1 - v) for v in range(n)]
-    if order.kind == GRLEX:
-        return [bound**n + bound ** (n - 1 - v) for v in range(n)]
-    return [bound**n - bound**v for v in range(n)]
-
-
 def standard_monomials(basis: GroebnerBasis) -> QuotientBasis:
     """All monomials under the staircase (divisible by no leading monomial),
     ascending by the order, carrying the ring they span; they form a linear
@@ -174,10 +157,10 @@ def standard_monomials(basis: GroebnerBasis) -> QuotientBasis:
     the pure-power box.  Past MAX_DIMENSION standard monomials,
     DimensionLimitError is raised at once, before any quotient work.
 
-    The heap holds one int per monomial, its key under `_weights` with W = 2
-    plus the largest leading exponent: every standard exponent is below the
-    pure power that bounds its variable, and a product exceeds it by one at
-    most, so the int order is the monomial order on every pushed monomial.
+    The heap holds one int per monomial, its key under the order's
+    `weight`s with W = 2 plus the largest leading exponent: every standard
+    exponent is below the pure power that bounds its variable, and a product
+    exceeds it by one at most, so the int order is the monomial order on every pushed monomial.
     A product's key is its parent's plus w_v, and a popped monomial's
     exponents are built once, from its first parent's.
 
@@ -195,7 +178,8 @@ def standard_monomials(basis: GroebnerBasis) -> QuotientBasis:
         raise NotZeroDimensionalError("the ideal is not zero-dimensional")
     order = basis.order
     leads = [g.leading_monomial().exponents for g in basis.generators]
-    weights = _weights(order, 2 + max(chain.from_iterable(leads), default=0))
+    bound = 2 + max(chain.from_iterable(leads), default=0)
+    weights = [order.weight(v, bound) for v in range(order.nvars)]
     leading = {sum(map(mul, e, weights)): g for e, g in zip(leads, basis.generators)}
     one = (0,) * order.nvars
     heap, parents = [0], {0: []}
@@ -282,9 +266,9 @@ def fglm(ring: QuotientBasis, order: MonomialOrder) -> GroebnerBasis:
     coordinate left, m + sum of w[~k] / w[~j] * s_k over k < j is the next
     monic generator; otherwise w joins the echelon and the products x_u * m
     are pushed.  At most dim * nvars + 1 monomials are popped, each reduced
-    in O(dim^2).  The heap is keyed by `_weights` with W = dim + 2: a target
-    standard monomial has dim standard divisors, so each of its exponents
-    is below dim, and a pushed product's is at most dim.
+    in O(dim^2).  The heap is keyed by the order's `weight`s with W = dim +
+    2: a target standard monomial has dim standard divisors, so each of its
+    exponents is below dim, and a pushed product's is at most dim.
 
     The generators are found ascending, and the input polynomials come along
     re-sorted under `order`: the result is `==` to
@@ -293,7 +277,7 @@ def fglm(ring: QuotientBasis, order: MonomialOrder) -> GroebnerBasis:
     basis, columns = _source(ring), ring.columns
     if order.nvars != basis.order.nvars:
         raise ValueError(f"order has {order.nvars} variables, the basis has {basis.order.nvars}")
-    weights = _weights(order, ring.dimension + 2)
+    weights = [order.weight(v, ring.dimension + 2) for v in range(order.nvars)]
     heap, seen = [(0, (0,) * order.nvars, None)], {0}
     stair: list[tuple[int, ...]] = []
     forms: list[Vector] = []
@@ -345,7 +329,7 @@ def change_order(basis: GroebnerBasis, order: MonomialOrder) -> GroebnerBasis:
     generators = [g.with_order(order) for g in basis.generators]
     if not is_zero_dimensional(basis) or any(g.terms[0][0] != h.terms[0][0] for g, h in zip(generators, basis)):
         return fglm(standard_monomials(basis), order)
-    generators.sort(key=lambda g: order.exponent_key(g.terms[0][0].exponents))
+    generators.sort(key=lambda g: order.descending_key(g.terms[0][0].exponents), reverse=True)
     original = tuple(p if p.order == order else p.with_order(order) for p in basis.original)
     return GroebnerBasis(tuple(generators), order, original)
 

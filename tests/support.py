@@ -8,12 +8,14 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, le, sub
+from operator import add, le, neg, sub
 from random import Random
 from typing import Sequence
 
 from hermitecount import (
     GREVLEX,
+    GRLEX,
+    LEX,
     GroebnerBasis,
     HermiteForm,
     Monomial,
@@ -23,7 +25,8 @@ from hermitecount import (
     QuotientBasis,
     parse_system,
 )
-from hermitecount.groebner import Generator, _primitive, _reduce, is_zero_dimensional
+from hermitecount import groebner
+from hermitecount.groebner import _primitive, is_zero_dimensional
 from hermitecount.linalg import (
     Scalar,
     Vector,
@@ -40,6 +43,20 @@ from hermitecount.univariate import UnivariatePolynomial
 
 
 Matrix = list[list[Fraction]]
+
+# Ascending sort keys on exponent tuples, one per order kind: key(a) < key(b)
+# iff a < b.  The lex key is the tuple itself; `MonomialOrder.descending_key`
+# is the reverse that `src` sorts by.
+_ASCENDING = {
+    LEX: tuple,
+    GRLEX: lambda e: (sum(e), e),
+    GREVLEX: lambda e: (sum(e), tuple(map(neg, reversed(e)))),
+}
+
+
+def exponent_key(order: MonomialOrder):
+    """The order's ascending sort key on raw exponent tuples."""
+    return _ASCENDING[order.kind]
 
 
 def as_matrix(entries: Sequence[Sequence[Scalar]]) -> Matrix:
@@ -496,7 +513,7 @@ def naive_buchberger(polys: Sequence[Polynomial], order: MonomialOrder) -> Groeb
         for s in range(t):
             lm_s = basis[s].leading_monomial().exponents
             if any(a and b for a, b in zip(lm_s, lm_t)):
-                heapq.heappush(pairs, (order.exponent_key(tuple(map(max, lm_s, lm_t))), s, t))
+                heapq.heappush(pairs, (exponent_key(order)(tuple(map(max, lm_s, lm_t))), s, t))
 
     for t in range(1, len(basis)):
         push_pairs(t)
@@ -508,7 +525,7 @@ def naive_buchberger(polys: Sequence[Polynomial], order: MonomialOrder) -> Groeb
             push_pairs(len(basis) - 1)
 
     minimal = []
-    for g in sorted(basis, key=lambda g: order.exponent_key(g.leading_monomial().exponents)):
+    for g in sorted(basis, key=lambda g: exponent_key(order)(g.leading_monomial().exponents)):
         if not any(divides(h.leading_monomial().exponents, g.leading_monomial().exponents) for h in minimal):
             minimal.append(g)
     for i, g in enumerate(minimal):
@@ -517,8 +534,53 @@ def naive_buchberger(polys: Sequence[Polynomial], order: MonomialOrder) -> Groeb
 
 
 # The Gebauer-Moeller pair loop that the signature engine replaced, kept as
-# its differential oracle: the engine's generators and heap division, with
-# the pairs of the whole basis instead of rounds.
+# its differential oracle, with the heap division on exponent tuples that the
+# engine ran before its monomials became ints: the pairs of the whole basis
+# instead of rounds, and no division shared with the engine.
+Exponents = tuple[int, ...]
+Terms = list[tuple[Exponents, int]]
+Generator = tuple[Exponents, int, Terms]
+
+
+def _reduce(acc: dict[Exponents, int], divisors: Sequence[Generator], key) -> tuple[Terms, int]:
+    """(s * r, s): r the remainder of the polynomial `acc` (consumed) on
+    division by the primitive `divisors`, tried in list order, and s > 0 the
+    integer it was scaled by; `key` is the order's descending key.  Heap
+    division with a dict accumulator (Monagan and Pearce 2007), fraction-free:
+    a term c*x^m cancelled by a divisor of leading term lc*x^l scales the
+    accumulator, the remainder so far and s by lc/q, with q = gcd(lc, c)."""
+    heap = [(key(e), e) for e in acc]
+    heapq.heapify(heap)
+    remainder: Terms = []
+    scale = 1
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = acc.pop(m)
+        if not c:
+            continue
+        for lead, lc, tail in divisors:
+            if all(map(le, lead, m)):
+                q = math.gcd(lc, c)
+                if q != lc:
+                    a = lc // q
+                    for t in acc:
+                        acc[t] *= a
+                    remainder = [(e, d * a) for e, d in remainder]
+                    scale *= a
+                c //= q
+                shift = tuple(map(sub, m, lead))
+                for e, d in tail:
+                    t = tuple(map(add, e, shift))
+                    if t in acc:
+                        acc[t] -= c * d
+                    else:
+                        acc[t] = -c * d
+                        heapq.heappush(heap, (key(t), t))
+                break
+        else:
+            remainder.append((m, c))
+    return remainder, scale
+
 
 
 def _s_accumulator(f: Generator, g: Generator) -> dict:
@@ -572,7 +634,7 @@ def gebauer_moeller_buchberger(polys: Sequence[Polynomial], order: MonomialOrder
             q for q in pairs
             if not all(map(le, lead, q[3])) or q[3] in (lcm_with(q[1]), lcm_with(q[2]))
         ]
-        pairs += [(order.exponent_key(e), s, t, e) for e, s, coprime in kept if not coprime]
+        pairs += [(exponent_key(order)(e), s, t, e) for e, s, coprime in kept if not coprime]
         heapq.heapify(pairs)
         active = [s for s in active if not all(map(le, lead, gens[s][0]))] + [t]
 
@@ -583,7 +645,7 @@ def gebauer_moeller_buchberger(polys: Sequence[Polynomial], order: MonomialOrder
         add_generator(_s_accumulator(gens[i], gens[j]))
 
     reduced: list[Generator] = []
-    for lead, lc, tail in sorted((gens[s] for s in active), key=lambda g: order.exponent_key(g[0])):
+    for lead, lc, tail in sorted((gens[s] for s in active), key=lambda g: exponent_key(order)(g[0])):
         remainder, scale = _reduce(dict(tail), reduced, key)
         reduced.append(_primitive([(lead, lc * scale), *remainder]))
     basis = [
@@ -617,7 +679,7 @@ def box_standard_monomials(basis: GroebnerBasis) -> QuotientBasis:
         mono = Monomial(exps)
         if not any(divides(lm.exponents, exps) for lm in lms):
             found.append(mono)
-    found.sort(key=lambda m: basis.order.exponent_key(m.exponents))
+    found.sort(key=lambda m: exponent_key(basis.order)(m.exponents))
     return QuotientBasis(tuple(found), basis.order)
 
 
@@ -628,7 +690,7 @@ def probe_standard_monomials(basis: GroebnerBasis) -> QuotientBasis:
     each m / x_u among the admitted monomials, one probe per variable."""
     if not is_zero_dimensional(basis):
         raise NotZeroDimensionalError("the ideal is not zero-dimensional")
-    order, key = basis.order, basis.order.exponent_key
+    order, key = basis.order, exponent_key(basis.order)
     leading = {g.leading_monomial().exponents: g for g in basis.generators}
     one = (0,) * order.nvars
     heap, parents = [(key(one), one)], {one: []}
@@ -691,22 +753,28 @@ def basis_index(quotient: QuotientBasis) -> dict[Monomial, int]:
     return {m: i for i, m in enumerate(quotient.monomials)}
 
 
-def _generator(p: Polynomial) -> Generator:
-    """p as the engine's primitive integer generator."""
-    return _primitive(list(vector(p._term_dict())[0].items()))
-
-
 def normal_form(p: Polynomial, basis: GroebnerBasis) -> Polynomial:
     """Unique remainder of p modulo the basis: no term of the result is
     divisible by any leading monomial, and p minus the result lies in the
-    ideal.  The engine's own division, `groebner._reduce`, on the basis."""
+    ideal.  The engine's own division, `groebner._reduce`, on the basis,
+    through the engine's monomial codes, widened as the engine widens them."""
     if p.order != basis.order:
         raise ValueError(f"polynomial ring mismatch: {p.order!r} vs {basis.order!r}")
-    divisors = [_generator(g) for g in basis.generators]
-    acc, den = vector(p._term_dict())
-    remainder, scale = _reduce(acc, divisors, p.order.descending_key)
-    den *= scale
-    return Polynomial._from_sorted(p.order, [(e, Fraction(c, den)) for e, c in remainder])
+    width = groebner._width([p, *basis.generators])
+    while True:
+        monomials = groebner._Monomials(p.order, width)
+        encode = monomials.encode
+        divisors = [
+            _primitive([(encode(e), c) for e, c in vector(g._term_dict())[0].items()]) for g in basis.generators
+        ]
+        acc, den = vector(p._term_dict())
+        try:
+            remainder, scale = groebner._reduce({encode(e): c for e, c in acc.items()}, divisors, monomials.guard)
+        except groebner._Overflow:
+            width *= 2
+            continue
+        den *= scale
+        return Polynomial._from_sorted(p.order, [(monomials.decode(e), Fraction(c, den)) for e, c in remainder])
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import permutations
+from operator import add, le
 from random import Random
 from time import perf_counter
 
@@ -31,6 +32,7 @@ import support
 from support import (
     FIXTURE_SYSTEMS,
     _naive_reduce,
+    exponent_key,
     gebauer_moeller_buchberger,
     integer_content,
     katsura,
@@ -97,7 +99,8 @@ def test_buchberger_drops_zero_generators(line_circle_basis):
 
 
 # `support.normal_form` divides by a basis with the engine's own routine,
-# `groebner._reduce`: these tests check that division.
+# `groebner._reduce`, on the engine's monomial codes: these tests check that
+# division.
 
 
 def test_normal_form_of_circle_modulo_basis(line_circle_basis):
@@ -211,7 +214,7 @@ def test_standard_monomials_sorted_ascending():
         _, polys = parse_system("x1*x2+x2-1\nx1^2+x2^2-1", kind)
         order = polys[0].order
         quotient = standard_monomials(buchberger(polys, order))
-        keys = [order.exponent_key(m.exponents) for m in quotient.monomials]
+        keys = [exponent_key(order)(m.exponents) for m in quotient.monomials]
         assert keys == sorted(keys)
 
 
@@ -232,7 +235,7 @@ def test_wide_staircase_is_enumerated_by_closure():
     order = polys[0].order
     quotient = standard_monomials(buchberger(polys, order))
     assert quotient.dimension == 898
-    keys = [order.exponent_key(m.exponents) for m in quotient.monomials]
+    keys = [exponent_key(order)(m.exponents) for m in quotient.monomials]
     assert keys == sorted(set(keys))
 
 
@@ -399,11 +402,11 @@ def test_no_reductions_to_zero_on_regular_sequences(monkeypatch):
 def test_work_on_the_inputs_the_engine_is_slow_on(monkeypatch):
     # In grlex the engine completes the basis of each input prefix, which
     # can be far larger than the final one: katsura-5 takes 44 s against
-    # 0.3 s by the pair loop, too long to run here, and katsura-4 twice as
-    # long.  On inputs that are not regular sequences it keeps elements
-    # whose leads are not minimal: sparse seed 17 takes 25 times as long.
-    # Each case is bounded in divisions (69, 202 and 192 now) and in
-    # seconds (0.05, 0.26 and 0.29 on 2 x86-64 vCPUs), with headroom.
+    # 0.2 s by the pair loop, too long to run here.  On inputs that are not
+    # regular sequences it keeps elements whose leads are not minimal:
+    # sparse seed 17 takes about 10 times as long as the pair loop.  Each
+    # case is bounded in divisions (69, 202 and 192 now) and in seconds
+    # (0.01, 0.05 and 0.05 on 2 x86-64 vCPUs), with headroom.
     true_reduce, divisions = groebner._reduce, [0]
 
     def counted(*args):
@@ -418,6 +421,64 @@ def test_work_on_the_inputs_the_engine_is_slow_on(monkeypatch):
         assert perf_counter() - start < seconds
         assert divisions[0] <= most
         assert basis == gebauer_moeller_buchberger(polys, polys[0].order)
+
+
+@pytest.mark.parametrize("kind", ORDER_KINDS)
+def test_monomial_codes_agree_with_exponent_tuples(kind):
+    # One int per monomial: code order is the monomial order reversed, the
+    # guard test is divisibility and the sum of codes is the product, on
+    # fields as narrow as one exponent bit and on exponents next to the guard.
+    rng = Random(f"codes-{kind}")
+    for n in range(1, 6):
+        order = MonomialOrder(kind, n)
+        key = exponent_key(order)
+        for width in (2, 3, 5, 9):
+            monomials = groebner._Monomials(order, width)
+            top = (1 << width - 1) - 1  # the largest exponent that fits
+
+            def draw():
+                return tuple(rng.choice((0, 1, top - 1, top, rng.randint(0, top))) for _ in range(n))
+
+            for _ in range(150):
+                a, b = draw(), draw()
+                ca, cb = monomials.encode(a), monomials.encode(b)
+                assert monomials.decode(ca) == a and monomials.support(ca) == {v: e for v, e in enumerate(a) if e}
+                assert (ca < cb) == (key(a) > key(b)) and (ca == cb) == (a == b)
+                assert (not (cb - ca) & monomials.guard) == all(map(le, a, b))
+                product = tuple(map(add, a, b))
+                assert bool((ca + cb) & monomials.guard) == (max(product) > top)
+                if max(product) <= top:
+                    assert ca + cb == monomials.encode(product)
+                lcm = tuple(map(max, a, b))
+                cofactor = monomials.cofactor(monomials.support(ca), monomials.support(cb))
+                assert cofactor == monomials.encode(tuple(x - y for x, y in zip(lcm, a)))
+
+
+def test_an_outgrown_field_restarts_the_engine_with_wider_ones(monkeypatch):
+    # From the narrowest fields the input allows, a new monomial outgrows
+    # them, and the engine starts again with fields twice as wide.
+    order3 = MonomialOrder(LEX, 3)
+    _, huge = parse_system("x1^1000000000 - 1\nx2 - 1")
+    systems = [katsura(4), rand_dense_system(Random(1), order3, 2), huge]
+    unforced = [buchberger(polys, polys[0].order) for polys in systems]
+    widths = []
+    true_monomials = groebner._Monomials
+
+    def counted(order, width):
+        widths.append(width)
+        return true_monomials(order, width)
+
+    monkeypatch.setattr(groebner, "_WIDTH", 2)
+    monkeypatch.setattr(groebner, "_Monomials", counted)
+    restarts = 0
+    for polys, basis in zip(systems, unforced):
+        order = polys[0].order
+        widths.clear()
+        assert buchberger(polys, order) == basis == gebauer_moeller_buchberger(polys, order)
+        largest = max(e for p in polys for m, _ in p.terms for e in m.exponents)
+        assert widths == [(largest.bit_length() + 1) << k for k in range(len(widths))]
+        restarts += len(widths) - 1
+    assert restarts
 
 
 def _sympy_basis(sympy, polys, order):
@@ -449,7 +510,7 @@ def test_bases_match_sympy(kind):
         order = polys[0].order
         ours = [{m.exponents: c for m, c in g.terms} for g in buchberger(polys, order)]
         theirs = _sympy_basis(sympy, polys, order)
-        assert ours == sorted(theirs, key=lambda g: order.exponent_key(max(g, key=order.exponent_key)))
+        assert ours == sorted(theirs, key=lambda g: exponent_key(order)(max(g, key=exponent_key(order))))
 
 
 # Differential oracle for the change of order: FGLM on the grevlex ring, and
