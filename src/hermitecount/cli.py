@@ -9,8 +9,8 @@ grevlex, on 2 x86-64 vCPUs).  Under grlex, `quotient.change_order` turns the
 basis into the grlex one, and the report (the staircase, the Hermite matrix
 and the counts) is built once, on the grlex ring.  Under grevlex, the counts
 are the inertia of the grevlex trace form.  Under lex, they are read off the
-grevlex ring, whose Krylov vectors of x_n are built once; the ring builds its
-own trace functional, once, for every reader.  When `quotient.shape_position`
+grevlex ring, which builds its trace functional, its Krylov vectors of x_n
+and their traces once, for every reader.  When `quotient.shape_position`
 certifies the ideal in shape position, the staircase is 1, x_n, ...,
 x_n^(D-1), and the printed matrix is the Hankel matrix of the traces of the
 powers of x_n.  There, for D up to `quotient.MAX_CHARPOLY_DIMENSION` (64),
@@ -108,14 +108,14 @@ def _solve_text(text: str, kind: str, matrix: bool = False) -> SolveResult:
         report = hermite_report(basis)
         return SolveResult(variables, report, report.form.basis, report.form)
     ring = standard_monomials(basis)
-    shape = shape_position(ring)
-    if shape is not None and ring.dimension <= MAX_CHARPOLY_DIMENSION:
-        report = charpoly_report(ring, shape[1])
+    staircase = shape_position(ring)
+    if staircase is not None and ring.dimension <= MAX_CHARPOLY_DIMENSION:
+        report = charpoly_report(ring)
     else:
         report = inertia_report(hermite_form(basis, ring))
-    if shape is not None:
-        form = hankel_form(ring, *shape) if matrix else None
-        return SolveResult(variables, report, shape[0], form)
+    if staircase is not None:
+        form = hankel_form(ring, staircase) if matrix else None
+        return SolveResult(variables, report, staircase, form)
     lex = standard_monomials(fglm(ring, MonomialOrder(LEX, basis.order.nvars)))
     form = hermite_form(lex.source, lex) if matrix else None
     return SolveResult(variables, report, lex, form, lex)

@@ -168,29 +168,25 @@ class _ExprParser:
         self.auto = auto
         self.one = (0,) * len(index)
 
-    def _peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def _peek(self) -> _Token:
+        return self.tokens[self.pos]
 
     def _fail(self, message: str) -> ParseError:
         tok = self._peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else None
-            line = last.line if last else 1
-            col = last.column + len(last.text) if last else 1
-            return ParseError(f"{message} at end of input", line, col)
-        return ParseError(message, tok.line, tok.column)
+        return ParseError(message + (" at end of input" if tok.kind == "end" else ""), tok.line, tok.column)
 
     def parse(self, tokens: list[_Token]) -> TermDict:
+        """The terms of one line, whose tokens end with an "end" token."""
         self.tokens, self.pos, self.depth = tokens, 0, 0
         value = self.polynomial()
         tok = self._peek()
-        if tok is not None:
+        if tok.kind != "end":
             raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.column)
         return {e: c if type(c) is Fraction else Fraction(c) for e, c in value.items()}
 
     def polynomial(self) -> TermDict:
         total = _terms(self.term())
-        while (tok := self._peek()) is not None and tok.kind in ("+", "-"):
+        while (tok := self._peek()).kind in ("+", "-"):
             self.pos += 1
             rhs = self.term()
             for e, c in [rhs] if type(rhs) is tuple else rhs.items():
@@ -203,7 +199,7 @@ class _ExprParser:
 
     def term(self) -> tuple | TermDict:
         value = self.factor()
-        while (tok := self._peek()) is not None and tok.kind == "*":
+        while (tok := self._peek()).kind == "*":
             self.pos += 1
             rhs = self.factor()
             if type(value) is tuple and type(rhs) is tuple:
@@ -219,11 +215,11 @@ class _ExprParser:
     def factor(self) -> tuple | TermDict:
         # "-" factor, counted in a loop: a run of signs costs no recursion.
         negate = False
-        while (tok := self._peek()) is not None and tok.kind == "-":
+        while (tok := self._peek()).kind == "-":
             self.pos += 1
             negate = not negate
         value = self.primary()
-        if (caret := self._peek()) is not None and caret.kind == "^":
+        if (caret := self._peek()).kind == "^":
             self.pos += 1
             exponent, n = self.exponent(), len(self.index)
             bits = _bits(terms := _terms(value))
@@ -238,17 +234,14 @@ class _ExprParser:
 
     def primary(self) -> tuple | TermDict:
         tok = self._peek()
-        if tok is None:
-            raise self._fail("expected a factor")
         if tok.kind == "nat":
             self.pos += 1
             value: int | Fraction = _natural(tok)
-            if self._peek() is not None and self._peek().kind == "/":
+            if self._peek().kind == "/":
                 self.pos += 1
-                den = self._peek()
-                self.pos += 1
-                if den is None or den.kind != "nat":
+                if (den := self._peek()).kind != "nat":
                     raise self._fail("malformed rational: expected a denominator")
+                self.pos += 1
                 denominator = _natural(den)
                 if denominator == 0:
                     raise ParseError("malformed rational: zero denominator", den.line, den.column)
@@ -267,19 +260,16 @@ class _ExprParser:
                 raise ParseError("expression nested too deeply", tok.line, tok.column)
             self.pos += 1
             value = self.polynomial()
-            closing = self._peek()
-            if closing is None or closing.kind != ")":
+            if self._peek().kind != ")":
                 raise self._fail("expected ')'")
             self.pos += 1
             self.depth -= 1
             return value
-        raise self._fail(f"unexpected {tok.text!r}")
+        raise self._fail("expected a factor" if tok.kind == "end" else f"unexpected {tok.text!r}")
 
     def exponent(self) -> int:
         tok = self._peek()
-        if tok is None or tok.kind != "nat":
-            if tok is not None and tok.kind == "-":
-                raise ParseError("exponent must be a non-negative integer literal", tok.line, tok.column)
+        if tok.kind != "nat":
             raise self._fail("exponent must be a non-negative integer literal")
         self.pos += 1
         return _natural(tok)
@@ -292,16 +282,15 @@ def parse_system(text: str, kind: str = GREVLEX) -> tuple[list[str], list[Polyno
     over the full variable set.  Without a header, variables are the `x<digits>`
     identifiers that occur, ordered numerically.
     """
-    lines = [
-        list(line)
-        for newline, line in groupby(_tokenize(text), key=lambda t: t.kind == "newline")
-        if not newline
-    ]
+    lines = []
+    for newline, group in groupby(_tokenize(text), key=lambda t: t.kind == "newline"):
+        if not newline:  # an "end" token closes each line, one column after its last token
+            *_, last = line = list(group)
+            lines.append([*line, _Token("end", "", last.line, last.column + len(last.text))])
 
     declared: dict[str, None] | None = None  # ordered, with O(1) duplicate lookups
-    if lines and lines[0][0].kind == "ident" and lines[0][0].text == "vars" \
-            and len(lines[0]) > 1 and lines[0][1].kind == ":":
-        colon, *header = lines.pop(0)[1:]
+    if lines and lines[0][0].text == "vars" and lines[0][1].kind == ":":
+        header = lines.pop(0)[2:]
         declared = {}
         expect_name = True
         for tok in header:
@@ -311,12 +300,9 @@ def parse_system(text: str, kind: str = GREVLEX) -> tuple[list[str], list[Polyno
                 if tok.text in declared:
                     raise ParseError(f"duplicate variable {tok.text}", tok.line, tok.column)
                 declared[tok.text] = None
-            elif tok.kind != ",":
+            elif tok.kind not in (",", "end"):
                 raise ParseError("expected ','", tok.line, tok.column)
             expect_name = not expect_name
-        if expect_name:
-            last = header[-1] if header else colon
-            raise ParseError("expected a variable name", last.line, last.column + len(last.text))
 
     if not lines:
         raise ParseError("empty system: no polynomials", 1, 1)

@@ -13,16 +13,16 @@ one tau that the trace form, the lex counts and `--check` read.  The rank
 and signature of the trace form count distinct complex and real solutions.
 Coordinates stay `linalg.Vector`s until the returned `Fraction`s.
 
-A lex solve reads its counts off the grevlex ring that Buchberger ran in.
-`shape_position` certifies, by a Krylov rank modulo PRIME, that the lex
-staircase is 1, x_n, ..., x_n^(D-1) (Rouillier 1999).  Then, for D up to
-MAX_CHARPOLY_DIMENSION, `charpoly_report` reads the counts off chi, the
-characteristic polynomial of x_n, from its Newton sums Tr(x_n^j) on the same
-Krylov vectors and one more: the distinct roots of chi and its real roots,
-on its squarefree part, and neither H nor its inertia is needed.  Past the
-cap, the counts are the inertia of the grevlex H (`inertia_report`).
-`hankel_form` gives the lex H, to print it, as the Hankel matrix of the
-traces Tr(x_n^k) on the same vectors.  Out of shape position, `fglm(ring,
+A lex solve reads its counts off the grevlex ring that Buchberger ran in,
+which owns its Krylov sequence of x_n too: `QuotientBasis.krylov` certifies,
+by a rank modulo PRIME, that the lex staircase is 1, x_n, ..., x_n^(D-1)
+(Rouillier 1999), and `power_sums` holds s_j = Tr(x_n^j), j <= D.  Then, for
+D up to MAX_CHARPOLY_DIMENSION, `charpoly_report` reads the counts off chi,
+the characteristic polynomial of x_n, from its Newton sums s_1..s_D: the
+distinct roots of chi and its real roots, on its squarefree part, and neither
+H nor its inertia is needed.  Past the cap, the counts are the inertia of the
+grevlex H (`inertia_report`).  `hankel_form` gives the lex H, to print it, as
+the Hankel matrix of the s_k, k <= 2D - 2.  Out of shape position, `fglm(ring,
 order)` changes the order of the ring's basis on the same matrices: it walks
 the lex staircase and finds the generators as linear relations among the
 normal forms M_{x_v} * NF(m), so Buchberger never runs in lex.  A grlex
@@ -34,8 +34,8 @@ the lex Hankel sums, and for the Newton sums Tr(M_l^j) of `separating`,
 which holds all of `solve --check` and reads only a ring.  Univariate
 polynomials are integer coefficient lists, ascending, with a nonzero leading
 coefficient: one Euclid gives the squarefree test modulo PRIME and the exact
-squarefree part over Z, and a Descartes bisection counts the real roots; the
-oracle uses them too.
+squarefree part over Z, `squarefree_part` chooses between them for chi here
+and in the oracle, and a Descartes bisection counts the real roots.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ MAX_DIMENSION = 4096
 MAX_CHARPOLY_DIMENSION = 64
 
 # A rank or a squarefree test modulo this prime proves the fact over Q when it
-# passes, and nothing when it fails: `shape_position` and `squarefree_mod_p` use it.
+# passes, and nothing when it fails: `QuotientBasis.krylov` and `squarefree_mod_p` use it.
 PRIME = 2**61 - 1
 
 
@@ -84,9 +84,10 @@ class QuotientBasis:
     One built by `standard_monomials` also carries the ring: `source`, the
     Groebner basis it was built from; `columns`, where columns[v][k] holds
     the coordinates of NF(x_v * b_k), the matrix of multiplication by each
-    variable; and `steps`, the parent chain.  `transposed` and `traces` are
-    built from them on first use and kept.  Equality, hash and repr see only
-    the monomials and the order, and no field is ever mutated.
+    variable; and `steps`, the parent chain.  `transposed`, `traces`,
+    `krylov` and `power_sums` are built from them on first use and kept.
+    Equality, hash and repr see only the monomials and the order, and no
+    field is ever mutated.
     """
 
     monomials: tuple[Monomial, ...]
@@ -109,6 +110,42 @@ class QuotientBasis:
         """The trace functional, tau[k] = Tr(b_k), as a `Vector`: one `_traces`
         pass on `transposed`, the one tau that every reader takes."""
         return _traces(self.transposed, self.steps)
+
+    @cached_property
+    def krylov(self) -> list[Vector] | None:
+        """The Krylov vectors v_j = M_{x_n}^j * e_1, the coordinates of x_n^j,
+        for j <= D (v_0 alone with no variable), when v_0, ..., v_(D-1) have
+        rank D modulo PRIME; otherwise None, which proves nothing.
+
+        That rank makes them independent over Q, so no nonzero polynomial in
+        x_n of degree < D lies in the ideal.  Under lex those powers are the D
+        smallest monomials, so none of them leads an element of the ideal:
+        they are the whole lex staircase, and the ideal is in shape position
+        (Rouillier 1999).  Each v_j is one product on the columns of M_{x_n},
+        its numerators reduced mod PRIME against the echelon of the earlier
+        ones at once, and the walk stops at the first that reduces to zero."""
+        vectors, rows = [({0: 1} if self.dimension else {}, 1)], []
+        for j in range(self.dimension):
+            w = {k: x % PRIME for k, x in vectors[j][0].items()}
+            for pivot, row in rows:
+                c = w.get(pivot)
+                if c:
+                    for k, x in row.items():
+                        w[k] = (w.get(k, 0) - c * x) % PRIME
+            pivot = next((k for k, x in w.items() if x), None)
+            if pivot is None:
+                return None
+            unit = pow(w[pivot], -1, PRIME)
+            rows.append((pivot, {k: x * unit % PRIME for k, x in w.items() if x}))
+            if self.columns:
+                vectors.append(apply(self.columns[-1], vectors[j]))
+        return vectors
+
+    @cached_property
+    def power_sums(self) -> list[Scalar] | None:
+        """s_j = Tr(x_n^j) = tau . v_j on the `krylov` vectors, j <= D, each
+        paired with `traces` once; None where `krylov` is."""
+        return None if self.krylov is None else traces_of(self.traces, self.krylov)
 
 
 @dataclass(frozen=True)
@@ -404,78 +441,48 @@ def hermite_form(basis: GroebnerBasis, quotient: QuotientBasis) -> HermiteForm:
     return HermiteForm(tuple(tuple(row) for row in entries), quotient)
 
 
-def shape_position(quotient: QuotientBasis) -> tuple[QuotientBasis, list[Vector]] | None:
-    """The lex staircase 1, x_n, ..., x_n^(D-1) of the ring that `quotient`
-    carries, with the Krylov vectors v_j = M_{x_n}^j * e_1, the coordinates
-    of x_n^j, for j < D; or None, which proves nothing.
-
-    If the integer numerators of the v_j have rank D modulo PRIME, the v_j
-    are independent over Q, so no nonzero polynomial in x_n of degree < D
-    lies in the ideal.  Under lex those powers are the D smallest monomials,
-    so none of them leads an element of the ideal: they are the whole lex
-    staircase, and the ideal is in shape position.  Each v_j is one product
-    on the columns of M_{x_n}, and its numerators are reduced mod PRIME
-    against the echelon of the earlier ones at once: the walk stops at the
-    first that reduces to zero.
-    """
-    n, dim = quotient.order.nvars, quotient.dimension
-    krylov: list[Vector] = []
-    rows: list[tuple[int, dict[int, int]]] = []
-    for _ in range(dim):
-        v = apply(quotient.columns[-1], krylov[-1]) if krylov else ({0: 1}, 1)
-        w = {k: x % PRIME for k, x in v[0].items()}
-        for pivot, row in rows:
-            c = w.get(pivot)
-            if c:
-                for k, x in row.items():
-                    w[k] = (w.get(k, 0) - c * x) % PRIME
-        pivot = next((k for k, x in w.items() if x), None)
-        if pivot is None:
-            return None
-        unit = pow(w[pivot], -1, PRIME)
-        rows.append((pivot, {k: x * unit % PRIME for k, x in w.items() if x}))
-        krylov.append(v)
-    powers = (Monomial._trusted(tuple(j if u == n - 1 else 0 for u in range(n))) for j in range(dim))
-    return QuotientBasis(tuple(powers), MonomialOrder(LEX, n)), krylov
+def shape_position(ring: QuotientBasis) -> QuotientBasis | None:
+    """The lex staircase 1, x_n, ..., x_n^(D-1) of `ring` when its `krylov`
+    certifies shape position; None, which proves nothing, otherwise."""
+    if ring.krylov is None:
+        return None
+    n = ring.order.nvars
+    powers = (Monomial._trusted(tuple(j if u == n - 1 else 0 for u in range(n))) for j in range(ring.dimension))
+    return QuotientBasis(tuple(powers), MonomialOrder(LEX, n))
 
 
-def hankel_form(ring: QuotientBasis, staircase: QuotientBasis, krylov: list[Vector]) -> HermiteForm:
+def hankel_form(ring: QuotientBasis, staircase: QuotientBasis) -> HermiteForm:
     """The trace form on the lex staircase that `shape_position` certified on
-    `ring`, from its Krylov vectors: H[i][j] = Tr(x_n^(i+j)) = s_(i+j), a
-    Hankel matrix.  s_k = tau . v_k, with tau the ring's `traces` and the
-    v_k continued to k = 2D - 2, after any that `charpoly_report` appended.
-    It is `==` to `hermite_form` on the lex basis and its ring."""
-    vectors, columns, dim = list(krylov), ring.columns, staircase.dimension
-    while len(vectors) < 2 * dim - 1:
-        vectors.append(apply(columns[-1], vectors[-1]))
-    sums = traces_of(ring.traces, vectors)
+    `ring`: H[i][j] = Tr(x_n^(i+j)) = s_(i+j), a Hankel matrix.  s_k for k <=
+    D are the ring's `power_sums`; the Krylov vectors are continued from v_D
+    to k = 2D - 2, and tau is paired with those alone.  It is `==` to
+    `hermite_form` on the lex basis and its ring."""
+    vectors, dim = ring.krylov[-1:], staircase.dimension
+    while len(vectors) < dim - 1:
+        vectors.append(apply(ring.columns[-1], vectors[-1]))
+    sums = ring.power_sums + traces_of(ring.traces, vectors[1:])
     return HermiteForm(tuple(tuple(sums[i : i + dim]) for i in range(dim)), staircase)
 
 
-def charpoly_report(ring: QuotientBasis, krylov: list[Vector]) -> HermiteReport:
+def charpoly_report(ring: QuotientBasis) -> HermiteReport:
     """The counts of a ring that `shape_position` certified in shape
     position, read off chi, the characteristic polynomial of M_{x_n}, from
-    the ring's `traces` and `krylov`, the vectors v_j = M_{x_n}^j * e_1 for
-    j < D.  The report's form carries the ring and no entries.  A solve
-    calls it for D up to MAX_CHARPOLY_DIMENSION only.
+    its Newton sums Tr(x_n^j), j = 1..D, the ring's `power_sums`, with the
+    lcm of the denominators of M_{x_n} as the scale.  The report's form
+    carries the ring and no entries.  A solve calls it for D up to
+    MAX_CHARPOLY_DIMENSION only.
 
-    chi comes from its Newton sums Tr(x_n^j) = tau . v_j for j = 1..D, with
-    v_D one more product, appended to `krylov`, and the lcm of the
-    denominators of M_{x_n} as the scale.  Its roots are the values of x_n
-    at the solutions, and in shape position x_n separates them, each other
-    coordinate being a polynomial in x_n on them: the distinct roots of chi
-    count the solutions, and the real roots the real ones (Hermite's
-    univariate theorem; Rouillier 1999).  Both are read off the squarefree
-    part of chi, chi itself when `squarefree_mod_p` passes.  A ring with no
-    variable has D = 1 point, real, or none.
+    The roots of chi are the values of x_n at the solutions, and in shape
+    position x_n separates them, each other coordinate being a polynomial in
+    x_n on them: the distinct roots of chi count the solutions, and the real
+    roots the real ones (Hermite's univariate theorem; Rouillier 1999), both
+    read off its `squarefree_part`.  A ring with no variable has D = 1
+    point, real, or none.
     """
     dim, columns = ring.dimension, ring.columns
     if not columns:
         return HermiteReport(HermiteForm(None, ring), dim, dim, dim, dim, dim)
-    if dim:
-        krylov.append(apply(columns[-1], krylov[-1]))
-    chi = newton_charpoly(traces_of(ring.traces, krylov[1 : dim + 1]), lcm(*(den for _, den in columns[-1])))
-    part = chi if squarefree_mod_p(chi) else integer_squarefree_part(chi)
+    part = squarefree_part(newton_charpoly(ring.power_sums[1:], lcm(*(den for _, den in columns[-1]))))
     distinct, real = len(part) - 1, real_root_count(part)
     return HermiteReport(HermiteForm(None, ring), distinct, real, distinct, real, dim)
 
@@ -562,6 +569,12 @@ def squarefree_mod_p(coefficients: Sequence[int]) -> bool:
     f = [c % PRIME for c in coefficients]
     derivative = [i * c % PRIME for i, c in enumerate(f) if i]
     return bool(f and f[-1]) and len(_gcd(f, derivative, PRIME)) == 1
+
+
+def squarefree_part(coefficients: Sequence[int]) -> Sequence[int]:
+    """The squarefree part of a primitive f with a positive leading coefficient:
+    f when `squarefree_mod_p` passes, else `integer_squarefree_part`."""
+    return coefficients if squarefree_mod_p(coefficients) else integer_squarefree_part(coefficients)
 
 
 def integer_squarefree_part(coefficients: Sequence[int]) -> list[int]:

@@ -22,9 +22,9 @@ the solutions, chi's distinct roots count the complex ones and its real roots
 the real ones (Hermite's univariate theorem; Basu, Pollack and Roy, ch. 4).
 
 Univariate polynomials are integer coefficient lists, ascending, with a nonzero
-leading coefficient.  The squarefree test modulo a prime, the exact
-squarefree part over Z, the Descartes bisection that counts the real roots
-and Newton's identities are those of `quotient`, which a lex solve runs.
+leading coefficient.  The squarefree part (the test modulo a prime, then the
+exact one over Z), the Descartes bisection that counts the real roots and
+Newton's identities are those of `quotient`, which a lex solve runs.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from math import comb, lcm
 from operator import le
 
 from .linalg import Vector, apply, inertia, vector
-from .quotient import HermiteReport, QuotientBasis, _shift, _source, hermite_form, integer_squarefree_part
-from .quotient import newton_charpoly, real_root_count, squarefree_mod_p, traces_of
+from .quotient import HermiteReport, QuotientBasis, _shift, _source, hermite_form, newton_charpoly
+from .quotient import real_root_count, squarefree_part, traces_of
 
 
 def audit_basis(ring: QuotientBasis) -> None:
@@ -159,7 +159,7 @@ def separating_form_mismatch(ring: QuotientBasis, rank: int, signature: int) -> 
         if nvars == 1:
             if vector(ring.source.generators[0]._term_dict())[0] != {(e,): c for e, c in enumerate(chi) if c}:
                 return "chi of x1 is not the primitive generator of the basis"
-        part = chi if squarefree_mod_p(chi) else integer_squarefree_part(chi)
+        part = squarefree_part(chi)
         distinct = len(part) - 1
         if distinct > rank:
             return f"l_{k} takes {distinct} distinct values on the solutions, more than rank {rank}"

@@ -46,6 +46,7 @@ from hermitecount.parsing import format_monomial
 
 from support import (
     FIXTURE_SYSTEMS,
+    dense_lines,
     format_polynomial,
     int_str_limit,
     rand_dense_system,
@@ -527,6 +528,10 @@ def all_real(n):
     ]
 
 
+KATSURA_3 = ["x1+2*x2+2*x3+2*x4-1", "x1^2+2*x2^2+2*x3^2+2*x4^2-x1",
+             "2*x1*x2+2*x2*x3+2*x3*x4-x2", "x2^2+2*x1*x3+2*x2*x4-x3"]
+
+
 @pytest.mark.parametrize("flags", [[], ["--json"], ["--print-matrix"]])
 def test_lex_counts_in_shape_position_come_from_chi(monkeypatch, capsys, flags):
     # katsura-3 (D = 8) and all-real(6) (D = 64, at the cap): certified in
@@ -534,10 +539,8 @@ def test_lex_counts_in_shape_position_come_from_chi(monkeypatch, capsys, flags):
     # t^2 is not, and {x1 - x2, x2^2 - 3*x2}, whose chi t^2 - 3t is t^2
     # modulo 3, count on the squarefree part of chi over Z.  Neither the
     # grevlex H nor its inertia is computed, and only the lex H is printed
-    katsura_3 = ["x1+2*x2+2*x3+2*x4-1", "x1^2+2*x2^2+2*x3^2+2*x4^2-x1",
-                 "2*x1*x2+2*x2*x3+2*x3*x4-x2", "x2^2+2*x1*x3+2*x2*x4-x3"]
     cases = [  # the system, PRIME, the counts, and whether chi's exact squarefree part is taken
-        (katsura_3, None, (8, 6), False),
+        (KATSURA_3, None, (8, 6), False),
         (all_real(6), None, (64, 64), False),
         (["x1-x2", "x2^2"], None, (1, 1), True),
         (["x1-x2", "x2^2-3*x2"], 3, (2, 2), True),
@@ -630,6 +633,45 @@ def test_tau_and_the_transposes_are_built_once_per_ring(monkeypatch, capsys):
         assert traced, (polys, kind, flags)
         assert len(set(map(id, traced))) == len(traced), (polys, kind, flags)
         assert len(set(map(id, transposed))) == len(transposed), (polys, kind, flags)
+        monkeypatch.undo()
+
+
+def spy_on_krylov(monkeypatch):
+    """The ring of each `QuotientBasis.krylov` run, whose mod-p echelon
+    certifies shape position, and the vectors of each `traces_of` call that
+    `quotient` makes; `separating` pairs tau through its own reference.
+    Both stay referenced, so two vectors are one exactly when their ids are."""
+    certified, paired = [], []
+    true_krylov, true_traces_of = quotient.QuotientBasis.krylov.func, quotient.traces_of
+
+    def krylov(ring):
+        certified.append(ring)
+        return true_krylov(ring)
+
+    def traces_of(tau, vectors):
+        vectors = list(vectors)
+        paired.extend(vectors)
+        return true_traces_of(tau, vectors)
+
+    monkeypatch.setattr(quotient.QuotientBasis.krylov, "func", krylov)
+    monkeypatch.setattr(quotient, "traces_of", traces_of)
+    return certified, paired
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"], ["--print-matrix"], ["--check"]])
+def test_a_lex_solve_runs_one_krylov_pass_and_pairs_each_vector_once(monkeypatch, capsys, flags):
+    # katsura-3 and dense(3,2) are in shape position with D = 8: the echelon
+    # runs once per ring, and tau meets v_0 .. v_D once, for chi and the
+    # first Hankel sums, and v_(D+1) .. v_(2D-2) once, for the printed matrix
+    for polys in (KATSURA_3, dense_lines(Random(1), 3, 2)):
+        certified, paired = spy_on_krylov(monkeypatch)
+        assert main(["solve", *(f"--poly={p}" for p in polys), "--order", "lex", *flags]) == EXIT_OK
+        capsys.readouterr()
+        (ring,) = certified
+        dim = ring.dimension
+        assert dim == 8 and paired[: dim + 1] == ring.krylov
+        assert len(paired) == (dim + 1 if flags in ([], ["--check"]) else 2 * dim - 1), (polys, flags)
+        assert len(set(map(id, paired))) == len(paired)
         monkeypatch.undo()
 
 

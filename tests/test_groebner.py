@@ -628,26 +628,27 @@ def shape_certificate_against_fglm(polys, non_radical):
     lex = fglm(quotient, MonomialOrder(LEX, nvars))
     lex_ring = standard_monomials(lex)
     powers = [tuple(j if u == nvars - 1 else 0 for u in range(nvars)) for j in range(lex_ring.dimension)]
-    shape = shape_position(quotient)
-    if shape is None:
+    staircase = shape_position(quotient)
+    if staircase is None:
         # 2^61 - 1 is never unlucky here: a failure means another staircase
         assert [m.exponents for m in lex_ring.monomials] != powers
         return False
-    staircase, krylov = shape
     assert [m.exponents for m in lex_ring.monomials] == powers
     assert staircase == lex_ring
     index = {m: k for k, m in enumerate(quotient.monomials)}
-    for exps, (nums, den) in zip(powers, krylov):
+    assert len(quotient.krylov) == len(powers) + 1  # v_0 .. v_D
+    for j, (nums, den) in enumerate(quotient.krylov):
+        exps = tuple(j if u == nvars - 1 else 0 for u in range(nvars))
         power = normal_form(Polynomial(ring.order, {Monomial(exps): 1}), ring)
         assert {index[m]: c for m, c in power.terms} == {k: Fraction(x, den) for k, x in nums.items()}
-    report = charpoly_report(quotient, krylov)
+    report = charpoly_report(quotient)
     result = inertia(hermite_form(ring, quotient).entries)
     assert (report.rank, report.signature) == (result.rank, result.signature)
     assert (report.complex_count, report.real_count) == (result.rank, result.signature)
     assert report.form.basis is quotient and report.form.entries is None
     if report.rank < quotient.dimension:
         non_radical.append(quotient.dimension)
-    got, expected = hankel_form(quotient, staircase, krylov), hermite_form(lex, lex_ring)
+    got, expected = hankel_form(quotient, staircase), hermite_form(lex, lex_ring)
     assert got == expected
     assert [list(map(type, row)) for row in got.entries] == [list(map(type, row)) for row in expected.entries]
     return True

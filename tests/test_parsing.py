@@ -187,6 +187,17 @@ def test_error_positions_are_reported():
         assert f"{line}:{column}" in str(excinfo.value)
 
 
+@pytest.mark.parametrize(
+    "text, column, at_end",
+    [("3/x1", 3, False), ("3/x1+2", 3, False), ("3/(2)", 3, False), ("2*3/-1", 5, False), ("3/", 3, True)],
+)
+def test_a_bad_denominator_is_positioned_at_itself(text, column, at_end):
+    with pytest.raises(ParseError) as excinfo:
+        parse_system(text)
+    reason = "malformed rational: expected a denominator" + (" at end of input" if at_end else "")
+    assert (excinfo.value.line, excinfo.value.column, excinfo.value.reason) == (1, column, reason)
+
+
 def test_fuzzed_inputs_never_crash():
     rng = Random(987654321)
     alphabet = "x12 +-*/^()#\n,:abc\t?"

@@ -645,18 +645,19 @@ def test_audit_refuses_a_foreign_original_without_the_engines_division(monkeypat
     [("0", 1), ("5", 0), ("x1\nx1+1", 0), ("x1-1\nx2+2", 1), ("x1^3-2", 3)],
 )
 def test_shape_position_edge_ideals(text, dimension):
-    # no variables, the unit ideal, and D = 1 pass at once with an empty or
-    # unit Krylov basis; in one variable every ideal is in shape position.
-    # chi counts as the inertia of H, with no variable as well
+    # no variables, the unit ideal, and D = 1 pass at once with a zero or
+    # unit v_0; in one variable every ideal is in shape position.  s_0 =
+    # Tr(1) = D, and chi counts as the inertia of H, with no variable as well
     basis = system_basis(text)
     ring = standard_monomials(basis)
-    staircase, krylov = shape_position(ring)
+    staircase = shape_position(ring)
     nvars = basis.order.nvars
     assert staircase.order == MonomialOrder(LEX, nvars) and staircase.dimension == dimension
-    assert len(krylov) == dimension and krylov[:1] in ([], [({0: 1}, 1)])
+    assert len(ring.krylov) == max(dimension + bool(nvars), 1)  # v_0 .. v_D; v_0 alone with no variable
+    assert ring.krylov[0] == ({0: 1} if dimension else {}, 1) and ring.power_sums[0] == dimension
     lex = standard_monomials(system_basis(text, LEX))
-    assert hankel_form(ring, staircase, krylov) == hermite_form(lex.source, lex)
-    report, result = charpoly_report(ring, krylov), linalg.inertia(hermite_form(basis, ring).entries)
+    assert hankel_form(ring, staircase) == hermite_form(lex.source, lex)
+    report, result = charpoly_report(ring), linalg.inertia(hermite_form(basis, ring).entries)
     assert (report.rank, report.signature, report.quotient_dimension) == (result.rank, result.signature, dimension)
 
 
@@ -679,9 +680,8 @@ def test_chi_counts_non_radical_rings_as_the_inertia_of_h(monkeypatch):
     def chi_against_h(polys):
         basis = system_basis("\n".join(polys))
         ring = standard_monomials(basis)
-        _, krylov = shape_position(ring)
-        assert ring.dimension <= quotient.MAX_CHARPOLY_DIMENSION
-        report = charpoly_report(ring, krylov)
+        assert shape_position(ring) is not None and ring.dimension <= quotient.MAX_CHARPOLY_DIMENSION
+        report = charpoly_report(ring)
         result = linalg.inertia(hermite_form(basis, ring).entries)
         assert (report.rank, report.signature) == (result.rank, result.signature), polys
         assert (report.complex_count, report.real_count) == (result.rank, result.signature), polys
@@ -694,12 +694,27 @@ def test_chi_counts_non_radical_rings_as_the_inertia_of_h(monkeypatch):
     assert chi_against_h(["x1-x2", "x2^2-3*x2"]) == (2, 2) and len(parts) == len(systems) + 1
 
 
+def test_hankel_form_and_charpoly_report_agree_in_either_order():
+    # both read the ring's Krylov sequence and power sums, so neither call
+    # leaves anything the other depends on: radical, non-radical, and D = 1
+    for text in ("x1*x2+x2-1\nx1^2+x2^2-1", "x1-x2\nx2^2", "x1^3-2", "x1-1\nx2+2"):
+        forward, backward = standard_monomials(system_basis(text)), standard_monomials(system_basis(text))
+        form = hankel_form(forward, shape_position(forward))
+        report = charpoly_report(forward)
+        assert charpoly_report(backward) == report, text
+        assert hankel_form(backward, shape_position(backward)) == form, text
+        result = linalg.inertia(form.entries)
+        assert (report.rank, report.signature) == (result.rank, result.signature), text
+
+
 def test_shape_position_fails_on_an_unlucky_prime(monkeypatch):
-    # x1 = x2^2/3 on three points: the grevlex coordinates of x2^2 are 3*x1
-    ring = standard_monomials(system_basis("3*x1-x2^2\nx2^3-x2"))
-    staircase, _ = shape_position(ring)
+    # x1 = x2^2/3 on three points: the grevlex coordinates of x2^2 are 3*x1.
+    # The ring keeps its certificate, so each PRIME takes a ring of its own
+    basis = system_basis("3*x1-x2^2\nx2^3-x2")
+    staircase = shape_position(standard_monomials(basis))
     assert [format_monomial(m, VARS2) for m in staircase.monomials] == ["1", "x2", "x2^2"]
     monkeypatch.setattr(quotient, "PRIME", 3)
-    assert shape_position(ring) is None
+    ring = standard_monomials(basis)
+    assert shape_position(ring) is None and ring.krylov is None and ring.power_sums is None
     monkeypatch.setattr(quotient, "PRIME", 5)
-    assert shape_position(ring) is not None
+    assert shape_position(standard_monomials(basis)) is not None

@@ -170,13 +170,13 @@ def test_non_radical_pair_takes_the_exact_path(used_k, capsys):
 
 def test_squared_dense_system_takes_the_integer_exact_path(monkeypatch, capsys):
     parts = []
-    original = separating.integer_squarefree_part
+    original = quotient.integer_squarefree_part
 
     def spy(chi):
         parts.append(original(chi))
         return parts[-1]
 
-    monkeypatch.setattr(separating, "integer_squarefree_part", spy)
+    monkeypatch.setattr(quotient, "integer_squarefree_part", spy)
     _, polys = parse_system("\n".join(SQUARED_DENSE))
     report = hermite_report(buchberger(polys, polys[0].order))
     assert (report.form.basis.dimension, report.rank, report.signature) == (50, 25, 1)
