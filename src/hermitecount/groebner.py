@@ -17,8 +17,12 @@ polynomials, and reduction scales the accumulator rather than divide by a
 leading coefficient.  The remainder stays at the accumulator's running scale,
 so no rescale is deferred to the end of a division.  The content of a
 remainder is removed once, when it is finished; removing it at a bit
-threshold during the division measured no faster on lex elimination.  Monic
-`Fraction` polynomials appear only at the API.
+threshold during the division measured no faster on lex elimination.  The
+returned `GroebnerBasis` keeps those integer generators, which is all the
+staircase walk reads; its monic `Fraction` polynomials are built only when
+something reads them.  On the 64 seed-7 lex-elim systems, not building them
+took `buchberger` with its output from 30.5-34.4 to 25.8-27.1 ms and the
+staircase walk from 10.2-11.6 to 6.1-6.3 ms, in-process on 2 x86-64 vCPUs.
 
 Monomials are ints (`_Monomials`, Bachmann and Schoenemann 1998): a product
 is a sum, a divisibility test one subtraction and one AND, and the order is
@@ -31,8 +35,8 @@ On 2 x86-64 vCPUs, Buchberger took 1.05 s on katsura-7 and 0.03 s on
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd
@@ -46,17 +50,58 @@ class NotZeroDimensionalError(ValueError):
     """The ideal does not have a finite complex solution set."""
 
 
-@dataclass(frozen=True)
+# A generator as the engine leaves it: its leading exponents, a positive
+# leading coefficient lc and the tail as (exponents, int) pairs, strictly
+# descending, with content 1 over all of them, so that -tail/lc is a
+# `linalg.Vector` in lowest terms once its exponents are indexed.
+Primitive = tuple[tuple[int, ...], int, list[tuple[tuple[int, ...], int]]]
+
+
 class GroebnerBasis:
     """Reduced monic Groebner basis: unique for a given ideal and order.
 
-    Generators are monic, inter-reduced (no term of one is divisible by the
+    `generators` are monic, inter-reduced (no term of one is divisible by the
     leading monomial of another) and sorted ascending by leading monomial.
+    `primitive` holds the same generators in integers, one `Primitive` each.
+    A basis that `buchberger` returns stores only `primitive`, and builds the
+    monic `Fraction` generators when they are first read: by `--check`'s
+    audit, `quotient.change_order`, `==`, `hash`, `repr` or a library caller.
+    A basis built as GroebnerBasis(generators, order, original) derives
+    `primitive` from their tails when it is first read, with the lcm of the
+    tail's denominators as lc: the leading coefficient is not read, so a
+    basis that is not monic or not reduced reaches the staircase walk as it
+    did and is refused by the audit, which reads `generators`.  Either form
+    is built once and kept.  Equality, hash and repr are those of the triple
+    (generators, order, original), and neither form is ever mutated.
     """
 
-    generators: tuple[Polynomial, ...]
-    order: MonomialOrder
-    original: tuple[Polynomial, ...]
+    def __init__(self, generators: tuple[Polynomial, ...], order: MonomialOrder, original: tuple[Polynomial, ...]):
+        self.generators, self.order, self.original = generators, order, original
+
+    @classmethod
+    def _of_primitive(cls, primitive: tuple[Primitive, ...], order: MonomialOrder, original: tuple[Polynomial, ...]) -> GroebnerBasis:
+        """The basis of the engine's primitive generators, its monic view not yet built."""
+        basis = object.__new__(cls)
+        basis.primitive, basis.order, basis.original = primitive, order, original
+        return basis
+
+    @cached_property
+    def generators(self) -> tuple[Polynomial, ...]:
+        """The monic generators, each tail coefficient c as Fraction(c, lc)."""
+        return tuple(
+            Polynomial._from_sorted(self.order, [(lead, Fraction(1)), *((e, Fraction(c, lc)) for e, c in tail)])
+            for lead, lc, tail in self.primitive
+        )
+
+    @cached_property
+    def primitive(self) -> tuple[Primitive, ...]:
+        """The generators as integers: the tail's numerators over the lcm of
+        its denominators, which `linalg.vector` gives in lowest terms."""
+        found = []
+        for g in self.generators:
+            nums, den = vector({m.exponents: c for m, c in g.terms[1:]})
+            found.append((g.leading_monomial().exponents, den, list(nums.items())))
+        return tuple(found)
 
     def leading_monomials(self) -> list[Monomial]:
         return [g.leading_monomial() for g in self.generators]
@@ -64,14 +109,25 @@ class GroebnerBasis:
     def __iter__(self):
         return iter(self.generators)
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.generators, self.order, self.original) == (other.generators, other.order, other.original)
+
+    def __hash__(self) -> int:
+        return hash((self.generators, self.order, self.original))
+
+    def __repr__(self) -> str:
+        return f"GroebnerBasis(generators={self.generators!r}, order={self.order!r}, original={self.original!r})"
+
 
 # The engine works on one int per monomial (`_Monomials`) and on integers.
 # A polynomial under reduction is a dict {code: int}.  A generator is a
 # primitive integer polynomial (content 1): its leading code, its positive
 # leading coefficient and its tail terms, strictly descending, that is with
 # ascending codes.  Reduction scales the accumulator instead of dividing, so
-# each cancelled term costs one gcd.  `Polynomial` and `Fraction` appear
-# only at the API.
+# each cancelled term costs one gcd.  The returned basis keeps these
+# generators, their codes decoded (`Primitive`).
 Terms = list[tuple[int, int]]
 Generator = tuple[int, int, Terms]
 
@@ -257,11 +313,8 @@ def buchberger(polys: Iterable[Polynomial], order: MonomialOrder) -> GroebnerBas
         # each distinct monomial of the basis is decoded once
         exps = dict.fromkeys(e for lead, _, tail in generators for e in chain((lead,), (e for e, _ in tail)))
         exps = {e: monomials.decode(e) for e in exps}
-        generators = [
-            Polynomial._from_sorted(order, [(exps[lead], Fraction(1)), *((exps[e], Fraction(c, lc)) for e, c in tail)])
-            for lead, lc, tail in generators
-        ]
-        return GroebnerBasis(tuple(generators), order, original)
+        primitive = tuple((exps[lead], lc, [(exps[e], c) for e, c in tail]) for lead, lc, tail in generators)
+        return GroebnerBasis._of_primitive(primitive, order, original)
 
 
 def _basis(polys: list[Polynomial], monomials: _Monomials) -> list[Generator]:
@@ -372,10 +425,12 @@ def _round(f: Generator, basis: list[Generator], monomials: _Monomials, supports
 def is_zero_dimensional(basis: GroebnerBasis) -> bool:
     """True iff every variable has a pure-power leading monomial in the basis,
     i.e. the staircase is finite.  The unit monomial is a power of every
-    variable: the unit ideal counts as zero-dimensional (empty variety)."""
+    variable: the unit ideal counts as zero-dimensional (empty variety).  The
+    leading exponents are read off `basis.primitive`, so the monic
+    generators of an engine basis are not built."""
     powered: set[int] = set()
-    for lm in basis.leading_monomials():
-        support = [i for i, e in enumerate(lm.exponents) if e]
+    for lead, _, _ in basis.primitive:
+        support = [i for i, e in enumerate(lead) if e]
         if len(support) <= 1:
             powered.update(support or range(basis.order.nvars))
     return len(powered) == basis.order.nvars

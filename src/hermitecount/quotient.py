@@ -51,7 +51,7 @@ from typing import Iterable, Sequence
 
 from . import linalg
 from .groebner import GroebnerBasis, NotZeroDimensionalError, is_zero_dimensional
-from .linalg import Scalar, Vector, apply, lowest, transpose, vector
+from .linalg import Scalar, Vector, apply, lowest, transpose
 from .poly import LEX, Monomial, MonomialOrder, Polynomial
 
 # The parent chain: steps[i] = (v, p) for b_i = x_v * b_p, None for b_0 = 1.
@@ -205,19 +205,20 @@ def standard_monomials(basis: GroebnerBasis) -> QuotientBasis:
     smallest k and then v, is its step.  The other popped monomials form the
     border, in ascending order, and their normal forms fill their parents'
     columns: a border monomial that leads a generator g has -tail(g) (the
-    basis is reduced and monic), and any other is x_u * m' with m' a smaller
-    border monomial for each nonzero exponent u without a parent, so it has
-    M_{x_u} * NF(m') for the first such u, built only from columns already
-    filled.  A tail term outside the staircase raises ValueError: the basis
-    is not reduced.
+    basis is reduced and monic), read off `basis.primitive` as -tail/lc, a
+    `Vector` in lowest terms with no `Fraction` built; any other is x_u * m'
+    with m' a smaller border monomial for each nonzero exponent u without a
+    parent, so it has M_{x_u} * NF(m') for the first such u, built only from
+    columns already filled.  A tail term outside the staircase raises
+    ValueError: the basis is not reduced.  Only the integer form is read, so
+    the monic `Fraction` generators of an engine basis are not built.
     """
     if not is_zero_dimensional(basis):
         raise NotZeroDimensionalError("the ideal is not zero-dimensional")
-    order = basis.order
-    leads = [g.leading_monomial().exponents for g in basis.generators]
-    bound = 2 + max(chain.from_iterable(leads), default=0)
+    order, primitive = basis.order, basis.primitive
+    bound = 2 + max(chain.from_iterable(lead for lead, _, _ in primitive), default=0)
     weights = [order.weight(v, bound) for v in range(order.nvars)]
-    leading = {sum(map(mul, e, weights)): g for e, g in zip(leads, basis.generators)}
+    leading = {sum(map(mul, g[0], weights)): k for k, g in enumerate(primitive)}
     one = (0,) * order.nvars
     heap, parents = [0], {0: []}
     stair: list[tuple[int, ...]] = []
@@ -254,10 +255,11 @@ def standard_monomials(basis: GroebnerBasis) -> QuotientBasis:
     for key, exps, pairs in border:
         g = leading.get(key)
         if g is not None:
+            _, lc, tail = primitive[g]
             try:
-                form = vector({index[m.exponents]: -c for m, c in g.terms[1:]})
+                form = {index[e]: -c for e, c in tail}, lc
             except KeyError:
-                raise ValueError(f"basis is not reduced at {g!r}") from None
+                raise ValueError(f"basis is not reduced at {basis.generators[g]!r}") from None
         else:
             found = [v for v, _ in pairs]
             var = next(v for v, e in enumerate(exps) if e and v not in found)
@@ -430,7 +432,7 @@ def hermite_form(basis: GroebnerBasis, quotient: QuotientBasis) -> HermiteForm:
     Raises ValueError unless `standard_monomials` built `quotient` from a
     basis equal to `basis`.
     """
-    if quotient.source != basis:
+    if quotient.source is not basis and quotient.source != basis:
         raise ValueError("quotient basis does not belong to this Groebner basis")
     dim = quotient.dimension
     entries: list[list[Scalar]] = [[0] * dim for _ in range(dim)]

@@ -47,10 +47,12 @@ def audit_basis(ring: QuotientBasis) -> None:
     carries none.  It proves <F> in <G> for the original generators F, not
     <G> = <F>: a Groebner basis of a larger ideal passes.
 
-    G must be monic and reduced, and f(M) * e_1 must be 0 for every original
-    generator f, e_1 the coordinates of 1, each x^a of f taken as M^a * e_1
-    by a chain of products.  G is a Groebner basis when the border matrices
-    commute, M_{x_u} * M_{x_v} = M_{x_v} * M_{x_u} for u < v (Mourrain 1999):
+    G must be monic and reduced, read off its `Fraction` generators (a basis
+    that `buchberger` returned builds them here, once), and f(M) * e_1 must
+    be 0 for every original generator f, e_1 the coordinates of 1, each x^a
+    of f taken as M^a * e_1 by a chain of products.  G is a Groebner basis
+    when the border matrices commute, M_{x_u} * M_{x_v} = M_{x_v} * M_{x_u}
+    for u < v (Mourrain 1999):
     then f -> f(M) * e_1 maps Q[x] onto Q^|O| (O the staircase of LM(G)),
     each g in G to 0 (the column of LM(g) is -tail(g)) and each b_k in O to
     e_k.  So dim Q[x]/<G> >= |O|, which forces LT(<G>) = <LM(G)>, and f(M) *

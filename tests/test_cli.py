@@ -14,6 +14,7 @@ from random import Random
 import pytest
 
 from hermitecount import (
+    GREVLEX,
     GRLEX,
     LEX,
     ORDER_KINDS,
@@ -45,6 +46,7 @@ from hermitecount.linalg import inertia
 from hermitecount.parsing import format_monomial
 
 from support import (
+    DENSE_2_5,
     FIXTURE_SYSTEMS,
     dense_lines,
     format_polynomial,
@@ -673,6 +675,45 @@ def test_a_lex_solve_runs_one_krylov_pass_and_pairs_each_vector_once(monkeypatch
         assert len(paired) == (dim + 1 if flags in ([], ["--check"]) else 2 * dim - 1), (polys, flags)
         assert len(set(map(id, paired))) == len(paired)
         monkeypatch.undo()
+
+
+def spy_on_the_monic_view(monkeypatch):
+    """The bases that the solve's `buchberger` returns, and the basis of each
+    build of a monic view, `GroebnerBasis.generators`; a basis built from
+    its generators holds them already and builds none."""
+    engine, built = [], []
+    true_buchberger, true_generators = cli.buchberger, GroebnerBasis.generators.func
+
+    def buchberger(polys, order):
+        engine.append(true_buchberger(polys, order))
+        return engine[-1]
+
+    def generators(basis):
+        built.append(basis)
+        return true_generators(basis)
+
+    monkeypatch.setattr(cli, "buchberger", buchberger)
+    monkeypatch.setattr(GroebnerBasis.generators, "func", generators)
+    return engine, built
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_a_solve_builds_the_monic_view_only_for_check(monkeypatch, capsys, flags):
+    # grevlex; lex in shape position (circle-hyperbola, katsura-3), where the
+    # counts come from chi; lex out of it (squares(3)), through FGLM, whose
+    # basis is built from its generators.  The engine basis is read only in
+    # integers, unless --check audits it: then its view is built once.
+    circle, squares = ["x1*x2+x2-1", "x1^2+x2^2-1"], ["x1^2-1", "x2^2-2", "x3^2-3"]
+    corpus = [(polys, GREVLEX) for polys in (circle, KATSURA_3, squares, DENSE_2_5)]
+    corpus += [(circle, LEX), (KATSURA_3, LEX), (squares, LEX)]
+    for polys, kind in corpus:
+        for check in ([], ["--check"]):
+            engine, built = spy_on_the_monic_view(monkeypatch)
+            assert main(["solve", *(f"--poly={p}" for p in polys), "--order", kind, *flags, *check]) == EXIT_OK
+            capsys.readouterr()
+            assert len(engine) == 1
+            assert [id(b) for b in built] == [id(engine[0])] * len(check), (polys, kind, check)
+            monkeypatch.undo()
 
 
 def test_check_catches_a_wrong_real_count_from_chi(monkeypatch, capsys):

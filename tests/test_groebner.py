@@ -13,6 +13,7 @@ from hermitecount import (
     GRLEX,
     LEX,
     ORDER_KINDS,
+    GroebnerBasis,
     Monomial,
     MonomialOrder,
     NotZeroDimensionalError,
@@ -515,13 +516,31 @@ def test_bases_match_sympy(kind):
 
 # Differential oracle for the change of order: FGLM on the grevlex ring, and
 # `change_order`, must return the whole basis that Buchberger computes in the
-# target order, the input polynomials included, term for term.
+# target order, the input polynomials included, term for term.  Each basis
+# the engine returns there, in grevlex and in the target order, is also
+# checked against the basis built from its monic view.
+
+
+def assert_engine_form_matches_the_derived_form(basis):
+    # the engine keeps its primitive integer generators and builds the monic
+    # view only when read; a basis built from that view derives the integer
+    # form from its tails, and must agree in the form, the value and the ring
+    assert "generators" not in vars(basis)
+    derived = GroebnerBasis(basis.generators, basis.order, basis.original)
+    assert "primitive" not in vars(derived)
+    assert derived.primitive == basis.primitive
+    assert derived == basis and hash(derived) == hash(basis) and repr(derived) == repr(basis)
+    walked, rewalked = standard_monomials(basis), standard_monomials(derived)
+    assert walked == rewalked
+    assert walked.columns == rewalked.columns and walked.steps == rewalked.steps
 
 
 def assert_fglm_matches_buchberger(polys, order):
     ring = buchberger(polys, MonomialOrder(GREVLEX, order.nvars))
-    basis = fglm(standard_monomials(ring), order)
     expected = buchberger(polys, order)
+    for engine in (ring, expected):
+        assert_engine_form_matches_the_derived_form(engine)
+    basis = fglm(standard_monomials(ring), order)
     for got in (basis, change_order(ring, order)):
         assert got == expected
         # Polynomial equality ignores the order its terms are sorted in
