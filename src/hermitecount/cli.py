@@ -39,10 +39,12 @@ import sys
 import time
 from dataclasses import dataclass
 from itertools import compress
+from math import gcd
 from pathlib import Path
 from typing import Sequence, TextIO
 
 from .groebner import NotZeroDimensionalError, buchberger
+from .linalg import Symmetric
 from .parsing import ParseError, format_monomial, parse_system
 from .poly import GREVLEX, GRLEX, LEX, ORDER_KINDS, MonomialOrder
 from .quotient import MAX_CHARPOLY_DIMENSION, DimensionLimitError, HermiteForm, HermiteReport, QuotientBasis
@@ -124,10 +126,20 @@ def _solve_text(text: str, kind: str, matrix: bool = False) -> SolveResult:
 def _matrix_strings(form: HermiteForm) -> list[list[str]]:
     """H is symmetric and mostly zero on sparse rings: each row starts as
     "0"s, and each nonzero entry is stringified once, for r <= c, and
-    written to both mirror positions."""
-    n = len(form.entries)
+    written to both mirror positions, in row order.  A `Symmetric` H gives
+    its entries off the columns that its inertia swept, each numerator and
+    denominator over one gcd, as the str of its `Fraction` would."""
+    entries = form.entries
+    n = len(entries)
     rows = [["0"] * n for _ in range(n)]
-    for r, row in enumerate(form.entries):
+    if isinstance(entries, Symmetric):
+        for r, (nums, den) in enumerate(entries.columns):
+            strings = rows[r]
+            for c, x in sorted(nums.items()):
+                g = gcd(x, den)
+                strings[c] = rows[c][r] = str(x // g) if g == den else f"{x // g}/{den // g}"
+        return rows
+    for r, row in enumerate(entries):
         strings = rows[r]
         for c in compress(range(r, n), row[r:]):
             strings[c] = rows[c][r] = str(row[c])

@@ -63,10 +63,11 @@ class GroebnerBasis:
     `generators` are monic, inter-reduced (no term of one is divisible by the
     leading monomial of another) and sorted ascending by leading monomial.
     `primitive` holds the same generators in integers, one `Primitive` each.
-    A basis that `buchberger` returns stores only `primitive`, and builds the
-    monic `Fraction` generators when they are first read: by `--check`'s
-    audit, `quotient.change_order`, `==`, `hash`, `repr` or a library caller.
-    A basis built as GroebnerBasis(generators, order, original) derives
+    A basis that `buchberger`, `quotient.fglm` or `quotient.change_order`
+    returns stores only `primitive`, and builds the monic `Fraction`
+    generators when they are first read: by `--check`'s audit, `==`, `hash`,
+    `repr` or a library caller.  No solve builds a basis the other way, as
+    GroebnerBasis(generators, order, original), which derives
     `primitive` from their tails when it is first read, with the lcm of the
     tail's denominators as lc: the leading coefficient is not read, so a
     basis that is not monic or not reduced reaches the staircase walk as it

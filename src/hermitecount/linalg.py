@@ -7,10 +7,14 @@ denominator, in lowest terms, with no stored zero: one gcd per vector, not a
 quotient ring and of the congruence sweep.  `vector` and `lowest` make one;
 `apply` and `transpose` take a matrix as its list of sparse columns.
 
-`inertia` reads rank and signature off the signs of the pivots of one
-congruence sweep on `Vector` rows, which never swaps and builds no
-`Fraction` (rebuilt with its transform P by
-`tests/support.py::congruence_certificate`).
+A `Symmetric` holds a symmetric matrix as `Vector`s, its columns from the
+diagonal down, which are its rows from the diagonal on: the trace form that
+`quotient.hermite_form` returns.  As a sequence it is the dense rows of
+`Fraction`s, built only when something reads them.  `inertia` reads rank and
+signature off the signs of the pivots of one congruence sweep on those
+columns, which never swaps and builds no `Fraction` (rebuilt with its
+transform P by `tests/support.py::congruence_certificate`); dense rows are
+checked for symmetry and converted by `Symmetric.from_rows` first.
 `inertia_via_charpoly` reads them off the characteristic polynomial by
 Descartes' rule, exact for a symmetric matrix: Berkowitz's division-free
 scheme on D*M, D the lcm of the denominators; no solve runs it, only the
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress
 from math import gcd, lcm
 from operator import mul
@@ -129,9 +134,65 @@ def _inexact(cells: Iterable[tuple[int, int, object]]) -> TypeError:
     return TypeError(f"entry ({r},{c}) is {type(x).__name__}, not int or Fraction")
 
 
-def _pivots(entries: Sequence[Sequence[Scalar]]) -> Iterator[tuple[int, int]]:
+class Symmetric:
+    """A symmetric matrix held as `columns`, where columns[i] is the `Vector`
+    of M[r][i] for r >= i: column i from the diagonal down, which is row i
+    from the diagonal on.  The rows are built from them only when read, as
+    tuples whose zero entries are the int 0 and the others `Fraction`s, and
+    kept.  As a sequence it is those rows: it is `==` to the tuple of them,
+    hashes and prints as it does, and no field is ever mutated."""
+
+    def __init__(self, columns: list[Vector]):
+        self.columns = columns
+
+    @classmethod
+    def from_rows(cls, entries: Sequence[Sequence[Scalar]]) -> Symmetric:
+        """The view of dense rows, once `check_symmetric` passes; a nonzero
+        entry on or above the diagonal with no numerator and denominator,
+        such as a float, raises TypeError."""
+        check_symmetric(entries)
+        columns = []
+        for r, row in enumerate(entries):
+            upper = {c: row[c] for c in compress(range(r, len(row)), row[r:])}
+            try:
+                columns.append(vector(upper))
+            except AttributeError:
+                raise _inexact((r, c, x) for c, x in upper.items()) from None
+        return cls(columns)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[Scalar, ...], ...]:
+        """The dense rows, each entry of the columns as one `Fraction`, mirrored."""
+        n = len(self.columns)
+        rows: list[list[Scalar]] = [[0] * n for _ in range(n)]
+        for i, (nums, den) in enumerate(self.columns):
+            for r, x in nums.items():
+                rows[i][r] = rows[r][i] = Fraction(x, den)
+        return tuple(map(tuple, rows))
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    def __getitem__(self, i):
+        return self.rows[i]
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __eq__(self, other: object) -> bool:
+        return self.rows == other
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
+    def __repr__(self) -> str:
+        return repr(self.rows)
+
+
+def _pivots(columns: Sequence[Vector]) -> Iterator[tuple[int, int]]:
     """The diagonal d of a congruence P^T * M * P = diag(d) with P
-    invertible, each entry as (numerator, positive denominator).
+    invertible, each entry as (numerator, positive denominator), for M given
+    by the `columns` of its `Symmetric`, which are read and never mutated.
 
     By Sylvester's law the signs of d give the inertia of M; tests/support.py
     rebuilds P.  Pivot k takes one symmetric Schur-complement step,
@@ -141,25 +202,16 @@ def _pivots(entries: Sequence[Sequence[Scalar]]) -> Iterator[tuple[int, int]]:
     M[k][j] != 0, adding t times row and column j to row and column k plants
     2*t*M[k][j] + M[j][j], nonzero for t = 1 or -1.
 
-    Row r from its diagonal on is a `Vector` N_r / d_r.  With p = N_k[k],
-    a = N_k[r], g = gcd(p*d_k, a*d_r), the step is N_r <- A*N_r - B*N_k,
-    d_r <- A*d_r for A = p*d_k/g and B = a*d_r/g, then one gcd per row.
-    Bareiss on D*M was 4-30x slower: its minors carry powers of D, the lcm of
-    M's denominators.  A nonzero entry on or above the diagonal with no
-    numerator and denominator, such as a float, raises TypeError before the
-    first pivot.
+    Row r from its diagonal on is a `Vector` N_r / d_r, at first columns[r].
+    With p = N_k[k], a = N_k[r], g = gcd(p*d_k, a*d_r), the step is N_r <-
+    A*N_r - B*N_k, d_r <- A*d_r for A = p*d_k/g and B = a*d_r/g, then one gcd
+    per row.  Bareiss on D*M was 4-30x slower: its minors carry powers of D,
+    the lcm of M's denominators.
     """
-    check_symmetric(entries)
-    rows = []
-    for r, row in enumerate(entries):
-        upper = {c: row[c] for c in compress(range(r, len(row)), row[r:])}
-        try:
-            rows.append(vector(upper))
-        except AttributeError:
-            raise _inexact((r, c, x) for c, x in upper.items()) from None
+    rows = list(columns)
     for k, (nums_k, den_k) in enumerate(rows):
-        p = nums_k.pop(k, 0)
-        if not nums_k:
+        p = nums_k.get(k, 0)
+        if len(nums_k) == (p != 0):
             yield p, den_k
             continue
         if not p:
@@ -172,10 +224,10 @@ def _pivots(entries: Sequence[Sequence[Scalar]]) -> Iterator[tuple[int, int]]:
             terms += [(c, t * x, rows[c][1]) for c in range(k + 1, j) if (x := rows[c][0].get(j))]
             terms += [(c, t * x, den_j) for c, x in nums_j.items()] + [(k, nums_j.get(j, 0), den_j)]
             nums_k, den_k = _combination(terms)
-            p = nums_k.pop(k)
+            p = nums_k[k]
         yield p, den_k
         pivot, sign = abs(p) * den_k, (1 if p > 0 else -1)
-        support = sorted(nums_k.items())
+        support = sorted(nums_k.items())[1:]  # past the diagonal, the least key
         for s, (r, a) in enumerate(support):
             nums_r, den_r = rows[r]
             g = gcd(pivot, a * den_r)
@@ -186,15 +238,17 @@ def _pivots(entries: Sequence[Sequence[Scalar]]) -> Iterator[tuple[int, int]]:
             rows[r] = lowest(new, A * den_r)
 
 
-def inertia(entries: Sequence[Sequence[Scalar]]) -> InertiaResult:
-    """Exact inertia from the signs of the congruence pivots."""
+def inertia(matrix: Symmetric | Sequence[Sequence[Scalar]]) -> InertiaResult:
+    """Exact inertia from the signs of the congruence pivots, on the columns
+    of a `Symmetric`, or of `Symmetric.from_rows` of dense rows."""
+    view = matrix if isinstance(matrix, Symmetric) else Symmetric.from_rows(matrix)
     pos = neg = 0
-    for p, _ in _pivots(entries):
+    for p, _ in _pivots(view.columns):
         if p > 0:
             pos += 1
         elif p:
             neg += 1
-    return InertiaResult(pos, neg, len(entries) - pos - neg)
+    return InertiaResult(pos, neg, len(view.columns) - pos - neg)
 
 
 def _integer_matrix(m: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], int]:

@@ -11,7 +11,11 @@ ring owns the trace functional: `QuotientBasis.traces`, one transposed
 product per element along the chain, built on first use and kept, is the
 one tau that the trace form, the lex counts and `--check` read.  The rank
 and signature of the trace form count distinct complex and real solutions.
-Coordinates stay `linalg.Vector`s until the returned `Fraction`s.
+Coordinates stay `linalg.Vector`s throughout: `hermite_form` returns H as the
+`linalg.Symmetric` of its columns, which the congruence sweep of
+`linalg.inertia` and the printed matrix read, and its `Fraction` rows are
+built only for a reader of `HermiteForm.entries`.  Only the traces that
+`traces_of` pairs with tau are `Fraction`s.
 
 A lex solve reads its counts off the grevlex ring that Buchberger ran in,
 which owns its Krylov sequence of x_n too: `QuotientBasis.krylov` certifies,
@@ -50,8 +54,8 @@ from operator import le, mul
 from typing import Iterable, Sequence
 
 from . import linalg
-from .groebner import GroebnerBasis, NotZeroDimensionalError, is_zero_dimensional
-from .linalg import Scalar, Vector, apply, lowest, transpose
+from .groebner import GroebnerBasis, NotZeroDimensionalError, Primitive, is_zero_dimensional
+from .linalg import Scalar, Symmetric, Vector, apply, lowest, transpose
 from .poly import LEX, Monomial, MonomialOrder, Polynomial
 
 # The parent chain: steps[i] = (v, p) for b_i = x_v * b_p, None for b_0 = 1.
@@ -151,10 +155,13 @@ class QuotientBasis:
 @dataclass(frozen=True)
 class HermiteForm:
     """Gram matrix of the trace form on the standard-monomial basis; its
-    zero entries are the int 0, the others `Fraction`s.  The entries are
-    None in the report of `charpoly_report`, whose counts need no matrix."""
+    zero entries are the int 0, the others `Fraction`s.  `hermite_form`
+    gives them as a `linalg.Symmetric`, `==` to the tuple of rows that
+    `hankel_form` gives and that a caller may put in their place.  The
+    entries are None in the report of `charpoly_report`, whose counts need
+    no matrix."""
 
-    entries: tuple[tuple[Scalar, ...], ...] | None
+    entries: Symmetric | tuple[tuple[Scalar, ...], ...] | None
     basis: QuotientBasis
 
     def rows(self) -> list[list[Scalar]]:
@@ -302,16 +309,18 @@ def fglm(ring: QuotientBasis, order: MonomialOrder) -> GroebnerBasis:
     with sum of w[i] * e_i = sum of w[~k] * NF(s_k): w[i] on the coordinates,
     w[~k] on the slots.  w is reduced against the echelon, one fraction-free
     step per pivot coordinate, its content removed each time.  With no
-    coordinate left, m + sum of w[~k] / w[~j] * s_k over k < j is the next
-    monic generator; otherwise w joins the echelon and the products x_u * m
-    are pushed.  At most dim * nvars + 1 monomials are popped, each reduced
+    coordinate left, w[~j] * m + sum of w[~k] * s_k over k < j is the next
+    generator, primitive as w is, its sign made that of a positive leading
+    coefficient; otherwise w joins the echelon and the products x_u * m are
+    pushed.  At most dim * nvars + 1 monomials are popped, each reduced
     in O(dim^2).  The heap is keyed by the order's `weight`s with W = dim +
     2: a target standard monomial has dim standard divisors, so each of its
     exponents is below dim, and a pushed product's is at most dim.
 
     The generators are found ascending, and the input polynomials come along
     re-sorted under `order`: the result is `==` to
-    `buchberger(ring.source.original, order)`.
+    `buchberger(ring.source.original, order)`, and like it keeps the
+    primitive integer generators, its monic view built only when read.
     """
     basis, columns = _source(ring), ring.columns
     if order.nvars != basis.order.nvars:
@@ -322,7 +331,7 @@ def fglm(ring: QuotientBasis, order: MonomialOrder) -> GroebnerBasis:
     forms: list[Vector] = []
     rows: list[tuple[int, dict[int, int]]] = []
     leads: list[tuple[int, ...]] = []
-    generators: list[Polynomial] = []
+    primitive: list[Primitive] = []
     while heap:
         key, exps, parent = heappop(heap)
         if any(all(map(le, lead, exps)) for lead in leads):
@@ -341,8 +350,8 @@ def fglm(ring: QuotientBasis, order: MonomialOrder) -> GroebnerBasis:
         pivot = max(w)
         if pivot < 0:
             scale = w.pop(~j)
-            tail = [(stair[~k], Fraction(c, scale)) for k, c in sorted(w.items())]
-            generators.append(Polynomial._from_sorted(order, [(exps, Fraction(1)), *tail]))
+            sign = 1 if scale > 0 else -1
+            primitive.append((exps, sign * scale, [(stair[~k], sign * c) for k, c in sorted(w.items())]))
             leads.append(exps)
             continue
         rows.append((pivot, w))
@@ -353,8 +362,12 @@ def fglm(ring: QuotientBasis, order: MonomialOrder) -> GroebnerBasis:
             if product not in seen:
                 seen.add(product)
                 heappush(heap, (product, _shift(exps, var, 1), (var, j)))
-    original = tuple(p if p.order == order else p.with_order(order) for p in basis.original)
-    return GroebnerBasis(tuple(generators), order, original)
+    return GroebnerBasis._of_primitive(tuple(primitive), order, _reordered(basis.original, order))
+
+
+def _reordered(polys: tuple[Polynomial, ...], order: MonomialOrder) -> tuple[Polynomial, ...]:
+    """The input polynomials of a converted basis, re-sorted under `order`."""
+    return tuple(p if p.order == order else p.with_order(order) for p in polys)
 
 
 def change_order(basis: GroebnerBasis, order: MonomialOrder) -> GroebnerBasis:
@@ -363,14 +376,15 @@ def change_order(basis: GroebnerBasis, order: MonomialOrder) -> GroebnerBasis:
     a zero-dimensional ideal, those leading monomials then span a staircase
     of the ideal's dimension under either order, so they generate its
     leading ideal under `order` too: the generators, re-sorted, are the
-    reduced basis there.  Raises NotZeroDimensionalError as
-    `standard_monomials` does."""
-    generators = [g.with_order(order) for g in basis.generators]
-    if not is_zero_dimensional(basis) or any(g.terms[0][0] != h.terms[0][0] for g, h in zip(generators, basis)):
+    reduced basis there.  Only `basis.primitive` is read, and its tails are
+    re-sorted as they are: no monic view is built.  Raises
+    NotZeroDimensionalError as `standard_monomials` does."""
+    key = order.descending_key
+    resorted = [(lead, lc, sorted(tail, key=lambda t: key(t[0]))) for lead, lc, tail in basis.primitive]
+    if not is_zero_dimensional(basis) or any(tail and key(tail[0][0]) < key(lead) for lead, _, tail in resorted):
         return fglm(standard_monomials(basis), order)
-    generators.sort(key=lambda g: order.descending_key(g.terms[0][0].exponents), reverse=True)
-    original = tuple(p if p.order == order else p.with_order(order) for p in basis.original)
-    return GroebnerBasis(tuple(generators), order, original)
+    resorted.sort(key=lambda g: key(g[0]), reverse=True)
+    return GroebnerBasis._of_primitive(tuple(resorted), order, _reordered(basis.original, order))
 
 
 def _chain(matrices, steps: Steps, start: Vector) -> list[Vector]:
@@ -428,19 +442,19 @@ def hermite_form(basis: GroebnerBasis, quotient: QuotientBasis) -> HermiteForm:
 
     H * e_i = M_{b_i}^T * tau, and the border matrices commute, so column i
     is M_{x_v}^T times its parent's column, starting from tau, the ring's
-    `traces`.  Each Fraction is built once, for r <= i, and mirrored.
-    Raises ValueError unless `standard_monomials` built `quotient` from a
-    basis equal to `basis`.
+    `traces`.  H is symmetric by construction, and the entries are the
+    `linalg.Symmetric` of the columns from the diagonal down, each in lowest
+    terms: one gcd for a column that loses entries above its diagonal, none
+    for the others, and no `Fraction`.  Raises ValueError unless
+    `standard_monomials` built `quotient` from a basis equal to `basis`.
     """
     if quotient.source is not basis and quotient.source != basis:
         raise ValueError("quotient basis does not belong to this Groebner basis")
-    dim = quotient.dimension
-    entries: list[list[Scalar]] = [[0] * dim for _ in range(dim)]
+    columns: list[Vector] = []
     for i, (nums, den) in enumerate(_chain(quotient.transposed, quotient.steps, quotient.traces)):
-        for r, x in nums.items():
-            if r <= i:
-                entries[r][i] = entries[i][r] = Fraction(x, den)
-    return HermiteForm(tuple(tuple(row) for row in entries), quotient)
+        lower = {r: x for r, x in nums.items() if r >= i}
+        columns.append((nums, den) if len(lower) == len(nums) else lowest(lower, den))
+    return HermiteForm(Symmetric(columns), quotient)
 
 
 def shape_position(ring: QuotientBasis) -> QuotientBasis | None:

@@ -25,16 +25,16 @@ from hermitecount import (
     QuotientBasis,
     parse_system,
 )
-from hermitecount import groebner
+from hermitecount import cli, groebner, linalg
 from hermitecount.groebner import _primitive, is_zero_dimensional
 from hermitecount.linalg import (
     Scalar,
+    Symmetric,
     Vector,
     _berkowitz,
     _integer_matrix,
     _pivots,
     apply,
-    check_symmetric,
     vector,
 )
 from hermitecount.parsing import format_monomial
@@ -913,10 +913,23 @@ def determinant(entries: Sequence[Sequence[Scalar]]) -> Fraction:
     return det
 
 
-def congruence_diagonalize(entries: Sequence[Sequence[Scalar]]) -> list[Fraction]:
+def as_symmetric(entries: Symmetric | Sequence[Sequence[Scalar]]) -> Symmetric:
+    """A `Symmetric` as it is, dense rows as `Symmetric.from_rows` views them."""
+    return entries if isinstance(entries, Symmetric) else Symmetric.from_rows(entries)
+
+
+def assert_view_matches_dense(view: Symmetric, dense: Sequence[Sequence[Scalar]]) -> None:
+    """A `Symmetric` against dense rows of the same matrix: `==` to their
+    tuple, with the same inertia and the same printed matrix."""
+    assert view == tuple(map(tuple, dense))
+    assert linalg.inertia(view) == linalg.inertia(dense)
+    assert cli._matrix_strings(HermiteForm(view, None)) == cli._matrix_strings(HermiteForm(dense, None))
+
+
+def congruence_diagonalize(entries: Symmetric | Sequence[Sequence[Scalar]]) -> list[Fraction]:
     """The diagonal of `linalg.inertia`'s congruence sweep as `Fraction`s:
     d with P^T * M * P = diag(d) for an invertible P."""
-    return [Fraction(p, den) for p, den in _pivots(entries)]
+    return [Fraction(p, den) for p, den in _pivots(as_symmetric(entries).columns)]
 
 
 # The congruence route that also tracks the transform, kept as the reference
@@ -925,12 +938,17 @@ def congruence_diagonalize(entries: Sequence[Sequence[Scalar]]) -> list[Fraction
 
 
 def congruence_certificate(
-    entries: Sequence[Sequence[Scalar]], rescues: list[tuple[int, int, int]] | None = None
+    entries: Symmetric | Sequence[Sequence[Scalar]], rescues: list[tuple[int, int, int]] | None = None
 ) -> tuple[list[Fraction], list[list[Fraction]]]:
     """(diagonal, P) with P^T * M * P = diag(diagonal) and P invertible; each
-    zero-pivot rescue (k, j, t) is appended to `rescues` if one is given."""
-    a = as_matrix(check_symmetric(entries))
-    n = len(a)
+    zero-pivot rescue (k, j, t) is appended to `rescues` if one is given.  M
+    is rebuilt from the columns that the sweep reads, mirrored."""
+    columns = as_symmetric(entries).columns
+    n = len(columns)
+    a = [[Fraction(0)] * n for _ in range(n)]
+    for i, (nums, den) in enumerate(columns):
+        for r, x in nums.items():
+            a[i][r] = a[r][i] = Fraction(x, den)
     p = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
     def add_row_col(i: int, j: int, t: int) -> None:

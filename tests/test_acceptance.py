@@ -236,6 +236,14 @@ def test_readme_library_example_runs():
 PINNED = "perfbench imports or calls it, and it goes with the benchmark refresh (ROADMAP item 2)"
 VALIDATING = "a validating constructor, for input from outside the program"
 VALUE = "the value protocol, ==, hash and repr"
+DENSE = (
+    "the dense front of the trace form, whose callers are perfbench (its traced route and its reads of "
+    "`HermiteForm.entries` and `rows()`), library input and the tests; a solve reads only the columns"
+)
+MONIC_INPUT = (
+    "a basis from monic generators, whose callers are library input and the tests; the engine, "
+    "`fglm` and `change_order` return primitive integer generators"
+)
 NOT_ENTERED_BY_A_SOLVE = {
     "univariate": PINNED,
     "linalg._integer_matrix": PINNED,
@@ -244,6 +252,14 @@ NOT_ENTERED_BY_A_SOLVE = {
     "quotient.HermiteForm.rows": PINNED,
     "poly.Polynomial.__iter__": PINNED,
     "groebner.GroebnerBasis.leading_monomials": PINNED,
+    "linalg.check_symmetric": DENSE,
+    "linalg.Symmetric.from_rows": DENSE,
+    "linalg.Symmetric.rows": DENSE,
+    "linalg.Symmetric.__getitem__": DENSE,
+    "linalg.Symmetric.__iter__": DENSE,
+    "groebner.GroebnerBasis.__init__": MONIC_INPUT,
+    "groebner.GroebnerBasis.primitive": MONIC_INPUT,
+    "groebner.GroebnerBasis.__iter__": "iteration over the monic view, whose callers are library input and the tests",
     "poly.Monomial.__init__": VALIDATING,
     "poly.Polynomial.__init__": VALIDATING,
     **{
@@ -253,6 +269,7 @@ NOT_ENTERED_BY_A_SOLVE = {
     },
     # by hand since `generators` is built on first read, which a dataclass field cannot be
     **{f"groebner.GroebnerBasis.{method}": VALUE for method in ("__eq__", "__hash__", "__repr__")},
+    **{f"linalg.Symmetric.{method}": VALUE for method in ("__eq__", "__hash__", "__repr__")},
     "linalg._inexact": "the error for a matrix entry that is not exact, which no solve builds",
     "cli.entry": "the console script, which only calls main",
 }

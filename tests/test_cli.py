@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -183,6 +184,52 @@ def test_matrix_strings_mirror_the_upper_triangle():
     with pytest.raises(ValueError) as mirrored:
         cli._matrix_strings(form)
     assert str(mirrored.value) == str(full.value)
+
+
+WIDE_400_2 = ("x1^400", "x2^400", "x1*x2")  # dimension 799, one nonzero entry of H in 638 401
+
+
+def test_a_wide_text_solve_allocates_no_dim_by_dim_structure():
+    # a dense H, or any structure with a slot per cell, takes at least one
+    # 8-byte pointer for each of the 799^2 cells, 5.1 MB; the solve peaks at
+    # 1.1 MB under CPython 3.11, and at 11.2 MB when it built the dense H
+    tracemalloc.start()
+    try:
+        assert run_solve(RunConfiguration(inline_polynomials=WIDE_400_2), io.StringIO()) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 799**2 / 2
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"], ["--print-matrix"]], ids=["text", "json", "print-matrix"])
+def test_a_grevlex_solve_builds_no_dense_trace_form(monkeypatch, capsys, flags):
+    """Neither the symmetry check of dense rows nor a `Fraction` of H runs
+    in a grevlex solve, printed or not; reading `entries` builds them."""
+    calls = []
+    true_check, true_fraction = linalg.check_symmetric, linalg.Fraction
+
+    def check_symmetric(entries):
+        calls.append("check_symmetric")
+        return true_check(entries)
+
+    def fraction(*args):
+        calls.append("Fraction")
+        return true_fraction(*args)
+
+    monkeypatch.setattr(linalg, "check_symmetric", check_symmetric)
+    monkeypatch.setattr(linalg, "Fraction", fraction)
+    monkeypatch.setattr(quotient, "Fraction", fraction)
+    for polys in (WIDE_400_2, DENSE_2_5, staircase_pool(7)[0].split("\n"), ["x1*x2+x2-1", "x1^2+x2^2-1"]):
+        assert main(["solve", *(f"--poly={p}" for p in polys), *flags]) == EXIT_OK
+        assert calls == []
+    capsys.readouterr()
+    form = cli._solve_text("\n".join(DENSE_2_5), GREVLEX, matrix=True).form
+    assert calls == [] and form.entries[0][0] == 25
+    triangle = sum(len(nums) for nums, _ in form.entries.columns)
+    assert calls == ["Fraction"] * triangle and triangle > 300  # one per nonzero cell on or below the diagonal
+    form.rows()
+    assert len(calls) == triangle
 
 
 def test_json_round_trip_consistency(capsys):
@@ -678,41 +725,52 @@ def test_a_lex_solve_runs_one_krylov_pass_and_pairs_each_vector_once(monkeypatch
 
 
 def spy_on_the_monic_view(monkeypatch):
-    """The bases that the solve's `buchberger` returns, and the basis of each
-    build of a monic view, `GroebnerBasis.generators`; a basis built from
-    its generators holds them already and builds none."""
-    engine, built = [], []
-    true_buchberger, true_generators = cli.buchberger, GroebnerBasis.generators.func
+    """The bases that the solve's `buchberger` returns, those that its
+    `change_order` and `fglm` return, and the basis of each build of a monic
+    view, `GroebnerBasis.generators`; a basis built from its generators
+    holds them already and builds none."""
+    engine, converted, built = [], [], []
+    true_generators = GroebnerBasis.generators.func
 
-    def buchberger(polys, order):
-        engine.append(true_buchberger(polys, order))
-        return engine[-1]
+    def returned_into(found, function):
+        def spied(*args):
+            found.append(function(*args))
+            return found[-1]
+
+        return spied
 
     def generators(basis):
         built.append(basis)
         return true_generators(basis)
 
-    monkeypatch.setattr(cli, "buchberger", buchberger)
+    monkeypatch.setattr(cli, "buchberger", returned_into(engine, cli.buchberger))
+    monkeypatch.setattr(cli, "change_order", returned_into(converted, cli.change_order))
+    monkeypatch.setattr(cli, "fglm", returned_into(converted, cli.fglm))
     monkeypatch.setattr(GroebnerBasis.generators, "func", generators)
-    return engine, built
+    return engine, converted, built
 
 
 @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
 def test_a_solve_builds_the_monic_view_only_for_check(monkeypatch, capsys, flags):
     # grevlex; lex in shape position (circle-hyperbola, katsura-3), where the
-    # counts come from chi; lex out of it (squares(3)), through FGLM, whose
-    # basis is built from its generators.  The engine basis is read only in
-    # integers, unless --check audits it: then its view is built once.
+    # counts come from chi; lex out of it (squares(3)), through FGLM; grlex,
+    # where change_order re-sorts the generators (circle-hyperbola,
+    # squares(3)) or runs FGLM (x2^2 - x1*x3 leads by x1*x3).  Every basis is
+    # read only in integers, unless --check audits it: then the view of each
+    # audited basis is built once, and under grlex the engine basis has none.
     circle, squares = ["x1*x2+x2-1", "x1^2+x2^2-1"], ["x1^2-1", "x2^2-2", "x3^2-3"]
+    moved = ["x2^2-x1*x3", "x1^3-1", "x3^3-2"]
     corpus = [(polys, GREVLEX) for polys in (circle, KATSURA_3, squares, DENSE_2_5)]
     corpus += [(circle, LEX), (KATSURA_3, LEX), (squares, LEX)]
+    corpus += [(polys, GRLEX) for polys in (circle, squares, moved)]
     for polys, kind in corpus:
         for check in ([], ["--check"]):
-            engine, built = spy_on_the_monic_view(monkeypatch)
+            engine, converted, built = spy_on_the_monic_view(monkeypatch)
             assert main(["solve", *(f"--poly={p}" for p in polys), "--order", kind, *flags, *check]) == EXIT_OK
             capsys.readouterr()
-            assert len(engine) == 1
-            assert [id(b) for b in built] == [id(engine[0])] * len(check), (polys, kind, check)
+            assert len(engine) == 1 and len(converted) == (kind == GRLEX or polys == squares and kind == LEX)
+            audited = ([] if kind == GRLEX else engine) + converted
+            assert [id(b) for b in built] == [id(b) for b in audited] * len(check), (polys, kind, check)
             monkeypatch.undo()
 
 

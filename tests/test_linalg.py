@@ -17,11 +17,12 @@ from hermitecount import (
     parse_system,
     standard_monomials,
 )
-from hermitecount.linalg import InertiaResult, inertia, inertia_via_charpoly
+from hermitecount.linalg import InertiaResult, Symmetric, inertia, inertia_via_charpoly
 
 from support import (
     DENSE_2_5,
     FIXTURE_SYSTEMS,
+    assert_view_matches_dense,
     berkowitz_charpoly,
     certified_diagonal,
     congruence_certificate,
@@ -74,6 +75,10 @@ def test_congruence_pivot_branches(matrix):
     certified_diagonal(matrix)
     assert inertia(matrix) == inertia_via_charpoly(matrix)
     assert matrix == original
+    view = Symmetric.from_rows(matrix)
+    columns = copy.deepcopy(view.columns)
+    assert_view_matches_dense(view, matrix)
+    assert view.columns == columns  # the sweep reads the columns and never writes them
 
 
 def test_congruence_on_mostly_zero_diagonals_matches_charpoly():
@@ -89,6 +94,7 @@ def test_congruence_on_mostly_zero_diagonals_matches_charpoly():
                 m[i][j] = m[j][i] = rng.randint(-3, 3)
         certified_diagonal(m)
         assert inertia(m) == inertia_via_charpoly(m), m
+        assert_view_matches_dense(Symmetric.from_rows(m), m)
 
 
 def rand_row_rational_symmetric(rng, dim, zero_diagonal):
@@ -117,7 +123,9 @@ def test_integer_row_congruence_matches_certificate():
     rescues, diagonals = [], []
     for n in range(300):
         dim = rng.randint(1, 8)
-        diagonals += certified_diagonal(rand_row_rational_symmetric(rng, dim, n % 2 == 1), rescues)
+        m = rand_row_rational_symmetric(rng, dim, n % 2 == 1)
+        diagonals += certified_diagonal(m, rescues)
+        assert_view_matches_dense(Symmetric.from_rows(m), m)
     # small numerators over small row denominators, where 2*M[k][j] + M[j][j]
     # cancels deep in the sweep too
     for _ in range(300):
@@ -129,6 +137,7 @@ def test_integer_row_congruence_matches_certificate():
                 if i != j or rng.random() < 0.25:
                     m[i][j] = m[j][i] = Fraction(rng.randint(-3, 3), dens[i])
         diagonals += certified_diagonal(m, rescues)
+        assert_view_matches_dense(Symmetric.from_rows(m), m)
     assert {t for _, _, t in rescues} == {-1, 1}
     assert any(t == -1 and k > 0 for k, _, t in rescues)
     assert any(j > k + 1 for k, j, _ in rescues)

@@ -2,6 +2,7 @@
 the trace functional, and solution counts."""
 
 import ast
+import dataclasses
 from fractions import Fraction
 from operator import le
 from pathlib import Path
@@ -28,7 +29,7 @@ from hermitecount import (
 )
 from hermitecount import groebner, linalg, quotient, separating
 from hermitecount.groebner import is_zero_dimensional
-from hermitecount.linalg import lowest
+from hermitecount.linalg import Symmetric, lowest
 from hermitecount.parsing import format_monomial
 from hermitecount.quotient import (
     DimensionLimitError,
@@ -42,6 +43,7 @@ from hermitecount.separating import audit_basis
 from support import (
     DENSE_2_5,
     FIXTURE_SYSTEMS,
+    assert_view_matches_dense,
     basis_index,
     box_standard_monomials,
     dense_lines,
@@ -279,8 +281,9 @@ def assert_matches_division_route(basis):
     for v in range(basis.order.nvars):
         x_v = Polynomial(basis.order, {Monomial(int(u == v) for u in range(basis.order.nvars)): 1})
         assert border_matrix(quotient, v) == division_multiplication_matrix(x_v, basis, quotient).entries
-    form = hermite_form(basis, quotient)
-    assert form == division_hermite_form(basis, quotient)
+    form, dense = hermite_form(basis, quotient), division_hermite_form(basis, quotient)
+    assert form == dense
+    assert_view_matches_dense(form.entries, dense.entries)
     assert tau_by_monomial(quotient) == division_trace_functional(basis, quotient)
 
 
@@ -298,6 +301,47 @@ def test_random_systems_match_division_route(kind):
         basis = buchberger(polys, order)
         assert is_zero_dimensional(basis), seed
         assert_matches_division_route(basis)
+
+
+@pytest.mark.parametrize("pool", [staircase_pool, trace_form_pool])
+def test_views_of_the_benchmark_pools_match_their_dense_copies(pool):
+    # the staircase pool's H has 85 nonzeros in 77 x 77, the trace-form pool's is dense
+    for text in pool(7):
+        basis = system_basis(text)
+        form = hermite_form(basis, standard_monomials(basis))
+        assert isinstance(form.entries, Symmetric) and "rows" not in vars(form.entries)
+        assert_view_matches_dense(form.entries, form.rows())
+
+
+def _negated(entries):
+    return tuple(tuple(-x for x in row) for row in entries)
+
+
+def _first_row_and_column_zeroed(entries):
+    return tuple(tuple(0 if 0 in (i, j) else x for j, x in enumerate(row)) for i, row in enumerate(entries))
+
+
+def test_inertia_report_counts_the_entries_put_in_a_solve_built_form():
+    """The benchmark's validation puts other entries in a solve-built form
+    with `dataclasses.replace` (negated, or with the first row and column
+    zeroed), and its solve must count those; it also reads `entries` and
+    `rows()`, which are the dense H of the division route."""
+    texts = [text for _, text in FIXTURE_SYSTEMS] + ["\n".join(DENSE_2_5)]
+    moved = set()
+    for text in texts:
+        basis = system_basis(text)
+        ring = standard_monomials(basis)
+        form, dense = hermite_form(basis, ring), division_hermite_form(basis, ring)
+        assert form.entries == dense.entries and form.rows() == dense.rows()
+        counts = quotient.inertia_report(form)
+        for perturb in (_negated, _first_row_and_column_zeroed):
+            replaced = dataclasses.replace(form, entries=perturb(form.entries))
+            report, oracle = quotient.inertia_report(replaced), linalg.inertia_via_charpoly(replaced.entries)
+            assert (report.rank, report.signature) == (oracle.rank, oracle.signature)
+            assert report.form is replaced and report.quotient_dimension == ring.dimension
+            if (report.rank, report.signature) != (counts.rank, counts.signature):
+                moved.add(perturb)
+    assert moved == {_negated, _first_row_and_column_zeroed}
 
 
 def assert_parent_chain(basis):
